@@ -224,7 +224,8 @@ def build_parser() -> _Parser:
     pc.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                     help="hard cap on n (resource guard)")
     pc.add_argument("--max-blocks", type=int, default=DEFAULT_MAX_BLOCKS,
-                    help="hard cap on the number of degree assignments per n")
+                    help="hard cap on the number of degree assignments (all m^n "
+                         "labellings, not the multisets computed) per n")
     pc.set_defaults(func=cmd_codim)
 
     pi = sub.add_parser("check-identity", help="test a multilinear graded polynomial")

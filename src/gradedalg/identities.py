@@ -4,20 +4,25 @@ codimension sequences.
 A degree assignment attaches one support degree to each of the n variables;
 the monomials of one assignment use their own private variables, so the
 evaluation matrix splits into independent blocks per assignment and the n-th
-codimension is the sum of block ranks. The functional-label ("delta") pipeline
-computes the same numbers through projections of unrestricted substitutions;
-the two routes are compared in the tests and must agree exactly.
+codimension is the sum of block ranks. Renaming variables permutes a block's
+rows and columns, so its rank depends only on the multiset of labels: each
+multiset's block is computed once and weighted by the multinomial count of
+its labellings. The functional-label ("delta") pipeline computes the same
+numbers through projections of unrestricted substitutions; the two routes
+share the block-rank driver, are compared in the tests and must agree exactly.
+The resource guard still counts all |support|^n labellings, not the multisets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import combinations_with_replacement, groupby, product as iproduct
+from math import factorial
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
 from .errors import ResourceCapError, ValidationError
-from .exactlin import Reducer, ZERO, as_rat, is_zero_vector
+from .exactlin import ONE, Reducer, ZERO, as_rat, is_zero_vector
 from .groups import GroupElem
 from .hopf import DualFunctional, dual_action
 
@@ -215,45 +220,94 @@ def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
             f"{m}^{n} = {m ** n} degree assignments exceed the cap of {max_blocks}")
 
 
+def _block_rank(A: GradedAlgebra, comps) -> int:
+    """Rank of one block: variable i ranges over the basis indices comps[i];
+    rows are the n! word orders, columns are (basis tuple) x (output
+    coordinate).
+
+    Word orders are walked depth first. A node holds the nonzero products of
+    the variables placed so far, one per basis choice, keyed by the column
+    offset that choice contributes; a child multiplies each by one more basis
+    vector through the sparse structure constants. A node whose products all
+    vanish is dropped with its subtree, and each distinct nonzero row enters
+    the Reducer once.
+    """
+    if any(not c for c in comps):
+        return 0
+    n = len(comps)
+    sc = A._sc
+    # mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])
+    offset = [None] * n
+    width = A.dim
+    for i in reversed(range(n)):
+        offset[i] = {b: j * width for j, b in enumerate(comps[i])}
+        width *= len(comps[i])
+    red = Reducer(width)
+    seen = set()
+
+    def walk(rest, partial):
+        if not rest:
+            row = {off + k: c for off, vec in partial.items() for k, c in vec.items()}
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                dense = [ZERO] * width
+                for col, c in row.items():
+                    dense[col] = c
+                red.insert(dense)
+            return
+        for i in rest:
+            child = {}
+            for off, vec in partial.items():
+                for b, boff in offset[i].items():
+                    prod = {}
+                    for k, c in vec.items():
+                        for j, d in sc[k][b]:
+                            prod[j] = prod.get(j, ZERO) + c * d
+                    prod = {j: c for j, c in prod.items() if c != 0}
+                    if prod:
+                        child[off + boff] = prod
+            if child:
+                walk([r for r in rest if r != i], child)
+
+    for i in range(n):
+        walk([r for r in range(n) if r != i],
+             {boff: {b: ONE} for b, boff in offset[i].items()})
+    return red.dim
+
+
+def _label_orbits(support, n):
+    """Each multiset of n labels from the support, as a sorted tuple, with
+    the multinomial count of the labellings that rearrange it."""
+    for labels in combinations_with_replacement(support, n):
+        mult = factorial(n)
+        for _, run in groupby(labels):
+            mult //= factorial(len(list(run)))
+        yield labels, mult
+
+
 def codim_block(A: GradedAlgebra, degs) -> int:
     """Rank of one assignment block: rows are the n! word orders, columns are
     (matching basis tuple) x (output coordinate)."""
-    degs = tuple(degs)
-    n = len(degs)
-    comps = [A.component_indices(g) for g in degs]
-    if any(not c for c in comps):
-        return 0
-    tuples = list(iproduct(*comps))
-    width = len(tuples) * A.dim
-    red = Reducer(width)
-    rank = 0
-    for perm in permutations(range(n)):
-        row = [ZERO] * width
-        nonzero = False
-        for t_idx, tup in enumerate(tuples):
-            seq = [tup[p] for p in perm]
-            prod = _fold_basis_product(A, seq)
-            if prod:
-                nonzero = True
-                base = t_idx * A.dim
-                for k, c in prod.items():
-                    row[base + k] = c
-        if nonzero and red.insert(row):
-            rank += 1
-    return rank
+    return _block_rank(A, [A.component_indices(g) for g in degs])
+
+
+def _graded_blocks(A: GradedAlgebra, n: int) -> list:
+    """(labelling count, block rank) per label multiset; renaming variables
+    permutes rows and columns of a block, so its rank depends only on the
+    multiset."""
+    return [(mult, codim_block(A, degs)) for degs, mult in _label_orbits(A.support, n)]
 
 
 def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> int:
-    """c_n = sum of block ranks over all assignments in Support^n. The trivial
+    """c_n = sum of block ranks over all assignments in Support^n, computed
+    once per label multiset and weighted by the multinomial. The trivial
     group reproduces ordinary codimensions."""
     if A.kind != ASSOCIATIVE:
         raise ValidationError("codimensions are computed for associative algebras")
     _guard(A, n, max_n, max_blocks)
-    total = 0
-    for degs in iproduct(A.support, repeat=n):
-        total += codim_block(A, degs)
-    return total
+    return sum(mult * rank for mult, rank in _graded_blocks(A, n))
 
 
 def functional_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
@@ -262,44 +316,20 @@ def functional_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     projections of unrestricted basis substitutions.
 
     Labels range over the support only: a general label reduces to that span,
-    which changes no ranks. Must agree with graded_codimension for every n.
+    which changes no ranks. A delta projection sends each basis vector to
+    itself or to zero, so a label's variable ranges over the basis vectors
+    its projection keeps. Must agree with graded_codimension for every n.
     """
     if A.kind != ASSOCIATIVE:
         raise ValidationError("codimensions are computed for associative algebras")
     _guard(A, n, max_n, max_blocks)
-    dim = A.dim
-    total = 0
-    deg_of = A.degrees
-    for labels in iproduct(A.support, repeat=n):
-        # columns: all basis substitution tuples x coordinates; the projection
-        # zeroes any tuple not matching the labels, so prune early
-        tuples = [t for t in iproduct(range(dim), repeat=n)
-                  if all(deg_of[t[i]] == labels[i] for i in range(n))]
-        if not tuples:
-            continue
-        width = len(tuples) * dim
-        red = Reducer(width)
-        for perm in permutations(range(n)):
-            row = [ZERO] * width
-            nonzero = False
-            for t_idx, tup in enumerate(tuples):
-                cur = None
-                for p in perm:
-                    v = dual_action(DualFunctional.delta(labels[p]),
-                                    A.basis_vector(tup[p]), A)
-                    cur = v if cur is None else A.multiply(cur, v)
-                    if is_zero_vector(cur):
-                        break
-                if cur is not None and not is_zero_vector(cur):
-                    nonzero = True
-                    base = t_idx * dim
-                    for k, c in enumerate(cur):
-                        if c != 0:
-                            row[base + k] = c
-            if nonzero:
-                red.insert(row)
-        total += red.dim
-    return total
+    kept = {}
+    for g in A.support:
+        delta = DualFunctional.delta(g)
+        kept[g] = [i for i in range(A.dim)
+                   if not is_zero_vector(dual_action(delta, A.basis_vector(i), A))]
+    return sum(mult * _block_rank(A, [kept[g] for g in labels])
+               for labels, mult in _label_orbits(A.support, n))
 
 
 def nilpotent_shortcut(A: GradedAlgebra, n: int):
@@ -445,11 +475,11 @@ def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
             continue
         _guard(A, n, max_n, max_blocks)
         if mode == "gr":
-            blocks = [codim_block(A, degs) for degs in iproduct(A.support, repeat=n)]
-            values.append(sum(blocks))
-            per_n.append({"n": n, "assignments": m ** n, "computed": len(blocks),
-                          "nonzero_blocks": sum(1 for b in blocks if b),
-                          "max_block_rank": max(blocks, default=0)})
+            blocks = _graded_blocks(A, n)
+            values.append(sum(mult * rank for mult, rank in blocks))
+            per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
+                          "nonzero_blocks": sum(mult for mult, rank in blocks if rank),
+                          "max_block_rank": max((rank for _, rank in blocks), default=0)})
         else:
             values.append(functional_codimension(A, n, max_n, max_blocks))
             per_n.append({"n": n, "assignments": m ** n, "computed": m ** n})

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -246,3 +247,51 @@ def test_m2_exponent_consistent_with_four():
     assert rep.verdict.consistent
     roots = [F(r.replace(".", "")) for r in rep.roots]
     assert roots == sorted(roots)        # increasing toward the bracket
+
+
+ASSOCIATIVE_BUILTINS = ("m2_z2", "ut2", "fz2", "free_trunc_2_2", "free_trunc_2_3")
+
+
+def test_orbit_sum_equals_full_labelling_sum():
+    for name in ASSOCIATIVE_BUILTINS:
+        A = builtin(name)
+        for n in (1, 2, 3, 4):
+            full = sum(brute_block_rank(A, d) for d in product(A.support, repeat=n))
+            assert graded_codimension(A, n) == full, (name, n)
+
+
+def test_codim_block_invariant_under_relabelling_variables():
+    for name in ASSOCIATIVE_BUILTINS:
+        A = builtin(name)
+        for n in (1, 2, 3, 4):
+            for degs in combinations_with_replacement(A.support, n):
+                ranks = {codim_block(A, p) for p in set(permutations(degs))}
+                assert len(ranks) == 1, (name, degs, ranks)
+
+
+def test_codimensions_beyond_the_old_reach():
+    A = free_group_truncation(2, 3)
+    assert graded_codimension(A, 6, max_blocks=7 ** 6) == 3 * 36 + 3 * 6 + 1
+    B = builtin("free_trunc_2_5")       # dim 31
+    assert functional_codimension(B, 3) == graded_codimension(B, 3) == 645
+
+
+def test_report_block_statistics_golden():
+    # per_n recorded from the per-labelling engine; the orbit sum must report
+    # the same labelling counts
+    M = matrix_algebra_z2()
+    assert codimension_report(M, 5).per_n == [
+        {"n": n, "assignments": 2 ** n, "computed": 2 ** n,
+         "nonzero_blocks": 2 ** n, "max_block_rank": 2 ** (n - 1)}
+        for n in range(1, 6)]
+    assert codimension_report(M, 4, mode="h").per_n == [
+        {"n": n, "assignments": 2 ** n, "computed": 2 ** n} for n in range(1, 5)]
+    # blocks that vanish for some labellings
+    for name, nonzero, max_rank in [("ut2", [2, 3, 4, 5], [1, 2, 4, 8]),
+                                    ("free_trunc_2_3", [7, 17, 31, 49], [1, 2, 2, 2])]:
+        A = builtin(name)
+        m = len(A.support)
+        assert codimension_report(A, 4).per_n == [
+            {"n": n, "assignments": m ** n, "computed": m ** n,
+             "nonzero_blocks": nonzero[n - 1], "max_block_rank": max_rank[n - 1]}
+            for n in range(1, 5)]
