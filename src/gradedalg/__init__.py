@@ -1,12 +1,13 @@
 """Exact-arithmetic toolkit for group-graded associative and Lie algebras."""
 
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, algebra_on_subspace,
-                      nilpotency_index, quotient_algebra, unitalize)
+                      graded_closure, nilpotency_index, quotient_algebra,
+                      unitalize)
 from .exactlin import Mat, Rat, Subspace, kernel, rank, rref
 from .groups import (CyclicGroup, FreeGroup, GroupElem, ProductGroup,
                      TableGroup, TrivialGroup)
-from .hopf import CoalgebraWindow, DualFunctional, dual_action, hstar_closure
-from .radical import (graded_closure, graded_radical_report, is_graded_subspace,
+from .hopf import CoalgebraWindow, DualFunctional, dual_action
+from .radical import (graded_radical_report, is_graded_subspace,
                       jacobson_radical, killing_form, nilradical,
                       solvable_radical)
 from .structure import (GradedDecomposition, levi_decomposition, levi_graded,

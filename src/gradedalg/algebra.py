@@ -298,6 +298,14 @@ class GradedAlgebra:
         return f"GradedAlgebra({label}, dim={self.dim}, group={self.group!r})"
 
 
+def graded_closure(w: Subspace, A: GradedAlgebra) -> Subspace:
+    """Span of the homogeneous projections of w: the smallest graded subspace
+    containing w. For a group grading this is also the delta-closure, the
+    smallest subspace containing w and closed under every delta_g action."""
+    return Subspace.from_vectors(
+        A.dim, [p for v in w.basis_vectors() for _, p in A.homogeneous_components(v)])
+
+
 def nilpotency_index(A: GradedAlgebra, s: Subspace | None = None):
     """Smallest p with S^p = 0 for the subspace S (default: the whole algebra),
     powers taken as iterated product spans; None if S is not nilpotent."""
@@ -345,9 +353,7 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         raise DimensionMismatchError("ideal lives in a different ambient space")
     if not A.is_ideal(ideal):
         raise NotAnIdealError("subspace is not a two-sided ideal")
-    closure = Subspace.from_vectors(
-        A.dim, [p for v in ideal.basis_vectors() for _, p in A.homogeneous_components(v)])
-    if closure != ideal:
+    if graded_closure(ideal, A) != ideal:
         raise NotGradedError("ideal is not graded: it differs from its graded closure")
     red = Reducer(A.dim, ideal.basis_vectors())
     chosen = []

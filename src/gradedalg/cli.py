@@ -11,21 +11,20 @@ import argparse
 import json
 import sys
 
-from .algebra import ASSOCIATIVE, GradedAlgebra
+from .algebra import ASSOCIATIVE, GradedAlgebra, algebra_on_subspace
 from .builders import builtin, builtin_names
 from .errors import (DimensionMismatchError, GroupMismatchError,
-                     NotAnIdealError, NotGradedError, ResourceCapError,
-                     SchemaError, ValidationError)
+                     InternalCheckError, NotAnIdealError, NotGradedError,
+                     ResourceCapError, SchemaError, ValidationError)
 from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_report,
                          is_graded_identity)
-from .radical import graded_radical_report, jacobson_radical
+from .radical import (graded_radical_report, jacobson_radical,
+                      solvable_radical)
 from .schema import (algebra_to_description, canonical_json,
                      description_to_algebra, digest, load_json,
                      poly_from_description, render_rational)
 from .structure import (levi_graded, malcev_complement_graded,
                         wedderburn_artin_graded)
-from . import radical as radical_mod
-from .algebra import algebra_on_subspace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,7 +110,7 @@ def cmd_decompose(args) -> int:
             print(f"  component dim {c.dim}, degrees {degs}")
         out["results"]["components"] = comps
     else:
-        R = radical_mod.solvable_radical(A)
+        R = solvable_radical(A)
         B = levi_graded(A)
         print(f"solvable radical dim {R.dim}; graded Levi subalgebra dim {B.dim}")
         out["results"]["radical_dim"] = R.dim
@@ -261,6 +260,9 @@ def main(argv=None) -> int:
     except (ValidationError, NotAnIdealError, NotGradedError,
             GroupMismatchError, DimensionMismatchError) as exc:
         print(f"invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

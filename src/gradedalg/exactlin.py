@@ -36,19 +36,6 @@ def unit_vector(n: int, i: int) -> tuple:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    c = as_rat(c)
-    return tuple(c * a for a in u)
-
-
 def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)
 
@@ -93,9 +80,6 @@ class Mat:
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def transpose(self) -> "Mat":
         return Mat([tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)],
                    cols=self.rows)
@@ -111,11 +95,6 @@ class Mat:
         if len(v) != self.cols:
             raise DimensionMismatchError("matrix-vector shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
-    def stack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise DimensionMismatchError("vertical stack needs equal column counts")
-        return Mat(self.data + other.data, cols=self.cols)
 
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -191,9 +170,6 @@ class Reducer:
             if c != 0:
                 v = [a - c * b for a, b in zip(v, row)]
         return v
-
-    def contains(self, v) -> bool:
-        return is_zero_vector(self.reduce(v))
 
     def insert(self, v) -> bool:
         """Add v to the span; returns True iff the span grew."""

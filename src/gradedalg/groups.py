@@ -420,18 +420,39 @@ class ProductGroup(Group):
         return f"ProductGroup({list(self.factors)!r})"
 
 
+def _field(obj: dict, key: str, kind: type, what: str):
+    if key not in obj:
+        raise ValidationError(f"{key}: missing required field")
+    v = obj[key]
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise ValidationError(f"{key}: expected {what}, got {v!r}")
+    return v
+
+
 def group_from_description(obj) -> Group:
+    """Group from its `describe()` form; errors name the offending field,
+    relative to `obj` (e.g. "factors[1].n: ...")."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"group description must be an object with a 'type', got {obj!r}")
     t = obj["type"]
     if t == "trivial":
         return TrivialGroup()
     if t == "cyclic":
-        return CyclicGroup(int(obj["n"]))
+        return CyclicGroup(_field(obj, "n", int, "an integer"))
     if t == "table":
-        return TableGroup(obj["table"])
+        table = _field(obj, "table", list, "a list of rows")
+        for i, row in enumerate(table):
+            if not isinstance(row, list):
+                raise ValidationError(f"table[{i}]: expected a list, got {row!r}")
+        return TableGroup(table)
     if t == "free":
-        return FreeGroup(int(obj["rank"]))
+        return FreeGroup(_field(obj, "rank", int, "an integer"))
     if t == "product":
-        return ProductGroup([group_from_description(f) for f in obj["factors"]])
+        factors = []
+        for i, f in enumerate(_field(obj, "factors", list, "a list of group descriptions")):
+            try:
+                factors.append(group_from_description(f))
+            except ValidationError as exc:
+                raise ValidationError(f"factors[{i}]: {exc}") from None
+        return ProductGroup(factors)
     raise ValidationError(f"unknown group type {t!r}")

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ASSOCIATIVE, GradedAlgebra, unitalize
+from .algebra import ASSOCIATIVE, GradedAlgebra, graded_closure, unitalize
 from .errors import GroupMismatchError, NotAnIdealError
-from .exactlin import Reducer, Subspace, ZERO, as_rat
+from .exactlin import Subspace, ZERO, as_rat
 from .groups import Group, GroupElem
 
 
@@ -94,16 +94,11 @@ class CoalgebraWindow:
     the listed elements contain the grading support, all pairwise products of
     support elements, and the inverses of all of those."""
 
-    __slots__ = ("group", "basis", "closed_products")
+    __slots__ = ("group", "basis")
 
-    def __init__(self, group: Group, basis, closed_products=None):
+    def __init__(self, group: Group, basis):
         self.group = group
         self.basis = tuple(basis)
-        if closed_products is None:
-            inside = set(g.key for g in self.basis)
-            closed_products = {(a, b): (a * b).key in inside
-                               for a in self.basis for b in self.basis}
-        self.closed_products = closed_products
 
     @classmethod
     def from_support(cls, group: Group, support) -> "CoalgebraWindow":
@@ -167,27 +162,12 @@ def xi_decompose(f: DualFunctional, window: CoalgebraWindow):
     return pairs
 
 
-def hstar_closure(w: Subspace, A: GradedAlgebra) -> Subspace:
-    """Smallest subspace containing w and closed under all delta actions;
-    equals the graded closure (the sum of homogeneous projections of w)."""
-    red = Reducer(A.dim, w.basis_vectors())
-    work = [list(r) for r in red.rows]
-    deltas = [DualFunctional.delta(g) for g in A.support]
-    while work:
-        v = work.pop()
-        for d in deltas:
-            p = dual_action(d, v, A)
-            if red.insert(p):
-                work.append(list(p))
-    return red.subspace()
-
-
 def verify_ideal_closure(ideal: Subspace, A: GradedAlgebra) -> bool:
-    """Check that the delta-closure of a two-sided ideal is again a two-sided
-    ideal; raises if the input is not an ideal to begin with."""
+    """Check that the delta-closure (= graded closure) of a two-sided ideal is
+    again a two-sided ideal; raises if the input is not an ideal to begin with."""
     if not A.is_ideal(ideal):
         raise NotAnIdealError("input subspace is not a two-sided ideal")
-    closed = hstar_closure(ideal, A)
+    closed = graded_closure(ideal, A)
     if not closed.contains_subspace(ideal):
         return False
     return A.is_ideal(closed)

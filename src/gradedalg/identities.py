@@ -144,7 +144,7 @@ def gr_to_h(f: MultilinearGradedPoly, A: GradedAlgebra) -> FunctionalPoly:
 
 def h_to_gr(f: FunctionalPoly, A: GradedAlgebra) -> MultilinearGradedPoly:
     """Relabel delta labels as degree labels."""
-    return MultilinearGradedPoly(f.n, dict(f.terms))
+    return MultilinearGradedPoly(f.n, f.terms)
 
 
 def _fold_basis_product(A: GradedAlgebra, seq) -> dict:

@@ -12,20 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, SubalgebraEmbedding,
-                      nilpotency_index, quotient_algebra, unitalize)
+                      graded_closure, nilpotency_index, quotient_algebra,
+                      unitalize)
 from .errors import InternalCheckError, ValidationError
 from .exactlin import Mat, Reducer, Subspace, ZERO, kernel, unit_vector
 from .groups import TrivialGroup
-from . import hopf
-
-
-def graded_closure(w: Subspace, A: GradedAlgebra) -> Subspace:
-    """Sum over the support of the homogeneous projections of w."""
-    red = Reducer(A.dim)
-    for v in w.basis_vectors():
-        for _, p in A.homogeneous_components(v):
-            red.insert(p)
-    return red.subspace()
 
 
 def graded_check(w: Subspace, A: GradedAlgebra):
@@ -102,15 +93,11 @@ def killing_form(L: GradedAlgebra) -> Mat:
     return Mat(rows, cols=n)
 
 
-def bracket_span(L: GradedAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
-    return L.product_span(s1, s2)
-
-
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
     """s, [s,s], [[s,s],[s,s]], ... down to the first repetition or zero."""
     out = [s]
     while not out[-1].is_zero():
-        nxt = bracket_span(L, out[-1], out[-1])
+        nxt = L.product_span(out[-1], out[-1])
         if nxt == out[-1]:
             break
         out.append(nxt)
@@ -129,7 +116,7 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     if L.dim == 0:
         return Subspace.zero(0)
     K = killing_form(L)
-    derived = bracket_span(L, Subspace.full(L.dim), Subspace.full(L.dim))
+    derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
     rows = [K.mul_vec(d) for d in derived.basis_vectors()]
     R = kernel(Mat(rows, cols=L.dim)) if rows else Subspace.full(L.dim)
     if verify:
@@ -249,7 +236,7 @@ def graded_radical_report(A: GradedAlgebra) -> list[RadicalReport]:
     if A.kind == ASSOCIATIVE:
         J = jacobson_radical(A, verify=False)
         ok, witness = graded_check(J, A)
-        if hopf.hstar_closure(J, A) != J:
+        if graded_closure(J, A) != J:
             raise InternalCheckError("delta closure of the Jacobson radical moved it")
         reports.append(RadicalReport("jacobson", J, ok, nilpotency_index(A, J), witness))
         if not ok:
@@ -259,11 +246,11 @@ def graded_radical_report(A: GradedAlgebra) -> list[RadicalReport]:
         N = nilradical(A, verify=False)
         okR, wR = graded_check(R, A)
         okN, wN = graded_check(N, A)
-        if hopf.hstar_closure(R, A) != R or hopf.hstar_closure(N, A) != N:
+        if graded_closure(R, A) != R or graded_closure(N, A) != N:
             raise InternalCheckError("delta closure moved a Lie radical")
         if not N <= R:
             raise InternalCheckError("nilradical is not inside the solvable radical")
-        if not bracket_span(A, Subspace.full(A.dim), R) <= N:
+        if not A.product_span(Subspace.full(A.dim), R) <= N:
             raise InternalCheckError("[L, R] escapes the nilradical")
         reports.append(RadicalReport("solvable", R, okR, nilpotency_index(A, R), wR))
         reports.append(RadicalReport("nilpotent", N, okN, nilpotency_index(A, N), wN))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .algebra import GradedAlgebra
@@ -19,16 +20,25 @@ from .groups import group_from_description
 from .identities import MultilinearGradedPoly
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_rational(obj, where: str) -> Fraction:
-    try:
-        if isinstance(obj, bool):
-            raise ValueError("booleans are not numbers")
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, str):
-            return Fraction(obj)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: bad rational {obj!r} ({exc})") from None
+    """An integer, or a string "p" or "p/q" in lowest terms with q >= 1."""
+    if _is_int(obj):
+        return Fraction(obj)
+    if isinstance(obj, str):
+        m = _RATIONAL.fullmatch(obj)
+        if m is None:
+            raise SchemaError(f"{where}: bad rational {obj!r} (expected 'p' or 'p/q')")
+        q = m.group(1)
+        if q is not None and (int(q) == 0 or Fraction(obj).denominator != int(q)):
+            raise SchemaError(f"{where}: bad rational {obj!r} (not in lowest terms with q >= 1)")
+        return Fraction(obj)
     raise SchemaError(f"{where}: rational must be an integer or 'p/q' string, got {obj!r}")
 
 
@@ -66,7 +76,7 @@ def description_to_algebra(obj) -> GradedAlgebra:
     if kind not in ("associative", "lie"):
         raise SchemaError(f"kind: expected 'associative' or 'lie', got {kind!r}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise SchemaError(f"dim: expected a nonnegative integer, got {dim!r}")
     try:
         group = group_from_description(obj["group"])
@@ -91,7 +101,7 @@ def description_to_algebra(obj) -> GradedAlgebra:
             raise SchemaError(f"structure[{pos}]: expected [i, j, k, coeff]")
         i, j, k = entry[:3]
         for label, v in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(v, int) or not 0 <= v < dim:
+            if not _is_int(v) or not 0 <= v < dim:
                 raise SchemaError(f"structure[{pos}]: index {label}={v!r} out of range 0..{dim - 1}")
         if (i, j, k) in seen:
             raise SchemaError(f"structure[{pos}]: duplicate entry for ({i},{j},{k})")
@@ -104,10 +114,7 @@ def description_to_algebra(obj) -> GradedAlgebra:
             raise SchemaError(f"unit: expected a list of {dim} coordinates")
         unit = [parse_rational(c, f"unit[{i}]") for i, c in enumerate(raw_unit)]
     name = obj.get("name", "")
-    try:
-        return GradedAlgebra(group, degrees, structure, kind=kind, unit=unit, name=name)
-    except ValidationError:
-        raise
+    return GradedAlgebra(group, degrees, structure, kind=kind, unit=unit, name=name)
 
 
 def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
@@ -116,7 +123,7 @@ def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise SchemaError("polynomial description needs 'n' and 'terms'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError(f"n: expected a positive integer, got {n!r}")
     terms = {}
     for pos, t in enumerate(obj["terms"]):

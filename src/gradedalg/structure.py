@@ -4,10 +4,12 @@ graded Levi decompositions.
 
 No polynomial factorization anywhere. The semisimple decomposition descends on
 graded ideals generated by single homogeneous elements and splits with
-two-sided annihilator complements; the complement/Levi constructions lift a
-homogeneous linear section and repair multiplicativity with exact linear
-solves, scheduled along J, J^2, J^4, ... (respectively the derived series of
-the solvable radical).
+two-sided annihilator complements. The Mal'cev complement and the Levi
+subalgebra share one solve, `_lift_section`: it corrects a homogeneous linear
+section of A -> A/I by elements of the ideal I so that it is multiplicative
+modulo a smaller ideal. Mal'cev runs it along J, J^2, J^4, ...; Levi quotients
+by the derived series of the solvable radical until the radical is abelian
+and runs it once.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from fractions import Fraction
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, algebra_on_subspace,
                       quotient_algebra)
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import (Mat, Reducer, Subspace, ZERO, is_zero_vector, kernel,
+from .exactlin import (Mat, ONE, Subspace, ZERO, is_zero_vector, kernel,
                        solve, unit_vector)
-from .radical import jacobson_radical, solvable_radical, bracket_span
+from .radical import jacobson_radical, solvable_radical
 
 
 @dataclass
@@ -150,17 +152,78 @@ def levi_decomposition(L: GradedAlgebra) -> GradedDecomposition:
     return GradedDecomposition("levi", parts)
 
 
-def _reduce_mod(sub: Subspace, v):
-    return sub.residual(v)
+def _axpy(acc: list, c, v):
+    """acc += c v in place, skipping the zero entries of v."""
+    for i, x in enumerate(v):
+        if x:
+            acc[i] += c * x
+
+
+def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:
+    """sum_k mu^k_ab s_k: the product of quotient basis vectors a, b carried
+    back along the section."""
+    out = [ZERO] * A.dim
+    for k, mu in Q._sc[a][b]:
+        _axpy(out, mu, section[k])
+    return out
+
+
+def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
+                  ideal: Subspace, below: Subspace):
+    """Correct the homogeneous section of A -> Q in place by t_a in the ideal.
+
+    Solves s_a t_b + t_a s_b - sum_k mu^k_ab t_k = -defect_ab modulo `below`
+    with t_a in ideal ^ A_{deg a}, where defect_ab = s_a s_b - sum_k mu^k_ab s_k
+    and mu are the structure constants of Q. The dropped terms t_a t_b must lie
+    in `below`. The correction is the echelon particular solution (free
+    variables zero), hence deterministic.
+    """
+    blocks = []
+    offsets = []
+    nunk = 0
+    for g in Q.degrees:
+        comp = Subspace.from_vectors(
+            A.dim, [A.homogeneous_projection(v, g) for v in ideal.basis_vectors()])
+        blocks.append(comp.basis_vectors())
+        offsets.append(nunk)
+        nunk += comp.dim
+    rows = []
+    rhs = []
+    for a, sa in enumerate(section):
+        for b, sb in enumerate(section):
+            cols = [[ZERO] * A.dim for _ in range(nunk)]
+            for u, t in enumerate(blocks[b]):
+                _axpy(cols[offsets[b] + u], ONE, A.multiply(sa, t))
+            for u, t in enumerate(blocks[a]):
+                _axpy(cols[offsets[a] + u], ONE, A.multiply(t, sb))
+            for k, mu in Q._sc[a][b]:
+                for u, t in enumerate(blocks[k]):
+                    _axpy(cols[offsets[k] + u], -mu, t)
+            # -defect_ab = sum_k mu^k_ab s_k - s_a s_b
+            neg_defect = [e - p for p, e in zip(A.multiply(sa, sb), _image(A, Q, section, a, b))]
+            red_cols = [below.residual(col) for col in cols]
+            red_rhs = below.residual(neg_defect)
+            for i in range(A.dim):
+                row = [rc[i] for rc in red_cols]
+                if any(x != 0 for x in row) or red_rhs[i] != 0:
+                    rows.append(row)
+                    rhs.append(red_rhs[i])
+    if not rows:
+        return
+    sol = solve(Mat(rows, cols=nunk), rhs)
+    if sol is None:
+        raise InternalCheckError("section lifting system is infeasible")
+    for a, block in enumerate(blocks):
+        for u, t in enumerate(block):
+            _axpy(section[a], sol[offsets[a] + u], t)
 
 
 def malcev_complement_graded(A: GradedAlgebra) -> Subspace:
     """A graded semisimple complement B with A = B (+) J(A).
 
     Start from the homogeneous standard-vector section of A -> A/J and repair
-    multiplicativity modulo J, J^2, J^4, ...; every correction is homogeneous
-    because J is graded, so B stays graded. Corrections are the echelon
-    particular solution (free variables zero), hence deterministic.
+    multiplicativity modulo J, J^2, J^4, ... with `_lift_section`; every
+    correction is homogeneous because J is graded, so B stays graded.
     """
     if A.kind != ASSOCIATIVE:
         raise ValidationError("complement construction applies to associative algebras")
@@ -170,76 +233,14 @@ def malcev_complement_graded(A: GradedAlgebra) -> Subspace:
     if J.is_zero():
         return Subspace.full(A.dim)
     q = quotient_algebra(A, J)
-    Q = q.algebra
-    r = Q.dim
     section = [list(v) for v in q.section]
     jpow = J
     while not jpow.is_zero():
         jnext = A.product_span(jpow, jpow)
-        # unknowns: corrections t_a in (current power) ^ (degree of section a)
-        blocks = []
-        offsets = []
-        off = 0
-        for a in range(r):
-            comp = Subspace.from_vectors(
-                A.dim, [A.homogeneous_projection(v, Q.degrees[a]) for v in jpow.basis_vectors()])
-            blocks.append(comp.basis_vectors())
-            offsets.append(off)
-            off += comp.dim
-        nunk = off
-        rows = []
-        rhs = []
-        for a in range(r):
-            sa = section[a]
-            for b in range(r):
-                sb = section[b]
-                prod = A.multiply(sa, sb)
-                target = [ZERO] * A.dim
-                for k in range(r):
-                    mu = Q.structure[a][b][k]
-                    if mu != 0:
-                        for i, x in enumerate(section[k]):
-                            target[i] += mu * x
-                defect = [p - t for p, t in zip(prod, target)]
-                # equation: s_a t_b + t_a s_b - sum_k mu t_k = -defect  (mod jnext)
-                cols = [[ZERO] * A.dim for _ in range(nunk)]
-                for u, basis_vec in enumerate(blocks[b]):
-                    w = A.multiply(sa, basis_vec)
-                    col = cols[offsets[b] + u]
-                    for i, x in enumerate(w):
-                        col[i] += x
-                for u, basis_vec in enumerate(blocks[a]):
-                    w = A.multiply(basis_vec, sb)
-                    col = cols[offsets[a] + u]
-                    for i, x in enumerate(w):
-                        col[i] += x
-                for k in range(r):
-                    mu = Q.structure[a][b][k]
-                    if mu != 0:
-                        for u, basis_vec in enumerate(blocks[k]):
-                            col = cols[offsets[k] + u]
-                            for i, x in enumerate(basis_vec):
-                                col[i] -= mu * x
-                red_cols = [_reduce_mod(jnext, col) for col in cols]
-                red_rhs = _reduce_mod(jnext, [-d for d in defect])
-                for i in range(A.dim):
-                    row = [rc[i] for rc in red_cols]
-                    if any(x != 0 for x in row) or red_rhs[i] != 0:
-                        rows.append(row)
-                        rhs.append(red_rhs[i])
-        if rows:
-            sol = solve(Mat(rows, cols=nunk), rhs)
-            if sol is None:
-                raise InternalCheckError("complement lifting system is infeasible")
-            for a in range(r):
-                for u, basis_vec in enumerate(blocks[a]):
-                    c = sol[offsets[a] + u]
-                    if c != 0:
-                        for i, x in enumerate(basis_vec):
-                            section[a][i] += c * x
+        _lift_section(A, q.algebra, section, jpow, jnext)
         jpow = jnext
     B = Subspace.from_vectors(A.dim, section)
-    _verify_complement(A, B, J, Q, section)
+    _verify_complement(A, B, J, q.algebra, section)
     return B
 
 
@@ -248,28 +249,11 @@ def _verify_complement(A, B, J, Q, section):
         raise InternalCheckError("complement does not split the algebra")
     for a in range(Q.dim):
         for b in range(Q.dim):
-            prod = A.multiply(section[a], section[b])
-            expect = [ZERO] * A.dim
-            for k in range(Q.dim):
-                mu = Q.structure[a][b][k]
-                if mu != 0:
-                    for i, x in enumerate(section[k]):
-                        expect[i] += mu * x
-            if tuple(prod) != tuple(expect):
+            if list(A.multiply(section[a], section[b])) != _image(A, Q, section, a, b):
                 raise InternalCheckError("complement section is not multiplicative")
     for v in B.basis_vectors():
         if A.degree_of(v) is None:
             raise InternalCheckError("complement is not graded")
-
-
-def _homogeneous_complement_rows(A: GradedAlgebra, inner: Subspace):
-    """Greedy standard-vector extension of `inner` per homogeneous component."""
-    red = Reducer(A.dim, inner.basis_vectors())
-    rows = []
-    for i in range(A.dim):
-        if red.insert(unit_vector(A.dim, i)):
-            rows.append(list(unit_vector(A.dim, i)))
-    return rows
 
 
 def levi_graded(L: GradedAlgebra) -> Subspace:
@@ -298,7 +282,7 @@ def _levi_rows(L: GradedAlgebra, R: Subspace) -> list:
         return [list(unit_vector(L.dim, i)) for i in range(L.dim)]
     if R.dim == L.dim:
         return []
-    DR = bracket_span(L, R, R)
+    DR = L.product_span(R, R)
     if not DR.is_zero():
         q = quotient_algebra(L, DR)
         M = q.algebra
@@ -310,76 +294,8 @@ def _levi_rows(L: GradedAlgebra, R: Subspace) -> list:
         emb = algebra_on_subspace(L, pre, name="levi-preimage")
         inner_rows = _levi_rows(emb.algebra, solvable_radical(emb.algebra, verify=False))
         return [list(emb.include(v)) for v in inner_rows]
-    # R abelian: correct a homogeneous complement by elements of R
-    comp = _homogeneous_complement_rows(L, R)
-    m = len(comp)
-    rbasis = R.basis_vectors()
-    # decompose [c_a, c_b] = sum_k lam^k c_k + d_ab with d_ab in R
-    full = Mat(comp + [list(v) for v in rbasis], cols=L.dim).transpose()
-    lam = {}
-    dpart = {}
-    for a in range(m):
-        for b in range(m):
-            w = L.multiply(comp[a], comp[b])
-            coords = solve(full, w)
-            if coords is None:
-                raise InternalCheckError("complement + radical fail to span")
-            lam[(a, b)] = coords[:m]
-            dvec = [ZERO] * L.dim
-            for u, c in enumerate(coords[m:]):
-                if c != 0:
-                    for i, x in enumerate(rbasis[u]):
-                        dvec[i] += c * x
-            dpart[(a, b)] = dvec
-    # unknowns: t_a in R ^ (degree of c_a)
-    blocks = []
-    offsets = []
-    off = 0
-    degrees = [L.degree_of(c) for c in comp]
-    for a in range(m):
-        sub = Subspace.from_vectors(
-            L.dim, [L.homogeneous_projection(v, degrees[a]) for v in rbasis])
-        blocks.append(sub.basis_vectors())
-        offsets.append(off)
-        off += sub.dim
-    nunk = off
-    rows = []
-    rhs = []
-    for a in range(m):
-        for b in range(m):
-            # [c_a, t_b] + [t_a, c_b] - sum_k lam^k t_k = -d_ab
-            cols = [[ZERO] * L.dim for _ in range(nunk)]
-            for u, bv in enumerate(blocks[b]):
-                w = L.multiply(comp[a], bv)
-                col = cols[offsets[b] + u]
-                for i, x in enumerate(w):
-                    col[i] += x
-            for u, bv in enumerate(blocks[a]):
-                w = L.multiply(bv, comp[b])
-                col = cols[offsets[a] + u]
-                for i, x in enumerate(w):
-                    col[i] += x
-            for k in range(m):
-                c = lam[(a, b)][k]
-                if c != 0:
-                    for u, bv in enumerate(blocks[k]):
-                        col = cols[offsets[k] + u]
-                        for i, x in enumerate(bv):
-                            col[i] -= c * x
-            dv = dpart[(a, b)]
-            for i in range(L.dim):
-                row = [col[i] for col in cols]
-                if any(x != 0 for x in row) or dv[i] != 0:
-                    rows.append(row)
-                    rhs.append(-dv[i])
-    if rows:
-        sol = solve(Mat(rows, cols=nunk), rhs)
-        if sol is None:
-            raise InternalCheckError("Levi correction system is infeasible")
-        for a in range(m):
-            for u, bv in enumerate(blocks[a]):
-                c = sol[offsets[a] + u]
-                if c != 0:
-                    for i, x in enumerate(bv):
-                        comp[a][i] += c * x
-    return comp
+    # R abelian: one exact lift of the homogeneous section of L -> L/R
+    q = quotient_algebra(L, R)
+    section = [list(v) for v in q.section]
+    _lift_section(L, q.algebra, section, R, Subspace.zero(L.dim))
+    return section

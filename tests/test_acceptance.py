@@ -19,8 +19,8 @@ from gradedalg.hopf import (CoalgebraWindow, DualFunctional,
                             trace_identity_check, xi_decompose)
 from gradedalg.identities import (codimension_report, functional_codimension,
                                   graded_codimension, nilpotent_shortcut)
-from gradedalg.radical import (bracket_span, graded_closure, jacobson_radical,
-                               nilradical, solvable_radical)
+from gradedalg.radical import (graded_closure, jacobson_radical, nilradical,
+                               solvable_radical)
 from gradedalg.structure import (levi_graded, malcev_complement_graded,
                                  wedderburn_artin_graded)
 from tests.corpus import associative_corpus, lie_corpus
@@ -79,7 +79,7 @@ def test_c02_lie_radicals_graded():
             assert graded_closure(R, L) == R
             assert graded_closure(N, L) == N
             assert N <= R
-            assert bracket_span(L, Subspace.full(L.dim), R) <= N
+            assert L.product_span(Subspace.full(L.dim), R) <= N
 
 
 def test_c03_radical_oracle_equivalence():

@@ -8,10 +8,11 @@ from gradedalg.builders import (builtin, free_group_truncation, fz2,
 from gradedalg.errors import NotAnIdealError
 from gradedalg.exactlin import Subspace
 from gradedalg.groups import CyclicGroup, TrivialGroup
+from gradedalg.algebra import graded_closure
 from gradedalg.hopf import (CoalgebraWindow, DualFunctional, dual_action,
-                            hstar_closure, trace_identity_check,
-                            verify_ideal_closure, xi_decompose)
-from gradedalg.radical import graded_closure, jacobson_radical
+                            trace_identity_check, verify_ideal_closure,
+                            xi_decompose)
+from gradedalg.radical import jacobson_radical
 
 F = Fraction
 
@@ -128,14 +129,28 @@ def test_window_contents():
     assert (-2, -1) in keys and (-1, -2) in keys
 
 
+def assert_delta_closure(c, w, A):
+    """c is the smallest subspace containing w and closed under every delta_g
+    action, g in the support."""
+    deltas = [DualFunctional.delta(g) for g in A.support]
+    assert w <= c
+    for d in deltas:
+        for v in c.basis_vectors():
+            assert c.contains(dual_action(d, v, A))
+    images = [dual_action(d, v, A) for d in deltas for v in w.basis_vectors()]
+    assert c == Subspace.from_vectors(A.dim, images)
+
+
 def test_hstar_closure_examples():
     M = matrix_algebra_z2()
     graded = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    assert hstar_closure(graded, M) == graded
+    assert graded_closure(graded, M) == graded
     mixed = Subspace.from_vectors(4, [(1, 1, 0, 0)])
-    closed = hstar_closure(mixed, M)
+    closed = graded_closure(mixed, M)
     assert closed == Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    assert hstar_closure(closed, M) == closed
+    assert graded_closure(closed, M) == closed
+    for w in (graded, mixed, closed, Subspace.zero(4)):
+        assert_delta_closure(graded_closure(w, M), w, M)
 
 
 def test_hstar_closure_matches_direct_graded_closure():
@@ -145,7 +160,7 @@ def test_hstar_closure_matches_direct_graded_closure():
         for _ in range(15):
             w = Subspace.from_vectors(
                 A.dim, [rand_vec(rng, A.dim) for _ in range(rng.randint(0, 3))])
-            assert hstar_closure(w, A) == graded_closure(w, A)
+            assert_delta_closure(graded_closure(w, A), w, A)
 
 
 def test_verify_ideal_closure():
@@ -155,7 +170,7 @@ def test_verify_ideal_closure():
     A = fz2()
     mixed = Subspace.from_vectors(2, [(1, 1)])    # non-graded ideal span{1+g}
     assert verify_ideal_closure(mixed, A)
-    assert hstar_closure(mixed, A) == Subspace.full(2)
+    assert graded_closure(mixed, A) == Subspace.full(2)
     assert verify_ideal_closure(Subspace.zero(2), A)
     with pytest.raises(NotAnIdealError):
         verify_ideal_closure(Subspace.from_vectors(4, [(0, 1, 0, 0)]), matrix_algebra_z2())

@@ -14,7 +14,7 @@ from gradedalg.groups import TrivialGroup
 from gradedalg.radical import (derived_series, graded_check, graded_closure,
                                graded_radical_report, is_graded_subspace,
                                jacobson_radical, killing_form, nilradical,
-                               solvable_radical, bracket_span)
+                               solvable_radical)
 from tests.corpus import lie_corpus
 from tests.oracles import brute_force_largest_nilpotent_ideal
 
@@ -124,7 +124,7 @@ def test_lie_reports():
         R, N = kinds["solvable"].radical, kinds["nilpotent"].radical
         assert kinds["solvable"].graded and kinds["nilpotent"].graded
         assert N <= R
-        assert bracket_span(L, Subspace.full(L.dim), R) <= N
+        assert L.product_span(Subspace.full(L.dim), R) <= N
 
 
 def test_associative_reports():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import gradedalg.cli
 from gradedalg.builders import builtin
 from gradedalg.cli import main
-from gradedalg.errors import SchemaError
+from gradedalg.errors import InternalCheckError, SchemaError
 from gradedalg.schema import (algebra_to_description, canonical_json,
-                              description_to_algebra, digest,
-                              poly_from_description)
+                              description_to_algebra, digest, parse_rational,
+                              poly_from_description, render_rational)
 
 F = Fraction
 
@@ -57,6 +58,64 @@ def test_schema_errors_carry_positions():
         description_to_algebra(bad)
     with pytest.raises(SchemaError, match="missing"):
         description_to_algebra({"kind": "associative"})
+
+
+def _set_group(group):
+    def mutate(desc):
+        desc["group"] = group
+    return mutate
+
+
+def _set_coeff(coeff):
+    def mutate(desc):
+        desc["structure"][0][3] = coeff
+    return mutate
+
+
+def _set_dim(desc):
+    desc["dim"] = True
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_group({"type": "cyclic"}), r"group: n: missing"),
+    (_set_group({"type": "cyclic", "n": "x"}), r"group: n: expected an integer"),
+    (_set_group({"type": "free"}), r"group: rank: missing"),
+    (_set_group({"type": "product", "factors": {"type": "cyclic", "n": 2}}),
+     r"group: factors: expected a list"),
+    (_set_group({"type": "product", "factors": [{"type": "cyclic", "n": 2},
+                                                {"type": "cyclic"}]}),
+     r"group: factors\[1\]: n: missing"),
+    (_set_group({"type": "table"}), r"group: table: missing"),
+    (_set_group({"type": "table", "table": [0, 1]}), r"group: table\[0\]: expected a list"),
+    (_set_dim, r"dim: expected a nonnegative integer"),
+    (_set_coeff("2/4"), r"structure\[0\]: bad rational '2/4'"),
+    (_set_coeff("1.5"), r"structure\[0\]: bad rational '1.5'"),
+    (_set_coeff("1e3"), r"structure\[0\]: bad rational '1e3'"),
+])
+def test_malformed_descriptions_exit_2_with_position(mutate, message, tmp_path, capsys):
+    desc = algebra_to_description(builtin("fz2"))
+    mutate(desc)
+    with pytest.raises(SchemaError, match=message):
+        description_to_algebra(desc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert main(["radical", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_rendered_rationals_parse_back():
+    for x in (F(0), F(5), F(-7), F(2, 3), F(-22, 7), F(10**30 + 1, 3**40)):
+        assert parse_rational(render_rational(x), "x") == x
+
+
+def test_internal_check_failure_exits_3(monkeypatch, capsys):
+    def fail(A):
+        raise InternalCheckError("radical candidate is not graded")
+    monkeypatch.setattr(gradedalg.cli, "graded_radical_report", fail)
+    assert main(["radical", "--builtin", "ut2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal check failed: radical candidate is not graded\n"
 
 
 def test_poly_description():

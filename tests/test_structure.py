@@ -12,8 +12,10 @@ from gradedalg.exactlin import Subspace, is_zero_vector
 from gradedalg.groups import CyclicGroup
 from gradedalg.radical import (is_graded_subspace, jacobson_radical,
                                killing_form, solvable_radical)
+from gradedalg.schema import digest, render_rational
 from gradedalg.structure import (levi_graded, malcev_complement_graded,
                                  wedderburn_artin_graded)
+from tests.corpus import associative_corpus, lie_corpus
 from tests.oracles import enumerate_minimal_graded_ideals
 
 F = Fraction
@@ -257,3 +259,19 @@ def test_malcev_two_stage_correction():
     assert J == Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     B = malcev_complement_graded(A)
     assert B == Subspace.from_vectors(4, [A.unit])
+
+
+def _basis_digest(subspaces):
+    """sha256 of the canonical JSON of every basis row, rendered exactly."""
+    return digest([[[render_rational(c) for c in row] for row in S.basis_vectors()]
+                   for S in subspaces])
+
+
+def test_malcev_and_levi_bases_golden():
+    # recorded before the Mal'cev and Levi lifts were merged into one solve
+    unital = [A for A in associative_corpus() if A.unit is not None]
+    assert len(unital) == 201
+    assert _basis_digest(malcev_complement_graded(A) for A in unital) == (
+        "d0c3db3e292b104668fda3d6994d5110fef016c4a887747cdd6446e3f0e541d7")
+    assert _basis_digest(levi_graded(L) for L in lie_corpus()) == (
+        "f98bcbdfeb7a8bacf4971325592ae9d6880eb6d53673d06136075b46f367623a")
