@@ -1,22 +1,25 @@
 """Finite-dimensional group-graded algebras over Q via structure constants.
 
-A `GradedAlgebra` stores a dense tensor c[i][j][k] (the product of basis
-vectors i and j has coefficient c[i][j][k] on basis vector k) plus one group
-element per basis vector. Constructors validate everything: grading
-compatibility, associativity or antisymmetry + Jacobi, and the unit law.
-Instances are immutable in use; all operations are pure.
+A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
+basis vectors i and j has coefficient c on basis vector k, and absent triples
+are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
+over the nonzero c in increasing k, plus one group element per basis vector.
+Constructors validate everything: indices, grading compatibility,
+associativity or antisymmetry + Jacobi, and the unit law. Instances are
+immutable in use; all operations are pure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
                      ValidationError)
-from .exactlin import (Mat, Reducer, Subspace, ZERO, as_vector, invert,
-                       is_zero_vector, solve, unit_vector)
+from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
+                       invert, is_zero_vector, solve, unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -45,20 +48,22 @@ class GradedAlgebra:
         for i, g in enumerate(self.degrees):
             if not isinstance(g, GroupElem) or g.group != group:
                 raise ValidationError(f"degree of basis vector {i} is not an element of the grading group")
-        self.structure = tuple(
-            tuple(as_vector(structure[i][j]) for j in range(self.dim))
-            for i in range(self.dim))
-        for i in range(self.dim):
-            if len(structure[i]) != self.dim:
-                raise ValidationError(f"structure tensor row {i} has wrong length")
-            for j in range(self.dim):
-                if len(self.structure[i][j]) != self.dim:
-                    raise ValidationError(f"structure entry ({i},{j}) has wrong length")
-        # sparse view: sc[i][j] = ((k, c), ...) over nonzero c
-        self._sc = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c != 0)
-                  for row in plane)
-            for plane in self.structure)
+        if not isinstance(structure, Mapping):
+            raise ValidationError("structure must be a mapping {(i, j, k): coefficient}")
+        nonzero = {}
+        for key, c in structure.items():
+            if not (isinstance(key, tuple) and len(key) == 3 and all(
+                    isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.dim
+                    for v in key)):
+                raise ValidationError(
+                    f"structure index {key!r} is not a triple of integers in 0..{self.dim - 1}")
+            c = as_rat(c)
+            if c != 0:
+                nonzero[key] = c
+        rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for i, j, k in sorted(nonzero):
+            rows[i][j].append((k, nonzero[i, j, k]))
+        self.structure = tuple(tuple(map(tuple, plane)) for plane in rows)
         if unit is not None:
             if kind == LIE:
                 raise ValidationError("Lie algebras carry no unit")
@@ -85,7 +90,7 @@ class GradedAlgebra:
             gi = self.degrees[i]
             for j in range(self.dim):
                 gij = gi * self.degrees[j]
-                for k, c in self._sc[i][j]:
+                for k, c in self.structure[i][j]:
                     if self.degrees[k] != gij:
                         raise ValidationError(
                             f"grading violated: c[{i}][{j}][{k}] != 0 but "
@@ -101,7 +106,7 @@ class GradedAlgebra:
                     raise ValidationError(f"unit law fails on basis vector {b}")
 
     def _check_associativity(self):
-        sc = self._sc
+        sc = self.structure
         for i in range(self.dim):
             for j in range(self.dim):
                 pij = sc[i][j]
@@ -116,14 +121,13 @@ class GradedAlgebra:
                         raise ValidationError(f"associativity fails on basis triple ({i},{j},{k})")
 
     def _check_lie(self):
+        sc = self.structure
         for i in range(self.dim):
-            if self._sc[i][i]:
+            if sc[i][i]:
                 raise ValidationError(f"[x,x] != 0 on basis vector {i}")
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if self.structure[i][j][k] != -self.structure[j][i][k]:
-                        raise ValidationError(f"antisymmetry fails at ({i},{j},{k})")
-        sc = self._sc
+            for j in range(i + 1, self.dim):
+                if sc[i][j] != tuple((k, -c) for k, c in sc[j][i]):
+                    raise ValidationError(f"antisymmetry fails at ({i},{j})")
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
@@ -146,7 +150,7 @@ class GradedAlgebra:
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
-            sci = self._sc[i]
+            sci = self.structure[i]
             for j, bj in enumerate(b):
                 if bj == 0:
                     continue
@@ -158,7 +162,7 @@ class GradedAlgebra:
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
         acc: dict = {}
         for i, ai in sa.items():
-            sci = self._sc[i]
+            sci = self.structure[i]
             for j, bj in sb.items():
                 _sparse_add(acc, sci[j], ai * bj)
         return acc
@@ -170,7 +174,7 @@ class GradedAlgebra:
             if ai == 0:
                 continue
             for j in range(self.dim):
-                for k, c in self._sc[i][j]:
+                for k, c in self.structure[i][j]:
                     rows[k][j] += ai * c
         return Mat(rows, cols=self.dim)
 
@@ -181,7 +185,7 @@ class GradedAlgebra:
             if aj == 0:
                 continue
             for i in range(self.dim):
-                for k, c in self._sc[i][j]:
+                for k, c in self.structure[i][j]:
                     rows[k][i] += aj * c
         return Mat(rows, cols=self.dim)
 
@@ -191,8 +195,16 @@ class GradedAlgebra:
             if ai == 0:
                 continue
             for j in range(self.dim):
-                t += ai * self.structure[i][j][j]
+                for k, c in self.structure[i][j]:
+                    if k == j:
+                        t += ai * c
         return t
+
+    def constants(self) -> dict:
+        """The structure constants as the mapping {(i, j, k): c} the
+        constructor takes, nonzero c only, in index order."""
+        return {(i, j, k): c for i, plane in enumerate(self.structure)
+                for j, row in enumerate(plane) for k, c in row}
 
     # -- grading ------------------------------------------------------------
 
@@ -369,8 +381,9 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
     binv = invert(Mat(rows, cols=A.dim).transpose())
     proj = Mat(binv.data[ideal.dim:], cols=A.dim)
     section = tuple(unit_vector(A.dim, i) for i in chosen)
-    structure = [[proj.mul_vec(A.multiply(section[a], section[b])) for b in range(qdim)]
-                 for a in range(qdim)]
+    structure = {(a, b, k): c for a in range(qdim) for b in range(qdim)
+                 for k, c in enumerate(proj.mul_vec(A.multiply(section[a], section[b])))
+                 if c != 0}
     degrees = [A.degrees[i] for i in chosen]
     unit = proj.mul_vec(A.unit) if A.unit is not None else None
     Q = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit,
@@ -383,11 +396,10 @@ def unitalize(A: GradedAlgebra) -> GradedAlgebra:
     if A.kind != ASSOCIATIVE:
         raise ValidationError("only associative algebras are unitalized")
     n = A.dim
-    structure = [[list(A.structure[i][j]) + [ZERO] for j in range(n)] + [None]
-                 for i in range(n)] + [None]
+    structure = A.constants()
     for i in range(n):
-        structure[i][n] = list(unit_vector(n + 1, i))
-    structure[n] = [list(unit_vector(n + 1, j)) for j in range(n)] + [list(unit_vector(n + 1, n))]
+        structure[i, n, i] = structure[n, i, i] = ONE
+    structure[n, n, n] = ONE
     degrees = list(A.degrees) + [A.group.identity()]
     return GradedAlgebra(A.group, degrees, structure, kind=ASSOCIATIVE,
                          unit=unit_vector(n + 1, n),
@@ -423,16 +435,13 @@ def algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> Subalg
             raise NotGradedError("subspace is not graded: basis vector mixes degrees")
         degrees.append(g)
     dim = len(rows)
-    structure = []
+    structure = {}
     for a in range(dim):
-        line = []
         for b in range(dim):
-            prod = A.multiply(rows[a], rows[b])
-            coords = s.coords(prod)
+            coords = s.coords(A.multiply(rows[a], rows[b]))
             if coords is None:
                 raise ValidationError("subspace is not multiplicatively closed")
-            line.append(coords)
-        structure.append(line)
+            structure.update({(a, b, k): c for k, c in enumerate(coords) if c != 0})
     unit = None
     if A.kind == ASSOCIATIVE and dim > 0:
         # a unit of the subalgebra, if one exists: u * r_b = r_b * u = r_b
@@ -440,10 +449,10 @@ def algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> Subalg
         rhs = []
         for b in range(dim):
             for k in range(dim):
-                eqs.append([structure[a][b][k] for a in range(dim)])
-                rhs.append(Fraction(1) if b == k else ZERO)
-                eqs.append([structure[b][a][k] for a in range(dim)])
-                rhs.append(Fraction(1) if b == k else ZERO)
+                eqs.append([structure.get((a, b, k), ZERO) for a in range(dim)])
+                rhs.append(ONE if b == k else ZERO)
+                eqs.append([structure.get((b, a, k), ZERO) for a in range(dim)])
+                rhs.append(ONE if b == k else ZERO)
         sol = solve(Mat(eqs, cols=dim), rhs)
         if sol is not None:
             unit = sol

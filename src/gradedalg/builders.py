@@ -17,10 +17,6 @@ from .groups import (CyclicGroup, FreeGroup, Group, GroupElem, ProductGroup,
 ONE = Fraction(1)
 
 
-def _zeros3(n):
-    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
-
 def matrix_algebra(n: int, group: Group | None = None, row_labels=None,
                    name: str = "") -> GradedAlgebra:
     """Full matrix algebra M_n(Q) on the basis e_pq (row-major).
@@ -36,15 +32,9 @@ def matrix_algebra(n: int, group: Group | None = None, row_labels=None,
         labels = [group.elem(x) if not isinstance(x, GroupElem) else x for x in row_labels]
         if len(labels) != n:
             raise ValidationError("need one row label per matrix row")
-    dim = n * n
     idx = lambda p, q: p * n + q
-    structure = _zeros3(dim)
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if q == r:
-                        structure[idx(p, q)][idx(r, s)][idx(p, s)] = ONE
+    structure = {(idx(p, q), idx(q, s), idx(p, s)): ONE
+                 for p in range(n) for q in range(n) for s in range(n)}
     degrees = [labels[p].inverse() * labels[q] for p in range(n) for q in range(n)]
     unit = [ONE if p == q else ZERO for p in range(n) for q in range(n)]
     return GradedAlgebra(group, degrees, structure, kind=ASSOCIATIVE, unit=unit,
@@ -70,12 +60,8 @@ def upper_triangular(n: int, group: Group | None = None, row_labels=None,
         labels = [group.elem(x) if not isinstance(x, GroupElem) else x for x in row_labels]
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     index = {pq: i for i, pq in enumerate(pairs)}
-    dim = len(pairs)
-    structure = _zeros3(dim)
-    for (p, q) in pairs:
-        for (r, s) in pairs:
-            if q == r:
-                structure[index[(p, q)]][index[(r, s)]][index[(p, s)]] = ONE
+    structure = {(index[(p, q)], index[(r, s)], index[(p, s)]): ONE
+                 for (p, q) in pairs for (r, s) in pairs if q == r}
     degrees = [labels[p].inverse() * labels[q] for (p, q) in pairs]
     unit = [ONE if p == q else ZERO for (p, q) in pairs]
     return GradedAlgebra(group, degrees, structure, kind=ASSOCIATIVE, unit=unit,
@@ -103,12 +89,8 @@ def free_group_truncation(rank: int, cutoff: int) -> GradedAlgebra:
         words.extend(frontier)
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
-    structure = _zeros3(dim)
-    for u, iu in index.items():
-        for v, iv in index.items():
-            w = u + v
-            if len(w) < cutoff:
-                structure[iu][iv][index[w]] = ONE
+    structure = {(iu, iv, index[u + v]): ONE for u, iu in index.items()
+                 for v, iv in index.items() if len(u) + len(v) < cutoff}
     degrees = [F.elem(w) for w in words]
     unit = [ONE] + [ZERO] * (dim - 1)
     return GradedAlgebra(F, degrees, structure, kind=ASSOCIATIVE, unit=unit,
@@ -119,11 +101,8 @@ def group_algebra(group: Group, name: str = "") -> GradedAlgebra:
     """Group algebra QG of a finite group with its natural G-grading."""
     elems = group.elements()
     index = {e.key: i for i, e in enumerate(elems)}
-    dim = len(elems)
-    structure = _zeros3(dim)
-    for i, gi in enumerate(elems):
-        for j, gj in enumerate(elems):
-            structure[i][j][index[(gi * gj).key]] = ONE
+    structure = {(i, j, index[(gi * gj).key]): ONE
+                 for i, gi in enumerate(elems) for j, gj in enumerate(elems)}
     unit = [ONE if e.is_identity() else ZERO for e in elems]
     return GradedAlgebra(group, elems, structure, kind=ASSOCIATIVE, unit=unit,
                          name=name or "QG")
@@ -138,17 +117,9 @@ def direct_sum(A: GradedAlgebra, B: GradedAlgebra, name: str = "") -> GradedAlge
         raise ValidationError("direct sum needs both summands graded by the same group")
     if A.kind != B.kind:
         raise ValidationError("direct sum needs summands of the same kind")
-    n, m = A.dim, B.dim
-    dim = n + m
-    structure = _zeros3(dim)
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(A.structure[i][j]):
-                structure[i][j][k] = c
-    for i in range(m):
-        for j in range(m):
-            for k, c in enumerate(B.structure[i][j]):
-                structure[n + i][n + j][n + k] = c
+    n = A.dim
+    structure = A.constants()
+    structure.update({(n + i, n + j, n + k): c for (i, j, k), c in B.constants().items()})
     degrees = list(A.degrees) + list(B.degrees)
     unit = None
     if A.kind == ASSOCIATIVE and A.unit is not None and B.unit is not None:
@@ -161,15 +132,17 @@ def lie_from_brackets(group: Group, degrees, dim: int, brackets: dict,
                       name: str = "") -> GradedAlgebra:
     """Lie algebra from brackets {(i, j): [(k, coeff), ...]} for i < j; the
     antisymmetric completion is filled in and Jacobi is checked on construction."""
-    structure = _zeros3(dim)
+    structure = {}
     for (i, j), terms in brackets.items():
         if not i < j:
             raise ValidationError("brackets must be given for i < j only")
         for k, c in terms:
             c = Fraction(c)
-            structure[i][j][k] = c
-            structure[j][i][k] = -c
+            structure[i, j, k] = c
+            structure[j, i, k] = -c
     degs = [group.elem(d) if not isinstance(d, GroupElem) else d for d in degrees]
+    if len(degs) != dim:
+        raise ValidationError("need one degree per basis vector")
     return GradedAlgebra(group, degs, structure, kind=LIE, name=name)
 
 
@@ -189,14 +162,12 @@ def sl2() -> GradedAlgebra:
 def gl2_z2() -> GradedAlgebra:
     """gl_2(Q) under the commutator, Z2-graded by diagonal/antidiagonal."""
     M = matrix_algebra(2, CyclicGroup(2), (0, 1))
-    dim = 4
-    structure = _zeros3(dim)
-    for i in range(dim):
-        for j in range(dim):
+    structure = {}
+    for i in range(M.dim):
+        for j in range(M.dim):
             ab = M.multiply(M.basis_vector(i), M.basis_vector(j))
             ba = M.multiply(M.basis_vector(j), M.basis_vector(i))
-            for k in range(dim):
-                structure[i][j][k] = ab[k] - ba[k]
+            structure.update({(i, j, k): x - y for k, (x, y) in enumerate(zip(ab, ba)) if x != y})
     return GradedAlgebra(M.group, M.degrees, structure, kind=LIE, name="gl2_z2")
 
 

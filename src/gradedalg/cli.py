@@ -168,19 +168,19 @@ def cmd_check_identity(args) -> int:
 
 def cmd_verify(args) -> int:
     A, desc = _load_algebra(args)
+    # graded_radical_report raises (exit 3) on a radical that is not graded
     reports = graded_radical_report(A)
-    ok = all(r.graded for r in reports)
     for r in reports:
         print(r.summary())
-    print("all radical gradedness checks passed" if ok else "FAILED")
+    print("all radical gradedness checks passed")
     out = {"command": "verify", "input_digest": digest(desc), "name": A.name,
-           "results": {"passed": ok,
+           "results": {"passed": True,
                        "reports": [{"kind": r.kind, "dim": r.radical.dim,
                                     "graded": r.graded,
                                     "nilpotency_index": r.nilpotency}
                                    for r in reports]}}
     _emit(out, args.json_out)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return EXIT_OK
 
 
 def cmd_builtin(args) -> int:

@@ -124,9 +124,6 @@ class CoalgebraWindow:
     def for_algebra(cls, A: GradedAlgebra) -> "CoalgebraWindow":
         return cls.from_support(A.group, A.support)
 
-    def contains(self, g: GroupElem) -> bool:
-        return any(g == b for b in self.basis)
-
     def __repr__(self):
         return f"CoalgebraWindow(|basis|={len(self.basis)})"
 

@@ -59,10 +59,6 @@ class MultilinearGradedPoly:
                 clean[(perm, degs)] = clean.get((perm, degs), ZERO) + coeff
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
-    @classmethod
-    def monomial(cls, perm, degs, coeff=1) -> "MultilinearGradedPoly":
-        return cls(len(perm), {(tuple(perm), tuple(degs)): coeff})
-
     def __add__(self, other):
         if other.n != self.n:
             raise ValidationError("adding polynomials in different variable counts")
@@ -235,7 +231,7 @@ def _block_rank(A: GradedAlgebra, comps) -> int:
     if any(not c for c in comps):
         return 0
     n = len(comps)
-    sc = A._sc
+    sc = A.structure
     # mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])
     offset = [None] * n
     width = A.dim

@@ -39,7 +39,7 @@ def _trace_form_radical(A: GradedAlgebra) -> Subspace:
         return Subspace.zero(0)
     B = A if A.unit is not None else unitalize(A)
     tvec = [B.trace_of_left_mult(unit_vector(B.dim, i)) for i in range(B.dim)]
-    gram = [[sum((c * tvec[k] for k, c in B._sc[i][j]), ZERO) for j in range(B.dim)]
+    gram = [[sum((c * tvec[k] for k, c in B.structure[i][j]), ZERO) for j in range(B.dim)]
             for i in range(B.dim)]
     rad = kernel(Mat(gram, cols=B.dim))
     if B is A:
@@ -164,16 +164,13 @@ def adjoint_envelope(L: GradedAlgebra) -> SubalgebraEmbedding:
     dim = len(rows)
     unflat = lambda r: Mat([r[i * n:(i + 1) * n] for i in range(n)], cols=n)
     row_mats = [unflat(r) for r in rows]
-    structure = []
+    structure = {}
     for a in range(dim):
-        line = []
         for b in range(dim):
-            prod = flat(row_mats[a] @ row_mats[b])
-            coords = span.coords(prod)
+            coords = span.coords(flat(row_mats[a] @ row_mats[b]))
             if coords is None:
                 raise InternalCheckError("envelope span is not multiplicatively closed")
-            line.append(coords)
-        structure.append(line)
+            structure.update({(a, b, k): c for k, c in enumerate(coords) if c != 0})
     degrees = [triv.identity()] * dim
     alg = GradedAlgebra(triv, degrees, structure, kind=ASSOCIATIVE, name="ad-envelope")
     return SubalgebraEmbedding(alg, tuple(rows))

@@ -47,11 +47,7 @@ def render_rational(x: Fraction) -> str:
 
 
 def algebra_to_description(A: GradedAlgebra) -> dict:
-    entries = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k, c in A._sc[i][j]:
-                entries.append([i, j, k, render_rational(c)])
+    entries = [[i, j, k, render_rational(c)] for (i, j, k), c in A.constants().items()]
     desc = {
         "kind": A.kind,
         "dim": A.dim,
@@ -91,11 +87,10 @@ def description_to_algebra(obj) -> GradedAlgebra:
             degrees.append(group.decode_elem(d))
         except ValidationError as exc:
             raise SchemaError(f"degrees[{i}]: {exc}") from None
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     raw = obj["structure"]
     if not isinstance(raw, list):
         raise SchemaError("structure: expected a list of [i, j, k, coeff] entries")
-    seen = set()
+    structure = {}
     for pos, entry in enumerate(raw):
         if (not isinstance(entry, list) or len(entry) != 4):
             raise SchemaError(f"structure[{pos}]: expected [i, j, k, coeff]")
@@ -103,10 +98,9 @@ def description_to_algebra(obj) -> GradedAlgebra:
         for label, v in (("i", i), ("j", j), ("k", k)):
             if not _is_int(v) or not 0 <= v < dim:
                 raise SchemaError(f"structure[{pos}]: index {label}={v!r} out of range 0..{dim - 1}")
-        if (i, j, k) in seen:
+        if (i, j, k) in structure:
             raise SchemaError(f"structure[{pos}]: duplicate entry for ({i},{j},{k})")
-        seen.add((i, j, k))
-        structure[i][j][k] = parse_rational(entry[3], f"structure[{pos}]")
+        structure[i, j, k] = parse_rational(entry[3], f"structure[{pos}]")
     unit = None
     if "unit" in obj and obj["unit"] is not None:
         raw_unit = obj["unit"]
@@ -114,6 +108,8 @@ def description_to_algebra(obj) -> GradedAlgebra:
             raise SchemaError(f"unit: expected a list of {dim} coordinates")
         unit = [parse_rational(c, f"unit[{i}]") for i, c in enumerate(raw_unit)]
     name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"name: expected a string, got {name!r}")
     return GradedAlgebra(group, degrees, structure, kind=kind, unit=unit, name=name)
 
 
@@ -125,8 +121,11 @@ def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise SchemaError(f"n: expected a positive integer, got {n!r}")
+    raw_terms = obj["terms"]
+    if not isinstance(raw_terms, list):
+        raise SchemaError(f"terms: expected a list, got {raw_terms!r}")
     terms = {}
-    for pos, t in enumerate(obj["terms"]):
+    for pos, t in enumerate(raw_terms):
         if not isinstance(t, dict):
             raise SchemaError(f"terms[{pos}]: expected an object")
         for key in ("coef", "perm", "labels"):
@@ -134,7 +133,8 @@ def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
                 raise SchemaError(f"terms[{pos}]: missing {key!r}")
         coeff = parse_rational(t["coef"], f"terms[{pos}].coef")
         perm = t["perm"]
-        if (not isinstance(perm, list) or sorted(perm) != list(range(1, n + 1))):
+        if (not isinstance(perm, list) or not all(_is_int(p) for p in perm)
+                or sorted(perm) != list(range(1, n + 1))):
             raise SchemaError(f"terms[{pos}].perm: expected a permutation of 1..{n}")
         labels = t["labels"]
         if not isinstance(labels, list) or len(labels) != n:

@@ -163,7 +163,7 @@ def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:
     """sum_k mu^k_ab s_k: the product of quotient basis vectors a, b carried
     back along the section."""
     out = [ZERO] * A.dim
-    for k, mu in Q._sc[a][b]:
+    for k, mu in Q.structure[a][b]:
         _axpy(out, mu, section[k])
     return out
 
@@ -196,7 +196,7 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
                 _axpy(cols[offsets[b] + u], ONE, A.multiply(sa, t))
             for u, t in enumerate(blocks[a]):
                 _axpy(cols[offsets[a] + u], ONE, A.multiply(t, sb))
-            for k, mu in Q._sc[a][b]:
+            for k, mu in Q.structure[a][b]:
                 for u, t in enumerate(blocks[k]):
                     _axpy(cols[offsets[k] + u], -mu, t)
             # -defect_ab = sum_k mu^k_ab s_k - s_a s_b

@@ -126,7 +126,7 @@ def test_quotient_ut2_by_corner():
     # commutative, split: the two diagonal idempotents survive
     for i in range(2):
         for j in range(2):
-            assert Q.structure[i][j] == tuple(F(1) if (i == j == k) else F(0) for k in range(2))
+            assert Q.structure[i][j] == (((i, F(1)),) if i == j else ())
 
 
 def test_quotient_projection_is_multiplicative():
@@ -189,7 +189,7 @@ def test_two_dim_nonabelian_bracket():
 
 def test_constructor_rejects_bad_grading():
     z2 = CyclicGroup(2)
-    structure = [[[F(0), F(0)], [F(1), F(0)]], [[F(0), F(0)], [F(0), F(0)]]]
+    structure = {(0, 1, 0): F(1)}
     # e0*e1 = e0 but deg(e0*e1) should be 0+1 = 1 != deg e0 = 0
     with pytest.raises(ValidationError):
         from gradedalg.algebra import GradedAlgebra
@@ -199,7 +199,7 @@ def test_constructor_rejects_bad_grading():
 def test_constructor_rejects_non_associative():
     t = TrivialGroup()
     # e0*e0 = e1, e1*e0 = e0, rest zero: (e0 e0) e0 = e0 but e0 (e0 e0) = e1... not associative
-    structure = [[[F(0), F(1)], [F(0), F(0)]], [[F(1), F(0)], [F(0), F(0)]]]
+    structure = {(0, 0, 1): F(1), (1, 0, 0): F(1)}
     with pytest.raises(ValidationError):
         from gradedalg.algebra import GradedAlgebra
         GradedAlgebra(t, [t.identity()] * 2, structure)
@@ -208,15 +208,49 @@ def test_constructor_rejects_non_associative():
 def test_constructor_rejects_bad_jacobi():
     t = TrivialGroup()
     dim = 3
-    structure = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    structure = {}
     # [e0,e1] = e0, [e1,e2] = e1, [e0,e2] = e2 violates Jacobi
     pairs = {(0, 1): (0, 1), (1, 2): (1, 1), (0, 2): (2, 1)}
     for (i, j), (k, c) in pairs.items():
-        structure[i][j][k] = F(c)
-        structure[j][i][k] = F(-c)
+        structure[i, j, k] = F(c)
+        structure[j, i, k] = F(-c)
     with pytest.raises(ValidationError):
         from gradedalg.algebra import GradedAlgebra
         GradedAlgebra(t, [t.identity()] * dim, structure, kind="lie")
+
+
+def test_constructor_rejects_antisymmetry_failure():
+    from gradedalg.algebra import GradedAlgebra
+    t = TrivialGroup()
+    # [e0, e1] = e0 but [e1, e0] = 0
+    with pytest.raises(ValidationError, match="antisymmetry"):
+        GradedAlgebra(t, [t.identity()] * 2, {(0, 1, 0): F(1)}, kind="lie")
+
+
+@pytest.mark.parametrize("structure", [
+    {(0, 0, 2): F(1)},
+    {(-1, 0, 0): F(1)},
+    {(0, "1", 0): F(1)},
+    {(0, True, 0): F(1)},
+    {(0, 0): F(1)},
+    [[[F(1), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(0)]]],
+])
+def test_constructor_rejects_bad_indices(structure):
+    from gradedalg.algebra import GradedAlgebra
+    t = TrivialGroup()
+    with pytest.raises(ValidationError):
+        GradedAlgebra(t, [t.identity()] * 2, structure)
+
+
+def test_constructor_drops_zero_coefficients():
+    from gradedalg.algebra import GradedAlgebra
+    t = TrivialGroup()
+    # Q[x]/(x^2) on (1, x), with the vanishing x*x given explicitly
+    A = GradedAlgebra(t, [t.identity()] * 2,
+                      {(1, 1, 0): F(0), (1, 0, 1): F(1), (0, 1, 1): F(1), (0, 0, 0): F(1)})
+    assert A.structure == ((((0, F(1)),), ((1, F(1)),)),
+                           (((1, F(1)),), ()))
+    assert A.constants() == {(0, 0, 0): F(1), (0, 1, 1): F(1), (1, 0, 1): F(1)}
 
 
 def test_unitalize():
@@ -260,11 +294,11 @@ def test_zero_dimensional_algebra():
     from gradedalg.radical import jacobson_radical, solvable_radical
     from gradedalg.structure import levi_graded, wedderburn_artin_graded
     from gradedalg.identities import graded_codimension
-    z = GradedAlgebra(TrivialGroup(), [], [], kind="associative")
+    z = GradedAlgebra(TrivialGroup(), [], {}, kind="associative")
     assert z.support == ()
     assert jacobson_radical(z).dim == 0
     assert wedderburn_artin_graded(z).components == []
     assert graded_codimension(z, 1) == 0
-    zl = GradedAlgebra(TrivialGroup(), [], [], kind="lie")
+    zl = GradedAlgebra(TrivialGroup(), [], {}, kind="lie")
     assert solvable_radical(zl).dim == 0
     assert levi_graded(zl).dim == 0

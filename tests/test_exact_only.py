@@ -1,7 +1,8 @@
 """The package promises exact arithmetic: no floating point and no tolerance
 anywhere. Walk the AST of every module and reject float literals, float(),
 round() and math.isclose calls, `import math`, and `from math import` of
-anything but the integer-exact functions."""
+anything but the integer-exact functions. The same walk keeps modules to each
+other's public surface: `x._name` is allowed on `self` and `cls` only."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,14 @@ def inexact_nodes(tree):
                     yield node, f"from math import {a.name}"
 
 
+def foreign_private_nodes(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            yield node, f"private attribute .{node.attr}"
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -49,3 +58,17 @@ def test_checker_flags_inexact_code():
     kinds = sorted(what for _, what in inexact_nodes(ast.parse(code)))
     assert kinds == ["float literal 1.5", "float() call", "from math import sqrt",
                      "import math", "isclose() call", "round() call"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_no_foreign_private_attribute(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what}" for node, what in foreign_private_nodes(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_foreign_private_access():
+    code = ("A._sc[0]\nself._x = 1\ncls._y\nA.__class__\nself.inner._z\n"
+            "A.structure\n")
+    kinds = sorted(what for _, what in foreign_private_nodes(ast.parse(code)))
+    assert kinds == ["private attribute ._sc", "private attribute ._z"]

@@ -76,6 +76,12 @@ def _set_dim(desc):
     desc["dim"] = True
 
 
+def _set_name(name):
+    def mutate(desc):
+        desc["name"] = name
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_set_group({"type": "cyclic"}), r"group: n: missing"),
     (_set_group({"type": "cyclic", "n": "x"}), r"group: n: expected an integer"),
@@ -91,6 +97,7 @@ def _set_dim(desc):
     (_set_coeff("2/4"), r"structure\[0\]: bad rational '2/4'"),
     (_set_coeff("1.5"), r"structure\[0\]: bad rational '1.5'"),
     (_set_coeff("1e3"), r"structure\[0\]: bad rational '1e3'"),
+    (_set_name(5), r"name: expected a string"),
 ])
 def test_malformed_descriptions_exit_2_with_position(mutate, message, tmp_path, capsys):
     desc = algebra_to_description(builtin("fz2"))
@@ -129,6 +136,26 @@ def test_poly_description():
     with pytest.raises(SchemaError, match=r"terms\[0\].perm"):
         poly_from_description({"n": 2, "terms": [
             {"coef": "1", "perm": [1, 1], "labels": [0, 0]}]}, A)
+
+
+def _term(perm):
+    return {"coef": "1", "perm": perm, "labels": [0, 0]}
+
+
+@pytest.mark.parametrize("poly, message", [
+    ({"n": 2, "terms": 5}, r"terms: expected a list"),
+    ({"n": 2, "terms": [_term([1.0, 2.0])]}, r"terms\[0\]\.perm: "),
+    ({"n": 2, "terms": [_term(["a", 2])]}, r"terms\[0\]\.perm: "),
+    ({"n": 2, "terms": [_term([True, 2])]}, r"terms\[0\]\.perm: "),
+])
+def test_malformed_polynomials_exit_2_with_position(poly, message, tmp_path, capsys):
+    with pytest.raises(SchemaError, match=message):
+        poly_from_description(poly, builtin("m2_z2"))
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(poly))
+    assert main(["check-identity", "--builtin", "m2_z2", "--poly", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 def test_cli_codim_golden(capsys, tmp_path):

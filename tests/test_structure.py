@@ -88,7 +88,7 @@ def test_wedderburn_rejects_non_semisimple_and_non_unital():
 def test_wedderburn_empty_for_zero_algebra():
     from gradedalg.algebra import GradedAlgebra
     from gradedalg.groups import TrivialGroup
-    zero = GradedAlgebra(TrivialGroup(), [], [], kind="associative")
+    zero = GradedAlgebra(TrivialGroup(), [], {}, kind="associative")
     assert wedderburn_artin_graded(zero).components == []
 
 
@@ -134,11 +134,12 @@ def test_malcev_correction_actually_corrects():
     Z = F(0)
     # products: uu = 1+2x+x^2 = u+v+w; uv = vu = x+x^2 = v+w; uw = wu = w
     # vv = x^2 = w; vw = wv = ww = 0
-    structure = [
-        [[F(1), F(1), F(1)], [Z, F(1), F(1)], [Z, Z, F(1)]],
-        [[Z, F(1), F(1)], [Z, Z, F(1)], [Z, Z, Z]],
-        [[Z, Z, F(1)], [Z, Z, Z], [Z, Z, Z]],
-    ]
+    structure = {
+        (0, 0, 0): F(1), (0, 0, 1): F(1), (0, 0, 2): F(1),
+        (0, 1, 1): F(1), (0, 1, 2): F(1), (0, 2, 2): F(1),
+        (1, 0, 1): F(1), (1, 0, 2): F(1), (1, 1, 2): F(1),
+        (2, 0, 2): F(1),
+    }
     A = GradedAlgebra(t, [e, e, e], structure, unit=(F(1), F(-1), Z), name="skewed")
     J = jacobson_radical(A)
     assert J == Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
@@ -243,16 +244,17 @@ def test_malcev_two_stage_correction():
     from gradedalg.groups import TrivialGroup
     t = TrivialGroup()
     Z = F(0)
-    structure = [
+    structure = {
         # u*u = u + w, u*v = v + s, u*w = w, u*s = s
-        [[F(1), Z, F(1), Z], [Z, F(1), Z, F(1)], [Z, Z, F(1), Z], [Z, Z, Z, F(1)]],
+        (0, 0, 0): F(1), (0, 0, 2): F(1), (0, 1, 1): F(1), (0, 1, 3): F(1),
+        (0, 2, 2): F(1), (0, 3, 3): F(1),
         # v*u = v + s, v*v = w, v*w = s, v*s = 0
-        [[Z, F(1), Z, F(1)], [Z, Z, F(1), Z], [Z, Z, Z, F(1)], [Z, Z, Z, Z]],
+        (1, 0, 1): F(1), (1, 0, 3): F(1), (1, 1, 2): F(1), (1, 2, 3): F(1),
         # w*u = w, w*v = s, w*w = 0, w*s = 0
-        [[Z, Z, F(1), Z], [Z, Z, Z, F(1)], [Z, Z, Z, Z], [Z, Z, Z, Z]],
+        (2, 0, 2): F(1), (2, 1, 3): F(1),
         # s*u = s, s*v = 0, ...
-        [[Z, Z, Z, F(1)], [Z, Z, Z, Z], [Z, Z, Z, Z], [Z, Z, Z, Z]],
-    ]
+        (3, 0, 3): F(1),
+    }
     A = GradedAlgebra(t, [t.identity()] * 4, structure,
                       unit=(F(1), Z, F(-1), Z), name="qx4_skewed")
     J = jacobson_radical(A)

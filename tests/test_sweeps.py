@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 from gradedalg.algebra import algebra_on_subspace, quotient_algebra
-from gradedalg.builders import ut2, upper_triangular
+from gradedalg.builders import builtin, ut2, upper_triangular
 from gradedalg.exactlin import Subspace, rref, Mat
 from gradedalg.groups import CyclicGroup
 from gradedalg.radical import (graded_closure, jacobson_radical,
                                solvable_radical, nilradical)
-from gradedalg.schema import algebra_to_description, description_to_algebra
+from gradedalg.schema import (algebra_to_description, description_to_algebra,
+                              digest)
 from gradedalg.structure import malcev_complement_graded, levi_graded
 from tests.corpus import associative_corpus, lie_corpus
 
@@ -48,6 +49,18 @@ def test_schema_round_trip_over_corpus():
         assert B.structure == A.structure
         assert B.degrees == A.degrees
         assert B.unit == A.unit
+
+
+def test_description_digests_golden():
+    # recorded while GradedAlgebra still stored the dense dim^3 tensor
+    assert digest([algebra_to_description(A) for A in associative_corpus()]) == (
+        "a47f712f6bd925079e48bc9a87e8bb8e0bd6ccc9590053b4308f4094b1fbd6d4")
+    assert digest([algebra_to_description(L) for L in lie_corpus()]) == (
+        "9d1176afbf2e0f82cd2ba9f1907e104fa963df1d656a68ae0102630da094fab1")
+    names = ["m2_z2", "ut2", "sl2", "gl2_z2", "heis3", "aff1", "fz2",
+             "free_trunc_1_3", "free_trunc_2_2", "free_trunc_2_3"]
+    assert digest([algebra_to_description(builtin(n)) for n in names]) == (
+        "08fb6d4e1fd54a1479be73255e60117cd883dc566d4fb9b305ae5a2009a24db3")
 
 
 def test_rref_pivot_structure_random():
