@@ -1,9 +1,13 @@
 """Exact rational linear algebra: matrices, reduced row echelon form, canonical subspaces.
 
 Every scalar is a `fractions.Fraction`; there are no floats and no tolerances.
-`Subspace` is the currency passed between the algebra, radical and structure
-layers: two subspaces are equal iff their reduced-row-echelon basis matrices
-are identical, which makes subspace equality a plain tuple comparison.
+Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
+included). `Reducer` is the one elimination: `rref`, `rank`, `kernel`,
+`solve`, `invert`, subspace sums and intersections and every span are read
+off its pivots and rows. `Subspace` is the currency passed between the
+algebra, radical and structure layers; it carries its RREF basis and that
+basis's pivot columns, so two subspaces are equal iff their basis matrices
+are identical, a plain tuple comparison.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ValidationError
 
 Rat = Fraction
 
@@ -21,11 +25,17 @@ ONE = Fraction(1)
 
 
 def as_rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; only Fractions and ints (not bools) are exact input."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValidationError(f"{x!r} is not an exact rational: expected a Fraction or an int")
 
 
 def as_vector(entries: Iterable) -> tuple:
-    return tuple(as_rat(e) for e in entries)
+    # Fractions pass without a call: every span is built through here
+    return tuple([e if type(e) is Fraction else as_rat(e) for e in entries])
 
 
 def zero_vector(n: int) -> tuple:
@@ -109,49 +119,24 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
 
-def rref(m: Mat) -> tuple[Mat, int]:
-    """Reduced row echelon form and rank.
-
-    Pivot choice: leftmost nonzero column, topmost nonzero row. With exact
-    arithmetic the choice only fixes determinism.
-    """
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f != 0:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
-        r += 1
-        if r == nrows:
-            break
-    return Mat(rows, cols=ncols), r
-
-
-def rank(m: Mat) -> int:
-    return rref(m)[1]
+def _reduce(v, pivots, rows):
+    """v minus, for each RREF row in turn, v's entry at that row's pivot times
+    the row; the one reduce loop of this module."""
+    for p, row in zip(pivots, rows):
+        c = v[p]
+        if c != 0:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
 
 
 class Reducer:
-    """Incremental reduced-row-echelon accumulator.
+    """Incremental reduced-row-echelon accumulator: the one elimination of
+    this package.
 
-    Maintains a canonical RREF basis under repeated `insert`; the workhorse of
-    all closure loops (ideals, subalgebras, graded closures, subspace powers).
+    Maintains the canonical RREF basis of the span of every inserted vector,
+    with its pivot columns in increasing order; every rank, kernel, solve,
+    inverse and subspace (and every closure loop above this module) is read
+    off one Reducer's `pivots` and `rows`.
     """
 
     __slots__ = ("ambient", "rows", "pivots")
@@ -163,19 +148,11 @@ class Reducer:
         for v in vectors:
             self.insert(v)
 
-    def reduce(self, v) -> list:
-        v = list(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
     def insert(self, v) -> bool:
         """Add v to the span; returns True iff the span grew."""
         if len(v) != self.ambient:
             raise DimensionMismatchError("vector has wrong ambient dimension")
-        v = self.reduce(v)
+        v = _reduce(as_vector(v), self.pivots, self.rows)
         piv = None
         for j, a in enumerate(v):
             if a != 0:
@@ -184,8 +161,7 @@ class Reducer:
         if piv is None:
             return False
         pv = v[piv]
-        if pv != 1:
-            v = [a / pv for a in v]
+        v = [a / pv for a in v] if pv != 1 else list(v)
         for row in self.rows:
             f = row[piv]
             if f != 0:
@@ -200,44 +176,53 @@ class Reducer:
         return len(self.rows)
 
     def subspace(self) -> "Subspace":
-        return Subspace(self.ambient, Mat(self.rows, cols=self.ambient), _trusted=True)
+        return Subspace(self.ambient, Mat(self.rows, cols=self.ambient), self.pivots)
+
+
+def rref(m: Mat) -> tuple[Mat, int]:
+    """Reduced row echelon form (zero rows last) and rank."""
+    red = Reducer(m.cols, m.data)
+    rows = red.rows + [zero_vector(m.cols)] * (m.rows - red.dim)
+    return Mat(rows, cols=m.cols), red.dim
+
+
+def rank(m: Mat) -> int:
+    return Reducer(m.cols, m.data).dim
 
 
 class Subspace:
-    """A linear subspace of Q^ambient held by its canonical RREF basis.
+    """A linear subspace of Q^ambient held by its canonical RREF basis `mat`
+    and the pivot column of each basis row.
 
     Canonicity: different spanning sets of the same space produce identical
-    basis matrices, so `==` is decisive.
+    basis matrices, so `==` is decisive. The constructor trusts its input, so
+    a Subspace is built only in this module, from an RREF basis; elsewhere use
+    `from_vectors`, `zero` or `full`.
     """
 
-    __slots__ = ("ambient", "mat")
+    __slots__ = ("ambient", "mat", "pivots")
 
-    def __init__(self, ambient: int, mat: Mat, _trusted: bool = False):
-        if not _trusted:
-            mat, r = rref(mat)
-            mat = Mat(mat.data[:r], cols=ambient)
+    def __init__(self, ambient: int, mat: Mat, pivots: Iterable[int]):
         if mat.cols != ambient:
             raise DimensionMismatchError("basis width differs from ambient dimension")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable) -> "Subspace":
-        red = Reducer(ambient)
-        for v in vectors:
-            red.insert(v)
-        return red.subspace()
+        return Reducer(ambient, vectors).subspace()
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Mat([], cols=ambient), _trusted=True)
+        return cls(ambient, Mat([], cols=ambient), ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Mat.identity(ambient), _trusted=True)
+        return cls(ambient, Mat.identity(ambient), range(ambient))
 
     @property
     def dim(self) -> int:
@@ -249,24 +234,9 @@ class Subspace:
     def basis_vectors(self) -> tuple:
         return self.mat.data
 
-    def pivots(self) -> tuple:
-        out = []
-        for row in self.mat.data:
-            for j, a in enumerate(row):
-                if a != 0:
-                    out.append(j)
-                    break
-        return tuple(out)
-
     def residual(self, v) -> tuple:
         """v reduced against the basis; zero iff v lies in the subspace."""
-        pivs = self.pivots()
-        v = list(as_vector(v))
-        for p, row in zip(pivs, self.mat.data):
-            c = v[p]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(_reduce(as_vector(v), self.pivots, self.mat.data))
 
     def contains(self, v) -> bool:
         return is_zero_vector(self.residual(v))
@@ -275,17 +245,14 @@ class Subspace:
         return all(self.contains(r) for r in other.mat.data)
 
     def coords(self, v):
-        """Coefficients of v in the RREF basis, or None if v is outside."""
-        pivs = self.pivots()
+        """Coefficients of v in the RREF basis, or None if v is outside.
+
+        Reducing by earlier rows leaves later pivot entries alone, so the
+        coefficients are v's own pivot entries."""
         v = as_vector(v)
-        cs = tuple(v[p] for p in pivs)
-        acc = list(v)
-        for c, row in zip(cs, self.mat.data):
-            if c != 0:
-                acc = [a - c * b for a, b in zip(acc, row)]
-        if not is_zero_vector(acc):
+        if not is_zero_vector(_reduce(v, self.pivots, self.mat.data)):
             return None
-        return cs
+        return tuple(v[p] for p in self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
@@ -310,81 +277,61 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise DimensionMismatchError("subspace sum needs equal ambient dimensions")
-    red = Reducer(a.ambient, a.mat.data)
-    for v in b.mat.data:
-        red.insert(v)
-    return red.subspace()
+    return Reducer(a.ambient, a.mat.data + b.mat.data).subspace()
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: row-reduce [[A A],[B 0]]; rows with zero left half carry the
-    intersection in their right half."""
+    """Zassenhaus: row-reduce [[A A],[B 0]]; the rows with pivot >= n have a
+    zero left half, and their right halves are the RREF basis of the
+    intersection."""
     if a.ambient != b.ambient:
         raise DimensionMismatchError("subspace intersection needs equal ambient dimensions")
     n = a.ambient
-    stacked = [list(r) + list(r) for r in a.mat.data]
-    stacked += [list(r) + [ZERO] * n for r in b.mat.data]
-    R, r = rref(Mat(stacked, cols=2 * n))
-    out = []
-    for row in R.data[:r]:
-        if is_zero_vector(row[:n]):
-            out.append(row[n:])
-    return Subspace.from_vectors(n, out)
+    red = Reducer(2 * n, [r + r for r in a.mat.data]
+                  + [r + zero_vector(n) for r in b.mat.data])
+    at = bisect_left(red.pivots, n)
+    return Subspace(n, Mat([row[n:] for row in red.rows[at:]], cols=n),
+                    [p - n for p in red.pivots[at:]])
 
 
 def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0}; dim = cols - rank."""
-    R, r = rref(m)
-    piv_cols = []
-    for row in R.data[:r]:
-        for j, a in enumerate(row):
-            if a != 0:
-                piv_cols.append(j)
-                break
-    piv_set = set(piv_cols)
+    """Null space {v : m v = 0}; dim = cols - rank. Each free column f gives
+    the vector with 1 at f and -row[f] at each row's pivot."""
+    red = Reducer(m.cols, m.data)
+    pivots = set(red.pivots)
     basis = []
     for f in range(m.cols):
-        if f in piv_set:
+        if f in pivots:
             continue
         v = [ZERO] * m.cols
         v[f] = ONE
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -R.data[i][f]
+        for p, row in zip(red.pivots, red.rows):
+            v[p] = -row[f]
         basis.append(v)
     return Subspace.from_vectors(m.cols, basis)
 
 
 def solve(m: Mat, rhs: Sequence):
     """One exact solution x of m x = rhs with free variables set to zero,
-    or None when the system is infeasible."""
+    or None when the system is infeasible (the rhs column is a pivot)."""
     if len(rhs) != m.rows:
         raise DimensionMismatchError("rhs length differs from row count")
-    aug = Mat([list(row) + [as_rat(b)] for row, b in zip(m.data, rhs)] or [],
-              cols=m.cols + 1)
-    if m.rows == 0:
-        return zero_vector(m.cols)
-    R, r = rref(aug)
+    red = Reducer(m.cols + 1, [row + (b,) for row, b in zip(m.data, rhs)])
+    if m.cols in red.pivots:
+        return None
     x = [ZERO] * m.cols
-    for row in R.data[:r]:
-        piv = None
-        for j, a in enumerate(row):
-            if a != 0:
-                piv = j
-                break
-        if piv == m.cols:
-            return None
-        x[piv] = row[m.cols]
+    for p, row in zip(red.pivots, red.rows):
+        x[p] = row[m.cols]
     return tuple(x)
 
 
 def invert(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises on singular input."""
+    """Inverse of a square matrix; raises on singular input (a pivot of
+    [m | I] beyond column n - 1)."""
     if m.rows != m.cols:
         raise DimensionMismatchError("only square matrices can be inverted")
     n = m.rows
-    aug = Mat([list(row) + list(unit_vector(n, i)) for i, row in enumerate(m.data)] or [],
-              cols=2 * n)
-    R, r = rref(aug)
-    if r < n or any(R.data[i][i] != 1 for i in range(n)):
+    red = Reducer(2 * n, [row + unit_vector(n, i) for i, row in enumerate(m.data)])
+    if red.pivots != list(range(n)):
         raise DimensionMismatchError("matrix is singular")
-    return Mat([row[n:] for row in R.data[:n]], cols=n)
+    return Mat([row[n:] for row in red.rows], cols=n)

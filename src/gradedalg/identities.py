@@ -9,7 +9,8 @@ rows and columns, so its rank depends only on the multiset of labels: each
 multiset's block is computed once and weighted by the multinomial count of
 its labellings. The functional-label ("delta") pipeline computes the same
 numbers through projections of unrestricted substitutions; the two routes
-share the block-rank driver, are compared in the tests and must agree exactly.
+share one block loop (`_codim_blocks`, associative algebras only), are compared
+in the tests and must agree exactly.
 The resource guard still counts all |support|^n labellings, not the multisets.
 """
 
@@ -288,11 +289,28 @@ def codim_block(A: GradedAlgebra, degs) -> int:
     return _block_rank(A, [A.component_indices(g) for g in degs])
 
 
-def _graded_blocks(A: GradedAlgebra, n: int) -> list:
-    """(labelling count, block rank) per label multiset; renaming variables
-    permutes rows and columns of a block, so its rank depends only on the
-    multiset."""
-    return [(mult, codim_block(A, degs)) for degs, mult in _label_orbits(A.support, n)]
+def _codim_blocks(A: GradedAlgebra, n: int, mode: str, max_n: int, max_blocks: int) -> list:
+    """(labelling count, block rank) per multiset of n support labels, for
+    modes gr and h alike.
+
+    In mode gr a label's variable ranges over its component (`codim_block`).
+    In mode h labels are delta functionals on the support: a general label
+    reduces to that span, which changes no ranks, and a delta projection sends
+    each basis vector to itself or to zero, so a label's variable ranges over
+    the basis vectors its projection keeps. The two modes must agree exactly.
+    """
+    if A.kind != ASSOCIATIVE:
+        raise ValidationError("codimensions are computed for associative algebras")
+    _guard(A, n, max_n, max_blocks)
+    orbits = _label_orbits(A.support, n)
+    if mode == "gr":
+        return [(mult, codim_block(A, labels)) for labels, mult in orbits]
+    kept = {}
+    for g in A.support:
+        delta = DualFunctional.delta(g)
+        kept[g] = [i for i in range(A.dim)
+                   if not is_zero_vector(dual_action(delta, A.basis_vector(i), A))]
+    return [(mult, _block_rank(A, [kept[g] for g in labels])) for labels, mult in orbits]
 
 
 def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
@@ -300,32 +318,15 @@ def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     """c_n = sum of block ranks over all assignments in Support^n, computed
     once per label multiset and weighted by the multinomial. The trivial
     group reproduces ordinary codimensions."""
-    if A.kind != ASSOCIATIVE:
-        raise ValidationError("codimensions are computed for associative algebras")
-    _guard(A, n, max_n, max_blocks)
-    return sum(mult * rank for mult, rank in _graded_blocks(A, n))
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n, "gr", max_n, max_blocks))
 
 
 def functional_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
                            max_blocks: int = DEFAULT_MAX_BLOCKS) -> int:
     """Codimension of delta-labelled multilinear polynomials, evaluated through
-    projections of unrestricted basis substitutions.
-
-    Labels range over the support only: a general label reduces to that span,
-    which changes no ranks. A delta projection sends each basis vector to
-    itself or to zero, so a label's variable ranges over the basis vectors
-    its projection keeps. Must agree with graded_codimension for every n.
-    """
-    if A.kind != ASSOCIATIVE:
-        raise ValidationError("codimensions are computed for associative algebras")
-    _guard(A, n, max_n, max_blocks)
-    kept = {}
-    for g in A.support:
-        delta = DualFunctional.delta(g)
-        kept[g] = [i for i in range(A.dim)
-                   if not is_zero_vector(dual_action(delta, A.basis_vector(i), A))]
-    return sum(mult * _block_rank(A, [kept[g] for g in labels])
-               for labels, mult in _label_orbits(A.support, n))
+    projections of unrestricted basis substitutions. Must agree with
+    graded_codimension for every n."""
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n, "h", max_n, max_blocks))
 
 
 def nilpotent_shortcut(A: GradedAlgebra, n: int):
@@ -469,16 +470,13 @@ def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
             per_n.append({"n": n, "assignments": m ** n, "computed": 0,
                           "nonzero_blocks": 0})
             continue
-        _guard(A, n, max_n, max_blocks)
+        blocks = _codim_blocks(A, n, mode, max_n, max_blocks)
+        values.append(sum(mult * rank for mult, rank in blocks))
+        row = {"n": n, "assignments": m ** n, "computed": m ** n}
         if mode == "gr":
-            blocks = _graded_blocks(A, n)
-            values.append(sum(mult * rank for mult, rank in blocks))
-            per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
-                          "nonzero_blocks": sum(mult for mult, rank in blocks if rank),
-                          "max_block_rank": max((rank for _, rank in blocks), default=0)})
-        else:
-            values.append(functional_codimension(A, n, max_n, max_blocks))
-            per_n.append({"n": n, "assignments": m ** n, "computed": m ** n})
+            row["nonzero_blocks"] = sum(mult for mult, rank in blocks if rank)
+            row["max_block_rank"] = max((rank for _, rank in blocks), default=0)
+        per_n.append(row)
     roots = [decimal_root(v, i + 1) if v > 0 else "0.0000" for i, v in enumerate(values)]
     ratios = [Fraction(values[i + 1], values[i]) if values[i] else None
               for i in range(len(values) - 1)]

@@ -1,6 +1,7 @@
 """Seeded corpus of graded associative and Lie algebras for the stability
 sweeps: builtins, randomized graded quotients of truncated free-group
-algebras, random graded subalgebras of matrix algebras, and direct sums.
+algebras, random graded subalgebras of matrix algebras, and direct sums;
+plus seeded integer matrices for the linear-algebra sweeps.
 
 Grading groups covered: trivial, Z2, Z3, Z2 x Z2, free(2). All dims <= 8.
 """
@@ -122,3 +123,24 @@ def lie_corpus() -> list:
     out.append(direct_sum(heisenberg3(), heisenberg3(), name="heis3+heis3"))
     out.append(direct_sum(two_dim_nonabelian_lie(), two_dim_nonabelian_lie(), name="aff1+aff1"))
     return out
+
+
+_MATRIX_SHAPES = [(0, 4), (3, 0), (0, 0), (12, 3), (20, 2), (5, 7), (6, 6), (1, 5)]
+
+
+def random_matrices(seed: int, count: int = 72):
+    """Seeded integer matrices as (rows, cols): empty (0 rows or 0 columns),
+    tall (rows >> cols), wide and square; one in three of the nonempty ones
+    is rank-deficient, a product through a middle dimension below min(rows, cols)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        nr, nc = _MATRIX_SHAPES[i % len(_MATRIX_SHAPES)]
+        if i % 3 == 2 and nr and nc:
+            k = rng.randint(0, min(nr, nc) - 1)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+            right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+            rows = [[sum(l[t] * right[t][j] for t in range(k)) for j in range(nc)]
+                    for l in left]
+        else:
+            rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        yield rows, nc

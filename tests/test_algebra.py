@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradedalg.algebra import (algebra_on_subspace, nilpotency_index,
-                               quotient_algebra, unitalize)
+from gradedalg.algebra import (GradedAlgebra, algebra_on_subspace,
+                               nilpotency_index, quotient_algebra, unitalize)
 from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 fz2, group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, two_dim_nonabelian_lie,
@@ -107,6 +107,12 @@ def test_ideal_generated_examples():
     ideal = U.ideal_generated([U.basis_vector(1)])
     assert ideal == Subspace.from_vectors(3, [(0, 1, 0)])
     assert M.subalgebra_generated([M.unit]) == Subspace.from_vectors(4, [M.unit])
+    # an integer generator whose pivot is not 1 still gives a Fraction basis
+    t = TrivialGroup()
+    Z = GradedAlgebra(t, [t.identity()] * 2, {})      # zero product: ideal = span
+    ideal = Z.ideal_generated([(3, 1)])
+    assert ideal.basis_vectors() == ((1, F(1, 3)),)
+    assert all(type(a) is Fraction for v in ideal.basis_vectors() for a in v)
 
 
 def test_quotient_by_zero_ideal_is_copy():

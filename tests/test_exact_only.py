@@ -2,7 +2,10 @@
 anywhere. Walk the AST of every module and reject float literals, float(),
 round() and math.isclose calls, `import math`, and `from math import` of
 anything but the integer-exact functions. The same walk keeps modules to each
-other's public surface: `x._name` is allowed on `self` and `cls` only."""
+other's public surface: `x._name` is allowed on `self` and `cls` only, and
+only exactlin calls the `Subspace(...)` constructor, which trusts its basis to
+be in reduced row echelon form (elsewhere `Subspace.from_vectors`, `zero` and
+`full` build one)."""
 
 import ast
 from pathlib import Path
@@ -33,12 +36,16 @@ def inexact_nodes(tree):
                     yield node, f"from math import {a.name}"
 
 
-def foreign_private_nodes(tree):
+def foreign_private_nodes(tree, module=""):
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and not (node.attr.startswith("__") and node.attr.endswith("__"))
                 and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
             yield node, f"private attribute .{node.attr}"
+        elif (isinstance(node, ast.Call) and module != "exactlin.py"
+              and (getattr(node.func, "id", None) == "Subspace"
+                   or getattr(node.func, "attr", None) == "Subspace")):
+            yield node, "direct Subspace() call"
 
 
 def test_modules_found():
@@ -63,12 +70,17 @@ def test_checker_flags_inexact_code():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_no_foreign_private_attribute(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = [f"{path.name}:{node.lineno}: {what}" for node, what in foreign_private_nodes(tree)]
+    found = [f"{path.name}:{node.lineno}: {what}"
+             for node, what in foreign_private_nodes(tree, path.name)]
     assert not found, "\n".join(found)
 
 
 def test_checker_flags_foreign_private_access():
     code = ("A._sc[0]\nself._x = 1\ncls._y\nA.__class__\nself.inner._z\n"
-            "A.structure\n")
+            "A.structure\nSubspace(2, m, (0,))\nexactlin.Subspace(2, m, ())\n"
+            "Subspace.from_vectors(2, [])\nSubspace.zero(2)\n")
     kinds = sorted(what for _, what in foreign_private_nodes(ast.parse(code)))
-    assert kinds == ["private attribute ._sc", "private attribute ._z"]
+    assert kinds == ["direct Subspace() call", "direct Subspace() call",
+                     "private attribute ._sc", "private attribute ._z"]
+    allowed = sorted(what for _, what in foreign_private_nodes(ast.parse(code), "exactlin.py"))
+    assert allowed == ["private attribute ._sc", "private attribute ._z"]

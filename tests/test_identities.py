@@ -221,6 +221,11 @@ def test_codimensions_reject_lie():
     from gradedalg.builders import sl2
     with pytest.raises(ValidationError):
         graded_codimension(sl2(), 2)
+    with pytest.raises(ValidationError):
+        functional_codimension(sl2(), 2)
+    for mode in ("gr", "h"):
+        with pytest.raises(ValidationError):
+            codimension_report(sl2(), 2, mode=mode)
 
 
 def test_codimension_bounds_for_unital_algebras():

@@ -256,6 +256,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # resource cap on n
     assert main(["codim", "--builtin", "fz2", "--n-max", "3", "--max-n", "2"]) == 4
     capsys.readouterr()
+    # codimensions of a Lie algebra are refused in every mode
+    for mode in ("gr", "h", "both"):
+        assert main(["codim", "--builtin", "sl2", "--mode", mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "codimensions are computed for associative algebras" in err
 
 
 def test_cli_max_blocks_flag():

@@ -8,14 +8,14 @@ from fractions import Fraction
 
 from gradedalg.algebra import algebra_on_subspace, quotient_algebra
 from gradedalg.builders import builtin, ut2, upper_triangular
-from gradedalg.exactlin import Subspace, rref, Mat
+from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rref
 from gradedalg.groups import CyclicGroup
 from gradedalg.radical import (graded_closure, jacobson_radical,
                                solvable_radical, nilradical)
 from gradedalg.schema import (algebra_to_description, description_to_algebra,
                               digest)
 from gradedalg.structure import malcev_complement_graded, levi_graded
-from tests.corpus import associative_corpus, lie_corpus
+from tests.corpus import associative_corpus, lie_corpus, random_matrices
 
 F = Fraction
 
@@ -65,9 +65,12 @@ def test_description_digests_golden():
 
 def test_rref_pivot_structure_random():
     rng = random.Random(77)
-    for _ in range(50):
-        m = Mat([[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)])
+    cases = [([[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)], 6)
+             for _ in range(50)]
+    for rows, nc in cases + list(random_matrices(78)):
+        m = Mat(rows, cols=nc)
         R, r = rref(m)
+        assert R.rows == m.rows and all(is_zero_vector(row) for row in R.data[r:])
         pivots = []
         for row in R.data[:r]:
             j = next(k for k, x in enumerate(row) if x != 0)
@@ -77,6 +80,12 @@ def test_rref_pivot_structure_random():
         for j in pivots:
             col = [R.data[i][j] for i in range(R.rows)]
             assert sum(1 for x in col if x != 0) == 1
+        # each input row is the combination of the RREF rows weighted by its
+        # own pivot entries
+        for v in m.data:
+            comb = [sum((v[p] * R.data[i][c] for i, p in enumerate(pivots)), F(0))
+                    for c in range(nc)]
+            assert tuple(comb) == v
 
 
 def test_radical_in_skewed_rational_basis():
