@@ -13,10 +13,9 @@ from .radical import (graded_radical_report, is_graded_subspace,
 from .structure import (GradedDecomposition, levi_decomposition, levi_graded,
                         malcev_complement_graded, malcev_decomposition,
                         wedderburn_artin_graded)
-from .identities import (MultilinearGradedPoly, FunctionalPoly,
-                         codim_block, codimension_report, exponent_estimate,
-                         functional_codimension, graded_codimension,
-                         gr_to_h, h_to_gr, is_graded_identity,
+from .identities import (MultilinearGradedPoly, codim_block,
+                         codimension_report, exponent_estimate,
+                         graded_codimension, is_graded_identity,
                          nilpotent_shortcut)
 
 __version__ = "0.1.0"

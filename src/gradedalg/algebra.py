@@ -257,24 +257,27 @@ class GradedAlgebra:
         return red.subspace()
 
     def subalgebra_generated(self, gens: Iterable) -> Subspace:
-        """Smallest multiplicatively closed subspace containing the generators."""
+        """Smallest multiplicatively closed subspace containing the generators:
+        each new basis row is multiplied with itself and, in both orders, with
+        every row kept before it, so each pair of kept rows is multiplied once."""
         red = Reducer(self.dim)
         for v in gens:
             red.insert(v)
-        changed = True
-        while changed:
-            changed = False
-            basis = [list(r) for r in red.rows]
-            for u in basis:
-                su = {i: c for i, c in enumerate(u) if c != 0}
-                for w in basis:
-                    sw = {i: c for i, c in enumerate(w) if c != 0}
-                    prod = self.mul_sparse(su, sw)
-                    v = [ZERO] * self.dim
-                    for k, c in prod.items():
-                        v[k] = c
-                    if red.insert(v):
-                        changed = True
+        work = [{i: c for i, c in enumerate(r) if c != 0} for r in red.rows]
+        kept = []
+        while work:
+            sv = work.pop()
+            prods = [self.mul_sparse(sv, sv)]
+            for su in kept:
+                prods += [self.mul_sparse(su, sv), self.mul_sparse(sv, su)]
+            kept.append(sv)
+            for prod in prods:
+                w = [ZERO] * self.dim
+                for k, c in prod.items():
+                    w[k] = c
+                row = red.insert(w)
+                if row:
+                    work.append({k: c for k, c in enumerate(row) if c != 0})
         return red.subspace()
 
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:

@@ -148,8 +148,10 @@ class Reducer:
         for v in vectors:
             self.insert(v)
 
-    def insert(self, v) -> bool:
-        """Add v to the span; returns True iff the span grew."""
+    def insert(self, v) -> tuple | None:
+        """Add v to the span. Returns None when v already lies in it, else
+        the new basis row as reduced at insertion (a copy: later insertions
+        reduce the stored row further)."""
         if len(v) != self.ambient:
             raise DimensionMismatchError("vector has wrong ambient dimension")
         v = _reduce(as_vector(v), self.pivots, self.rows)
@@ -159,7 +161,7 @@ class Reducer:
                 piv = j
                 break
         if piv is None:
-            return False
+            return None
         pv = v[piv]
         v = [a / pv for a in v] if pv != 1 else list(v)
         for row in self.rows:
@@ -169,7 +171,7 @@ class Reducer:
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.rows.insert(at, v)
-        return True
+        return tuple(v)
 
     @property
     def dim(self) -> int:

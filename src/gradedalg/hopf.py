@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, graded_closure, unitalize
-from .errors import GroupMismatchError, NotAnIdealError
-from .exactlin import Subspace, ZERO, as_rat
+from .errors import DimensionMismatchError, GroupMismatchError, NotAnIdealError
+from .exactlin import Subspace, ZERO, as_rat, as_vector
 from .groups import Group, GroupElem
 
 
@@ -132,6 +132,9 @@ def dual_action(f: DualFunctional, v, A: GradedAlgebra) -> tuple:
     """f . v = sum over the support of f(g) * pi_g(v); linear in both arguments."""
     if f.group != A.group:
         raise GroupMismatchError("functional acts on an algebra graded by another group")
+    v = as_vector(v)
+    if len(v) != A.dim:
+        raise DimensionMismatchError("vector has wrong ambient dimension")
     acc = [ZERO] * A.dim
     for g in A.support:
         c = f(g)

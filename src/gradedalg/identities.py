@@ -1,5 +1,4 @@
-"""Multilinear graded and functional-label polynomial identities and their
-codimension sequences.
+"""Multilinear graded polynomial identities and their codimension sequences.
 
 A degree assignment attaches one support degree to each of the n variables;
 the monomials of one assignment use their own private variables, so the
@@ -7,11 +6,15 @@ evaluation matrix splits into independent blocks per assignment and the n-th
 codimension is the sum of block ranks. Renaming variables permutes a block's
 rows and columns, so its rank depends only on the multiset of labels: each
 multiset's block is computed once and weighted by the multinomial count of
-its labellings. The functional-label ("delta") pipeline computes the same
-numbers through projections of unrestricted substitutions; the two routes
-share one block loop (`_codim_blocks`, associative algebras only), are compared
-in the tests and must agree exactly.
+its labellings (`_codim_blocks`, associative algebras only).
 The resource guard still counts all |support|^n labellings, not the multisets.
+
+Labels may also be read as delta functionals of (QG)*: for a group grading the
+delta-labelled identities are exactly the graded ones, so mode h of
+`codimension_report` reports the same blocks. General (QG)*-labels expand into
+delta labels (`MultilinearGradedPoly.from_functionals`), and
+`is_functional_identity` checks an identity through projections of
+unrestricted substitutions, independently of the component-wise route.
 """
 
 from __future__ import annotations
@@ -60,6 +63,32 @@ class MultilinearGradedPoly:
                 clean[(perm, degs)] = clean.get((perm, degs), ZERO) + coeff
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
+    @classmethod
+    def from_functionals(cls, n: int, terms: dict, support) -> "MultilinearGradedPoly":
+        """Polynomial whose variables carry (QG)*-labels: each label is a
+        group element g, read as the delta functional at g, or a general
+        `DualFunctional` f. On an algebra with this support, f acts as the sum
+        of f(g) times the projection onto A_g, so a term with label f expands
+        into delta-labelled terms weighted by f's values on the support."""
+        expanded: dict = {}
+        for (perm, labels), coeff in terms.items():
+            coeff = as_rat(coeff)
+            choices = []
+            for l in labels:
+                if isinstance(l, DualFunctional):
+                    choices.append([(g, l(g)) for g in support])
+                elif isinstance(l, GroupElem):
+                    choices.append([(l, ONE)])
+                else:
+                    raise ValidationError(f"label {l!r} is neither a functional nor a group element")
+            for combo in iproduct(*choices):
+                c = coeff
+                for _, w in combo:
+                    c *= w
+                key = (tuple(perm), tuple(g for g, _ in combo))
+                expanded[key] = expanded.get(key, ZERO) + c
+        return cls(n, expanded)
+
     def __add__(self, other):
         if other.n != self.n:
             raise ValidationError("adding polynomials in different variable counts")
@@ -77,71 +106,6 @@ class MultilinearGradedPoly:
 
     def is_zero(self):
         return not self.terms
-
-
-class FunctionalPoly:
-    """Multilinear polynomial whose variables carry delta-functional labels
-    drawn from the support of a fixed algebra.
-
-    General functional labels are reduced eagerly at construction: a label f
-    expands into the delta labels on the support weighted by f's values there
-    (values off the support act as zero on the algebra).
-    """
-
-    def __init__(self, n: int, terms: dict, support=None):
-        self.n = n
-        clean: dict = {}
-        for (perm, labels), coeff in terms.items():
-            perm = tuple(perm)
-            _check_perm(perm, n)
-            coeff = as_rat(coeff)
-            if coeff == 0:
-                continue
-            if any(isinstance(l, DualFunctional) for l in labels):
-                if support is None:
-                    raise ValidationError("general functional labels need the support for reduction")
-                choices = []
-                for l in labels:
-                    if isinstance(l, DualFunctional):
-                        choices.append([(g, l(g)) for g in support])
-                    else:
-                        choices.append([(l, Fraction(1))])
-                for combo in iproduct(*choices):
-                    c = coeff
-                    for _, w in combo:
-                        c *= w
-                    if c == 0:
-                        continue
-                    key = (perm, tuple(g for g, _ in combo))
-                    clean[key] = clean.get(key, ZERO) + c
-            else:
-                key = (perm, tuple(labels))
-                clean[key] = clean.get(key, ZERO) + coeff
-        for (_, labels) in clean:
-            for l in labels:
-                if not isinstance(l, GroupElem):
-                    raise ValidationError(f"label {l!r} is neither a functional nor a group element")
-        self.terms = {k: v for k, v in clean.items() if v != 0}
-
-    def is_zero(self):
-        return not self.terms
-
-
-def gr_to_h(f: MultilinearGradedPoly, A: GradedAlgebra) -> FunctionalPoly:
-    """Relabel degree labels as delta labels; labels outside the support map
-    to zero (terms carrying them are dropped)."""
-    support = set(A.support)
-    terms = {}
-    for (perm, degs), coeff in f.terms.items():
-        if any(g not in support for g in degs):
-            continue
-        terms[(perm, degs)] = terms.get((perm, degs), ZERO) + coeff
-    return FunctionalPoly(f.n, terms)
-
-
-def h_to_gr(f: FunctionalPoly, A: GradedAlgebra) -> MultilinearGradedPoly:
-    """Relabel delta labels as degree labels."""
-    return MultilinearGradedPoly(f.n, f.terms)
 
 
 def _fold_basis_product(A: GradedAlgebra, seq) -> dict:
@@ -179,9 +143,10 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     return True
 
 
-def evaluate_functional_poly(f: FunctionalPoly, A: GradedAlgebra, vectors) -> tuple:
-    """Evaluate with x_i := vectors[i]; each labelled occurrence projects its
-    argument onto the label's component."""
+def evaluate_functional_poly(f: MultilinearGradedPoly, A: GradedAlgebra, vectors) -> tuple:
+    """Evaluate with x_i := vectors[i], reading each label as the delta
+    functional at it: a labelled occurrence acts on its unrestricted argument
+    by the projection onto the label's component (zero outside the support)."""
     if len(vectors) != f.n:
         raise ValidationError("need one substitution vector per variable")
     acc = [ZERO] * A.dim
@@ -197,8 +162,10 @@ def evaluate_functional_poly(f: FunctionalPoly, A: GradedAlgebra, vectors) -> tu
     return tuple(acc)
 
 
-def is_functional_identity(f: FunctionalPoly, A: GradedAlgebra) -> bool:
-    """True iff f vanishes for all substitutions X -> A (basis tuples suffice)."""
+def is_functional_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
+    """True iff f, its labels read as delta functionals, vanishes for all
+    substitutions X -> A (basis tuples suffice). An independent route to
+    `is_graded_identity`: it never restricts a variable to a component."""
     for choice in iproduct(range(A.dim), repeat=f.n):
         vectors = [A.basis_vector(i) for i in choice]
         if not is_zero_vector(evaluate_functional_poly(f, A, vectors)):
@@ -217,10 +184,10 @@ def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
             f"{m}^{n} = {m ** n} degree assignments exceed the cap of {max_blocks}")
 
 
-def _block_rank(A: GradedAlgebra, comps) -> int:
-    """Rank of one block: variable i ranges over the basis indices comps[i];
-    rows are the n! word orders, columns are (basis tuple) x (output
-    coordinate).
+def codim_block(A: GradedAlgebra, degs) -> int:
+    """Rank of one assignment block: variable i ranges over the basis of the
+    component of degs[i]; rows are the n! word orders, columns are (matching
+    basis tuple) x (output coordinate).
 
     Word orders are walked depth first. A node holds the nonzero products of
     the variables placed so far, one per basis choice, keyed by the column
@@ -229,6 +196,7 @@ def _block_rank(A: GradedAlgebra, comps) -> int:
     vanish is dropped with its subtree, and each distinct nonzero row enters
     the Reducer once.
     """
+    comps = [A.component_indices(g) for g in degs]
     if any(not c for c in comps):
         return 0
     n = len(comps)
@@ -283,34 +251,12 @@ def _label_orbits(support, n):
         yield labels, mult
 
 
-def codim_block(A: GradedAlgebra, degs) -> int:
-    """Rank of one assignment block: rows are the n! word orders, columns are
-    (matching basis tuple) x (output coordinate)."""
-    return _block_rank(A, [A.component_indices(g) for g in degs])
-
-
-def _codim_blocks(A: GradedAlgebra, n: int, mode: str, max_n: int, max_blocks: int) -> list:
-    """(labelling count, block rank) per multiset of n support labels, for
-    modes gr and h alike.
-
-    In mode gr a label's variable ranges over its component (`codim_block`).
-    In mode h labels are delta functionals on the support: a general label
-    reduces to that span, which changes no ranks, and a delta projection sends
-    each basis vector to itself or to zero, so a label's variable ranges over
-    the basis vectors its projection keeps. The two modes must agree exactly.
-    """
+def _codim_blocks(A: GradedAlgebra, n: int, max_n: int, max_blocks: int) -> list:
+    """(labelling count, block rank) per multiset of n support labels."""
     if A.kind != ASSOCIATIVE:
         raise ValidationError("codimensions are computed for associative algebras")
     _guard(A, n, max_n, max_blocks)
-    orbits = _label_orbits(A.support, n)
-    if mode == "gr":
-        return [(mult, codim_block(A, labels)) for labels, mult in orbits]
-    kept = {}
-    for g in A.support:
-        delta = DualFunctional.delta(g)
-        kept[g] = [i for i in range(A.dim)
-                   if not is_zero_vector(dual_action(delta, A.basis_vector(i), A))]
-    return [(mult, _block_rank(A, [kept[g] for g in labels])) for labels, mult in orbits]
+    return [(mult, codim_block(A, labels)) for labels, mult in _label_orbits(A.support, n)]
 
 
 def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
@@ -318,15 +264,7 @@ def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     """c_n = sum of block ranks over all assignments in Support^n, computed
     once per label multiset and weighted by the multinomial. The trivial
     group reproduces ordinary codimensions."""
-    return sum(mult * rank for mult, rank in _codim_blocks(A, n, "gr", max_n, max_blocks))
-
-
-def functional_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
-                           max_blocks: int = DEFAULT_MAX_BLOCKS) -> int:
-    """Codimension of delta-labelled multilinear polynomials, evaluated through
-    projections of unrestricted basis substitutions. Must agree with
-    graded_codimension for every n."""
-    return sum(mult * rank for mult, rank in _codim_blocks(A, n, "h", max_n, max_blocks))
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n, max_n, max_blocks))
 
 
 def nilpotent_shortcut(A: GradedAlgebra, n: int):
@@ -458,6 +396,8 @@ def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
     ratios and (when requested) the growth verdict."""
     if mode not in ("gr", "h"):
         raise ValidationError("mode must be 'gr' or 'h'")
+    if n_max < 1:
+        raise ValidationError("codimensions start at n = 1")
     values = []
     per_n = []
     shortcuts = []
@@ -470,7 +410,7 @@ def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
             per_n.append({"n": n, "assignments": m ** n, "computed": 0,
                           "nonzero_blocks": 0})
             continue
-        blocks = _codim_blocks(A, n, mode, max_n, max_blocks)
+        blocks = _codim_blocks(A, n, max_n, max_blocks)
         values.append(sum(mult * rank for mult, rank in blocks))
         row = {"n": n, "assignments": m ** n, "computed": m ** n}
         if mode == "gr":

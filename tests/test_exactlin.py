@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from gradedalg.algebra import GradedAlgebra
+from gradedalg.builders import matrix_algebra_z2
 from gradedalg.errors import DimensionMismatchError, ValidationError
 from gradedalg.exactlin import (Mat, Reducer, Subspace, kernel, rank, rref,
                                 solve, invert, subspace_intersection,
                                 subspace_sum, is_zero_vector)
 from gradedalg.groups import TrivialGroup
-from gradedalg.hopf import DualFunctional
+from gradedalg.hopf import DualFunctional, dual_action
 from gradedalg.identities import MultilinearGradedPoly
 from tests.corpus import random_matrices
 from tests.oracles import bareiss_rank
@@ -161,7 +162,8 @@ def test_exactness_with_awkward_fractions():
 
 def test_reducer_input_stays_exact():
     red = Reducer(3)
-    red.insert([3, 1, 1])
+    assert red.insert([3, 1, 1]) == (F(1), F(1, 3), F(1, 3))    # the new row
+    assert red.insert([6, 2, 2]) is None                          # already spanned
     basis = Subspace.from_vectors(2, [(3, 1)]).basis_vectors()
     assert red.rows == [[F(1), F(1, 3), F(1, 3)]] and basis == ((F(1), F(1, 3)),)
     assert all(type(a) is Fraction for a in red.rows[0] + list(basis[0]))
@@ -175,8 +177,10 @@ def test_reducer_input_stays_exact():
     lambda: DualFunctional(TrivialGroup(), {TrivialGroup().identity(): 0.5}),
     lambda: Mat([[1, 0.5]]),
     lambda: Subspace.from_vectors(2, [(1, 0.5)]),
+    lambda: dual_action(DualFunctional.delta(matrix_algebra_z2().support[0]),
+                        (0.5, 0, 0, 0), matrix_algebra_z2()),
 ], ids=["structure-constant", "unit", "poly-coefficient", "functional-value",
-        "mat-entry", "subspace-vector"])
+        "mat-entry", "subspace-vector", "dual-action-vector"])
 def test_float_input_is_rejected(build):
     with pytest.raises(ValidationError, match=r"0\.5|0\.1|1\.0"):
         build()

@@ -5,7 +5,7 @@ import pytest
 
 from gradedalg.builders import (builtin, free_group_truncation, fz2,
                                 matrix_algebra_z2, ut2)
-from gradedalg.errors import NotAnIdealError
+from gradedalg.errors import DimensionMismatchError, NotAnIdealError
 from gradedalg.exactlin import Subspace
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.algebra import graded_closure
@@ -50,6 +50,14 @@ def test_projection_example_m2():
     _, g1 = M.support
     v = (F(1), F(1), F(0), F(0))            # e11 + e12
     assert dual_action(DualFunctional.delta(g1), v, M) == (F(0), F(1), F(0), F(0))
+
+
+def test_dual_action_checks_vector_length():
+    M = matrix_algebra_z2()
+    delta = DualFunctional.delta(M.support[0])
+    for v in [(F(1),) * 3, (F(1),) * 5]:
+        with pytest.raises(DimensionMismatchError):
+            dual_action(delta, v, M)
 
 
 def test_generalized_action_law_on_products():

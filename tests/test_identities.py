@@ -9,12 +9,10 @@ from gradedalg.builders import (builtin, free_group_truncation,
                                 matrix_algebra, matrix_algebra_z2)
 from gradedalg.errors import ResourceCapError, ValidationError
 from gradedalg.hopf import DualFunctional
-from gradedalg.identities import (FunctionalPoly, MultilinearGradedPoly,
-                                  codim_block, codimension_report,
-                                  decimal_root, exponent_estimate,
-                                  evaluate_functional_poly,
-                                  functional_codimension, graded_codimension,
-                                  gr_to_h, h_to_gr, is_functional_identity,
+from gradedalg.identities import (MultilinearGradedPoly, codim_block,
+                                  codimension_report, decimal_root,
+                                  exponent_estimate, evaluate_functional_poly,
+                                  graded_codimension, is_functional_identity,
                                   is_graded_identity, nilpotent_shortcut)
 from gradedalg.radical import jacobson_radical
 from tests.oracles import brute_block_rank, global_graded_codim_rank
@@ -78,13 +76,6 @@ def test_block_sum_equals_global_rank_small():
             assert graded_codimension(A, n) == global_graded_codim_rank(A, n)
 
 
-def test_functional_matches_graded_small():
-    for name in ("m2_z2", "fz2", "ut2"):
-        A = builtin(name)
-        for n in (1, 2):
-            assert functional_codimension(A, n) == graded_codimension(A, n)
-
-
 def test_free_trunc_codims_match_word_counting():
     # every component is one word; a block's rank is the number of distinct
     # nonzero concatenations over the orderings, giving 3n^2 + 3n + 1 overall
@@ -96,10 +87,13 @@ def test_free_trunc_codims_match_word_counting():
 def test_trivial_group_reproduces_ordinary_codimension():
     M2 = matrix_algebra(2)
     assert len(M2.support) == 1
-    assert graded_codimension(M2, 3) == functional_codimension(M2, 3)
+    for n in (1, 2, 3):
+        assert graded_codimension(M2, n) == global_graded_codim_rank(M2, n)
 
 
 def test_round_trip_label_maps():
+    # delta labels through unrestricted substitutions decide the same
+    # identities as degree labels through component substitutions
     rng = random.Random(21)
     M = matrix_algebra_z2()
     for _ in range(100):
@@ -110,21 +104,16 @@ def test_round_trip_label_maps():
             degs = tuple(rng.choice(M.support) for _ in range(n))
             terms[(perm, degs)] = F(rng.randint(-3, 3))
         f = MultilinearGradedPoly(n, terms)
-        h = gr_to_h(f, M)
-        back = h_to_gr(h, M)
-        # evaluation equality on all matching basis tuples
-        if f.terms:
-            diff = f - back
-            assert is_graded_identity(diff, M)
-        assert is_graded_identity(f, M) == is_functional_identity(h, M)
-        assert gr_to_h(back, M).terms == h.terms     # other direction is exact
+        assert MultilinearGradedPoly.from_functionals(n, terms, M.support).terms == f.terms
+        assert is_graded_identity(f, M) == is_functional_identity(f, M)
 
 
 def test_out_of_support_maps_to_zero():
     A = free_group_truncation(2, 2)
     g_out = A.group.word([1, 1])
     f = MultilinearGradedPoly(1, {((0,), (g_out,)): F(1)})
-    assert gr_to_h(f, A).is_zero()
+    assert is_functional_identity(f, A)
+    assert evaluate_functional_poly(f, A, [(F(1),) * A.dim]) == (F(0),) * A.dim
 
 
 def test_general_label_reduction():
@@ -132,11 +121,23 @@ def test_general_label_reduction():
     M = matrix_algebra_z2()
     g0, g1 = M.support
     f = DualFunctional(M.group, {g0: F(2), g1: F(3)})
-    poly = FunctionalPoly(1, {((0,), (f,)): F(1)}, support=M.support)
+    poly = MultilinearGradedPoly.from_functionals(1, {((0,), (f,)): F(1)}, M.support)
     assert poly.terms == {((0,), (g0,)): F(2), ((0,), (g1,)): F(3)}
     v = (F(1), F(1), F(1), F(1))
     out = evaluate_functional_poly(poly, M, [v])
     assert out == (F(2), F(3), F(3), F(2))
+
+
+def test_functional_labels_are_validated():
+    M = matrix_algebra_z2()
+    g0, g1 = M.support
+    with pytest.raises(ValidationError, match="one degree label per variable"):
+        MultilinearGradedPoly.from_functionals(2, {((0, 1), (g0,)): 1}, M.support)
+    with pytest.raises(ValidationError, match="one degree label per variable"):
+        MultilinearGradedPoly.from_functionals(
+            1, {((0,), (DualFunctional.delta(g0), g1)): 1}, M.support)
+    with pytest.raises(ValidationError, match="neither a functional nor a group element"):
+        MultilinearGradedPoly.from_functionals(1, {((0,), ("g0",)): 1}, M.support)
 
 
 def test_nilpotent_shortcut():
@@ -157,9 +158,13 @@ def test_resource_caps():
     with pytest.raises(ResourceCapError):
         graded_codimension(A, 6)     # 7^6 assignments exceed the default cap
     with pytest.raises(ResourceCapError):
-        functional_codimension(A, 6)
+        codimension_report(A, 2, mode="h", max_blocks=7)    # 7^2 labellings
     with pytest.raises(ValidationError):
         graded_codimension(A, 0)
+    for mode in ("gr", "h"):
+        for n_max in (0, -1):
+            with pytest.raises(ValidationError, match="codimensions start at n = 1"):
+                codimension_report(A, n_max, mode=mode)
 
 
 def test_decimal_root():
@@ -221,8 +226,6 @@ def test_codimensions_reject_lie():
     from gradedalg.builders import sl2
     with pytest.raises(ValidationError):
         graded_codimension(sl2(), 2)
-    with pytest.raises(ValidationError):
-        functional_codimension(sl2(), 2)
     for mode in ("gr", "h"):
         with pytest.raises(ValidationError):
             codimension_report(sl2(), 2, mode=mode)
@@ -278,7 +281,7 @@ def test_codimensions_beyond_the_old_reach():
     A = free_group_truncation(2, 3)
     assert graded_codimension(A, 6, max_blocks=7 ** 6) == 3 * 36 + 3 * 6 + 1
     B = builtin("free_trunc_2_5")       # dim 31
-    assert functional_codimension(B, 3) == graded_codimension(B, 3) == 645
+    assert graded_codimension(B, 3) == 645
 
 
 def test_report_block_statistics_golden():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -178,6 +179,28 @@ def test_cli_codim_both_modes(tmp_path):
     assert rep["results"]["gr"]["values"] == rep["results"]["h"]["values"]
 
 
+# sha256 of stdout and of --json-out of `codim --mode both --predicted-d 2`,
+# recorded while mode h still had its own block route
+@pytest.mark.parametrize("name, n_max, stdout_sha, json_sha", [
+    ("m2_z2", 4, "de17c8a175492b0201d726df444b749b28c6ecfd0cb24185fb26ee5f663f1367",
+     "43736d2df47912e837d50fff10ab98bde44894b25350e60448e8aa4808e2eafd"),
+    ("ut2", 4, "fe3174eb9c9d16008e2b331b1ec473fe6a28a8db1f93a15f1faecdd6bfba21ce",
+     "bec7700dd14de4df358d604a3ddd849f058f69fcd4f5bfeed5a7a8990425bd42"),
+    ("fz2", 4, "fa757456d69d40dbb5fb8fc4607a491f11706b86c009687f63354f7627f43ab1",
+     "bea23907aa5fb4f23bdc007745945e4bb2f8d291a25178b867d1476b2c52e6fb"),
+    ("free_trunc_2_3", 4, "f855fec9f1b2a6e3e344deb31fb46174ab430b9edd81fe8ee9199529caec96df",
+     "868a717fef003e74f0af8c6bfede0ceb4e06005922d2edfd5df38e6cdd9661d8"),
+    ("free_trunc_2_5", 2, "8f8109e20923f81605efa1f319f67585e979cbc27d9f5ab06bf31b8378bea4d1",
+     "96b323e123274ae31d52ce9fc175d702edcafb3815961e9e5f3fd9ada7fa5b69"),
+])
+def test_cli_codim_both_modes_golden(name, n_max, stdout_sha, json_sha, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["codim", "--builtin", name, "--n-max", str(n_max), "--mode", "both",
+                 "--predicted-d", "2", "--json-out", str(out)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+
+
 def test_cli_verify_free_trunc(capsys, tmp_path):
     out = tmp_path / "v.json"
     code = main(["verify", "--builtin", "free_trunc_2_3", "--json-out", str(out)])
@@ -256,6 +279,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # resource cap on n
     assert main(["codim", "--builtin", "fz2", "--n-max", "3", "--max-n", "2"]) == 4
     capsys.readouterr()
+    # codimensions start at n = 1
+    for n_max in ("0", "-1"):
+        for mode in ("gr", "h", "both"):
+            assert main(["codim", "--builtin", "fz2", "--n-max", n_max, "--mode", mode]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "codimensions start at n = 1" in err
     # codimensions of a Lie algebra are refused in every mode
     for mode in ("gr", "h", "both"):
         assert main(["codim", "--builtin", "sl2", "--mode", mode]) == 3
