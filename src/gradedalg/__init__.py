@@ -14,7 +14,8 @@ from .structure import (GradedDecomposition, levi_decomposition, levi_graded,
                         malcev_complement_graded, malcev_decomposition,
                         wedderburn_artin_graded)
 from .identities import (MultilinearGradedPoly, codim_block,
-                         codimension_report, exponent_estimate,
+                         codimension_report, codimension_reports,
+                         exponent_estimate,
                          graded_codimension, is_graded_identity,
                          nilpotent_shortcut)
 

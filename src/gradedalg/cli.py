@@ -16,7 +16,7 @@ from .builders import builtin, builtin_names
 from .errors import (DimensionMismatchError, GroupMismatchError,
                      InternalCheckError, NotAnIdealError, NotGradedError,
                      ResourceCapError, SchemaError, ValidationError)
-from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_report,
+from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_reports,
                          is_graded_identity)
 from .radical import (graded_radical_report, jacobson_radical,
                       solvable_radical)
@@ -125,10 +125,9 @@ def cmd_codim(args) -> int:
     modes = ["gr", "h"] if args.mode == "both" else [args.mode]
     out = {"command": "codim", "input_digest": digest(desc), "name": A.name,
            "n_max": args.n_max, "results": {}}
-    for mode in modes:
-        rep = codimension_report(A, args.n_max, mode=mode,
-                                 predicted_d=args.predicted_d,
-                                 max_n=args.max_n, max_blocks=args.max_blocks)
+    reports = codimension_reports(A, args.n_max, modes, predicted_d=args.predicted_d,
+                                  max_n=args.max_n, max_blocks=args.max_blocks)
+    for mode, rep in zip(modes, reports):
         print(f"mode {mode}:")
         print(f"  {'n':>3} {'c_n':>10} {'root':>10} {'ratio':>12}")
         for i, v in enumerate(rep.values):

@@ -50,6 +50,8 @@ class MultilinearGradedPoly:
     """
 
     def __init__(self, n: int, terms: dict):
+        if n < 1:
+            raise ValidationError("a multilinear polynomial needs n >= 1 variables")
         self.n = n
         clean = {}
         for (perm, degs), coeff in terms.items():
@@ -394,12 +396,21 @@ def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> CodimReport:
     """Codimension table c_1..c_{n_max} with block statistics, exact roots,
     ratios and (when requested) the growth verdict."""
-    if mode not in ("gr", "h"):
+    return codimension_reports(A, n_max, (mode,), predicted_d, max_n, max_blocks)[0]
+
+
+def codimension_reports(A: GradedAlgebra, n_max: int, modes,
+                        predicted_d: int | None = None,
+                        max_n: int = DEFAULT_MAX_N,
+                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> list:
+    """One `codimension_report` per mode, every block computed once: the
+    modes share the blocks and differ only in the per_n keys they report."""
+    if any(mode not in ("gr", "h") for mode in modes):
         raise ValidationError("mode must be 'gr' or 'h'")
     if n_max < 1:
         raise ValidationError("codimensions start at n = 1")
     values = []
-    per_n = []
+    per_n = {mode: [] for mode in modes}
     shortcuts = []
     m = len(A.support)
     for n in range(1, n_max + 1):
@@ -407,18 +418,21 @@ def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
         if short is not None:
             values.append(0)
             shortcuts.append(n)
-            per_n.append({"n": n, "assignments": m ** n, "computed": 0,
-                          "nonzero_blocks": 0})
+            for rows in per_n.values():
+                rows.append({"n": n, "assignments": m ** n, "computed": 0,
+                             "nonzero_blocks": 0})
             continue
         blocks = _codim_blocks(A, n, max_n, max_blocks)
         values.append(sum(mult * rank for mult, rank in blocks))
-        row = {"n": n, "assignments": m ** n, "computed": m ** n}
-        if mode == "gr":
-            row["nonzero_blocks"] = sum(mult for mult, rank in blocks if rank)
-            row["max_block_rank"] = max((rank for _, rank in blocks), default=0)
-        per_n.append(row)
+        for mode, rows in per_n.items():
+            row = {"n": n, "assignments": m ** n, "computed": m ** n}
+            if mode == "gr":
+                row["nonzero_blocks"] = sum(mult for mult, rank in blocks if rank)
+                row["max_block_rank"] = max((rank for _, rank in blocks), default=0)
+            rows.append(row)
     roots = [decimal_root(v, i + 1) if v > 0 else "0.0000" for i, v in enumerate(values)]
     ratios = [Fraction(values[i + 1], values[i]) if values[i] else None
               for i in range(len(values) - 1)]
     verdict = exponent_estimate(values, predicted_d) if len(values) >= 3 else None
-    return CodimReport(mode, values, per_n, roots, ratios, verdict, shortcuts)
+    return [CodimReport(mode, values, per_n[mode], roots, ratios, verdict, shortcuts)
+            for mode in modes]

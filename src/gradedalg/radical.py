@@ -1,22 +1,24 @@
 """Radicals and their gradedness: Jacobson radical via the trace-form kernel,
-solvable radical via Killing orthogonality, nilradical via the adjoint
-associative envelope, plus the graded-closure verdicts.
+solvable radical via Killing orthogonality, nilradical as the kernel of
+tr(ad x . y) over the span of ad-words, plus the graded-closure verdicts.
 
 All radical computations are plain exact linear algebra; over Q (char 0) the
-trace criterion J = rad{(a,b) -> tr(L(ab))} on the unitalization is exact, and
-the Killing-orthogonal complement of [L, L] is the solvable radical.
+trace criterion J = rad{(a,b) -> tr(L(ab))} on the unitalization is exact,
+the Killing-orthogonal complement of [L, L] is the solvable radical, and
+the nilradical {x : ad x in J(E)}, E the span of the nonempty ad-words, is
+{x : tr(ad x . y) = 0 for all y in E}, since J(E) is the radical of the
+trace form of E (see `nilradical`). The Killing form and the ad-word span
+are read off the sparse structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, SubalgebraEmbedding,
-                      graded_closure, nilpotency_index, quotient_algebra,
-                      unitalize)
+from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, graded_closure,
+                      nilpotency_index, quotient_algebra, unitalize)
 from .errors import InternalCheckError, ValidationError
 from .exactlin import Mat, Reducer, Subspace, ZERO, kernel, unit_vector
-from .groups import TrivialGroup
 
 
 def graded_check(w: Subspace, A: GradedAlgebra):
@@ -74,23 +76,29 @@ def jacobson_radical(A: GradedAlgebra, verify: bool = True) -> Subspace:
     return J
 
 
+def _ad_matrix(L: GradedAlgebra, i: int) -> list:
+    """ad x_i flattened row-major: entry (k, j) is the coefficient of x_k in [x_i, x_j]."""
+    n = L.dim
+    flat = [ZERO] * (n * n)
+    for j, row in enumerate(L.structure[i]):
+        for k, c in row:
+            flat[k * n + j] = c
+    return flat
+
+
+def _ad_traces(L: GradedAlgebra, y) -> list:
+    """(tr(ad x_i . y))_i for a flattened n x n matrix y, read off the sparse
+    constants: tr(ad x_i . y) = sum over j and c_ij^k of c_ij^k y[j][k]."""
+    n = L.dim
+    return [sum((c * y[j * n + k] for j, row in enumerate(plane) for k, c in row), ZERO)
+            for plane in L.structure]
+
+
 def killing_form(L: GradedAlgebra) -> Mat:
     """kappa(x, y) = tr(ad x . ad y) as a matrix over the basis."""
     if L.kind != LIE:
         raise ValidationError("Killing form is for Lie algebras")
-    ads = [L.left_mult_matrix(unit_vector(L.dim, i)) for i in range(L.dim)]
-    n = L.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            t = ZERO
-            for a in range(n):
-                for b in range(n):
-                    t += ads[i].entry(a, b) * ads[j].entry(b, a)
-            row.append(t)
-        rows.append(row)
-    return Mat(rows, cols=n)
+    return Mat([_ad_traces(L, _ad_matrix(L, j)) for j in range(L.dim)], cols=L.dim)
 
 
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
@@ -118,7 +126,7 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     K = killing_form(L)
     derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
     rows = [K.mul_vec(d) for d in derived.basis_vectors()]
-    R = kernel(Mat(rows, cols=L.dim)) if rows else Subspace.full(L.dim)
+    R = kernel(Mat(rows, cols=L.dim))
     if verify:
         if not L.is_ideal(R):
             raise InternalCheckError("solvable radical candidate is not an ideal")
@@ -134,71 +142,47 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     return R
 
 
-def adjoint_envelope(L: GradedAlgebra) -> SubalgebraEmbedding:
-    """The associative subalgebra of End(L) generated by all ad x, presented as
-    an abstract (trivially graded) algebra over the flattened matrix space."""
-    if L.kind != LIE:
-        raise ValidationError("adjoint envelope is for Lie algebras")
+def _ad_word_span(L: GradedAlgebra) -> list:
+    """A basis of E = the span of all nonempty ad-words ad x_i1 ... ad x_ik
+    (the associative subalgebra of End(L) the ad x generate), as flattened
+    n x n matrices: the ad x_i, closed by multiplying each new basis row on
+    the left once by each ad x_i."""
     n = L.dim
-    mats = [L.left_mult_matrix(unit_vector(n, i)) for i in range(n)]
-    amb = n * n
-    flat = lambda M: tuple(M.entry(i, j) for i in range(n) for j in range(n))
-    red = Reducer(amb)
-    basis_mats = []
-    work = []
-    for M in mats:
-        if red.insert(flat(M)):
-            basis_mats.append(M)
-            work.append(M)
+    red = Reducer(n * n)
+    basis = []
+    work = [_ad_matrix(L, i) for i in range(n)]
     while work:
-        M = work.pop()
-        for B in list(basis_mats):
-            for P in (M @ B, B @ M):
-                if red.insert(flat(P)):
-                    basis_mats.append(P)
-                    work.append(P)
-    span = red.subspace()
-    # abstract associative algebra over the flattened ambient space
-    triv = TrivialGroup()
-    rows = span.basis_vectors()
-    dim = len(rows)
-    unflat = lambda r: Mat([r[i * n:(i + 1) * n] for i in range(n)], cols=n)
-    row_mats = [unflat(r) for r in rows]
-    structure = {}
-    for a in range(dim):
-        for b in range(dim):
-            coords = span.coords(flat(row_mats[a] @ row_mats[b]))
-            if coords is None:
-                raise InternalCheckError("envelope span is not multiplicatively closed")
-            structure.update({(a, b, k): c for k, c in enumerate(coords) if c != 0})
-    degrees = [triv.identity()] * dim
-    alg = GradedAlgebra(triv, degrees, structure, kind=ASSOCIATIVE, name="ad-envelope")
-    return SubalgebraEmbedding(alg, tuple(rows))
+        y = red.insert(work.pop())
+        if y is None:
+            continue
+        basis.append(y)
+        rows = [[(m, y[j * n + m]) for m in range(n) if y[j * n + m] != 0] for j in range(n)]
+        for plane in L.structure:
+            p = [ZERO] * (n * n)
+            for j, row in enumerate(plane):
+                for k, c in row:
+                    for m, v in rows[j]:
+                        p[k * n + m] += c * v
+            work.append(p)
+    return basis
 
 
 def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
-    """N = {x : ad x lies in the Jacobson radical of the adjoint envelope}."""
+    """N = {x : ad x in J(E)}, E the span of the nonempty ad-words, computed as
+    the kernel of tr(ad x . y) over the span of ad-words: x is in N iff
+    tr(ad x . y) = 0 for every y in E.
+
+    Over Q, J(E) = T = {y in E : tr(yz) = 0 for all z in E}. T is an ideal of
+    E (the trace is cyclic); each y in T has tr(y^k) = 0 for k >= 2, so y is
+    nilpotent, and a nil ideal is nilpotent, so T <= J(E). Conversely J(E) E
+    consists of nilpotents, whose traces vanish, so J(E) <= T.
+    """
     if L.kind != LIE:
         raise ValidationError("nilradical is for Lie algebras")
     n = L.dim
     if n == 0:
         return Subspace.zero(0)
-    env = adjoint_envelope(L)
-    JE = jacobson_radical(env.algebra, verify=False)
-    jmats = [env.include(r) for r in JE.basis_vectors()]    # flattened matrices
-    admap_cols = []
-    for i in range(n):
-        M = L.left_mult_matrix(unit_vector(n, i))
-        admap_cols.append(tuple(M.entry(a, b) for a in range(n) for b in range(n)))
-    # x in N  iff  admap . x lies in span(jmats): kernel of [admap | -jmats]
-    rows = []
-    for r in range(n * n):
-        rows.append([admap_cols[i][r] for i in range(n)] + [-jm[r] for jm in jmats])
-    ker = kernel(Mat(rows, cols=n + len(jmats)))
-    red = Reducer(n)
-    for v in ker.basis_vectors():
-        red.insert(v[:n])
-    N = red.subspace()
+    N = kernel(Mat([_ad_traces(L, y) for y in _ad_word_span(L)], cols=n))
     if verify:
         if not L.is_ideal(N):
             raise InternalCheckError("nilradical candidate is not an ideal")

@@ -1,7 +1,8 @@
 """Seeded corpus of graded associative and Lie algebras for the stability
 sweeps: builtins, randomized graded quotients of truncated free-group
-algebras, random graded subalgebras of matrix algebras, and direct sums;
-plus seeded integer matrices for the linear-algebra sweeps.
+algebras, random graded subalgebras of matrix algebras, direct sums, and the
+commutator Lie algebras A^- of the small associative members; plus seeded
+integer matrices for the linear-algebra sweeps.
 
 Grading groups covered: trivial, Z2, Z3, Z2 x Z2, free(2). All dims <= 8.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, quotient_algebra
+from gradedalg.algebra import LIE, GradedAlgebra, algebra_on_subspace, quotient_algebra
 from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, gl2_z2, heisenberg3,
                                 matrix_algebra, matrix_algebra_z2, sl2,
@@ -123,6 +124,22 @@ def lie_corpus() -> list:
     out.append(direct_sum(heisenberg3(), heisenberg3(), name="heis3+heis3"))
     out.append(direct_sum(two_dim_nonabelian_lie(), two_dim_nonabelian_lie(), name="aff1+aff1"))
     return out
+
+
+def commutator_algebra(A: GradedAlgebra) -> GradedAlgebra:
+    """A^- : the basis of A under [a, b] = ab - ba, with the same degrees."""
+    structure = {}
+    for (i, j, k), c in A.constants().items():
+        structure[i, j, k] = structure.get((i, j, k), 0) + c
+        structure[j, i, k] = structure.get((j, i, k), 0) - c
+    return GradedAlgebra(A.group, A.degrees, structure, kind=LIE, name=f"{A.name}^-")
+
+
+def commutator_corpus() -> list:
+    """A^- for every member of `associative_corpus()` with dim <= 7 whose
+    support commutes (so ab and ba share a degree and A^- is graded)."""
+    return [commutator_algebra(A) for A in associative_corpus()
+            if A.dim <= 7 and all(g * h == h * g for g in A.support for h in A.support)]
 
 
 _MATRIX_SHAPES = [(0, 4), (3, 0), (0, 0), (12, 3), (20, 2), (5, 7), (6, 6), (1, 5)]

@@ -140,6 +140,15 @@ def test_functional_labels_are_validated():
         MultilinearGradedPoly.from_functionals(1, {((0,), ("g0",)): 1}, M.support)
 
 
+def test_polynomial_needs_a_variable():
+    M = matrix_algebra_z2()
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="n >= 1 variables"):
+            MultilinearGradedPoly(n, {((), ()): 1})
+        with pytest.raises(ValidationError, match="n >= 1 variables"):
+            MultilinearGradedPoly.from_functionals(n, {((), ()): 1}, M.support)
+
+
 def test_nilpotent_shortcut():
     A = free_group_truncation(2, 3)
     J = jacobson_radical(A)

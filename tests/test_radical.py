@@ -10,12 +10,13 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
 from gradedalg.errors import ValidationError
 from gradedalg.exactlin import Mat, Subspace
-from gradedalg.groups import TrivialGroup
+from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import (derived_series, graded_check, graded_closure,
                                graded_radical_report, is_graded_subspace,
                                jacobson_radical, killing_form, nilradical,
                                solvable_radical)
-from tests.corpus import lie_corpus
+from gradedalg.schema import digest
+from tests.corpus import commutator_corpus, lie_corpus
 from tests.oracles import brute_force_largest_nilpotent_ideal
 
 F = Fraction
@@ -109,6 +110,50 @@ def test_nilradical_examples():
     assert nilradical(heisenberg3()) == Subspace.full(3)
     G = gl2_z2()
     assert nilradical(G) == Subspace.from_vectors(4, [(1, 0, 0, 1)])
+
+
+@pytest.fixture(scope="module")
+def lie_algebras():
+    return lie_corpus() + commutator_corpus()
+
+
+def test_lie_radicals_golden(lie_algebras):
+    # recorded while the nilradical was still read off the Jacobson radical
+    # of the adjoint envelope, built as an abstract algebra
+    assert len(lie_algebras) == 190
+    bases = [[[str(x) for x in v] for v in s.basis_vectors()]
+             for L in lie_algebras for s in (nilradical(L), solvable_radical(L))]
+    assert digest(bases) == "1656df4e86c61cd852f257729bc9d7451f98e74892e39ad5bfa3a8b233fb155f"
+
+
+def test_nilradical_matches_brute_force_oracle():
+    small = [L for L in lie_corpus() if L.dim <= 4]
+    assert len(small) == 5
+    for L in small:
+        assert nilradical(L) == brute_force_largest_nilpotent_ideal(L), L.name
+
+
+def test_nilradical_is_not_the_killing_radical():
+    # ad x rotates (v1, v2) and scales v3, v4 by 1, -1: ad x is not
+    # nilpotent, yet tr(ad x . ad y) = 0 for every y, so only products of
+    # ad-words separate x from the nilradical span(v1, .., v4)
+    z2 = CyclicGroup(2)
+    L = lie_from_brackets(z2, [0, 1, 1, 0, 1], 5,
+                          {(0, 1): [(2, 1)], (0, 2): [(1, -1)], (0, 3): [(3, 1)],
+                           (0, 4): [(4, -1)]}, name="rot+hyp")
+    assert killing_form(L) == Mat.zeros(5, 5)
+    N = nilradical(L)
+    assert N == Subspace.from_vectors(5, [L.basis_vector(i) for i in range(1, 5)])
+    assert N == brute_force_largest_nilpotent_ideal(L, entries=(-1, 0, 1))
+
+
+def test_killing_form_matches_dense_ad_products(lie_algebras):
+    for L in lie_algebras:
+        ads = [L.left_mult_matrix(L.basis_vector(i)) for i in range(L.dim)]
+        K = killing_form(L)
+        for i in range(L.dim):
+            for j in range(L.dim):
+                assert K.entry(i, j) == (ads[i] @ ads[j]).trace()
 
 
 def test_derived_series_and_solvability():

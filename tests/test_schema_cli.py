@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gradedalg.cli
+import gradedalg.identities
 from gradedalg.builders import builtin
 from gradedalg.cli import main
 from gradedalg.errors import InternalCheckError, SchemaError
@@ -199,6 +200,23 @@ def test_cli_codim_both_modes_golden(name, n_max, stdout_sha, json_sha, capsys, 
                  "--predicted-d", "2", "--json-out", str(out)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+
+
+def test_cli_codim_both_modes_computes_each_block_once(monkeypatch):
+    calls = []
+    codim_block = gradedalg.identities.codim_block
+
+    def counting(A, labels):
+        calls.append(labels)
+        return codim_block(A, labels)
+
+    monkeypatch.setattr(gradedalg.identities, "codim_block", counting)
+    counts = {}
+    for mode in ("gr", "both"):
+        calls.clear()
+        assert main(["codim", "--builtin", "m2_z2", "--n-max", "4", "--mode", mode]) == 0
+        counts[mode] = len(calls)
+    assert counts["gr"] > 0 and counts["both"] == counts["gr"]
 
 
 def test_cli_verify_free_trunc(capsys, tmp_path):
