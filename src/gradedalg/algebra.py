@@ -348,14 +348,6 @@ class QuotientResult:
     def project(self, v) -> tuple:
         return self.projection.mul_vec(v)
 
-    def lift(self, vq) -> tuple:
-        out = [ZERO] * self.projection.cols
-        for coeff, vec in zip(vq, self.section):
-            if coeff != 0:
-                for i, x in enumerate(vec):
-                    out[i] += coeff * x
-        return tuple(out)
-
 
 def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResult:
     """Quotient by a graded two-sided ideal, on a homogeneous complement basis.

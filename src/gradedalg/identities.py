@@ -409,6 +409,8 @@ def codimension_reports(A: GradedAlgebra, n_max: int, modes,
         raise ValidationError("mode must be 'gr' or 'h'")
     if n_max < 1:
         raise ValidationError("codimensions start at n = 1")
+    if predicted_d is not None and predicted_d < 1:
+        raise ValidationError("predicted exponent must be a positive integer")
     values = []
     per_n = {mode: [] for mode in modes}
     shortcuts = []

@@ -4,12 +4,19 @@ graded Levi decompositions.
 
 No polynomial factorization anywhere. The semisimple decomposition descends on
 graded ideals generated by single homogeneous elements and splits with
-two-sided annihilator complements. The Mal'cev complement and the Levi
-subalgebra share one solve, `_lift_section`: it corrects a homogeneous linear
-section of A -> A/I by elements of the ideal I so that it is multiplicative
-modulo a smaller ideal. Mal'cev runs it along J, J^2, J^4, ...; Levi quotients
-by the derived series of the solvable radical until the radical is abelian
-and runs it once.
+two-sided annihilator complements.
+
+The Mal'cev complement (I = J, the Jacobson radical) and the Levi subalgebra
+(I = R, the solvable radical) are one routine, `_graded_complement`. It takes
+the homogeneous standard-vector section s of A -> A/I and corrects it along
+I = I_0 >= I_1 >= ..., I_{k+1} = I_k . I_k: J, J^2, J^4, ... for Mal'cev, the
+derived series of R for Levi. Step k (`_lift_section`) adds t_a in I_k so that
+s is multiplicative modulo I_{k+1}. As s is multiplicative modulo I_k and
+I_k . I_k = I_{k+1}, the s_a make I_k / I_{k+1} a bimodule (Lie: a module) of
+the semisimple A/I, and the defect of s is a 2-cocycle there. It is a
+coboundary, so step k is solvable: by the Wedderburn-Mal'cev theorem
+(Hochschild H^2 = 0) for associative A/I, by Whitehead's second lemma for Lie
+A/I. The chain reaches zero because I is nilpotent or solvable.
 """
 
 from __future__ import annotations
@@ -18,12 +25,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, algebra_on_subspace,
-                      quotient_algebra)
+from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import (Mat, ONE, Subspace, ZERO, is_zero_vector, kernel,
-                       solve, unit_vector)
+from .exactlin import Mat, ONE, Subspace, ZERO, is_zero_vector, kernel, solve
 from .radical import jacobson_radical, solvable_radical
+
+# Seed of the random homogeneous candidates, and how many of them to draw per
+# degree, in the graded-simple descent; fixed so decompositions reproduce.
+_CANDIDATE_SEED = 20240901
+_EXTRA_CANDIDATES = 4
 
 
 @dataclass
@@ -35,7 +45,7 @@ class GradedDecomposition:
         return [c.dim for c in self.components]
 
 
-def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng, extra: int = 4):
+def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng):
     """Nonzero homogeneous elements of the piece: projections of its canonical
     basis plus a few seeded random homogeneous combinations per degree."""
     seen = set()
@@ -52,7 +62,7 @@ def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng, extra: int =
     for g, vecs in list(by_degree.items()):
         if len(vecs) < 2:
             continue
-        for _ in range(extra):
+        for _ in range(_EXTRA_CANDIDATES):
             coeffs = [Fraction(rng.randint(-3, 3)) for _ in vecs]
             w = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(A.dim))
             if not is_zero_vector(w) and w not in seen:
@@ -88,7 +98,7 @@ def annihilator_within(A: GradedAlgebra, piece: Subspace, ideal: Subspace) -> Su
     return ann & piece
 
 
-def wedderburn_artin_graded(A: GradedAlgebra, seed: int = 20240901) -> GradedDecomposition:
+def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     """Decompose a semisimple unital algebra into graded-simple ideals.
 
     Splitting is descent + annihilator complement; each returned component is
@@ -103,7 +113,7 @@ def wedderburn_artin_graded(A: GradedAlgebra, seed: int = 20240901) -> GradedDec
         raise ValidationError("decomposition needs a unital algebra")
     if not jacobson_radical(A, verify=False).is_zero():
         raise NotSemisimpleError("algebra has a nonzero radical")
-    rng = random.Random(seed)
+    rng = random.Random(_CANDIDATE_SEED)
     final = []
     stack = [Subspace.full(A.dim)]
     while stack:
@@ -135,21 +145,6 @@ def wedderburn_artin_graded(A: GradedAlgebra, seed: int = 20240901) -> GradedDec
                 raise InternalCheckError(
                     "component is not graded-simple: a homogeneous element generates a proper ideal")
     return GradedDecomposition("wedderburn_artin", final)
-
-
-def malcev_decomposition(A: GradedAlgebra) -> GradedDecomposition:
-    """Complement and radical packaged as one decomposition record."""
-    B = malcev_complement_graded(A)
-    J = jacobson_radical(A, verify=False)
-    parts = [p for p in (B, J) if not p.is_zero()]
-    return GradedDecomposition("malcev", parts)
-
-
-def levi_decomposition(L: GradedAlgebra) -> GradedDecomposition:
-    B = levi_graded(L)
-    R = solvable_radical(L, verify=False)
-    parts = [p for p in (B, R) if not p.is_zero()]
-    return GradedDecomposition("levi", parts)
 
 
 def _axpy(acc: list, c, v):
@@ -218,34 +213,32 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
             _axpy(section[a], sol[offsets[a] + u], t)
 
 
-def malcev_complement_graded(A: GradedAlgebra) -> Subspace:
-    """A graded semisimple complement B with A = B (+) J(A).
+def _graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
+    """A graded subalgebra B with A = B (+) I, for a graded ideal I that is
+    nilpotent (associative A) or solvable (Lie A) with A/I semisimple.
 
-    Start from the homogeneous standard-vector section of A -> A/J and repair
-    multiplicativity modulo J, J^2, J^4, ... with `_lift_section`; every
-    correction is homogeneous because J is graded, so B stays graded.
+    Lifts the standard-vector section of A -> A/I along I, I.I, (I.I).(I.I),
+    ... with `_lift_section` (see the module docstring for why each step is
+    solvable); every correction is homogeneous because each I_k is graded.
     """
-    if A.kind != ASSOCIATIVE:
-        raise ValidationError("complement construction applies to associative algebras")
-    if A.unit is None:
-        raise ValidationError("complement construction needs a unital algebra")
-    J = jacobson_radical(A, verify=False)
-    if J.is_zero():
+    if I.is_zero():
         return Subspace.full(A.dim)
-    q = quotient_algebra(A, J)
+    q = quotient_algebra(A, I)
     section = [list(v) for v in q.section]
-    jpow = J
-    while not jpow.is_zero():
-        jnext = A.product_span(jpow, jpow)
-        _lift_section(A, q.algebra, section, jpow, jnext)
-        jpow = jnext
+    power = I
+    while not power.is_zero():
+        below = A.product_span(power, power)
+        if below == power:
+            raise InternalCheckError("ideal is not solvable: I_k . I_k = I_k != 0")
+        _lift_section(A, q.algebra, section, power, below)
+        power = below
     B = Subspace.from_vectors(A.dim, section)
-    _verify_complement(A, B, J, q.algebra, section)
+    _verify_complement(A, B, I, q.algebra, section)
     return B
 
 
-def _verify_complement(A, B, J, Q, section):
-    if B.dim != Q.dim or not (B & J).is_zero() or (B + J).dim != A.dim:
+def _verify_complement(A, B, I, Q, section):
+    if B.dim != Q.dim or not (B & I).is_zero() or (B + I).dim != A.dim:
         raise InternalCheckError("complement does not split the algebra")
     for a in range(Q.dim):
         for b in range(Q.dim):
@@ -256,46 +249,41 @@ def _verify_complement(A, B, J, Q, section):
             raise InternalCheckError("complement is not graded")
 
 
-def levi_graded(L: GradedAlgebra) -> Subspace:
-    """A graded semisimple subalgebra B with L = B (+) R (solvable radical).
+def _unital_radical(A: GradedAlgebra) -> Subspace:
+    """J(A), behind the guards of the Mal'cev complement."""
+    if A.kind != ASSOCIATIVE:
+        raise ValidationError("complement construction applies to associative algebras")
+    if A.unit is None:
+        raise ValidationError("complement construction needs a unital algebra")
+    return jacobson_radical(A, verify=False)
 
-    Recurses along the derived series of R: quotient by [R, R] until the
-    radical is abelian, then one exact homogeneous correction solve.
-    """
+
+def _lie_radical(L: GradedAlgebra) -> Subspace:
+    """The solvable radical, behind the guard of the Levi subalgebra."""
     if L.kind != LIE:
         raise ValidationError("Levi decomposition applies to Lie algebras")
-    R = solvable_radical(L, verify=False)
-    B = _levi_rows(L, R)
-    Bs = Subspace.from_vectors(L.dim, B)
-    if Bs.dim != L.dim - R.dim or not (Bs & R).is_zero() or (Bs + R).dim != L.dim:
-        raise InternalCheckError("Levi subalgebra does not complement the radical")
-    if not L.is_subalgebra(Bs):
-        raise InternalCheckError("Levi candidate is not closed under the bracket")
-    ok = all(L.degree_of(v) is not None for v in Bs.basis_vectors())
-    if not ok:
-        raise InternalCheckError("Levi subalgebra is not graded")
-    return Bs
+    return solvable_radical(L, verify=False)
 
 
-def _levi_rows(L: GradedAlgebra, R: Subspace) -> list:
-    if R.is_zero():
-        return [list(unit_vector(L.dim, i)) for i in range(L.dim)]
-    if R.dim == L.dim:
-        return []
-    DR = L.product_span(R, R)
-    if not DR.is_zero():
-        q = quotient_algebra(L, DR)
-        M = q.algebra
-        RM = solvable_radical(M, verify=False)
-        rows_M = _levi_rows(M, RM)
-        # preimage of the Levi part of M: a graded subalgebra with radical [R, R]
-        pre = Subspace.from_vectors(
-            L.dim, [q.lift(v) for v in rows_M] + list(DR.basis_vectors()))
-        emb = algebra_on_subspace(L, pre, name="levi-preimage")
-        inner_rows = _levi_rows(emb.algebra, solvable_radical(emb.algebra, verify=False))
-        return [list(emb.include(v)) for v in inner_rows]
-    # R abelian: one exact lift of the homogeneous section of L -> L/R
-    q = quotient_algebra(L, R)
-    section = [list(v) for v in q.section]
-    _lift_section(L, q.algebra, section, R, Subspace.zero(L.dim))
-    return section
+def malcev_complement_graded(A: GradedAlgebra) -> Subspace:
+    """A graded semisimple complement B with A = B (+) J(A), a subalgebra."""
+    return _graded_complement(A, _unital_radical(A))
+
+
+def levi_graded(L: GradedAlgebra) -> Subspace:
+    """A graded semisimple subalgebra B with L = B (+) R (solvable radical)."""
+    return _graded_complement(L, _lie_radical(L))
+
+
+def _decomposition(kind: str, A: GradedAlgebra, I: Subspace) -> GradedDecomposition:
+    """Complement and ideal packaged as one decomposition record."""
+    parts = [p for p in (_graded_complement(A, I), I) if not p.is_zero()]
+    return GradedDecomposition(kind, parts)
+
+
+def malcev_decomposition(A: GradedAlgebra) -> GradedDecomposition:
+    return _decomposition("malcev", A, _unital_radical(A))
+
+
+def levi_decomposition(L: GradedAlgebra) -> GradedDecomposition:
+    return _decomposition("levi", L, _lie_radical(L))

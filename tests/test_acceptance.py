@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 
-from gradedalg.algebra import algebra_on_subspace
+from gradedalg.algebra import algebra_on_subspace, graded_closure
 from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 fz2, group_algebra, matrix_algebra,
                                 matrix_algebra_z2, ut2, gl2_z2)
@@ -21,8 +21,7 @@ from gradedalg.hopf import (CoalgebraWindow, DualFunctional,
 from gradedalg.identities import (MultilinearGradedPoly, codimension_report,
                                   evaluate_functional_poly, graded_codimension,
                                   nilpotent_shortcut)
-from gradedalg.radical import (graded_closure, jacobson_radical, nilradical,
-                               solvable_radical)
+from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import (levi_graded, malcev_complement_graded,
                                  wedderburn_artin_graded)
 from tests.corpus import associative_corpus, lie_corpus

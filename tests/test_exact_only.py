@@ -5,7 +5,9 @@ anything but the integer-exact functions. The same walk keeps modules to each
 other's public surface: `x._name` is allowed on `self` and `cls` only, and
 only exactlin calls the `Subspace(...)` constructor, which trusts its basis to
 be in reduced row echelon form (elsewhere `Subspace.from_vectors`, `zero` and
-`full` build one)."""
+`full` build one). A last walk rejects dead private helpers: every `_name`
+function, class or method must be referenced somewhere in the package outside
+its own definition."""
 
 import ast
 from pathlib import Path
@@ -48,6 +50,25 @@ def foreign_private_nodes(tree, module=""):
             yield node, "direct Subspace() call"
 
 
+def dead_private_definitions(trees):
+    """(module, node) for each private (`_name`, not dunder) function, class or
+    method in `trees` (module name -> AST) that no Name or Attribute in any of
+    the trees references outside the definition itself."""
+    defs = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.setdefault(name, []).append(node)
+    for module, node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(use) in inside for use in uses.get(node.name, [])):
+            yield module, node
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -84,3 +105,24 @@ def test_checker_flags_foreign_private_access():
                      "private attribute ._sc", "private attribute ._z"]
     allowed = sorted(what for _, what in foreign_private_nodes(ast.parse(code), "exactlin.py"))
     assert allowed == ["private attribute ._sc", "private attribute ._z"]
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    found = [f"{module}:{node.lineno}: {node.name} is never referenced"
+             for module, node in dead_private_definitions(trees)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_dead_private_helpers():
+    a = ("def _used():\n    return 1\n"
+         "def _recursive(n):\n    return _recursive(n - 1)\n"
+         "def public():\n    return _used() + _Box()._method()\n"
+         "class _Box:\n    def _method(self):\n        return 2\n"
+         "    def _unused(self):\n        return self._unused\n"
+         "    def __repr__(self):\n        return ''\n")
+    b = "import a\nclass _Orphan:\n    pass\nx = a._used_elsewhere\n"
+    c = "def _used_elsewhere():\n    pass\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b), "c": ast.parse(c)}
+    dead = sorted((module, node.name) for module, node in dead_private_definitions(trees))
+    assert dead == [("a", "_recursive"), ("a", "_unused"), ("b", "_Orphan")]

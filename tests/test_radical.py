@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from gradedalg.algebra import nilpotency_index, quotient_algebra
+from gradedalg.algebra import graded_closure, nilpotency_index, quotient_algebra
 from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 fz2, lie_from_brackets, matrix_algebra,
                                 matrix_algebra_z2, sl2, gl2_z2, heisenberg3,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
-from gradedalg.errors import ValidationError
+from gradedalg.errors import InternalCheckError, ValidationError
 from gradedalg.exactlin import Mat, Subspace
 from gradedalg.groups import CyclicGroup, TrivialGroup
-from gradedalg.radical import (derived_series, graded_check, graded_closure,
-                               graded_radical_report, is_graded_subspace,
-                               jacobson_radical, killing_form, nilradical,
-                               solvable_radical)
+from gradedalg.radical import (derived_series, graded_check, graded_radical_report,
+                               is_graded_subspace, jacobson_radical, killing_form,
+                               nilradical, solvable_radical)
 from gradedalg.schema import digest
 from tests.corpus import commutator_corpus, lie_corpus
 from tests.oracles import brute_force_largest_nilpotent_ideal
@@ -185,6 +184,19 @@ def test_trivial_grading_report():
     A = matrix_algebra(2)            # trivial group: gradedness is vacuous
     (rep,) = graded_radical_report(A)
     assert rep.graded
+
+
+def test_report_raises_the_gradedness_witness(monkeypatch):
+    # span(e11 + e12) mixes degrees 0 and 1 of m2_z2; its degree-0 projection
+    # e11 escapes it, and the report must name that witness
+    import gradedalg.radical
+    M = matrix_algebra_z2()
+    mixed = Subspace.from_vectors(4, [(1, 1, 0, 0)])
+    monkeypatch.setattr(gradedalg.radical, "jacobson_radical", lambda A, verify=True: mixed)
+    e11 = (F(1), F(0), F(0), F(0))
+    with pytest.raises(InternalCheckError, match="not graded; witness") as exc:
+        graded_radical_report(M)
+    assert str(e11) in str(exc.value)
 
 
 def test_brute_force_oracle_small_instances():

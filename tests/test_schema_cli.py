@@ -309,6 +309,19 @@ def test_cli_exit_codes(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert "codimensions are computed for associative algebras" in err
+    # a predicted exponent below 1 is refused at every n_max, nilpotent or not
+    from gradedalg.algebra import algebra_on_subspace
+    from gradedalg.radical import jacobson_radical
+    A = builtin("free_trunc_2_3")
+    nil = tmp_path / "nil.json"
+    nil.write_text(json.dumps(algebra_to_description(
+        algebra_on_subspace(A, jacobson_radical(A)).algebra)))
+    for src in (["--builtin", "ut2"], ["--input", str(nil)]):
+        for n_max in ("1", "2", "3", "4"):
+            for d in ("0", "-3"):
+                assert main(["codim", *src, "--n-max", n_max, "--predicted-d", d]) == 3
+                out, err = capsys.readouterr()
+                assert out == "" and "predicted exponent must be a positive integer" in err
 
 
 def test_cli_max_blocks_flag():

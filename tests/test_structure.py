@@ -237,6 +237,36 @@ def test_levi_correction_on_skewed_semidirect_product():
     assert L.is_subalgebra(B)
 
 
+def test_levi_two_stage_correction():
+    # sl2 acting on heis3 = span{x, y, z}, with sl2 on (x, y) as on its natural
+    # module and z = [x, y] central, Z2-graded with x, y odd, on the skewed
+    # basis (u = e + z, h, f, x, y, z). The defect [u, h] + 2u = 2z lies in
+    # [R, R] = span{z}: the first pass (mod [R, R]) leaves u alone, the second
+    # pass must subtract z
+    from gradedalg.builders import lie_from_brackets
+    Z2 = CyclicGroup(2)
+    even, odd = Z2.elem(0), Z2.elem(1)
+    brackets = {
+        (0, 1): [(0, -2), (5, 2)],     # [u, h] = -2u + 2z
+        (0, 2): [(1, 1)],              # [u, f] = h
+        (0, 4): [(3, 1)],              # [u, y] = x
+        (1, 2): [(2, -2)],             # [h, f] = -2f
+        (1, 3): [(3, 1)],              # [h, x] = x
+        (1, 4): [(4, -1)],             # [h, y] = -y
+        (2, 3): [(4, 1)],              # [f, x] = y
+        (3, 4): [(5, 1)],              # [x, y] = z
+    }
+    L = lie_from_brackets(Z2, [even, even, even, odd, odd, even], 6, brackets,
+                          name="sl2xheis3")
+    R = solvable_radical(L)
+    assert R.dim == 3 and L.product_span(R, R).dim == 1
+    B = levi_graded(L)
+    assert B == Subspace.from_vectors(
+        6, [(1, 0, 0, 0, 0, -1), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
+    assert L.is_subalgebra(B)
+    assert is_graded_subspace(B, L)
+
+
 def test_malcev_two_stage_correction():
     # Q[x]/(x^4) on the basis (u = 1 + x^2, v = x, w = x^2, s = x^3): the first
     # pass (mod J^2) leaves u alone, the second pass must subtract w
@@ -261,6 +291,15 @@ def test_malcev_two_stage_correction():
     assert J == Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     B = malcev_complement_graded(A)
     assert B == Subspace.from_vectors(4, [A.unit])
+
+
+def test_graded_complement_refuses_a_non_solvable_ideal():
+    # I = I.I != 0: the chain I >= I.I >= ... would never reach zero
+    from gradedalg.errors import InternalCheckError
+    from gradedalg.structure import _graded_complement
+    for A in (sl2(), matrix_algebra_z2()):
+        with pytest.raises(InternalCheckError, match="not solvable"):
+            _graded_complement(A, Subspace.full(A.dim))
 
 
 def _basis_digest(subspaces):

@@ -6,12 +6,11 @@ import json
 import random
 from fractions import Fraction
 
-from gradedalg.algebra import algebra_on_subspace, quotient_algebra
+from gradedalg.algebra import algebra_on_subspace, graded_closure, quotient_algebra
 from gradedalg.builders import builtin, ut2, upper_triangular
 from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rref
 from gradedalg.groups import CyclicGroup
-from gradedalg.radical import (graded_closure, jacobson_radical,
-                               solvable_radical, nilradical)
+from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.schema import (algebra_to_description, description_to_algebra,
                               digest)
 from gradedalg.structure import malcev_complement_graded, levi_graded
