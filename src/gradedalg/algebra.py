@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
                      ValidationError)
 from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
-                       invert, is_zero_vector, solve, unit_vector)
+                       axpy, invert, is_zero_vector, solve, unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -234,17 +234,28 @@ class GradedAlgebra:
 
     # -- ideals and subalgebras ---------------------------------------------
 
-    def ideal_generated(self, gens: Iterable) -> Subspace:
+    def ideal_generated(self, gens: Iterable, within: Subspace | None = None) -> Subspace:
         """Smallest two-sided ideal containing the generators: closure of their
-        span under left/right multiplication by basis vectors."""
+        span under left/right multiplication by basis vectors.
+
+        `within`, when given, must be a two-sided ideal holding every
+        generator; a generator outside it raises ValidationError. The closure
+        then lies in `within`, so it stops as soon as it has within's
+        dimension (equal dimension means equal space). Without `within` the
+        bound is the whole algebra."""
         red = Reducer(self.dim)
         for v in gens:
+            if within is not None and not within.contains(v):
+                raise ValidationError("generator lies outside the ideal bounding the closure")
             red.insert(v)
+        full = self.dim if within is None else within.dim
         work = [list(r) for r in red.rows]
-        while work:
+        while work and red.dim < full:
             v = work.pop()
             sv = {i: c for i, c in enumerate(v) if c != 0}
             for b in range(self.dim):
+                if red.dim == full:
+                    break
                 sb = {b: Fraction(1)}
                 for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
                     if not prod:
@@ -376,9 +387,16 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
     binv = invert(Mat(rows, cols=A.dim).transpose())
     proj = Mat(binv.data[ideal.dim:], cols=A.dim)
     section = tuple(unit_vector(A.dim, i) for i in chosen)
-    structure = {(a, b, k): c for a in range(qdim) for b in range(qdim)
-                 for k, c in enumerate(proj.mul_vec(A.multiply(section[a], section[b])))
-                 if c != 0}
+    # the product of sections a, b is the sparse row structure[i_a][i_b]:
+    # project only its nonzero entries, through the columns of proj
+    proj_cols = proj.transpose().data
+    structure = {}
+    for a, i in enumerate(chosen):
+        for b, j in enumerate(chosen):
+            acc = [ZERO] * qdim
+            for k, c in A.structure[i][j]:
+                axpy(acc, c, proj_cols[k])
+            structure.update({(a, b, r): x for r, x in enumerate(acc) if x != 0})
     degrees = [A.degrees[i] for i in chosen]
     unit = proj.mul_vec(A.unit) if A.unit is not None else None
     Q = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit,

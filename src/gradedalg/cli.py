@@ -76,9 +76,6 @@ def cmd_radical(args) -> int:
                  "nilpotency_index": r.nilpotency,
                  "basis": [[render_rational(c) for c in row]
                            for row in r.radical.basis_vectors()]}
-        if r.witness is not None:
-            entry["witness"] = [render_rational(c) for c in r.witness]
-            print("  witness:", entry["witness"])
         out["results"].append(entry)
     _emit(out, args.json_out)
     return EXIT_OK

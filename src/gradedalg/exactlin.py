@@ -50,6 +50,13 @@ def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def axpy(acc: list, c, v):
+    """acc += c v in place, skipping the zero entries of v."""
+    for i, x in enumerate(v):
+        if x:
+            acc[i] += c * x
+
+
 class Mat:
     """Immutable dense matrix of Fractions, row-major.
 
@@ -94,20 +101,10 @@ class Mat:
         return Mat([tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)],
                    cols=self.rows)
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("matrix product shape mismatch")
-        ot = other.transpose()
-        return Mat([tuple(sum(a * b for a, b in zip(row, col)) for col in ot.data)
-                    for row in self.data], cols=other.cols)
-
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatchError("matrix-vector shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
-    def trace(self) -> Fraction:
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data

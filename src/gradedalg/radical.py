@@ -202,7 +202,6 @@ class RadicalReport:
     radical: Subspace
     graded: bool
     nilpotency: int | None        # power index when the radical is nilpotent
-    witness: tuple | None = None  # non-graded witness projection, if any
 
     def summary(self) -> str:
         idx = "-" if self.nilpotency is None else str(self.nilpotency)
@@ -225,7 +224,7 @@ def graded_radical_report(A: GradedAlgebra) -> list[RadicalReport]:
         ok, witness = graded_check(J, A)
         if not ok:
             raise InternalCheckError(f"Jacobson radical not graded; witness {witness}")
-        reports.append(RadicalReport("jacobson", J, ok, nilpotency_index(A, J), witness))
+        reports.append(RadicalReport("jacobson", J, ok, nilpotency_index(A, J)))
     else:
         R = solvable_radical(A, verify=False)
         N = nilradical(A, verify=False)
@@ -237,6 +236,6 @@ def graded_radical_report(A: GradedAlgebra) -> list[RadicalReport]:
             raise InternalCheckError("nilradical is not inside the solvable radical")
         if not A.product_span(Subspace.full(A.dim), R) <= N:
             raise InternalCheckError("[L, R] escapes the nilradical")
-        reports.append(RadicalReport("solvable", R, okR, nilpotency_index(A, R), wR))
-        reports.append(RadicalReport("nilpotent", N, okN, nilpotency_index(A, N), wN))
+        reports.append(RadicalReport("solvable", R, okR, nilpotency_index(A, R)))
+        reports.append(RadicalReport("nilpotent", N, okN, nilpotency_index(A, N)))
     return reports

@@ -4,7 +4,10 @@ graded Levi decompositions.
 
 No polynomial factorization anywhere. The semisimple decomposition descends on
 graded ideals generated by single homogeneous elements and splits with
-two-sided annihilator complements.
+two-sided annihilator complements. Every closure in the descent is bounded by
+the ideal it lies in and stops once it fills it, and each piece is descended
+once. The post-check first checks that every component is an ideal, then
+relies on such bounded closures.
 
 The Mal'cev complement (I = J, the Jacobson radical) and the Levi subalgebra
 (I = R, the solvable radical) are one routine, `_graded_complement`. It takes
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import Mat, ONE, Subspace, ZERO, is_zero_vector, kernel, solve
+from .exactlin import Mat, ONE, Subspace, ZERO, axpy, is_zero_vector, kernel, solve
 from .radical import jacobson_radical, solvable_radical
 
 # Seed of the random homogeneous candidates, and how many of them to draw per
@@ -72,13 +75,15 @@ def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng):
 
 
 def _minimal_graded_ideal(A: GradedAlgebra, piece: Subspace, rng) -> Subspace:
-    """Descend from the piece through graded ideals generated by single
-    homogeneous elements until no candidate generates anything smaller."""
+    """Descend from the piece, a graded ideal, through graded ideals generated
+    by single homogeneous elements until no candidate generates anything
+    smaller. Each closure is bounded by the current ideal, so it stops once it
+    fills it."""
     current = piece
     while True:
         best = None
         for x in _homogeneous_candidates(A, current, rng):
-            ide = A.ideal_generated([x])
+            ide = A.ideal_generated([x], within=current)
             if 0 < ide.dim < current.dim and (best is None or ide.dim < best.dim):
                 best = ide
         if best is None:
@@ -101,9 +106,12 @@ def annihilator_within(A: GradedAlgebra, piece: Subspace, ideal: Subspace) -> Su
 def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     """Decompose a semisimple unital algebra into graded-simple ideals.
 
-    Splitting is descent + annihilator complement; each returned component is
-    re-verified: pairwise products vanish, dims add up, every candidate
-    homogeneous element generates its whole component.
+    Splitting is descent + annihilator complement. Each piece is descended
+    once: the minimal ideal the descent returns is final, and only its
+    annihilator complement goes back on the stack. Each returned component is
+    re-verified: dims add up, pairwise products vanish, it is a two-sided
+    ideal, and every candidate homogeneous element lies in it and generates
+    all of it (a closure bounded by the component).
     """
     if A.kind != ASSOCIATIVE:
         raise ValidationError("decomposition applies to associative algebras")
@@ -119,13 +127,12 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     while stack:
         piece = stack.pop()
         minimal = _minimal_graded_ideal(A, piece, rng)
+        final.append(minimal)
         if minimal.dim == piece.dim:
-            final.append(piece)
             continue
         rest = annihilator_within(A, piece, minimal)
         if minimal.dim + rest.dim != piece.dim or not (minimal & rest).is_zero():
             raise InternalCheckError("annihilator complement does not split the piece")
-        stack.append(minimal)
         stack.append(rest)
     final.sort(key=lambda s: (s.dim, s.mat.data))
     total = sum(c.dim for c in final)
@@ -140,18 +147,15 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
                     if not is_zero_vector(A.multiply(u, w)):
                         raise InternalCheckError("cross products between components do not vanish")
     for c in final:
+        if not A.is_ideal(c):
+            raise InternalCheckError("component is not a two-sided ideal")
         for x in _homogeneous_candidates(A, c, rng):
-            if A.ideal_generated([x]) != c:
+            if not c.contains(x):
+                raise InternalCheckError("component is not graded")
+            if A.ideal_generated([x], within=c) != c:
                 raise InternalCheckError(
                     "component is not graded-simple: a homogeneous element generates a proper ideal")
     return GradedDecomposition("wedderburn_artin", final)
-
-
-def _axpy(acc: list, c, v):
-    """acc += c v in place, skipping the zero entries of v."""
-    for i, x in enumerate(v):
-        if x:
-            acc[i] += c * x
 
 
 def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:
@@ -159,7 +163,7 @@ def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:
     back along the section."""
     out = [ZERO] * A.dim
     for k, mu in Q.structure[a][b]:
-        _axpy(out, mu, section[k])
+        axpy(out, mu, section[k])
     return out
 
 
@@ -188,12 +192,12 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
         for b, sb in enumerate(section):
             cols = [[ZERO] * A.dim for _ in range(nunk)]
             for u, t in enumerate(blocks[b]):
-                _axpy(cols[offsets[b] + u], ONE, A.multiply(sa, t))
+                axpy(cols[offsets[b] + u], ONE, A.multiply(sa, t))
             for u, t in enumerate(blocks[a]):
-                _axpy(cols[offsets[a] + u], ONE, A.multiply(t, sb))
+                axpy(cols[offsets[a] + u], ONE, A.multiply(t, sb))
             for k, mu in Q.structure[a][b]:
                 for u, t in enumerate(blocks[k]):
-                    _axpy(cols[offsets[k] + u], -mu, t)
+                    axpy(cols[offsets[k] + u], -mu, t)
             # -defect_ab = sum_k mu^k_ab s_k - s_a s_b
             neg_defect = [e - p for p, e in zip(A.multiply(sa, sb), _image(A, Q, section, a, b))]
             red_cols = [below.residual(col) for col in cols]
@@ -210,7 +214,7 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
         raise InternalCheckError("section lifting system is infeasible")
     for a, block in enumerate(blocks):
         for u, t in enumerate(block):
-            _axpy(section[a], sol[offsets[a] + u], t)
+            axpy(section[a], sol[offsets[a] + u], t)
 
 
 def _graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:

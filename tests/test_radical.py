@@ -16,6 +16,7 @@ from gradedalg.radical import (derived_series, graded_check, graded_radical_repo
                                nilradical, solvable_radical)
 from gradedalg.schema import digest
 from tests.corpus import commutator_corpus, lie_corpus
+from tests.dense import matmul, trace
 from tests.oracles import brute_force_largest_nilpotent_ideal
 
 F = Fraction
@@ -152,7 +153,7 @@ def test_killing_form_matches_dense_ad_products(lie_algebras):
         K = killing_form(L)
         for i in range(L.dim):
             for j in range(L.dim):
-                assert K.entry(i, j) == (ads[i] @ ads[j]).trace()
+                assert K.entry(i, j) == trace(matmul(ads[i], ads[j]))
 
 
 def test_derived_series_and_solvability():
@@ -177,7 +178,6 @@ def test_associative_reports():
         (rep,) = graded_radical_report(A)
         assert rep.kind == "jacobson"
         assert rep.graded
-        assert rep.witness is None
 
 
 def test_trivial_grading_report():

@@ -7,7 +7,7 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, gl2_z2,
                                 two_dim_nonabelian_lie, ut2)
-from gradedalg.errors import NotSemisimpleError, ValidationError
+from gradedalg.errors import InternalCheckError, NotSemisimpleError, ValidationError
 from gradedalg.exactlin import Subspace, is_zero_vector
 from gradedalg.groups import CyclicGroup
 from gradedalg.radical import (is_graded_subspace, jacobson_radical,
@@ -56,12 +56,91 @@ def test_wedderburn_group_algebra_z3():
     assert dec.dims() == [3]
 
 
+def semisimple_part(A):
+    """A if J(A) = 0, else the algebra on its graded Mal'cev complement."""
+    if jacobson_radical(A, verify=False).is_zero():
+        return A
+    return algebra_on_subspace(A, malcev_complement_graded(A)).algebra
+
+
+def corpus_semisimple_parts():
+    return [semisimple_part(A) for A in associative_corpus() if A.unit is not None]
+
+
 def test_wedderburn_matches_enumeration_oracle():
-    for A in semisimple_cases():
+    # the grid reaches entries +-2: on a trivially graded Q^3 the third
+    # minimal ideal needs a generator such as (2, -1, 0), which (-1, 0, 1)
+    # misses
+    small = [S for S in corpus_semisimple_parts() if S.dim <= 4]
+    assert len(small) == 169
+    for A in semisimple_cases() + small:
         assert A.dim <= 6
         dec = wedderburn_artin_graded(A)
-        oracle = enumerate_minimal_graded_ideals(A)
+        oracle = enumerate_minimal_graded_ideals(A, entries=(-2, -1, 0, 1, 2))
         assert sorted(dec.components, key=lambda s: (s.dim, s.mat.data)) == oracle
+    assert sum(len(wedderburn_artin_graded(S).components) >= 2 for S in small) == 62
+
+
+def test_bounded_closure_equals_the_unbounded_one():
+    for A in corpus_semisimple_parts():
+        for c in wedderburn_artin_graded(A).components:
+            for v in c.basis_vectors():
+                for _, x in A.homogeneous_components(v):
+                    assert A.ideal_generated([x], within=c) == A.ideal_generated([x])
+
+
+def test_bounded_closure_rejects_a_generator_outside_the_bound():
+    A = direct_sum(matrix_algebra_z2(), matrix_algebra(1, CyclicGroup(2)))
+    first, second = wedderburn_artin_graded(A).components
+    with pytest.raises(ValidationError, match="outside"):
+        A.ideal_generated([second.basis_vectors()[0]], within=first)
+    with pytest.raises(ValidationError, match="outside"):
+        A.ideal_generated([(1, 0, 0, 0, 1)], within=second)
+
+
+def test_wedderburn_descends_each_component_once(monkeypatch):
+    import gradedalg.structure
+    calls = []
+    descend = gradedalg.structure._minimal_graded_ideal
+
+    def counting(A, piece, rng):
+        calls.append(piece.dim)
+        return descend(A, piece, rng)
+
+    monkeypatch.setattr(gradedalg.structure, "_minimal_graded_ideal", counting)
+    q = matrix_algebra(1, CyclicGroup(2))
+    A = direct_sum(direct_sum(matrix_algebra_z2(), fz2()), q)
+    assert wedderburn_artin_graded(A).dims() == [1, 2, 4]
+    assert len(calls) == 3
+
+
+def test_wedderburn_post_check_rejects_a_non_ideal_component(monkeypatch):
+    # a descent that returns span(e12) and a complement of it in every piece
+    # yields four copies of span(e12): dims add up to 4, cross products vanish
+    # (e12 e12 = 0) and the closure of e12 bounded by span(e12) is full at
+    # once; only the ideal check sees that e21 e12 = e22 escapes
+    import gradedalg.structure
+    M = matrix_algebra_z2()
+    e12 = M.basis_vector(1)
+    others = [M.basis_vector(i) for i in (0, 2, 3)]
+    monkeypatch.setattr(gradedalg.structure, "_minimal_graded_ideal",
+                        lambda A, piece, rng: Subspace.from_vectors(4, [e12]))
+    monkeypatch.setattr(gradedalg.structure, "annihilator_within",
+                        lambda A, piece, ideal: Subspace.from_vectors(4, others[:piece.dim - 1]))
+    with pytest.raises(InternalCheckError, match="not a two-sided ideal"):
+        wedderburn_artin_graded(M)
+
+
+def test_wedderburn_post_check_rejects_a_non_graded_component(monkeypatch):
+    # Q[Z2] = span(1 + g) (+) span(1 - g) as ideals, but neither is graded:
+    # the homogeneous candidate 1 of span(1 + g) lies outside it
+    import gradedalg.structure
+    A = fz2()
+    plus = Subspace.from_vectors(2, [(1, 1)])
+    monkeypatch.setattr(gradedalg.structure, "_minimal_graded_ideal",
+                        lambda A, piece, rng: plus if piece.dim == 2 else piece)
+    with pytest.raises(InternalCheckError, match="not graded"):
+        wedderburn_artin_graded(A)
 
 
 def test_wedderburn_cross_products_vanish():
@@ -295,7 +374,6 @@ def test_malcev_two_stage_correction():
 
 def test_graded_complement_refuses_a_non_solvable_ideal():
     # I = I.I != 0: the chain I >= I.I >= ... would never reach zero
-    from gradedalg.errors import InternalCheckError
     from gradedalg.structure import _graded_complement
     for A in (sl2(), matrix_algebra_z2()):
         with pytest.raises(InternalCheckError, match="not solvable"):
