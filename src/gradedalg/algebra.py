@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
-                     ValidationError)
+from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
+                     NotGradedError, ValidationError)
 from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
                        axpy, invert, is_zero_vector, solve, unit_vector)
 from .groups import Group, GroupElem
@@ -167,6 +167,13 @@ class GradedAlgebra:
                 _sparse_add(acc, sci[j], ai * bj)
         return acc
 
+    def _dense(self, sparse: dict) -> list:
+        """The vector {k: c} as a dense list."""
+        w = [ZERO] * self.dim
+        for k, c in sparse.items():
+            w[k] = c
+        return w
+
     def left_mult_matrix(self, a) -> Mat:
         """Matrix of b -> a b in the algebra basis."""
         rows = [[ZERO] * self.dim for _ in range(self.dim)]
@@ -256,13 +263,11 @@ class GradedAlgebra:
             for b in range(self.dim):
                 if red.dim == full:
                     break
-                sb = {b: Fraction(1)}
+                sb = {b: ONE}
                 for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
                     if not prod:
                         continue
-                    w = [ZERO] * self.dim
-                    for k, c in prod.items():
-                        w[k] = c
+                    w = self._dense(prod)
                     if red.insert(w):
                         work.append(w)
         return red.subspace()
@@ -283,10 +288,7 @@ class GradedAlgebra:
                 prods += [self.mul_sparse(su, sv), self.mul_sparse(sv, su)]
             kept.append(sv)
             for prod in prods:
-                w = [ZERO] * self.dim
-                for k, c in prod.items():
-                    w[k] = c
-                row = red.insert(w)
+                row = red.insert(self._dense(prod))
                 if row:
                     work.append({k: c for k, c in enumerate(row) if c != 0})
         return red.subspace()
@@ -300,15 +302,18 @@ class GradedAlgebra:
         return red.subspace()
 
     def is_ideal(self, s: Subspace) -> bool:
+        """Whether s is a two-sided ideal: e_b v and v e_b lie in s for every
+        basis vector v of s and every b. Each product with a basis vector is
+        read off the sparse rows (`mul_sparse`)."""
         if s.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
         for v in s.basis_vectors():
+            sv = {i: c for i, c in enumerate(v) if c != 0}
             for b in range(self.dim):
-                eb = self.basis_vector(b)
-                if not s.contains(self.multiply(eb, v)):
-                    return False
-                if not s.contains(self.multiply(v, eb)):
-                    return False
+                sb = {b: ONE}
+                for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
+                    if prod and not s.contains(self._dense(prod)):
+                        return False
         return True
 
     def is_subalgebra(self, s: Subspace) -> bool:
@@ -381,7 +386,8 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         if red.insert(unit_vector(A.dim, i)):
             chosen.append(i)
     qdim = len(chosen)
-    assert qdim == A.dim - ideal.dim
+    if qdim != A.dim - ideal.dim:
+        raise InternalCheckError("quotient dimension differs from dim A - dim I")
     # full coordinates w.r.t. rows(ideal basis) + chosen standard vectors
     rows = [list(r) for r in ideal.basis_vectors()] + [list(unit_vector(A.dim, i)) for i in chosen]
     binv = invert(Mat(rows, cols=A.dim).transpose())

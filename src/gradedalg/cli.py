@@ -23,8 +23,7 @@ from .radical import (graded_radical_report, jacobson_radical,
 from .schema import (algebra_to_description, canonical_json,
                      description_to_algebra, digest, load_json,
                      poly_from_description, render_rational)
-from .structure import (levi_graded, malcev_complement_graded,
-                        wedderburn_artin_graded)
+from .structure import graded_complement, wedderburn_artin_graded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +91,7 @@ def cmd_decompose(args) -> int:
             semi = A
             print(f"semisimple: dim {A.dim}")
         else:
-            B = malcev_complement_graded(A)
+            B = graded_complement(A, J)
             print(f"radical dim {J.dim}; graded complement dim {B.dim}")
             out["results"]["complement_dim"] = B.dim
             emb = algebra_on_subspace(A, B, name="complement")
@@ -108,7 +107,7 @@ def cmd_decompose(args) -> int:
         out["results"]["components"] = comps
     else:
         R = solvable_radical(A)
-        B = levi_graded(A)
+        B = graded_complement(A, R)
         print(f"solvable radical dim {R.dim}; graded Levi subalgebra dim {B.dim}")
         out["results"]["radical_dim"] = R.dim
         out["results"]["levi_dim"] = B.dim

@@ -2,15 +2,16 @@
 simple ideals, graded semisimple complements to the Jacobson radical, and
 graded Levi decompositions.
 
-No polynomial factorization anywhere. The semisimple decomposition descends on
-graded ideals generated by single homogeneous elements and splits with
-two-sided annihilator complements. Every closure in the descent is bounded by
-the ideal it lies in and stops once it fills it, and each piece is descended
-once. The post-check first checks that every component is an ideal, then
-relies on such bounded closures.
+No polynomial factorization anywhere. The semisimple decomposition splits a
+graded ideal at the first proper ideal that one of its homogeneous elements
+generates, into that ideal and its two-sided annihilator complement, and
+splits both pieces again until no candidate generates a proper ideal.
+Every closure is bounded by the piece it lies in and stops once it fills it.
+The post-check first checks that every component is an ideal, then relies on
+such bounded closures.
 
 The Mal'cev complement (I = J, the Jacobson radical) and the Levi subalgebra
-(I = R, the solvable radical) are one routine, `_graded_complement`. It takes
+(I = R, the solvable radical) are one routine, `graded_complement`. It takes
 the homogeneous standard-vector section s of A -> A/I and corrects it along
 I = I_0 >= I_1 >= ..., I_{k+1} = I_k . I_k: J, J^2, J^4, ... for Mal'cev, the
 derived series of R for Levi. Step k (`_lift_section`) adds t_a in I_k so that
@@ -34,7 +35,7 @@ from .exactlin import Mat, ONE, Subspace, ZERO, axpy, is_zero_vector, kernel, so
 from .radical import jacobson_radical, solvable_radical
 
 # Seed of the random homogeneous candidates, and how many of them to draw per
-# degree, in the graded-simple descent; fixed so decompositions reproduce.
+# degree, in the graded-simple split; fixed so decompositions reproduce.
 _CANDIDATE_SEED = 20240901
 _EXTRA_CANDIDATES = 4
 
@@ -49,20 +50,18 @@ class GradedDecomposition:
 
 
 def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng):
-    """Nonzero homogeneous elements of the piece: projections of its canonical
-    basis plus a few seeded random homogeneous combinations per degree."""
+    """Nonzero homogeneous elements of the piece, drawn lazily: projections of
+    its canonical basis, then a few seeded random homogeneous combinations per
+    degree."""
     seen = set()
-    out = []
+    by_degree: dict = {}
     for v in piece.basis_vectors():
-        for _, p in A.homogeneous_components(v):
+        for g, p in A.homogeneous_components(v):
             if p not in seen:
                 seen.add(p)
-                out.append(p)
-    by_degree: dict = {}
-    for p in out:
-        g = A.degree_of(p)
-        by_degree.setdefault(g, []).append(p)
-    for g, vecs in list(by_degree.items()):
+                by_degree.setdefault(g, []).append(p)
+                yield p
+    for vecs in by_degree.values():
         if len(vecs) < 2:
             continue
         for _ in range(_EXTRA_CANDIDATES):
@@ -70,25 +69,19 @@ def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng):
             w = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(A.dim))
             if not is_zero_vector(w) and w not in seen:
                 seen.add(w)
-                out.append(w)
-    return out
+                yield w
 
 
-def _minimal_graded_ideal(A: GradedAlgebra, piece: Subspace, rng) -> Subspace:
-    """Descend from the piece, a graded ideal, through graded ideals generated
-    by single homogeneous elements until no candidate generates anything
-    smaller. Each closure is bounded by the current ideal, so it stops once it
-    fills it."""
-    current = piece
-    while True:
-        best = None
-        for x in _homogeneous_candidates(A, current, rng):
-            ide = A.ideal_generated([x], within=current)
-            if 0 < ide.dim < current.dim and (best is None or ide.dim < best.dim):
-                best = ide
-        if best is None:
-            return current
-        current = best
+def _proper_ideal(A: GradedAlgebra, piece: Subspace, rng):
+    """The first proper ideal that a homogeneous candidate of the piece (a
+    graded ideal) generates, or None if every candidate generates the whole
+    piece. Each closure is bounded by the piece, so it stops once it fills
+    it."""
+    for x in _homogeneous_candidates(A, piece, rng):
+        ide = A.ideal_generated([x], within=piece)
+        if ide.dim < piece.dim:
+            return ide
+    return None
 
 
 def annihilator_within(A: GradedAlgebra, piece: Subspace, ideal: Subspace) -> Subspace:
@@ -106,12 +99,14 @@ def annihilator_within(A: GradedAlgebra, piece: Subspace, ideal: Subspace) -> Su
 def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     """Decompose a semisimple unital algebra into graded-simple ideals.
 
-    Splitting is descent + annihilator complement. Each piece is descended
-    once: the minimal ideal the descent returns is final, and only its
-    annihilator complement goes back on the stack. Each returned component is
-    re-verified: dims add up, pairwise products vanish, it is a two-sided
-    ideal, and every candidate homogeneous element lies in it and generates
-    all of it (a closure bounded by the component).
+    Pieces are split in a tree: the first homogeneous candidate of a piece
+    that generates a proper ideal I splits it into I and its annihilator
+    complement, and both go back on the stack; a piece where no candidate
+    generates a proper ideal is final. The final pieces are the minimal graded
+    ideals, which are unique, and they are returned in canonical order. Each
+    one is re-verified: dims add up, pairwise products vanish, it is a
+    two-sided ideal, and every candidate homogeneous element lies in it and
+    generates all of it (a closure bounded by the component).
     """
     if A.kind != ASSOCIATIVE:
         raise ValidationError("decomposition applies to associative algebras")
@@ -126,14 +121,14 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     stack = [Subspace.full(A.dim)]
     while stack:
         piece = stack.pop()
-        minimal = _minimal_graded_ideal(A, piece, rng)
-        final.append(minimal)
-        if minimal.dim == piece.dim:
+        ideal = _proper_ideal(A, piece, rng)
+        if ideal is None:
+            final.append(piece)
             continue
-        rest = annihilator_within(A, piece, minimal)
-        if minimal.dim + rest.dim != piece.dim or not (minimal & rest).is_zero():
+        rest = annihilator_within(A, piece, ideal)
+        if ideal.dim + rest.dim != piece.dim or not (ideal & rest).is_zero():
             raise InternalCheckError("annihilator complement does not split the piece")
-        stack.append(rest)
+        stack += [ideal, rest]
     final.sort(key=lambda s: (s.dim, s.mat.data))
     total = sum(c.dim for c in final)
     if total != A.dim:
@@ -217,14 +212,17 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
             axpy(section[a], sol[offsets[a] + u], t)
 
 
-def _graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
+def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
     """A graded subalgebra B with A = B (+) I, for a graded ideal I that is
-    nilpotent (associative A) or solvable (Lie A) with A/I semisimple.
+    nilpotent (unital associative A) or solvable (Lie A) with A/I semisimple:
+    J(A) or the solvable radical, for a caller that already holds it.
 
     Lifts the standard-vector section of A -> A/I along I, I.I, (I.I).(I.I),
     ... with `_lift_section` (see the module docstring for why each step is
     solvable); every correction is homogeneous because each I_k is graded.
     """
+    if A.kind == ASSOCIATIVE and A.unit is None:
+        raise ValidationError("complement construction needs a unital algebra")
     if I.is_zero():
         return Subspace.full(A.dim)
     q = quotient_algebra(A, I)
@@ -254,11 +252,10 @@ def _verify_complement(A, B, I, Q, section):
 
 
 def _unital_radical(A: GradedAlgebra) -> Subspace:
-    """J(A), behind the guards of the Mal'cev complement."""
+    """J(A), behind the kind guard of the Mal'cev complement (the unit guard
+    is `graded_complement`'s)."""
     if A.kind != ASSOCIATIVE:
         raise ValidationError("complement construction applies to associative algebras")
-    if A.unit is None:
-        raise ValidationError("complement construction needs a unital algebra")
     return jacobson_radical(A, verify=False)
 
 
@@ -271,17 +268,17 @@ def _lie_radical(L: GradedAlgebra) -> Subspace:
 
 def malcev_complement_graded(A: GradedAlgebra) -> Subspace:
     """A graded semisimple complement B with A = B (+) J(A), a subalgebra."""
-    return _graded_complement(A, _unital_radical(A))
+    return graded_complement(A, _unital_radical(A))
 
 
 def levi_graded(L: GradedAlgebra) -> Subspace:
     """A graded semisimple subalgebra B with L = B (+) R (solvable radical)."""
-    return _graded_complement(L, _lie_radical(L))
+    return graded_complement(L, _lie_radical(L))
 
 
 def _decomposition(kind: str, A: GradedAlgebra, I: Subspace) -> GradedDecomposition:
     """Complement and ideal packaged as one decomposition record."""
-    parts = [p for p in (_graded_complement(A, I), I) if not p.is_zero()]
+    parts = [p for p in (graded_complement(A, I), I) if not p.is_zero()]
     return GradedDecomposition(kind, parts)
 
 

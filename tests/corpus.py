@@ -18,6 +18,8 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 matrix_algebra, matrix_algebra_z2, sl2,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
 from gradedalg.groups import CyclicGroup, ProductGroup
+from gradedalg.radical import jacobson_radical
+from gradedalg.structure import malcev_complement_graded
 
 MAX_DIM = 8
 
@@ -114,6 +116,17 @@ def associative_corpus(seed: int = 20240817, quotients: int = 70,
         corpus.append(random_direct_sum(rng))
     assert all(a.dim <= MAX_DIM for a in corpus)
     return corpus
+
+
+def semisimple_part(A: GradedAlgebra) -> GradedAlgebra:
+    """A if J(A) = 0, else the algebra on its graded Mal'cev complement."""
+    if jacobson_radical(A, verify=False).is_zero():
+        return A
+    return algebra_on_subspace(A, malcev_complement_graded(A)).algebra
+
+
+def corpus_semisimple_parts() -> list:
+    return [semisimple_part(A) for A in associative_corpus() if A.unit is not None]
 
 
 def lie_corpus() -> list:

@@ -15,3 +15,15 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 def trace(m: Mat) -> Fraction:
     return sum((m.data[i][i] for i in range(min(m.rows, m.cols))), Fraction(0))
+
+
+def is_ideal_dense(A, s) -> bool:
+    """The two-sided ideal test with dense products: e_b v and v e_b through
+    `multiply` for every basis vector v of s and every b, each checked with
+    `contains`."""
+    for v in s.basis_vectors():
+        for b in range(A.dim):
+            eb = A.basis_vector(b)
+            if not s.contains(A.multiply(eb, v)) or not s.contains(A.multiply(v, eb)):
+                return False
+    return True

@@ -12,7 +12,10 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
 from gradedalg.errors import (NotAnIdealError, NotGradedError, ValidationError)
 from gradedalg.exactlin import Subspace, is_zero_vector, rank
 from gradedalg.groups import CyclicGroup, TrivialGroup
-from tests.dense import matmul, trace
+from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
+from gradedalg.structure import wedderburn_artin_graded
+from tests.corpus import associative_corpus, lie_corpus, semisimple_part
+from tests.dense import is_ideal_dense, matmul, trace
 
 F = Fraction
 
@@ -157,6 +160,26 @@ def test_quotient_rejects_non_ideal_and_non_graded():
     assert A.is_ideal(mixed)
     with pytest.raises(NotGradedError):
         quotient_algebra(A, mixed)
+
+
+def test_is_ideal_matches_the_dense_reference():
+    rng = random.Random(11)
+    cases = []
+    for A in associative_corpus() + lie_corpus():
+        if A.kind == "lie":
+            cases += [(A, solvable_radical(A)), (A, nilradical(A))]
+        else:
+            cases.append((A, jacobson_radical(A)))
+            if A.unit is not None:
+                S = semisimple_part(A)
+                cases += [(S, c) for c in wedderburn_artin_graded(S).components]
+        for _ in range(3):
+            vecs = [rand_vec(rng, A.dim, -1, 1) for _ in range(rng.randint(1, A.dim))]
+            cases.append((A, Subspace.from_vectors(A.dim, vecs)))
+        cases.append((A, A.ideal_generated([rand_vec(rng, A.dim, -1, 1)])))
+    verdicts = [A.is_ideal(s) for A, s in cases]
+    assert verdicts == [is_ideal_dense(A, s) for A, s in cases]
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_free_trunc_shape():

@@ -7,7 +7,8 @@ only exactlin calls the `Subspace(...)` constructor, which trusts its basis to
 be in reduced row echelon form (elsewhere `Subspace.from_vectors`, `zero` and
 `full` build one). A last walk rejects dead private helpers: every `_name`
 function, class or method must be referenced somewhere in the package outside
-its own definition."""
+its own definition. `assert` statements are rejected too: they vanish under
+`python -O`, so a check that must hold raises `InternalCheckError`."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,12 @@ def dead_private_definitions(trees):
             yield module, node
 
 
+def assert_nodes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node, "assert statement"
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -86,6 +93,20 @@ def test_checker_flags_inexact_code():
     kinds = sorted(what for _, what in inexact_nodes(ast.parse(code)))
     assert kinds == ["float literal 1.5", "float() call", "from math import sqrt",
                      "import math", "isclose() call", "round() call"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_assert(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what}" for node, what in assert_nodes(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_assert_statements():
+    code = ("assert x == 1\ndef f(y):\n    assert y, 'message'\n    return y\n"
+            "if x:\n    raise InternalCheckError('checked')\nassertion = True\n")
+    lines = [node.lineno for node, _ in assert_nodes(ast.parse(code))]
+    assert sorted(lines) == [1, 3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -249,6 +249,27 @@ def test_cli_decompose(capsys):
     assert "Levi subalgebra dim 3" in outp
 
 
+@pytest.mark.parametrize("name, radical", [("ut2", "jacobson_radical"),
+                                            ("gl2_z2", "solvable_radical")])
+def test_cli_decompose_computes_the_radical_once(name, radical, monkeypatch):
+    # decompose passes its verified radical to the complement; the radical of
+    # the complement algebra (Wedderburn-Artin's semisimplicity guard) is not
+    # a computation on the input, so only calls on the input count
+    import gradedalg.radical
+    import gradedalg.structure
+    calls = []
+    compute = getattr(gradedalg.radical, radical)
+
+    def counting(A, verify=True):
+        calls.append(A.name)
+        return compute(A, verify=verify)
+
+    for module in (gradedalg.cli, gradedalg.radical, gradedalg.structure):
+        monkeypatch.setattr(module, radical, counting)
+    assert main(["decompose", "--builtin", name]) == 0
+    assert calls.count(name) == 1
+
+
 def test_cli_builtin_emits_parseable_json(capsys):
     assert main(["builtin", "m2_z2"]) == 0
     desc = json.loads(capsys.readouterr().out)

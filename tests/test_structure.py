@@ -13,9 +13,9 @@ from gradedalg.groups import CyclicGroup
 from gradedalg.radical import (is_graded_subspace, jacobson_radical,
                                killing_form, solvable_radical)
 from gradedalg.schema import digest, render_rational
-from gradedalg.structure import (levi_graded, malcev_complement_graded,
-                                 wedderburn_artin_graded)
-from tests.corpus import associative_corpus, lie_corpus
+from gradedalg.structure import (graded_complement, levi_graded,
+                                 malcev_complement_graded, wedderburn_artin_graded)
+from tests.corpus import associative_corpus, corpus_semisimple_parts, lie_corpus
 from tests.oracles import enumerate_minimal_graded_ideals
 
 F = Fraction
@@ -56,17 +56,6 @@ def test_wedderburn_group_algebra_z3():
     assert dec.dims() == [3]
 
 
-def semisimple_part(A):
-    """A if J(A) = 0, else the algebra on its graded Mal'cev complement."""
-    if jacobson_radical(A, verify=False).is_zero():
-        return A
-    return algebra_on_subspace(A, malcev_complement_graded(A)).algebra
-
-
-def corpus_semisimple_parts():
-    return [semisimple_part(A) for A in associative_corpus() if A.unit is not None]
-
-
 def test_wedderburn_matches_enumeration_oracle():
     # the grid reaches entries +-2: on a trivially graded Q^3 the third
     # minimal ideal needs a generator such as (2, -1, 0), which (-1, 0, 1)
@@ -99,32 +88,37 @@ def test_bounded_closure_rejects_a_generator_outside_the_bound():
 
 
 def test_wedderburn_descends_each_component_once(monkeypatch):
+    # one split tree: the whole algebra and one inner piece are split, and
+    # each of the three components is confirmed once, 2k - 1 = 5 calls for
+    # k = 3
     import gradedalg.structure
     calls = []
-    descend = gradedalg.structure._minimal_graded_ideal
+    split = gradedalg.structure._proper_ideal
 
     def counting(A, piece, rng):
         calls.append(piece.dim)
-        return descend(A, piece, rng)
+        return split(A, piece, rng)
 
-    monkeypatch.setattr(gradedalg.structure, "_minimal_graded_ideal", counting)
+    monkeypatch.setattr(gradedalg.structure, "_proper_ideal", counting)
     q = matrix_algebra(1, CyclicGroup(2))
     A = direct_sum(direct_sum(matrix_algebra_z2(), fz2()), q)
     assert wedderburn_artin_graded(A).dims() == [1, 2, 4]
-    assert len(calls) == 3
+    assert len(calls) == 5
+    assert calls[0] == 7 and sorted(calls[1:]) == [1, 2, 3, 4]
 
 
 def test_wedderburn_post_check_rejects_a_non_ideal_component(monkeypatch):
-    # a descent that returns span(e12) and a complement of it in every piece
-    # yields four copies of span(e12): dims add up to 4, cross products vanish
+    # a split that cuts span(e12) off every piece but span(e12) itself, with
+    # a complement of the right dimension, ends in four copies of span(e12)
+    # and one zero piece: dims add up to 4, cross products vanish
     # (e12 e12 = 0) and the closure of e12 bounded by span(e12) is full at
     # once; only the ideal check sees that e21 e12 = e22 escapes
     import gradedalg.structure
     M = matrix_algebra_z2()
-    e12 = M.basis_vector(1)
+    e12 = Subspace.from_vectors(4, [M.basis_vector(1)])
     others = [M.basis_vector(i) for i in (0, 2, 3)]
-    monkeypatch.setattr(gradedalg.structure, "_minimal_graded_ideal",
-                        lambda A, piece, rng: Subspace.from_vectors(4, [e12]))
+    monkeypatch.setattr(gradedalg.structure, "_proper_ideal",
+                        lambda A, piece, rng: None if piece in (e12, Subspace.zero(4)) else e12)
     monkeypatch.setattr(gradedalg.structure, "annihilator_within",
                         lambda A, piece, ideal: Subspace.from_vectors(4, others[:piece.dim - 1]))
     with pytest.raises(InternalCheckError, match="not a two-sided ideal"):
@@ -137,8 +131,8 @@ def test_wedderburn_post_check_rejects_a_non_graded_component(monkeypatch):
     import gradedalg.structure
     A = fz2()
     plus = Subspace.from_vectors(2, [(1, 1)])
-    monkeypatch.setattr(gradedalg.structure, "_minimal_graded_ideal",
-                        lambda A, piece, rng: plus if piece.dim == 2 else piece)
+    monkeypatch.setattr(gradedalg.structure, "_proper_ideal",
+                        lambda A, piece, rng: plus if piece.dim == 2 else None)
     with pytest.raises(InternalCheckError, match="not graded"):
         wedderburn_artin_graded(A)
 
@@ -374,16 +368,36 @@ def test_malcev_two_stage_correction():
 
 def test_graded_complement_refuses_a_non_solvable_ideal():
     # I = I.I != 0: the chain I >= I.I >= ... would never reach zero
-    from gradedalg.structure import _graded_complement
     for A in (sl2(), matrix_algebra_z2()):
         with pytest.raises(InternalCheckError, match="not solvable"):
-            _graded_complement(A, Subspace.full(A.dim))
+            graded_complement(A, Subspace.full(A.dim))
+
+
+def test_graded_complement_needs_a_unit():
+    # J of free_trunc_2_3 as an algebra of its own: nilpotent, no unit
+    A = free_group_truncation(2, 3)
+    N = algebra_on_subspace(A, jacobson_radical(A), name="J").algebra
+    assert N.unit is None
+    for complement in (lambda: graded_complement(N, jacobson_radical(N)),
+                       lambda: malcev_complement_graded(N)):
+        with pytest.raises(ValidationError, match="needs a unital algebra"):
+            complement()
 
 
 def _basis_digest(subspaces):
     """sha256 of the canonical JSON of every basis row, rendered exactly."""
     return digest([[[render_rational(c) for c in row] for row in S.basis_vectors()]
                    for S in subspaces])
+
+
+def test_wedderburn_components_golden():
+    # recorded before the graded-simple split became one split tree
+    parts = corpus_semisimple_parts()
+    assert len(parts) == 201
+    decs = [wedderburn_artin_graded(S).components for S in parts]
+    assert sum(map(len, decs)) == 341
+    assert digest([_basis_digest(c) for c in decs]) == (
+        "4ed7aba9d8cc0962b4b2ce1b45cc611207df7837fd92ede2f3455783415276ca")
 
 
 def test_malcev_and_levi_bases_golden():
