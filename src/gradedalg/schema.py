@@ -157,10 +157,16 @@ def digest(obj) -> str:
 
 
 def load_json(path: str):
+    """The JSON value in the UTF-8 file at path; every failure to read or
+    parse it is a SchemaError that names the position."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from None

@@ -2,13 +2,15 @@
 simple ideals, graded semisimple complements to the Jacobson radical, and
 graded Levi decompositions.
 
-No polynomial factorization anywhere. The semisimple decomposition splits a
-graded ideal at the first proper ideal that one of its homogeneous elements
-generates, into that ideal and its two-sided annihilator complement, and
-splits both pieces again until no candidate generates a proper ideal.
-Every closure is bounded by the piece it lies in and stops once it fills it.
-The post-check first checks that every component is an ideal, then relies on
-such bounded closures.
+The semisimple decomposition runs through the degree-e centre C = Z(A) ^ A_e,
+one kernel. Every graded ideal of a graded semisimple unital A is A.f for a
+central idempotent f of degree e, so the graded-simple components are the A.f
+for the primitive idempotents f of the commutative semisimple C. A piece A.f
+is final when C.f = C ^ A.f is Q f, or Q[c] for a c whose minimal polynomial
+has degree <= 3 and no rational root, so is irreducible and C.f a field.
+Otherwise a rational root l of the minimal polynomial m = (x - l) q of some c
+in C.f gives the idempotent f' = q(c) / q(l), and A.f = A.f' (+) A.(f - f').
+Nothing beyond this rational-root test is factored: such a piece is refused.
 
 The Mal'cev complement (I = J, the Jacobson radical) and the Levi subalgebra
 (I = R, the solvable radical) are one routine, `graded_complement`. It takes
@@ -25,19 +27,15 @@ A/I. The chain reaches zero because I is nilpotent or solvable.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import isqrt, lcm
 
-from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, quotient_algebra
+from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_closure, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import Mat, ONE, Subspace, ZERO, axpy, is_zero_vector, kernel, solve
+from .exactlin import Mat, ONE, Reducer, Subspace, ZERO, axpy, kernel, solve, unit_vector
 from .radical import jacobson_radical, solvable_radical
-
-# Seed of the random homogeneous candidates, and how many of them to draw per
-# degree, in the graded-simple split; fixed so decompositions reproduce.
-_CANDIDATE_SEED = 20240901
-_EXTRA_CANDIDATES = 4
 
 
 @dataclass
@@ -49,65 +47,79 @@ class GradedDecomposition:
         return [c.dim for c in self.components]
 
 
-def _homogeneous_candidates(A: GradedAlgebra, piece: Subspace, rng):
-    """Nonzero homogeneous elements of the piece, drawn lazily: projections of
-    its canonical basis, then a few seeded random homogeneous combinations per
-    degree."""
-    seen = set()
-    by_degree: dict = {}
-    for v in piece.basis_vectors():
-        for g, p in A.homogeneous_components(v):
-            if p not in seen:
-                seen.add(p)
-                by_degree.setdefault(g, []).append(p)
-                yield p
-    for vecs in by_degree.values():
-        if len(vecs) < 2:
-            continue
-        for _ in range(_EXTRA_CANDIDATES):
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in vecs]
-            w = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(A.dim))
-            if not is_zero_vector(w) and w not in seen:
-                seen.add(w)
-                yield w
+def _degree_e_centre(A: GradedAlgebra) -> Subspace:
+    """C = Z(A) ^ A_e: the degree-e vectors z with z e_b = e_b z for every b."""
+    e = A.group.identity()
+    rows = {i: unit_vector(A.dim, i) for i in range(A.dim) if A.degrees[i] != e}
+    for i in A.component_indices(e):
+        for b in range(A.dim):
+            for terms, sign in ((A.structure[i][b], ONE), (A.structure[b][i], -ONE)):
+                for k, c in terms:
+                    rows.setdefault((b, k), [ZERO] * A.dim)[i] += sign * c
+    return kernel(Mat(list(rows.values()), cols=A.dim))
 
 
-def _proper_ideal(A: GradedAlgebra, piece: Subspace, rng):
-    """The first proper ideal that a homogeneous candidate of the piece (a
-    graded ideal) generates, or None if every candidate generates the whole
-    piece. Each closure is bounded by the piece, so it stops once it fills
-    it."""
-    for x in _homogeneous_candidates(A, piece, rng):
-        ide = A.ideal_generated([x], within=piece)
-        if ide.dim < piece.dim:
-            return ide
-    return None
+def _minimal_polynomial(A: GradedAlgebra, f, c):
+    """(m, K): the monic minimal polynomial m of c in the algebra with unit f,
+    constant term first, and the matrix K whose columns are the powers f, c,
+    ..., c^(deg m - 1), so that K q = q(c) for deg q < deg m."""
+    powers, red, p = [f], Reducer(A.dim, [f]), c
+    while red.insert(p) is not None:
+        powers.append(p)
+        p = A.multiply(p, c)
+    krylov = Mat(list(zip(*powers)), cols=len(powers))
+    return [-a for a in solve(krylov, p)] + [ONE], krylov
 
 
-def annihilator_within(A: GradedAlgebra, piece: Subspace, ideal: Subspace) -> Subspace:
-    """{a in piece : a b = b a = 0 for all b in the ideal}."""
-    rows = []
-    for b in ideal.basis_vectors():
-        rows.extend(A.right_mult_matrix(b).data)   # a -> a b
-        rows.extend(A.left_mult_matrix(b).data)    # a -> b a
-    if not rows:
-        return piece
-    ann = kernel(Mat(rows, cols=A.dim))
-    return ann & piece
+def _divide(m, r):
+    """(q, m(r)) with m = (x - r) q + m(r), coefficients constant term first."""
+    acc, b = ZERO, []
+    for a in reversed(m):
+        acc = acc * r + a
+        b.append(acc)
+    return b[-2::-1], b[-1]
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of n >= 1, found in pairs (d, n / d) with d <= isqrt(n)."""
+    return sorted({x for d in range(1, isqrt(n) + 1) if n % d == 0 for x in (d, n // d)})
+
+
+def _rational_root(m):
+    """A rational root of the monic m (constant term first), or None: 0, or
+    +-p/q with p | m_0 and q | m_d once denominators are cleared."""
+    scale = lcm(*(a.denominator for a in m))
+    tops, bottoms = _divisors(abs(m[0] * scale).numerator), _divisors(scale)
+    candidates = [ZERO] + [s * Fraction(p, q) for p in tops for q in bottoms for s in (1, -1)]
+    return next((r for r in candidates if _divide(m, r)[1] == 0), None)
+
+
+def _split(A: GradedAlgebra, centre: Subspace, f):
+    """Two orthogonal idempotents of C.f summing to the central idempotent f,
+    or None when A.f is graded-simple (C.f = Q f, or a certified field)."""
+    cf = Subspace.from_vectors(A.dim, [A.multiply(z, f) for z in centre.basis_vectors()])
+    if cf.dim == 1:
+        return None
+    for c in cf.basis_vectors():
+        m, krylov = _minimal_polynomial(A, f, c)
+        root = _rational_root(m) if len(m) > 2 else None
+        if root is not None:
+            q, _ = _divide(m, root)
+            half = tuple(x / _divide(q, root)[1] for x in krylov.mul_vec(q))
+            return half, tuple(x - y for x, y in zip(f, half))
+        if len(m) - 1 == cf.dim <= 3:
+            return None
+    raise ValidationError(
+        f"graded-simple split needs factoring over Q: no basis element of a {cf.dim}-dim "
+        f"degree-e centre has a rational eigenvalue, and fields are certified to degree 3")
 
 
 def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
-    """Decompose a semisimple unital algebra into graded-simple ideals.
-
-    Pieces are split in a tree: the first homogeneous candidate of a piece
-    that generates a proper ideal I splits it into I and its annihilator
-    complement, and both go back on the stack; a piece where no candidate
-    generates a proper ideal is final. The final pieces are the minimal graded
-    ideals, which are unique, and they are returned in canonical order. Each
-    one is re-verified: dims add up, pairwise products vanish, it is a
-    two-sided ideal, and every candidate homogeneous element lies in it and
-    generates all of it (a closure bounded by the component).
-    """
+    """Decompose a semisimple unital algebra into graded-simple ideals: the
+    unique minimal graded ideals A.f, f primitive in the degree-e centre (see
+    the module docstring), in canonical order. Raises ValidationError when a
+    piece needs factoring over Q. Post-check: dims add up, each component is
+    a graded two-sided ideal, and products between components vanish."""
     if A.kind != ASSOCIATIVE:
         raise ValidationError("decomposition applies to associative algebras")
     if A.dim == 0:
@@ -116,40 +128,27 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
         raise ValidationError("decomposition needs a unital algebra")
     if not jacobson_radical(A, verify=False).is_zero():
         raise NotSemisimpleError("algebra has a nonzero radical")
-    rng = random.Random(_CANDIDATE_SEED)
+    centre = _degree_e_centre(A)
     final = []
-    stack = [Subspace.full(A.dim)]
+    stack = [A.unit]
     while stack:
-        piece = stack.pop()
-        ideal = _proper_ideal(A, piece, rng)
-        if ideal is None:
-            final.append(piece)
-            continue
-        rest = annihilator_within(A, piece, ideal)
-        if ideal.dim + rest.dim != piece.dim or not (ideal & rest).is_zero():
-            raise InternalCheckError("annihilator complement does not split the piece")
-        stack += [ideal, rest]
+        f = stack.pop()
+        halves = _split(A, centre, f)
+        if halves is None:
+            final.append(Subspace.from_vectors(A.dim, A.right_mult_matrix(f).transpose().data))
+        else:
+            stack += halves
     final.sort(key=lambda s: (s.dim, s.mat.data))
-    total = sum(c.dim for c in final)
-    if total != A.dim:
+    if sum(c.dim for c in final) != A.dim:
         raise InternalCheckError("component dimensions do not add up")
-    for i, ci in enumerate(final):
-        for j, cj in enumerate(final):
-            if i == j:
-                continue
-            for u in ci.basis_vectors():
-                for w in cj.basis_vectors():
-                    if not is_zero_vector(A.multiply(u, w)):
-                        raise InternalCheckError("cross products between components do not vanish")
     for c in final:
         if not A.is_ideal(c):
             raise InternalCheckError("component is not a two-sided ideal")
-        for x in _homogeneous_candidates(A, c, rng):
-            if not c.contains(x):
-                raise InternalCheckError("component is not graded")
-            if A.ideal_generated([x], within=c) != c:
-                raise InternalCheckError(
-                    "component is not graded-simple: a homogeneous element generates a proper ideal")
+        if graded_closure(c, A) != c:
+            raise InternalCheckError("component is not graded")
+    for ci, cj in permutations(final, 2):
+        if not A.product_span(ci, cj).is_zero():
+            raise InternalCheckError("cross products between components do not vanish")
     return GradedDecomposition("wedderburn_artin", final)
 
 

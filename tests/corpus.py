@@ -2,7 +2,8 @@
 sweeps: builtins, randomized graded quotients of truncated free-group
 algebras, random graded subalgebras of matrix algebras, direct sums, and the
 commutator Lie algebras A^- of the small associative members; plus seeded
-integer matrices for the linear-algebra sweeps.
+integer matrices for the linear-algebra sweeps, and two rewrites of a given
+algebra: with the trivial grading, and on a new homogeneous basis.
 
 Grading groups covered: trivial, Z2, Z3, Z2 x Z2, free(2). All dims <= 8.
 """
@@ -17,7 +18,8 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, gl2_z2, heisenberg3,
                                 matrix_algebra, matrix_algebra_z2, sl2,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
-from gradedalg.groups import CyclicGroup, ProductGroup
+from gradedalg.exactlin import Mat, Subspace, invert
+from gradedalg.groups import CyclicGroup, ProductGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical
 from gradedalg.structure import malcev_complement_graded
 
@@ -127,6 +129,29 @@ def semisimple_part(A: GradedAlgebra) -> GradedAlgebra:
 
 def corpus_semisimple_parts() -> list:
     return [semisimple_part(A) for A in associative_corpus() if A.unit is not None]
+
+
+def trivially_graded(A: GradedAlgebra) -> GradedAlgebra:
+    """A with the same structure constants and unit, graded by the trivial group."""
+    t = TrivialGroup()
+    return GradedAlgebra(t, [t.identity()] * A.dim, A.constants(), kind=A.kind,
+                         unit=A.unit, name=f"{A.name}_triv")
+
+
+def change_basis(A: GradedAlgebra, rows):
+    """(B, image) for a unital A: B is A written on the basis b_i = rows[i]
+    (A-coordinates, b_i homogeneous of degree A.degrees[i]), and image takes
+    a subspace of A to the same subspace in B's coordinates."""
+    inverse = invert(Mat(rows)).data
+
+    def coords(v):
+        return tuple(sum(v[r] * inverse[r][k] for r in range(A.dim)) for k in range(A.dim))
+
+    structure = {(i, j, k): c for i, bi in enumerate(rows) for j, bj in enumerate(rows)
+                 for k, c in enumerate(coords(A.multiply(bi, bj)))}
+    B = GradedAlgebra(A.group, A.degrees, structure, unit=coords(A.unit),
+                      name=f"{A.name}_rebased")
+    return B, lambda S: Subspace.from_vectors(A.dim, [coords(v) for v in S.basis_vectors()])
 
 
 def lie_corpus() -> list:

@@ -1,7 +1,8 @@
-"""The package promises exact arithmetic: no floating point and no tolerance
-anywhere. Walk the AST of every module and reject float literals, float(),
-round() and math.isclose calls, `import math`, and `from math import` of
-anything but the integer-exact functions. The same walk keeps modules to each
+"""The package promises exact arithmetic: no floating point, no tolerance and
+no random draw anywhere. Walk the AST of every module and reject float
+literals, float(), round() and math.isclose calls, `import math`, `from math
+import` of anything but the integer-exact functions, and any import of
+`random`, so that no result can hang on a seed. The same walk keeps modules to each
 other's public surface: `x._name` is allowed on `self` and `cls` only, and
 only exactlin calls the `Subspace(...)` constructor, which trusts its basis to
 be in reduced row echelon form (elsewhere `Subspace.from_vectors`, `zero` and
@@ -31,12 +32,15 @@ def inexact_nodes(tree):
             elif isinstance(f, ast.Attribute) and f.attr == "isclose":
                 yield node, "isclose() call"
         elif isinstance(node, ast.Import):
-            if any(a.name.split(".")[0] == "math" for a in node.names):
-                yield node, "import math"
+            for a in node.names:
+                if a.name.split(".")[0] in ("math", "random"):
+                    yield node, f"import {a.name.split('.')[0]}"
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             for a in node.names:
                 if a.name not in EXACT_MATH:
                     yield node, f"from math import {a.name}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            yield node, "from random import"
 
 
 def foreign_private_nodes(tree, module=""):
@@ -89,10 +93,13 @@ def test_module_is_exact(path):
 
 def test_checker_flags_inexact_code():
     code = ("import math\nfrom math import factorial, sqrt\nx = 1.5\n"
-            "y = float('2')\nz = round(x)\nmath.isclose(x, y)\n")
+            "y = float('2')\nz = round(x)\nmath.isclose(x, y)\n"
+            "import random\nfrom random import Random\nimport os, random as r\n"
+            "from fractions import Fraction\nrandom_seed = 1\n")
     kinds = sorted(what for _, what in inexact_nodes(ast.parse(code)))
     assert kinds == ["float literal 1.5", "float() call", "from math import sqrt",
-                     "import math", "isclose() call", "round() call"]
+                     "from random import", "import math", "import random", "import random",
+                     "isclose() call", "round() call"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from gradedalg.builders import builtin
 from gradedalg.cli import main
 from gradedalg.errors import InternalCheckError, SchemaError
 from gradedalg.schema import (algebra_to_description, canonical_json,
-                              description_to_algebra, digest, parse_rational,
-                              poly_from_description, render_rational)
+                              description_to_algebra, digest, load_json,
+                              parse_rational, poly_from_description,
+                              render_rational)
 
 F = Fraction
 
@@ -111,6 +113,25 @@ def test_malformed_descriptions_exit_2_with_position(mutate, message, tmp_path, 
     assert main(["radical", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"kind": "associative", "name": "\xff"}', r"not UTF-8 at byte 33: invalid start byte"),
+    (b"[" + b"0," * 60000 + b'"\xfe"]', r"not UTF-8 at byte 120002: invalid start byte"),
+    (b"[" * 100000, r"JSON nested too deeply to parse"),
+], ids=["bad-byte", "bad-byte-far", "deep-nesting"])
+@pytest.mark.parametrize("argv", [["radical", "--input", "{path}"],
+                                  ["check-identity", "--builtin", "m2_z2", "--poly", "{path}"]],
+                         ids=["input", "poly"])
+def test_unreadable_files_exit_2(content, message, argv, tmp_path, capsys):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match=message):
+        load_json(str(path))
+    assert main([a.format(path=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and re.search(message, err)
+    assert "Traceback" not in err
 
 
 def test_rendered_rationals_parse_back():
@@ -247,6 +268,20 @@ def test_cli_decompose(capsys):
     assert main(["decompose", "--builtin", "gl2_z2"]) == 0
     outp = capsys.readouterr().out
     assert "Levi subalgebra dim 3" in outp
+
+
+def test_cli_decompose_refuses_a_split_that_needs_factoring(tmp_path, capsys):
+    # trivially graded Q[Z5] = Q + Q(z5): the degree-4 field is not certified
+    from gradedalg.builders import group_algebra
+    from gradedalg.groups import CyclicGroup
+    from tests.corpus import trivially_graded
+    path = tmp_path / "qz5.json"
+    path.write_text(json.dumps(algebra_to_description(
+        trivially_graded(group_algebra(CyclicGroup(5))))))
+    assert main(["decompose", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert "graded-simple split needs factoring over Q" in err
+    assert err.startswith("invariant violation: ValidationError: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, radical", [("ut2", "jacobson_radical"),

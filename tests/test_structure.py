@@ -1,21 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gradedalg.algebra import algebra_on_subspace
+from gradedalg.algebra import GradedAlgebra, algebra_on_subspace
 from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, gl2_z2,
                                 two_dim_nonabelian_lie, ut2)
 from gradedalg.errors import InternalCheckError, NotSemisimpleError, ValidationError
-from gradedalg.exactlin import Subspace, is_zero_vector
-from gradedalg.groups import CyclicGroup
+from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank
+from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import (is_graded_subspace, jacobson_radical,
                                killing_form, solvable_radical)
 from gradedalg.schema import digest, render_rational
 from gradedalg.structure import (graded_complement, levi_graded,
                                  malcev_complement_graded, wedderburn_artin_graded)
-from tests.corpus import associative_corpus, corpus_semisimple_parts, lie_corpus
+from tests.corpus import (associative_corpus, change_basis, corpus_semisimple_parts,
+                          lie_corpus, trivially_graded)
 from tests.oracles import enumerate_minimal_graded_ideals
 
 F = Fraction
@@ -88,53 +91,136 @@ def test_bounded_closure_rejects_a_generator_outside_the_bound():
 
 
 def test_wedderburn_descends_each_component_once(monkeypatch):
-    # one split tree: the whole algebra and one inner piece are split, and
-    # each of the three components is confirmed once, 2k - 1 = 5 calls for
-    # k = 3
+    # one split tree: the unit and one inner idempotent are halved, and each
+    # of the three components is certified once, k - 1 = 2 splits and k = 3
+    # final pieces
     import gradedalg.structure
     calls = []
-    split = gradedalg.structure._proper_ideal
+    split = gradedalg.structure._split
 
-    def counting(A, piece, rng):
-        calls.append(piece.dim)
-        return split(A, piece, rng)
+    def counting(A, centre, f):
+        halves = split(A, centre, f)
+        calls.append((f, halves is None))
+        return halves
 
-    monkeypatch.setattr(gradedalg.structure, "_proper_ideal", counting)
+    monkeypatch.setattr(gradedalg.structure, "_split", counting)
     q = matrix_algebra(1, CyclicGroup(2))
     A = direct_sum(direct_sum(matrix_algebra_z2(), fz2()), q)
     assert wedderburn_artin_graded(A).dims() == [1, 2, 4]
-    assert len(calls) == 5
-    assert calls[0] == 7 and sorted(calls[1:]) == [1, 2, 3, 4]
+    assert len(calls) == 5 and calls[0][0] == A.unit
+    assert sum(final for _, final in calls) == 3
 
 
 def test_wedderburn_post_check_rejects_a_non_ideal_component(monkeypatch):
-    # a split that cuts span(e12) off every piece but span(e12) itself, with
-    # a complement of the right dimension, ends in four copies of span(e12)
-    # and one zero piece: dims add up to 4, cross products vanish
-    # (e12 e12 = 0) and the closure of e12 bounded by span(e12) is full at
-    # once; only the ideal check sees that e21 e12 = e22 escapes
+    # a split of the unit of M2 at the idempotents e11, e22, which are not
+    # central, gives the left ideals A e11 = span(e11, e21) and A e22: dims
+    # add up and both are graded (the diagonal is even), but only the ideal
+    # check sees that e11 e12 = e12 escapes A e11
     import gradedalg.structure
     M = matrix_algebra_z2()
-    e12 = Subspace.from_vectors(4, [M.basis_vector(1)])
-    others = [M.basis_vector(i) for i in (0, 2, 3)]
-    monkeypatch.setattr(gradedalg.structure, "_proper_ideal",
-                        lambda A, piece, rng: None if piece in (e12, Subspace.zero(4)) else e12)
-    monkeypatch.setattr(gradedalg.structure, "annihilator_within",
-                        lambda A, piece, ideal: Subspace.from_vectors(4, others[:piece.dim - 1]))
+    e11, e22 = M.basis_vector(0), M.basis_vector(3)
+    monkeypatch.setattr(gradedalg.structure, "_split",
+                        lambda A, centre, f: (e11, e22) if f == A.unit else None)
     with pytest.raises(InternalCheckError, match="not a two-sided ideal"):
         wedderburn_artin_graded(M)
 
 
 def test_wedderburn_post_check_rejects_a_non_graded_component(monkeypatch):
-    # Q[Z2] = span(1 + g) (+) span(1 - g) as ideals, but neither is graded:
-    # the homogeneous candidate 1 of span(1 + g) lies outside it
+    # Q[Z2] = span(1 + g) (+) span(1 - g) as ideals, at the central
+    # idempotents (1 +- g) / 2, which are not of degree e: neither ideal is
+    # graded
     import gradedalg.structure
     A = fz2()
-    plus = Subspace.from_vectors(2, [(1, 1)])
-    monkeypatch.setattr(gradedalg.structure, "_proper_ideal",
-                        lambda A, piece, rng: plus if piece.dim == 2 else None)
+    plus, minus = (F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))
+    monkeypatch.setattr(gradedalg.structure, "_split",
+                        lambda A, centre, f: (plus, minus) if f == A.unit else None)
     with pytest.raises(InternalCheckError, match="not graded"):
         wedderburn_artin_graded(A)
+
+
+def _canonical(subspaces):
+    return sorted(subspaces, key=lambda s: (s.dim, s.mat.data))
+
+
+@pytest.mark.parametrize("rows", [((1, 1, 1), (1, 2, 3), (1, 4, 9)),
+                                  ((1, 5, 7), (2, 3, 11), (13, 2, 5))])
+def test_wedderburn_splits_q3_on_a_twisted_basis(rows):
+    # trivially graded Q^3 on these bases: the seeded candidate search
+    # returned dims [1, 2] and [3]; the components are the lines through the
+    # standard idempotents
+    Q = matrix_algebra(1)
+    Q3 = direct_sum(direct_sum(Q, Q), Q)
+    B, image = change_basis(Q3, rows)
+    lines = [image(Subspace.from_vectors(3, [Q3.basis_vector(i)])) for i in range(3)]
+    assert wedderburn_artin_graded(B).components == _canonical(lines)
+
+
+def test_wedderburn_certifies_small_number_fields():
+    # trivially graded Q[Z3] = Q + Q(w), Q[Z4] = Q + Q + Q(i), and
+    # Q[x]/(x^2 + 1) = Q(i): each block of the centre of dim 2 has an element
+    # whose minimal polynomial has degree 2 and no rational root
+    fz3 = trivially_graded(group_algebra(CyclicGroup(3)))
+    dec = wedderburn_artin_graded(fz3)
+    assert dec.dims() == [1, 2]
+    assert dec.components[0] == Subspace.from_vectors(3, [(1, 1, 1)])
+    assert wedderburn_artin_graded(trivially_graded(group_algebra(CyclicGroup(4)))).dims() == [1, 1, 2]
+    t = TrivialGroup()
+    qi = GradedAlgebra(t, [t.identity()] * 2,
+                       {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): -1}, unit=(1, 0))
+    assert wedderburn_artin_graded(qi).dims() == [2]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_wedderburn_refuses_a_split_that_needs_factoring(n):
+    # trivially graded Q[Z5] = Q + Q(z5) and Q[Z6] = Q + Q + Q(w) + Q(w): a
+    # piece with a 4-dim centre is left where no basis element has a rational
+    # eigenvalue, and the field certificate stops at degree 3. The seeded
+    # candidate search returned [1, 4] (right, but only sampled) and
+    # [1, 1, 4] (wrong: Q(w) + Q(w) is not graded-simple)
+    A = trivially_graded(group_algebra(CyclicGroup(n)))
+    with pytest.raises(ValidationError, match="graded-simple split needs factoring over Q"):
+        wedderburn_artin_graded(A)
+
+
+def _split_semisimple_atoms():
+    Z2 = CyclicGroup(2)
+    return [[lambda: matrix_algebra(1), lambda: matrix_algebra(2)],
+            [matrix_algebra_z2, fz2, lambda: matrix_algebra(1, Z2)]]
+
+
+@st.composite
+def twisted_direct_sums(draw):
+    """(A, rows): a direct sum of split semisimple builtins over one group, of
+    dim <= 8, and a degree-preserving invertible integer basis change."""
+    atoms = draw(st.sampled_from(_split_semisimple_atoms()))
+    parts = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=4))
+    A = parts[0]()
+    for part in parts[1:]:
+        A = direct_sum(A, part())
+    assume(A.dim <= 8)
+    rows = [[0] * A.dim for _ in range(A.dim)]
+    for g in A.support:
+        idx = A.component_indices(g)
+        block = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(idx), max_size=len(idx)),
+                              min_size=len(idx), max_size=len(idx)))
+        assume(rank(Mat(block)) == len(idx))
+        for t, i in enumerate(idx):
+            for u, j in enumerate(idx):
+                rows[i][j] = block[t][u]
+    return A, rows
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(twisted_direct_sums())
+def test_wedderburn_components_follow_a_basis_change(case):
+    # the components are the unique minimal graded ideals, so on any basis
+    # they are the images of the components on the standard one
+    A, rows = case
+    B, image = change_basis(A, rows)
+    before = wedderburn_artin_graded(A).components
+    after = wedderburn_artin_graded(B).components
+    assert [c.dim for c in after] == [c.dim for c in before]
+    assert after == _canonical(image(c) for c in before)
 
 
 def test_wedderburn_cross_products_vanish():
@@ -249,7 +335,6 @@ def test_levi_gl2_is_sl2():
     # Killing form of the Levi part is nondegenerate
     emb = algebra_on_subspace(G, B, name="levi")
     K = killing_form(emb.algebra)
-    from gradedalg.exactlin import rank
     assert rank(K) == 3
 
 
