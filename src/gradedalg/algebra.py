@@ -241,27 +241,17 @@ class GradedAlgebra:
 
     # -- ideals and subalgebras ---------------------------------------------
 
-    def ideal_generated(self, gens: Iterable, within: Subspace | None = None) -> Subspace:
+    def ideal_generated(self, gens: Iterable) -> Subspace:
         """Smallest two-sided ideal containing the generators: closure of their
-        span under left/right multiplication by basis vectors.
-
-        `within`, when given, must be a two-sided ideal holding every
-        generator; a generator outside it raises ValidationError. The closure
-        then lies in `within`, so it stops as soon as it has within's
-        dimension (equal dimension means equal space). Without `within` the
-        bound is the whole algebra."""
-        red = Reducer(self.dim)
-        for v in gens:
-            if within is not None and not within.contains(v):
-                raise ValidationError("generator lies outside the ideal bounding the closure")
-            red.insert(v)
-        full = self.dim if within is None else within.dim
+        span under left/right multiplication by basis vectors. The closure
+        stops as soon as it fills the whole algebra."""
+        red = Reducer(self.dim, gens)
         work = [list(r) for r in red.rows]
-        while work and red.dim < full:
+        while work and red.dim < self.dim:
             v = work.pop()
             sv = {i: c for i, c in enumerate(v) if c != 0}
             for b in range(self.dim):
-                if red.dim == full:
+                if red.dim == self.dim:
                     break
                 sb = {b: ONE}
                 for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
@@ -337,21 +327,40 @@ def graded_closure(w: Subspace, A: GradedAlgebra) -> Subspace:
         A.dim, [p for v in w.basis_vectors() for _, p in A.homogeneous_components(v)])
 
 
+def graded_check(w: Subspace, A: GradedAlgebra):
+    """(is_graded, witness): the witness is a homogeneous vector that escapes
+    w, present exactly when w is not graded.
+
+    w is graded iff every row r of its canonical RREF basis is homogeneous.
+    If w is graded, the projection pi_g(r) on the degree g of r's pivot lies
+    in w; then r - pi_g(r) lies in w and is zero at every pivot, so it is 0.
+    So only the degrees of r's nonzero coordinates are read. When r mixes
+    degrees, the same argument shows that pi_g(r) escapes w: the witness."""
+    for r, p in zip(w.basis_vectors(), w.pivots):
+        g = A.degrees[p]
+        if any(x != 0 and A.degrees[i] != g for i, x in enumerate(r)):
+            return False, A.homogeneous_projection(r, g)
+    return True, None
+
+
 def nilpotency_index(A: GradedAlgebra, s: Subspace | None = None):
     """Smallest p with S^p = 0 for the subspace S (default: the whole algebra),
-    powers taken as iterated product spans; None if S is not nilpotent."""
+    powers taken as iterated product spans; None if S is not nilpotent.
+    S^(p+1) = S^p . S depends on S^p alone, so a power that repeats without
+    being 0 never reaches 0."""
     if s is None:
         s = Subspace.full(A.dim)
-    if s.is_zero():
-        return 1
     power = s
     p = 1
-    while p <= A.dim + 1:
-        power = A.product_span(power, s)
+    while not power.is_zero():
+        if p > A.dim + 1:
+            return None
+        nxt = A.product_span(power, s)
+        if nxt == power:
+            return None
+        power = nxt
         p += 1
-        if power.is_zero():
-            return p
-    return None
+    return p
 
 
 @dataclass
@@ -376,8 +385,8 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         raise DimensionMismatchError("ideal lives in a different ambient space")
     if not A.is_ideal(ideal):
         raise NotAnIdealError("subspace is not a two-sided ideal")
-    if graded_closure(ideal, A) != ideal:
-        raise NotGradedError("ideal is not graded: it differs from its graded closure")
+    if not graded_check(ideal, A)[0]:
+        raise NotGradedError("ideal is not graded: a basis vector mixes degrees")
     red = Reducer(A.dim, ideal.basis_vectors())
     chosen = []
     # basis order; each homogeneous standard vector only reduces against rows
@@ -443,16 +452,13 @@ class SubalgebraEmbedding:
 def algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> SubalgebraEmbedding:
     """Make a multiplicatively closed graded subspace into an algebra of its own.
 
-    The canonical RREF basis of a graded subspace is automatically homogeneous
-    (each row equals one of its own projections), which is verified here.
+    The canonical RREF basis of a graded subspace is homogeneous
+    (`graded_check`), so each basis row has the degree of its pivot.
     """
+    if not graded_check(s, A)[0]:
+        raise NotGradedError("subspace is not graded: basis vector mixes degrees")
     rows = s.basis_vectors()
-    degrees = []
-    for r in rows:
-        g = A.degree_of(r)
-        if g is None:
-            raise NotGradedError("subspace is not graded: basis vector mixes degrees")
-        degrees.append(g)
+    degrees = [A.degrees[p] for p in s.pivots]
     dim = len(rows)
     structure = {}
     for a in range(dim):

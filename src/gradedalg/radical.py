@@ -1,79 +1,75 @@
 """Radicals and their gradedness: Jacobson radical via the trace-form kernel,
 solvable radical via Killing orthogonality, nilradical as the kernel of
 tr(ad x . y) over the span of ad-words, plus one gradedness verdict per
-radical (`graded_check`, which carries a witness).
+radical (`graded_check` of the algebra layer, which carries a witness).
 
 All radical computations are plain exact linear algebra; over Q (char 0) the
-trace criterion J = rad{(a,b) -> tr(L(ab))} on the unitalization is exact,
-the Killing-orthogonal complement of [L, L] is the solvable radical, and
-the nilradical {x : ad x in J(E)}, E the span of the nonempty ad-words, is
-{x : tr(ad x . y) = 0 for all y in E}, since J(E) is the radical of the
-trace form of E (see `nilradical`). The Killing form and the ad-word span
-are read off the sparse structure constants.
+trace criterion J = rad{(a,b) -> tr(L(ab))} is exact, on A itself also when
+A has no unit (see `_trace_form_radical`); the Killing-orthogonal complement
+of [L, L] is the solvable radical, and the nilradical {x : ad x in J(E)}, E
+the span of the nonempty ad-words, is {x : tr(ad x . y) = 0 for all y in E},
+since J(E) is the radical of the trace form of E (see `nilradical`). The
+Killing form and the ad-word span are read off the sparse structure
+constants. With verify=True each radical runs the same post-checks
+(`_post_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, nilpotency_index,
-                      quotient_algebra, unitalize)
+from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, graded_check,
+                      nilpotency_index, quotient_algebra)
 from .errors import InternalCheckError, ValidationError
 from .exactlin import Mat, Reducer, Subspace, ZERO, kernel, unit_vector
-
-
-def graded_check(w: Subspace, A: GradedAlgebra):
-    """(is_graded, witness): witness is a homogeneous projection of a basis
-    vector that escapes w, present exactly when the check fails."""
-    for v in w.basis_vectors():
-        for _, p in A.homogeneous_components(v):
-            if not w.contains(p):
-                return False, p
-    return True, None
 
 
 def is_graded_subspace(w: Subspace, A: GradedAlgebra) -> bool:
     return graded_check(w, A)[0]
 
 
+def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
+    """The verify=True checks of a radical I: it is nilpotent or solvable
+    (`trait`); and when 0 < I < A (0 and A are always graded ideals) it is an
+    ideal, it is graded, and, given `quotient_radical`, A/I has zero radical."""
+    holds = is_solvable(A, I) if trait == "solvable" else nilpotency_index(A, I) is not None
+    if not holds:
+        raise InternalCheckError(f"{name} candidate is not {trait}")
+    if I.is_zero() or I.dim == A.dim:
+        return
+    if not A.is_ideal(I):
+        raise InternalCheckError(f"{name} candidate is not an ideal")
+    ok, witness = graded_check(I, A)
+    if not ok:
+        raise InternalCheckError(f"{name} is not graded; witness {witness}")
+    if quotient_radical and not quotient_radical(quotient_algebra(A, I).algebra).is_zero():
+        raise InternalCheckError(f"quotient by the {name} is not semisimple")
+
+
 def _trace_form_radical(A: GradedAlgebra) -> Subspace:
-    """Kernel of (a, b) -> tr(L(ab)) on the unitalization, pulled back to A."""
-    if A.dim == 0:
-        return Subspace.zero(0)
-    B = A if A.unit is not None else unitalize(A)
-    tvec = [B.trace_of_left_mult(unit_vector(B.dim, i)) for i in range(B.dim)]
-    gram = [[sum((c * tvec[k] for k, c in B.structure[i][j]), ZERO) for j in range(B.dim)]
-            for i in range(B.dim)]
-    rad = kernel(Mat(gram, cols=B.dim))
-    if B is A:
-        return rad
-    # intersect back with A = the span of the first dim(A) coordinates
-    amb = Subspace.from_vectors(B.dim, [unit_vector(B.dim, i) for i in range(A.dim)])
-    inter = rad & amb
-    return Subspace.from_vectors(A.dim, [r[:A.dim] for r in inter.basis_vectors()])
+    """Kernel of the trace form (a, b) -> tr(L(ab)) of A itself, also for a
+    non-unital A, where J(A) is J(A (+) Q.1) ^ A. For x in A, L(x) sends 1 to
+    x, off the diagonal, so its trace on A (+) Q.1 is its trace on A. The one
+    extra pairing, (x, 1) -> tr(L(x)), vanishes on the kernel anyway: there
+    tr(L(x)^k) = tr(L(x . x^(k-1))) = 0 for k >= 2, so L(x) is nilpotent."""
+    tvec = [A.trace_of_left_mult(unit_vector(A.dim, i)) for i in range(A.dim)]
+    gram = [[sum((c * tvec[k] for k, c in A.structure[i][j]), ZERO) for j in range(A.dim)]
+            for i in range(A.dim)]
+    return kernel(Mat(gram, cols=A.dim))
 
 
 def jacobson_radical(A: GradedAlgebra, verify: bool = True) -> Subspace:
-    """Largest nilpotent two-sided ideal of an associative algebra over Q.
+    """Largest nilpotent two-sided ideal of an associative algebra over Q, the
+    trace-form radical, with no unit adjoined to a non-unital A.
 
-    With verify=True the result is post-checked: it is an ideal, it is
-    nilpotent, and the quotient by it has zero radical again.
+    With verify=True the result is post-checked: it is nilpotent, and when
+    proper and nonzero it is a graded ideal whose quotient has zero radical.
     """
     if A.kind != ASSOCIATIVE:
         raise ValidationError("Jacobson radical is for associative algebras")
     J = _trace_form_radical(A)
-    if verify and A.dim > 0:
-        if not A.is_ideal(J):
-            raise InternalCheckError("radical candidate is not a two-sided ideal")
-        if nilpotency_index(A, J) is None:
-            raise InternalCheckError("radical candidate is not nilpotent")
-        if not J.is_zero():
-            ok, witness = graded_check(J, A)
-            if not ok:
-                raise InternalCheckError(f"radical is not graded; witness {witness}")
-            q = quotient_algebra(A, J)
-            if not _trace_form_radical(q.algebra).is_zero():
-                raise InternalCheckError("quotient by the radical is not semisimple")
+    if verify:
+        _post_check(A, J, "Jacobson radical", "nilpotent", _trace_form_radical)
     return J
 
 
@@ -103,7 +99,8 @@ def killing_form(L: GradedAlgebra) -> Mat:
 
 
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
-    """s, [s,s], [[s,s],[s,s]], ... down to the first repetition or zero."""
+    """s, [s,s], [[s,s],[s,s]], ... down to the first repetition or zero; for
+    an associative ideal s the products give s, s^2, s^4, ..."""
     out = [s]
     while not out[-1].is_zero():
         nxt = L.product_span(out[-1], out[-1])
@@ -129,17 +126,8 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     rows = [K.mul_vec(d) for d in derived.basis_vectors()]
     R = kernel(Mat(rows, cols=L.dim))
     if verify:
-        if not L.is_ideal(R):
-            raise InternalCheckError("solvable radical candidate is not an ideal")
-        if not is_solvable(L, R):
-            raise InternalCheckError("solvable radical candidate is not solvable")
-        if R.dim < L.dim:
-            ok, witness = graded_check(R, L)
-            if not ok:
-                raise InternalCheckError(f"solvable radical is not graded; witness {witness}")
-            q = quotient_algebra(L, R)
-            if not solvable_radical(q.algebra, verify=False).is_zero():
-                raise InternalCheckError("quotient by the solvable radical is not semisimple")
+        _post_check(L, R, "solvable radical", "solvable",
+                    lambda Q: solvable_radical(Q, verify=False))
     return R
 
 
@@ -185,14 +173,7 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
         return Subspace.zero(0)
     N = kernel(Mat([_ad_traces(L, y) for y in _ad_word_span(L)], cols=n))
     if verify:
-        if not L.is_ideal(N):
-            raise InternalCheckError("nilradical candidate is not an ideal")
-        if nilpotency_index(L, N) is None:
-            raise InternalCheckError("nilradical candidate is not nilpotent")
-        if N.dim < L.dim:
-            ok, witness = graded_check(N, L)
-            if not ok:
-                raise InternalCheckError(f"nilradical is not graded; witness {witness}")
+        _post_check(L, N, "nilradical", "nilpotent")
     return N
 
 

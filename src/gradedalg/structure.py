@@ -32,10 +32,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import isqrt, lcm
 
-from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_closure, quotient_algebra
+from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
 from .exactlin import Mat, ONE, Reducer, Subspace, ZERO, axpy, kernel, solve, unit_vector
-from .radical import jacobson_radical, solvable_radical
+from .radical import derived_series, jacobson_radical, solvable_radical
 
 
 @dataclass
@@ -144,7 +144,7 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     for c in final:
         if not A.is_ideal(c):
             raise InternalCheckError("component is not a two-sided ideal")
-        if graded_closure(c, A) != c:
+        if not graded_check(c, A)[0]:
             raise InternalCheckError("component is not graded")
     for ci, cj in permutations(final, 2):
         if not A.product_span(ci, cj).is_zero():
@@ -217,8 +217,9 @@ def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
     J(A) or the solvable radical, for a caller that already holds it.
 
     Lifts the standard-vector section of A -> A/I along I, I.I, (I.I).(I.I),
-    ... with `_lift_section` (see the module docstring for why each step is
-    solvable); every correction is homogeneous because each I_k is graded.
+    ... (`derived_series`, which ends at 0 unless I is not solvable) with
+    `_lift_section` (see the module docstring for why each step is solvable);
+    every correction is homogeneous because each I_k is graded.
     """
     if A.kind == ASSOCIATIVE and A.unit is None:
         raise ValidationError("complement construction needs a unital algebra")
@@ -226,13 +227,11 @@ def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
         return Subspace.full(A.dim)
     q = quotient_algebra(A, I)
     section = [list(v) for v in q.section]
-    power = I
-    while not power.is_zero():
-        below = A.product_span(power, power)
-        if below == power:
-            raise InternalCheckError("ideal is not solvable: I_k . I_k = I_k != 0")
+    series = derived_series(A, I)
+    if not series[-1].is_zero():
+        raise InternalCheckError("ideal is not solvable: I_k . I_k = I_k != 0")
+    for power, below in zip(series, series[1:]):
         _lift_section(A, q.algebra, section, power, below)
-        power = below
     B = Subspace.from_vectors(A.dim, section)
     _verify_complement(A, B, I, q.algebra, section)
     return B
@@ -245,9 +244,8 @@ def _verify_complement(A, B, I, Q, section):
         for b in range(Q.dim):
             if list(A.multiply(section[a], section[b])) != _image(A, Q, section, a, b):
                 raise InternalCheckError("complement section is not multiplicative")
-    for v in B.basis_vectors():
-        if A.degree_of(v) is None:
-            raise InternalCheckError("complement is not graded")
+    if not graded_check(B, A)[0]:
+        raise InternalCheckError("complement is not graded")
 
 
 def _unital_radical(A: GradedAlgebra) -> Subspace:

@@ -296,6 +296,22 @@ def test_unitalize():
     assert nilpotency_index(B) is None
 
 
+def test_nilpotency_index_stops_at_a_repeated_power(monkeypatch):
+    # M2 . M2 = M2: the first power repeats, so the loop ends there
+    calls = []
+    product_span = GradedAlgebra.product_span
+    monkeypatch.setattr(GradedAlgebra, "product_span",
+                        lambda self, s1, s2: calls.append(1) or product_span(self, s1, s2))
+    assert nilpotency_index(matrix_algebra_z2()) is None
+    assert len(calls) <= 2
+
+
+def test_nilpotency_index_of_powers_that_never_repeat():
+    # span(diag(2, 3))^p = span(diag(2^p, 3^p)): no power repeats, none is 0
+    M = matrix_algebra(2)
+    assert nilpotency_index(M, Subspace.from_vectors(4, [(2, 0, 0, 3)])) is None
+
+
 def test_algebra_on_subspace_detects_unit():
     M = matrix_algebra(2)
     S = M.subalgebra_generated([M.basis_vector(E11)])

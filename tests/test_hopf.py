@@ -218,7 +218,7 @@ def test_trace_identity_random_and_non_unital():
             f = rand_functional(rng, A.group, window.basis)
             a = rand_vec(rng, A.dim)
             assert trace_identity_check(f, a, A)
-    # non-unital: the radical of free_trunc as an algebra, unitalized inside
+    # non-unital: the radical of free_trunc as an algebra, no unit adjoined
     from gradedalg.algebra import algebra_on_subspace
     A = builtin("free_trunc_2_3")
     J = jacobson_radical(A)

@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from gradedalg.algebra import graded_closure, nilpotency_index, quotient_algebra
+from gradedalg.algebra import (algebra_on_subspace, graded_closure, nilpotency_index,
+                               quotient_algebra, unitalize)
 from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 fz2, lie_from_brackets, matrix_algebra,
                                 matrix_algebra_z2, sl2, gl2_z2, heisenberg3,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
 from gradedalg.errors import InternalCheckError, ValidationError
-from gradedalg.exactlin import Mat, Subspace
+from gradedalg.exactlin import Mat, Subspace, kernel, unit_vector
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import (derived_series, graded_check, graded_radical_report,
                                is_graded_subspace, jacobson_radical, killing_form,
                                nilradical, solvable_radical)
 from gradedalg.schema import digest
-from tests.corpus import commutator_corpus, lie_corpus
+from tests.corpus import associative_corpus, commutator_corpus, lie_corpus
 from tests.dense import matmul, trace
 from tests.oracles import brute_force_largest_nilpotent_ideal
 
@@ -246,3 +247,93 @@ def test_radical_of_nilpotent_nonunital_algebra_is_everything():
     B = algebra_on_subspace(A, J, name="J").algebra
     assert B.unit is None
     assert jacobson_radical(B) == Subspace.full(B.dim)
+
+
+def test_graded_check_agrees_with_the_graded_closure():
+    # spans of homogeneous vectors (graded), of mixed vectors and of both;
+    # a failing check must name a homogeneous witness outside w
+    rng = random.Random(2024)
+    for A in associative_corpus() + lie_corpus():
+        for _ in range(4):
+            vecs = []
+            for _ in range(rng.randint(1, 3)):
+                g = rng.choice(A.support)
+                vecs.append(tuple(F(rng.randint(-2, 2)) if A.degrees[i] == g else F(0)
+                                  for i in range(A.dim)))
+            for _ in range(rng.randint(0, 2)):
+                vecs.append(tuple(F(rng.randint(-2, 2)) for _ in range(A.dim)))
+            w = Subspace.from_vectors(A.dim, vecs)
+            ok, witness = graded_check(w, A)
+            assert ok == (graded_closure(w, A) == w), A.name
+            assert (witness is None) == ok
+            if not ok:
+                assert A.degree_of(witness) is not None and not w.contains(witness)
+
+
+def test_non_unital_jacobson_radical_matches_the_unitalization():
+    # reference: J of A + Q.1, intersected with A = the first dim A coordinates
+    corpus = associative_corpus()
+    non_unital = [A for A in corpus if A.unit is None]
+    for A in corpus[:30]:
+        J = jacobson_radical(A)
+        if not J.is_zero():
+            N = algebra_on_subspace(A, J, name="J").algebra
+            non_unital += [N, direct_sum(A, N)]
+    assert len(non_unital) == 44
+    for A in non_unital:
+        assert A.unit is None
+        B = unitalize(A)
+        amb = Subspace.from_vectors(B.dim, [unit_vector(B.dim, i) for i in range(A.dim)])
+        inter = jacobson_radical(B) & amb
+        want = Subspace.from_vectors(A.dim, [r[:A.dim] for r in inter.basis_vectors()])
+        assert jacobson_radical(A) == want, A.name
+
+
+def _first_kernel_returns(monkeypatch, rows, dim):
+    # the first `kernel` call of each radical builds its candidate; later
+    # calls (the radical of the quotient) stay exact
+    import gradedalg.radical
+    calls = []
+
+    def fake(m):
+        calls.append(m)
+        return Subspace.from_vectors(dim, rows) if len(calls) == 1 else kernel(m)
+    monkeypatch.setattr(gradedalg.radical, "kernel", fake)
+
+
+# ut3 basis: e11, e12, e13, e22, e23, e33; free_trunc_2_3: 1, a, b, aa, ab,
+# ba, bb; sl2: e, h, f; heis3: x, y, z with deg x != deg y; aff1: [x, y] = x
+_E = unit_vector
+POST_CHECK_FAILURES = [
+    (jacobson_radical, lambda: upper_triangular(3), [_E(6, i) for i in range(6)],
+     "Jacobson radical candidate is not nilpotent"),
+    (jacobson_radical, lambda: upper_triangular(3), [_E(6, 1)],
+     "Jacobson radical candidate is not an ideal"),
+    (jacobson_radical, lambda: free_group_truncation(2, 3),
+     [(0, 1, 1, 0, 0, 0, 0)] + [_E(7, i) for i in range(3, 7)],
+     "Jacobson radical is not graded; witness " + str(_E(7, 1))),
+    (jacobson_radical, lambda: upper_triangular(3), [_E(6, 2)],
+     "quotient by the Jacobson radical is not semisimple"),
+    (solvable_radical, sl2, [_E(3, i) for i in range(3)],
+     "solvable radical candidate is not solvable"),
+    (solvable_radical, sl2, [_E(3, 1)], "solvable radical candidate is not an ideal"),
+    (solvable_radical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
+     "solvable radical is not graded; witness " + str(_E(3, 0))),
+    (solvable_radical, two_dim_nonabelian_lie, [(1, 0)],
+     "quotient by the solvable radical is not semisimple"),
+    (nilradical, two_dim_nonabelian_lie, [(1, 0), (0, 1)],
+     "nilradical candidate is not nilpotent"),
+    (nilradical, sl2, [_E(3, 0)], "nilradical candidate is not an ideal"),
+    (nilradical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
+     "nilradical is not graded; witness " + str(_E(3, 0))),
+]
+
+
+@pytest.mark.parametrize("radical, build, rows, message", POST_CHECK_FAILURES)
+def test_post_check_rejects_a_wrong_candidate(monkeypatch, radical, build, rows, message):
+    A = build()
+    _first_kernel_returns(monkeypatch, rows, A.dim)
+    with pytest.raises(InternalCheckError) as exc:
+        radical(A, verify=True)
+    assert str(exc.value) == message
+

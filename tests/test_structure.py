@@ -73,23 +73,6 @@ def test_wedderburn_matches_enumeration_oracle():
     assert sum(len(wedderburn_artin_graded(S).components) >= 2 for S in small) == 62
 
 
-def test_bounded_closure_equals_the_unbounded_one():
-    for A in corpus_semisimple_parts():
-        for c in wedderburn_artin_graded(A).components:
-            for v in c.basis_vectors():
-                for _, x in A.homogeneous_components(v):
-                    assert A.ideal_generated([x], within=c) == A.ideal_generated([x])
-
-
-def test_bounded_closure_rejects_a_generator_outside_the_bound():
-    A = direct_sum(matrix_algebra_z2(), matrix_algebra(1, CyclicGroup(2)))
-    first, second = wedderburn_artin_graded(A).components
-    with pytest.raises(ValidationError, match="outside"):
-        A.ideal_generated([second.basis_vectors()[0]], within=first)
-    with pytest.raises(ValidationError, match="outside"):
-        A.ideal_generated([(1, 0, 0, 0, 1)], within=second)
-
-
 def test_wedderburn_descends_each_component_once(monkeypatch):
     # one split tree: the unit and one inner idempotent are halved, and each
     # of the three components is certified once, k - 1 = 2 splits and k = 3
