@@ -4,6 +4,7 @@ A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
 basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
 over the nonzero c in increasing k, plus one group element per basis vector.
+`integer_structure` is the same table scaled to integers, built on first use.
 Constructors validate everything: indices, grading compatibility,
 associativity or antisymmetry + Jacobi, and the unit law. Instances are
 immutable in use; all operations are pure.
@@ -14,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
@@ -206,6 +209,17 @@ class GradedAlgebra:
                     if k == j:
                         t += ai * c
         return t
+
+    @cached_property
+    def integer_structure(self) -> tuple:
+        """(D, table): D is the lcm of the denominators of the structure
+        constants and table[i][j] = ((k, D c), ...) holds the integers D c
+        for the entries (k, c) of structure[i][j]. A product of n basis
+        vectors folded through the table is D^(n-1) times the true one."""
+        D = lcm(*(c.denominator for plane in self.structure for row in plane for _, c in row))
+        table = tuple(tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in row)
+                            for row in plane) for plane in self.structure)
+        return D, table
 
     def constants(self) -> dict:
         """The structure constants as the mapping {(i, j, k): c} the

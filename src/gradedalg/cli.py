@@ -49,11 +49,22 @@ def _load_algebra(args) -> tuple[GradedAlgebra, dict]:
     return A, desc
 
 
+class OutputError(Exception):
+    """The --json-out report could not be written (exit 1)."""
+
+
+def _write_report(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write --json-out {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(report: dict, json_out: str | None):
     if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(canonical_json(report))
-            fh.write("\n")
+        _write_report(json_out, canonical_json(report))
 
 
 def _degree_names(A: GradedAlgebra, sub) -> list:
@@ -184,9 +195,7 @@ def cmd_builtin(args) -> int:
     text = json.dumps(desc, indent=2, sort_keys=True)
     print(text)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        _write_report(args.json_out, text)
     return EXIT_OK
 
 
@@ -259,6 +268,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,13 @@ multiset's block is computed once and weighted by the multinomial count of
 its labellings (`_codim_blocks`, associative algebras only).
 The resource guard still counts all |support|^n labellings, not the multisets.
 
+`codim_block` walks the word orders as a tree of partial products over the
+integer table `GradedAlgebra.integer_structure`: every row of a block is
+D^(n-1) times its rational value for the common denominator D, which keeps
+ranks, zero entries and repeated rows. A node's subtree depends only on the
+variables left to place and its partial products, so each distinct
+(remaining variables, products) node is expanded once.
+
 Labels may also be read as delta functionals of (QG)*: for a group grading the
 delta-labelled identities are exactly the graded ones, so mode h of
 `codimension_report` reports the same blocks. General (QG)*-labels expand into
@@ -194,15 +201,27 @@ def codim_block(A: GradedAlgebra, degs) -> int:
     Word orders are walked depth first. A node holds the nonzero products of
     the variables placed so far, one per basis choice, keyed by the column
     offset that choice contributes; a child multiplies each by one more basis
-    vector through the sparse structure constants. A node whose products all
-    vanish is dropped with its subtree, and each distinct nonzero row enters
-    the Reducer once.
+    vector. A node whose products all vanish is dropped with its subtree.
+
+    The walk multiplies integers through `A.integer_structure`: each product
+    starts from the int 1 and every factor after the first scales it by the
+    common denominator D, so every row of the block, a product of n factors,
+    is D^(n-1) times its rational value. One common nonzero factor changes
+    neither the rank, nor which entries vanish, nor which rows coincide; only
+    a row's nonzero entries become Fractions as it enters the Reducer.
+
+    A node's subtree depends only on the variables still to place and on its
+    products, so a node is keyed by (the set of those variables, its products
+    as a set of (offset, vector) pairs) and a repeated key returns at once.
+    The key is taken from two placed variables on, since one-variable prefixes
+    are all distinct. At a leaf the key is the row itself, so each distinct
+    nonzero row enters the Reducer once.
     """
     comps = [A.component_indices(g) for g in degs]
     if any(not c for c in comps):
         return 0
     n = len(comps)
-    sc = A.structure
+    table = A.integer_structure[1]
     # mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])
     offset = [None] * n
     width = A.dim
@@ -210,28 +229,40 @@ def codim_block(A: GradedAlgebra, degs) -> int:
         offset[i] = {b: j * width for j, b in enumerate(comps[i])}
         width *= len(comps[i])
     red = Reducer(width)
-    seen = set()
+    visited = set()
 
     def walk(rest, partial):
         if not rest:
             row = {off + k: c for off, vec in partial.items() for k, c in vec.items()}
             key = frozenset(row.items())
-            if key not in seen:
-                seen.add(key)
+            if key not in visited:
+                visited.add(key)
                 dense = [ZERO] * width
                 for col, c in row.items():
-                    dense[col] = c
+                    dense[col] = Fraction(c)
                 red.insert(dense)
             return
+        if len(rest) <= n - 2:
+            key = (frozenset(rest),
+                   frozenset((off, frozenset(vec.items())) for off, vec in partial.items()))
+            if key in visited:
+                return
+            visited.add(key)
         for i in rest:
             child = {}
             for off, vec in partial.items():
                 for b, boff in offset[i].items():
                     prod = {}
                     for k, c in vec.items():
-                        for j, d in sc[k][b]:
-                            prod[j] = prod.get(j, ZERO) + c * d
-                    prod = {j: c for j, c in prod.items() if c != 0}
+                        for j, d in table[k][b]:
+                            if j in prod:
+                                x = prod[j] + c * d
+                                if x:
+                                    prod[j] = x
+                                else:
+                                    del prod[j]
+                            else:
+                                prod[j] = c * d
                     if prod:
                         child[off + boff] = prod
             if child:
@@ -239,7 +270,7 @@ def codim_block(A: GradedAlgebra, degs) -> int:
 
     for i in range(n):
         walk([r for r in range(n) if r != i],
-             {boff: {b: ONE} for b, boff in offset[i].items()})
+             {boff: {b: 1} for b, boff in offset[i].items()})
     return red.dim
 
 
@@ -411,6 +442,9 @@ def codimension_reports(A: GradedAlgebra, n_max: int, modes,
         raise ValidationError("codimensions start at n = 1")
     if predicted_d is not None and predicted_d < 1:
         raise ValidationError("predicted exponent must be a positive integer")
+    if predicted_d is not None and n_max < 3:
+        raise ValidationError("a predicted exponent needs n_max >= 3: the growth "
+                              "verdict compares at least three codimensions")
     values = []
     per_n = {mode: [] for mode in modes}
     shortcuts = []

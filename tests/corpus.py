@@ -154,6 +154,22 @@ def change_basis(A: GradedAlgebra, rows):
     return B, lambda S: Subspace.from_vectors(A.dim, [coords(v) for v in S.basis_vectors()])
 
 
+def rescaled(A: GradedAlgebra, scales, shear=0) -> GradedAlgebra:
+    """A unital A on the basis b_i = scales[i] e_i + shear e_j, where e_j is
+    the next basis vector of e_i's degree (none for the last one): the same
+    grading, with the structure constants changed. With shear 0 each constant
+    is multiplied by scales[i] * scales[j] / scales[k]."""
+    rows = []
+    for i in range(A.dim):
+        row = [0] * A.dim
+        row[i] = scales[i]
+        later = [j for j in A.component_indices(A.degrees[i]) if j > i]
+        if later:
+            row[later[0]] = shear
+        rows.append(row)
+    return change_basis(A, rows)[0]
+
+
 def lie_corpus() -> list:
     """Lie builtins plus graded direct sums over matching groups."""
     out = [sl2(), gl2_z2(), heisenberg3(), two_dim_nonabelian_lie()]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from gradedalg.exactlin import Subspace, is_zero_vector, rank
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
-from tests.corpus import associative_corpus, lie_corpus, semisimple_part
+from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
 from tests.dense import is_ideal_dense, matmul, trace
 
 F = Fraction
@@ -348,3 +349,15 @@ def test_zero_dimensional_algebra():
     zl = GradedAlgebra(TrivialGroup(), [], {}, kind="lie")
     assert solvable_radical(zl).dim == 0
     assert levi_graded(zl).dim == 0
+
+
+def test_integer_structure_scales_the_table_by_the_common_denominator():
+    A = rescaled(builtin("m2_z2"), (Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4), 3))
+    assert "integer_structure" not in vars(A)      # built on first use only
+    D, table = A.integer_structure
+    assert D == lcm(*(c.denominator for c in A.constants().values())) > 1
+    assert {(i, j, k): Fraction(c, D) for i, plane in enumerate(table)
+            for j, row in enumerate(plane) for k, c in row} == A.constants()
+    assert all(type(c) is int for plane in table for row in plane for _, c in row)
+    assert A.integer_structure is A.integer_structure
+    assert builtin("ut2").integer_structure[0] == 1

@@ -15,9 +15,11 @@ from gradedalg.identities import (MultilinearGradedPoly, codim_block,
                                   graded_codimension, is_functional_identity,
                                   is_graded_identity, nilpotent_shortcut)
 from gradedalg.radical import jacobson_radical
+from tests.corpus import rescaled
 from tests.oracles import brute_block_rank, global_graded_codim_rank
 
 F = Fraction
+SCALES = (F(2, 3), F(-5, 2), F(7, 4), F(-3, 5))
 
 
 def commutator(degs):
@@ -291,6 +293,29 @@ def test_codimensions_beyond_the_old_reach():
     assert graded_codimension(A, 6, max_blocks=7 ** 6) == 3 * 36 + 3 * 6 + 1
     B = builtin("free_trunc_2_5")       # dim 31
     assert graded_codimension(B, 3) == 645
+    # reached by the memoised walk; each value was first checked against
+    # the unmemoised walk over Fractions
+    assert graded_codimension(A, 7, max_n=7, max_blocks=7 ** 7) == 3 * 49 + 3 * 7 + 1
+    for name, n, value in [("m2_z2", 7, 6308), ("m2_z2", 8, 24055),
+                           ("ut2", 8, 1025), ("fz2", 8, 256)]:
+        assert graded_codimension(builtin(name), n, max_n=n, max_blocks=2 ** n) == value
+
+
+@pytest.mark.parametrize("shear", [0, F(1, 2)])
+@pytest.mark.parametrize("name", ["m2_z2", "ut2"])
+def test_codimensions_survive_non_integral_constants(name, shear):
+    # the walk scales every row of a block by D^(n-1) for the common
+    # denominator D; a basis rescaled by distinct rationals keeps the grading
+    # and the codimensions but has non-integral constants, and the shear
+    # within each component makes the ranks depend on their values
+    A = builtin(name)
+    B = rescaled(A, SCALES[:A.dim], shear)
+    assert B.degrees == A.degrees and B.integer_structure[0] > 1
+    assert [graded_codimension(B, n) for n in range(1, 6)] == \
+        [graded_codimension(A, n) for n in range(1, 6)]
+    for n in (1, 2, 3):
+        for degs in combinations_with_replacement(B.support, n):
+            assert codim_block(B, degs) == brute_block_rank(B, degs), degs
 
 
 def test_report_block_statistics_golden():

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -202,7 +206,9 @@ def test_cli_codim_both_modes(tmp_path):
 
 
 # sha256 of stdout and of --json-out of `codim --mode both --predicted-d 2`,
-# recorded while mode h still had its own block route
+# recorded while mode h still had its own block route; at n_max < 3 a predicted
+# exponent is refused, and the hashes are those of the run without it, which
+# printed and wrote no verdict either
 @pytest.mark.parametrize("name, n_max, stdout_sha, json_sha", [
     ("m2_z2", 4, "de17c8a175492b0201d726df444b749b28c6ecfd0cb24185fb26ee5f663f1367",
      "43736d2df47912e837d50fff10ab98bde44894b25350e60448e8aa4808e2eafd"),
@@ -217,8 +223,9 @@ def test_cli_codim_both_modes(tmp_path):
 ])
 def test_cli_codim_both_modes_golden(name, n_max, stdout_sha, json_sha, capsys, tmp_path):
     out = tmp_path / "r.json"
+    predicted = ["--predicted-d", "2"] if n_max >= 3 else []
     assert main(["codim", "--builtin", name, "--n-max", str(n_max), "--mode", "both",
-                 "--predicted-d", "2", "--json-out", str(out)]) == 0
+                 *predicted, "--json-out", str(out)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
 
@@ -311,6 +318,26 @@ def test_cli_builtin_emits_parseable_json(capsys):
     assert description_to_algebra(desc).dim == 4
 
 
+def test_python_m_gradedalg_runs_the_cli():
+    src = str(Path(gradedalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-m", "gradedalg", "builtin", "fz2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert description_to_algebra(json.loads(run.stdout)).dim == 2
+
+
+@pytest.mark.parametrize("argv", [["codim", "--builtin", "ut2"], ["radical", "--builtin", "ut2"],
+                                  ["builtin", "fz2"]])
+def test_cli_unwritable_json_out_exits_1(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main([*argv, "--json-out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write --json-out {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 def test_cli_check_identity(tmp_path, capsys):
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({
@@ -378,6 +405,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                 assert main(["codim", *src, "--n-max", n_max, "--predicted-d", d]) == 3
                 out, err = capsys.readouterr()
                 assert out == "" and "predicted exponent must be a positive integer" in err
+
+
+def test_cli_predicted_exponent_needs_three_values(capsys):
+    # the verdict compares at least three codimensions, so a prediction that
+    # could not be checked is refused instead of silently dropped
+    for n_max in ("1", "2"):
+        assert main(["codim", "--builtin", "ut2", "--n-max", n_max, "--predicted-d", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "a predicted exponent needs n_max >= 3" in err
+        assert "Traceback" not in err
+    assert main(["codim", "--builtin", "ut2", "--n-max", "3", "--predicted-d", "2"]) == 0
+    assert "verdict: consistent with exponent 2" in capsys.readouterr().out
 
 
 def test_cli_max_blocks_flag():
