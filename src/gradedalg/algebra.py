@@ -5,6 +5,11 @@ basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
 over the nonzero c in increasing k, plus one group element per basis vector.
 `integer_structure` is the same table scaled to integers, built on first use.
+`mul_sparse` is the product kernel, on vectors given as sparse {index:
+coefficient} dicts (`exactlin.sparse`): `multiply`, `left_mult_matrix`,
+`product_span`, `is_subalgebra` and the ideal and subalgebra closures all
+multiply through it. The constructor's checks, `trace_of_left_mult` and
+`quotient_algebra`, which projects rows of the table, read `structure` directly.
 Constructors validate everything: indices, grading compatibility,
 associativity or antisymmetry + Jacobi, and the unit law. Instances are
 immutable in use; all operations are pure.
@@ -22,7 +27,7 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
                      NotGradedError, ValidationError)
 from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
-                       axpy, invert, is_zero_vector, solve, unit_vector)
+                       axpy, invert, is_zero_vector, solve, sparse, unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -147,28 +152,23 @@ class GradedAlgebra:
         return unit_vector(self.dim, i)
 
     def multiply(self, a, b) -> tuple:
+        """The product a b of dense vectors: a dense view of `mul_sparse`."""
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionMismatchError("vectors have wrong ambient dimension")
-        acc = [ZERO] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            sci = self.structure[i]
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                f = ai * bj
-                for k, c in sci[j]:
-                    acc[k] += f * c
-        return tuple(acc)
+        return tuple(self._dense(self.mul_sparse(sparse(a), sparse(b))))
 
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
+        """The product of sparse vectors {index: coefficient} as a sparse
+        vector without zero entries: the product kernel, the one loop over
+        `structure` that every product of this class goes through."""
         acc: dict = {}
         for i, ai in sa.items():
             sci = self.structure[i]
             for j, bj in sb.items():
-                _sparse_add(acc, sci[j], ai * bj)
-        return acc
+                f = ai * bj
+                for k, c in sci[j]:
+                    acc[k] = acc.get(k, ZERO) + f * c
+        return {k: c for k, c in acc.items() if c}
 
     def _dense(self, sparse: dict) -> list:
         """The vector {k: c} as a dense list."""
@@ -178,26 +178,11 @@ class GradedAlgebra:
         return w
 
     def left_mult_matrix(self, a) -> Mat:
-        """Matrix of b -> a b in the algebra basis."""
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(self.dim):
-                for k, c in self.structure[i][j]:
-                    rows[k][j] += ai * c
-        return Mat(rows, cols=self.dim)
-
-    def right_mult_matrix(self, a) -> Mat:
-        """Matrix of b -> b a in the algebra basis."""
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for j, aj in enumerate(a):
-            if aj == 0:
-                continue
-            for i in range(self.dim):
-                for k, c in self.structure[i][j]:
-                    rows[k][i] += aj * c
-        return Mat(rows, cols=self.dim)
+        """Matrix of b -> a b in the algebra basis: column j is a e_j, read
+        off `mul_sparse`."""
+        sa = sparse(a)
+        cols = [self._dense(self.mul_sparse(sa, {j: ONE})) for j in range(self.dim)]
+        return Mat(cols, cols=self.dim).transpose()
 
     def trace_of_left_mult(self, a) -> Fraction:
         t = ZERO
@@ -255,25 +240,28 @@ class GradedAlgebra:
 
     # -- ideals and subalgebras ---------------------------------------------
 
+    def _basis_products(self, v):
+        """The nonzero products e_b v and v e_b for b = 0, 1, ..., as dense
+        lists, each read off `mul_sparse`."""
+        sv = sparse(v)
+        for b in range(self.dim):
+            sb = {b: ONE}
+            for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
+                if prod:
+                    yield self._dense(prod)
+
     def ideal_generated(self, gens: Iterable) -> Subspace:
         """Smallest two-sided ideal containing the generators: closure of their
         span under left/right multiplication by basis vectors. The closure
         stops as soon as it fills the whole algebra."""
         red = Reducer(self.dim, gens)
-        work = [list(r) for r in red.rows]
+        work = list(red.rows)
         while work and red.dim < self.dim:
-            v = work.pop()
-            sv = {i: c for i, c in enumerate(v) if c != 0}
-            for b in range(self.dim):
-                if red.dim == self.dim:
-                    break
-                sb = {b: ONE}
-                for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
-                    if not prod:
-                        continue
-                    w = self._dense(prod)
-                    if red.insert(w):
-                        work.append(w)
+            for w in self._basis_products(work.pop()):
+                if red.insert(w):
+                    work.append(w)
+                    if red.dim == self.dim:
+                        break
         return red.subspace()
 
     def subalgebra_generated(self, gens: Iterable) -> Subspace:
@@ -283,7 +271,7 @@ class GradedAlgebra:
         red = Reducer(self.dim)
         for v in gens:
             red.insert(v)
-        work = [{i: c for i, c in enumerate(r) if c != 0} for r in red.rows]
+        work = [sparse(r) for r in red.rows]
         kept = []
         while work:
             sv = work.pop()
@@ -294,39 +282,33 @@ class GradedAlgebra:
             for prod in prods:
                 row = red.insert(self._dense(prod))
                 if row:
-                    work.append({k: c for k, c in enumerate(row) if c != 0})
+                    work.append(sparse(row))
         return red.subspace()
 
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:
-        """Span of pairwise products of the two bases."""
+        """Span of pairwise products of the two bases: each basis vector is
+        made sparse once, and each pair is multiplied by `mul_sparse`."""
+        if s1.ambient != self.dim or s2.ambient != self.dim:
+            raise DimensionMismatchError("subspace lives in a different ambient space")
         red = Reducer(self.dim)
+        rows2 = [sparse(w) for w in s2.basis_vectors()]
         for u in s1.basis_vectors():
-            for w in s2.basis_vectors():
-                red.insert(self.multiply(u, w))
+            su = sparse(u)
+            for sw in rows2:
+                red.insert(self._dense(self.mul_sparse(su, sw)))
         return red.subspace()
 
     def is_ideal(self, s: Subspace) -> bool:
         """Whether s is a two-sided ideal: e_b v and v e_b lie in s for every
-        basis vector v of s and every b. Each product with a basis vector is
-        read off the sparse rows (`mul_sparse`)."""
+        basis vector v of s and every b (`_basis_products`)."""
         if s.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
-        for v in s.basis_vectors():
-            sv = {i: c for i, c in enumerate(v) if c != 0}
-            for b in range(self.dim):
-                sb = {b: ONE}
-                for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
-                    if prod and not s.contains(self._dense(prod)):
-                        return False
-        return True
+        return all(s.contains(w) for v in s.basis_vectors() for w in self._basis_products(v))
 
     def is_subalgebra(self, s: Subspace) -> bool:
-        basis = s.basis_vectors()
-        for u in basis:
-            for w in basis:
-                if not s.contains(self.multiply(u, w)):
-                    return False
-        return True
+        """Whether s is closed under the product: its `product_span` with
+        itself lies in s."""
+        return self.product_span(s, s) <= s
 
     def __repr__(self):
         label = self.name or f"{self.kind} algebra"

@@ -50,6 +50,12 @@ def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def sparse(v) -> dict:
+    """The vector v as {i: v[i]} over its nonzero entries, in index order:
+    the one dense-to-sparse conversion of this package."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
 def axpy(acc: list, c, v):
     """acc += c v in place, skipping the zero entries of v."""
     for i, x in enumerate(v):

@@ -8,10 +8,16 @@ kept as reduced words, so equal elements always have identical keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import GroupMismatchError, ValidationError
+
+
+def _is_int(v) -> bool:
+    """Whether v is an int and not a bool: JSON true/false are no group elements."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class TrivialGroup(Group):
         return GroupElem(self, 0)
 
     def elem(self, key):
-        if key != 0:
+        if not _is_int(key) or key != 0:
             raise ValidationError("trivial group has the single key 0")
         return GroupElem(self, 0)
 
@@ -111,7 +117,7 @@ class TrivialGroup(Group):
         return 0
 
     def decode_elem(self, obj):
-        if obj not in (0, "e"):
+        if obj != "e" and not (_is_int(obj) and obj == 0):
             raise ValidationError(f"bad trivial-group element {obj!r}")
         return self.identity()
 
@@ -146,7 +152,7 @@ class CyclicGroup(Group):
         return GroupElem(self, (-a.key) % self.n)
 
     def elem(self, key):
-        if not isinstance(key, int):
+        if not _is_int(key):
             raise ValidationError(f"cyclic element key must be an int, got {key!r}")
         return GroupElem(self, key % self.n)
 
@@ -163,7 +169,7 @@ class CyclicGroup(Group):
         return a.key
 
     def decode_elem(self, obj):
-        if not isinstance(obj, int):
+        if not _is_int(obj):
             raise ValidationError(f"cyclic element must be an integer, got {obj!r}")
         return self.elem(obj)
 
@@ -193,7 +199,7 @@ class TableGroup(Group):
             if len(row) != n:
                 raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not _is_int(v) or not 0 <= v < n:
                     raise ValidationError(f"table entry ({i},{j}) = {v!r} out of range")
         ident = None
         for e in range(n):
@@ -233,7 +239,7 @@ class TableGroup(Group):
         return GroupElem(self, self.inverse_table[a.key])
 
     def elem(self, key):
-        if not isinstance(key, int) or not 0 <= key < self.order:
+        if not _is_int(key) or not 0 <= key < self.order:
             raise ValidationError(f"table element index {key!r} out of range")
         return GroupElem(self, key)
 
@@ -252,7 +258,7 @@ class TableGroup(Group):
         return a.key
 
     def decode_elem(self, obj):
-        if not isinstance(obj, int):
+        if not _is_int(obj):
             raise ValidationError(f"table element must be an integer index, got {obj!r}")
         return self.elem(obj)
 
@@ -274,6 +280,10 @@ def _reduce_word(letters):
         else:
             out.append(x)
     return tuple(out)
+
+
+# a generator a<i>: ASCII digits, few enough for int() under any digit limit
+_LETTER = re.compile(r"a([0-9]{1,20})")
 
 
 class FreeGroup(Group):
@@ -301,7 +311,7 @@ class FreeGroup(Group):
     def elem(self, key):
         word = tuple(key)
         for x in word:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if not _is_int(x) or x == 0 or abs(x) > self.rank:
                 raise ValidationError(f"bad free-group letter {x!r}")
         if word != _reduce_word(word):
             raise ValidationError(f"word {word!r} is not reduced")
@@ -339,9 +349,10 @@ class FreeGroup(Group):
             neg = t.endswith("'")
             if neg:
                 t = t[:-1]
-            if not t.startswith("a") or not t[1:].isdigit():
+            m = _LETTER.fullmatch(t)
+            if m is None:
                 raise ValidationError(f"bad free-group token {tok!r}")
-            i = int(t[1:])
+            i = int(m.group(1))
             if not 1 <= i <= self.rank:
                 raise ValidationError(f"generator index {i} out of range in {obj!r}")
             letters.append(-i if neg else i)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import GradedAlgebra
@@ -27,6 +28,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _too_long(what: str) -> str:
+    return f"{what} longer than Python's {sys.get_int_max_str_digits()}-digit limit for integers"
+
+
 def parse_rational(obj, where: str) -> Fraction:
     """An integer, or a string "p" or "p/q" in lowest terms with q >= 1."""
     if _is_int(obj):
@@ -36,9 +41,13 @@ def parse_rational(obj, where: str) -> Fraction:
         if m is None:
             raise SchemaError(f"{where}: bad rational {obj!r} (expected 'p' or 'p/q')")
         q = m.group(1)
-        if q is not None and (int(q) == 0 or Fraction(obj).denominator != int(q)):
+        try:
+            x = Fraction(obj) if q is None or int(q) != 0 else None
+        except ValueError:
+            raise SchemaError(f"{where}: {_too_long('rational has a numerator or denominator')}") from None
+        if x is None or (q is not None and x.denominator != int(q)):
             raise SchemaError(f"{where}: bad rational {obj!r} (not in lowest terms with q >= 1)")
-        return Fraction(obj)
+        return x
     raise SchemaError(f"{where}: rational must be an integer or 'p/q' string, got {obj!r}")
 
 
@@ -166,6 +175,9 @@ def load_json(path: str):
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    except ValueError:
+        # json's one ValueError besides the two above: int() refused a literal
+        raise SchemaError(f"{path}: {_too_long('integer literal')}") from None
     except RecursionError:
         raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
     except OSError as exc:

@@ -135,7 +135,7 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
         f = stack.pop()
         halves = _split(A, centre, f)
         if halves is None:
-            final.append(Subspace.from_vectors(A.dim, A.right_mult_matrix(f).transpose().data))
+            final.append(A.product_span(Subspace.full(A.dim), Subspace.from_vectors(A.dim, [f])))
         else:
             stack += halves
     final.sort(key=lambda s: (s.dim, s.mat.data))

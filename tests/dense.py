@@ -1,5 +1,6 @@
-"""Dense matrix product and trace, the reference the tests check the library's
-matrices against (inverses, left multiplication, the Killing form)."""
+"""Dense matrix product and trace, and the algebra product summed over the
+structure constants: the references the tests check the library's matrices
+(inverses, left multiplication, the Killing form) and products against."""
 
 from fractions import Fraction
 
@@ -17,13 +18,22 @@ def trace(m: Mat) -> Fraction:
     return sum((m.data[i][i] for i in range(min(m.rows, m.cols))), Fraction(0))
 
 
+def dense_multiply(A, a, b) -> tuple:
+    """The product a b as sum a_i b_j c_ijk e_k over the structure constants
+    {(i, j, k): c} of `A.constants()`, which is all it reads of A."""
+    out = [Fraction(0)] * A.dim
+    for (i, j, k), c in A.constants().items():
+        out[k] += a[i] * b[j] * c
+    return tuple(out)
+
+
 def is_ideal_dense(A, s) -> bool:
     """The two-sided ideal test with dense products: e_b v and v e_b through
-    `multiply` for every basis vector v of s and every b, each checked with
-    `contains`."""
+    `dense_multiply` for every basis vector v of s and every b, each checked
+    with `contains`."""
     for v in s.basis_vectors():
         for b in range(A.dim):
             eb = A.basis_vector(b)
-            if not s.contains(A.multiply(eb, v)) or not s.contains(A.multiply(v, eb)):
+            if not s.contains(dense_multiply(A, eb, v)) or not s.contains(dense_multiply(A, v, eb)):
                 return False
     return True

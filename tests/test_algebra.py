@@ -10,13 +10,14 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 fz2, group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, two_dim_nonabelian_lie,
                                 upper_triangular, ut2)
-from gradedalg.errors import (NotAnIdealError, NotGradedError, ValidationError)
-from gradedalg.exactlin import Subspace, is_zero_vector, rank
+from gradedalg.errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
+                              ValidationError)
+from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
-from tests.dense import is_ideal_dense, matmul, trace
+from tests.dense import dense_multiply, is_ideal_dense, matmul, trace
 
 F = Fraction
 
@@ -150,6 +151,54 @@ def test_quotient_projection_is_multiplicative():
         a, b = rand_vec(rng, A.dim), rand_vec(rng, A.dim)
         assert q.project(A.multiply(a, b)) == \
             q.algebra.multiply(q.project(a), q.project(b))
+
+
+def test_products_match_the_dense_reference():
+    """multiply, left_mult_matrix, product_span and is_subalgebra against
+    `dense_multiply`, which reads only the structure constants."""
+    rng = random.Random(13)
+    t = TrivialGroup()
+    algebras = associative_corpus() + lie_corpus() + [
+        GradedAlgebra(t, [], {}), GradedAlgebra(t, [], {}, kind="lie")]
+    assert sum(A.unit is None and A.kind == "associative" and A.dim > 0 for A in algebras) >= 5
+
+    def random_span(A):
+        return Subspace.from_vectors(A.dim, [rand_vec(rng, A.dim, -1, 1)
+                                             for _ in range(rng.randint(0, A.dim))])
+
+    def dense_span(A, s1, s2):
+        return Subspace.from_vectors(A.dim, [dense_multiply(A, u, w) for u in s1.basis_vectors()
+                                             for w in s2.basis_vectors()])
+
+    verdicts = []
+    for A in algebras:
+        basis = [A.basis_vector(i) for i in range(A.dim)]
+        vecs = basis + [rand_vec(rng, A.dim) for _ in range(2)]
+        for a in vecs:
+            for b in vecs:
+                assert A.multiply(a, b) == dense_multiply(A, a, b)
+            columns = Mat([dense_multiply(A, a, e) for e in basis], cols=A.dim)
+            assert A.left_mult_matrix(a) == columns.transpose()
+        s1, s2 = random_span(A), random_span(A)
+        assert A.product_span(s1, s2) == dense_span(A, s1, s2)
+        for s in (s1, s2, A.subalgebra_generated(s1.basis_vectors()),
+                  Subspace.zero(A.dim), Subspace.full(A.dim)):
+            basis_s = s.basis_vectors()
+            verdict = all(s.contains(dense_multiply(A, u, w)) for u in basis_s for w in basis_s)
+            assert A.is_subalgebra(s) == verdict
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 50
+
+
+def test_products_reject_other_ambient_spaces():
+    A = ut2()
+    for s in (Subspace.full(A.dim + 1), Subspace.full(A.dim - 1)):
+        with pytest.raises(DimensionMismatchError):
+            A.product_span(Subspace.full(A.dim), s)
+        with pytest.raises(DimensionMismatchError):
+            A.is_subalgebra(s)
+        with pytest.raises(DimensionMismatchError):
+            A.multiply(s.basis_vectors()[0], s.basis_vectors()[0])
 
 
 def test_quotient_rejects_non_ideal_and_non_graded():

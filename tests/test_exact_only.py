@@ -9,7 +9,10 @@ be in reduced row echelon form (elsewhere `Subspace.from_vectors`, `zero` and
 `full` build one). A last walk rejects dead private helpers: every `_name`
 function, class or method must be referenced somewhere in the package outside
 its own definition. `assert` statements are rejected too: they vanish under
-`python -O`, so a check that must hold raises `InternalCheckError`."""
+`python -O`, so a check that must hold raises `InternalCheckError`. Dense
+vectors become sparse {index: coefficient} dicts through `exactlin.sparse`
+alone: outside exactlin, a dict comprehension keyed by a bare name over a
+filtered `enumerate(...)` is rejected."""
 
 import ast
 from pathlib import Path
@@ -80,6 +83,20 @@ def assert_nodes(tree):
             yield node, "assert statement"
 
 
+def inline_sparse_nodes(tree, module=""):
+    """Dict comprehensions {i: c for i, c in enumerate(v) if ...}: a bare-name
+    key over `enumerate` under an `if`, the conversion `exactlin.sparse` owns.
+    Tuple keys, as in structure-constant tables, are allowed."""
+    if module == "exactlin.py":
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp) and isinstance(node.key, ast.Name) and any(
+                gen.ifs and isinstance(gen.iter, ast.Call)
+                and getattr(gen.iter.func, "id", None) == "enumerate"
+                for gen in node.generators):
+            yield node, "inline dense-to-sparse conversion"
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -133,6 +150,26 @@ def test_checker_flags_foreign_private_access():
                      "private attribute ._sc", "private attribute ._z"]
     allowed = sorted(what for _, what in foreign_private_nodes(ast.parse(code), "exactlin.py"))
     assert allowed == ["private attribute ._sc", "private attribute ._z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_converts_to_sparse_through_exactlin(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what} (use exactlin.sparse)"
+             for node, what in inline_sparse_nodes(tree, path.name)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_inline_sparse_conversions():
+    code = ("{i: c for i, c in enumerate(v) if c != 0}\n"
+            "[{k: x for k, x in enumerate(r) if x} for r in rows]\n"
+            "{(a, b, k): c for k, c in enumerate(v) if c != 0}\n"
+            "{w: i for i, w in enumerate(words)}\n"
+            "{i: c for i, c in zip(ix, v) if c != 0}\n"
+            "{i: c for i, c in v.items() if c}\n")
+    lines = [node.lineno for node, _ in inline_sparse_nodes(ast.parse(code))]
+    assert sorted(lines) == [1, 2]
+    assert not list(inline_sparse_nodes(ast.parse(code), "exactlin.py"))
 
 
 def test_no_dead_private_helpers():

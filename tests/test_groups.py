@@ -112,6 +112,27 @@ def test_invalid_table_rejected():
         TableGroup([[0, 1], [0, 1]])
 
 
+def test_bools_are_not_group_elements():
+    table = [[0, 1], [1, 0]]
+    for g, obj in ((TrivialGroup(), False), (CyclicGroup(2), True), (TableGroup(table), True),
+                   (ProductGroup((CyclicGroup(2),)), [True])):
+        with pytest.raises(ValidationError):
+            g.decode_elem(obj)
+    for g, key in ((TrivialGroup(), False), (CyclicGroup(2), True), (TableGroup(table), True),
+                   (FreeGroup(2), (True,))):
+        with pytest.raises(ValidationError):
+            g.elem(key)
+    with pytest.raises(ValidationError, match=r"table entry \(0,0\) = False"):
+        TableGroup([[False, True], [True, False]])
+
+
+@pytest.mark.parametrize("token", ["a\u00b2", "a" + "3" * 5000],
+                         ids=["superscript-digit", "5000-digit-index"])
+def test_free_tokens_past_ascii_digits_are_rejected(token):
+    with pytest.raises(ValidationError, match="bad free-group token"):
+        FreeGroup(2).decode_elem(token)
+
+
 def test_encode_decode_round_trip():
     table, _, _ = s3_table()
     groups = [TrivialGroup(), CyclicGroup(5), TableGroup(table), FreeGroup(2),

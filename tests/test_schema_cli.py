@@ -80,6 +80,12 @@ def _set_coeff(coeff):
     return mutate
 
 
+def _set_grading(group, degrees):
+    def mutate(desc):
+        desc["group"], desc["degrees"] = group, degrees
+    return mutate
+
+
 def _set_dim(desc):
     desc["dim"] = True
 
@@ -106,6 +112,18 @@ def _set_name(name):
     (_set_coeff("1.5"), r"structure\[0\]: bad rational '1.5'"),
     (_set_coeff("1e3"), r"structure\[0\]: bad rational '1e3'"),
     (_set_name(5), r"name: expected a string"),
+    # JSON true and false are ints to Python; as group elements they are errors
+    (_set_grading({"type": "cyclic", "n": 2}, [False, True]),
+     r"degrees\[0\]: cyclic element must be an integer, got False"),
+    (_set_grading({"type": "product", "factors": [{"type": "cyclic", "n": 2}]}, [[0], [True]]),
+     r"degrees\[1\]: cyclic element must be an integer, got True"),
+    (_set_grading({"type": "table", "table": [[0, 1], [1, 0]]}, [0, True]),
+     r"degrees\[1\]: table element must be an integer index, got True"),
+    (_set_grading({"type": "trivial"}, [False, 0]), r"degrees\[0\]: bad trivial-group element False"),
+    (_set_group({"type": "table", "table": [[False, True], [True, False]]}),
+     r"group: table entry \(0,0\) = False"),
+    (_set_coeff("3" * 5000), r"structure\[0\]: rational has a numerator or denominator longer"),
+    (_set_coeff("-1/" + "3" * 5000), r"structure\[0\]: rational has a numerator or denominator longer"),
 ])
 def test_malformed_descriptions_exit_2_with_position(mutate, message, tmp_path, capsys):
     desc = algebra_to_description(builtin("fz2"))
@@ -123,7 +141,9 @@ def test_malformed_descriptions_exit_2_with_position(mutate, message, tmp_path, 
     (b'{"kind": "associative", "name": "\xff"}', r"not UTF-8 at byte 33: invalid start byte"),
     (b"[" + b"0," * 60000 + b'"\xfe"]', r"not UTF-8 at byte 120002: invalid start byte"),
     (b"[" * 100000, r"JSON nested too deeply to parse"),
-], ids=["bad-byte", "bad-byte-far", "deep-nesting"])
+    (b'{"n": ' + b"7" * 5000 + b', "terms": []}',
+     r"integer literal longer than Python's \d+-digit limit for integers"),
+], ids=["bad-byte", "bad-byte-far", "deep-nesting", "long-integer"])
 @pytest.mark.parametrize("argv", [["radical", "--input", "{path}"],
                                   ["check-identity", "--builtin", "m2_z2", "--poly", "{path}"]],
                          ids=["input", "poly"])
@@ -174,6 +194,8 @@ def _term(perm):
     ({"n": 2, "terms": [_term([1.0, 2.0])]}, r"terms\[0\]\.perm: "),
     ({"n": 2, "terms": [_term(["a", 2])]}, r"terms\[0\]\.perm: "),
     ({"n": 2, "terms": [_term([True, 2])]}, r"terms\[0\]\.perm: "),
+    ({"n": 2, "terms": [{"coef": "1", "perm": [1, 2], "labels": [True, False]}]},
+     r"terms\[0\]\.labels: cyclic element must be an integer, got True"),
 ])
 def test_malformed_polynomials_exit_2_with_position(poly, message, tmp_path, capsys):
     with pytest.raises(SchemaError, match=message):
