@@ -5,11 +5,10 @@ basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
 over the nonzero c in increasing k, plus one group element per basis vector.
 `integer_structure` is the same table scaled to integers, built on first use.
-`mul_sparse` is the product kernel, on vectors given as sparse {index:
-coefficient} dicts (`exactlin.sparse`): `multiply`, `left_mult_matrix`,
-`product_span`, `is_subalgebra` and the ideal and subalgebra closures all
-multiply through it. The constructor's checks, `trace_of_left_mult` and
-`quotient_algebra`, which projects rows of the table, read `structure` directly.
+`mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
+`exactlin.dense`), is the product kernel that `multiply`, `left_mult_matrix`,
+`product_span` and the closures below go through. The constructor's checks,
+`trace_of_left_mult` and `quotient_algebra` read the table directly.
 Constructors validate everything: indices, grading compatibility,
 associativity or antisymmetry + Jacobi, and the unit law. Instances are
 immutable in use; all operations are pure.
@@ -27,7 +26,8 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
                      NotGradedError, ValidationError)
 from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
-                       axpy, invert, is_zero_vector, solve, sparse, unit_vector)
+                       axpy, dense, invert, is_zero_vector, solve, sparse,
+                       unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -155,33 +155,29 @@ class GradedAlgebra:
         """The product a b of dense vectors: a dense view of `mul_sparse`."""
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionMismatchError("vectors have wrong ambient dimension")
-        return tuple(self._dense(self.mul_sparse(sparse(a), sparse(b))))
+        return tuple(dense(self.mul_sparse(sparse(a), sparse(b)), self.dim))
 
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
-        """The product of sparse vectors {index: coefficient} as a sparse
-        vector without zero entries: the product kernel, the one loop over
-        `structure` that every product of this class goes through."""
+        """The product of sparse vectors {index: coefficient}, without zero
+        entries: the product kernel, the one loop over `structure`. A pair
+        with e_i e_j = 0 costs no multiplication."""
         acc: dict = {}
         for i, ai in sa.items():
             sci = self.structure[i]
             for j, bj in sb.items():
-                f = ai * bj
-                for k, c in sci[j]:
-                    acc[k] = acc.get(k, ZERO) + f * c
+                row = sci[j]
+                if row:
+                    f = ai * bj
+                    for k, c in row:
+                        t = f * c
+                        acc[k] = acc[k] + t if k in acc else t
         return {k: c for k, c in acc.items() if c}
-
-    def _dense(self, sparse: dict) -> list:
-        """The vector {k: c} as a dense list."""
-        w = [ZERO] * self.dim
-        for k, c in sparse.items():
-            w[k] = c
-        return w
 
     def left_mult_matrix(self, a) -> Mat:
         """Matrix of b -> a b in the algebra basis: column j is a e_j, read
         off `mul_sparse`."""
         sa = sparse(a)
-        cols = [self._dense(self.mul_sparse(sa, {j: ONE})) for j in range(self.dim)]
+        cols = [dense(self.mul_sparse(sa, {j: ONE}), self.dim) for j in range(self.dim)]
         return Mat(cols, cols=self.dim).transpose()
 
     def trace_of_left_mult(self, a) -> Fraction:
@@ -248,14 +244,14 @@ class GradedAlgebra:
             sb = {b: ONE}
             for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
                 if prod:
-                    yield self._dense(prod)
+                    yield dense(prod, self.dim)
 
     def ideal_generated(self, gens: Iterable) -> Subspace:
         """Smallest two-sided ideal containing the generators: closure of their
         span under left/right multiplication by basis vectors. The closure
         stops as soon as it fills the whole algebra."""
         red = Reducer(self.dim, gens)
-        work = list(red.rows)
+        work = [list(r) for r in red.rows]      # copies: insert reduces stored rows
         while work and red.dim < self.dim:
             for w in self._basis_products(work.pop()):
                 if red.insert(w):
@@ -280,7 +276,7 @@ class GradedAlgebra:
                 prods += [self.mul_sparse(su, sv), self.mul_sparse(sv, su)]
             kept.append(sv)
             for prod in prods:
-                row = red.insert(self._dense(prod))
+                row = red.insert(dense(prod, self.dim))
                 if row:
                     work.append(sparse(row))
         return red.subspace()
@@ -295,7 +291,7 @@ class GradedAlgebra:
         for u in s1.basis_vectors():
             su = sparse(u)
             for sw in rows2:
-                red.insert(self._dense(self.mul_sparse(su, sw)))
+                red.insert(dense(self.mul_sparse(su, sw), self.dim))
         return red.subspace()
 
     def is_ideal(self, s: Subspace) -> bool:

@@ -56,6 +56,14 @@ def sparse(v) -> dict:
     return {i: c for i, c in enumerate(v) if c}
 
 
+def dense(sv: dict, n: int) -> list:
+    """The sparse vector {i: c} as a dense list of length n: undoes `sparse`."""
+    w = [ZERO] * n
+    for i, c in sv.items():
+        w[i] = c
+    return w
+
+
 def axpy(acc: list, c, v):
     """acc += c v in place, skipping the zero entries of v."""
     for i, x in enumerate(v):

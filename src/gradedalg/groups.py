@@ -15,8 +15,8 @@ from itertools import product as iproduct
 from .errors import GroupMismatchError, ValidationError
 
 
-def _is_int(v) -> bool:
-    """Whether v is an int and not a bool: JSON true/false are no group elements."""
+def is_int(v) -> bool:
+    """Whether v is an int and not a bool: JSON true/false are no integers here."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
@@ -100,7 +100,7 @@ class TrivialGroup(Group):
         return GroupElem(self, 0)
 
     def elem(self, key):
-        if not _is_int(key) or key != 0:
+        if not is_int(key) or key != 0:
             raise ValidationError("trivial group has the single key 0")
         return GroupElem(self, 0)
 
@@ -117,7 +117,7 @@ class TrivialGroup(Group):
         return 0
 
     def decode_elem(self, obj):
-        if obj != "e" and not (_is_int(obj) and obj == 0):
+        if obj != "e" and not (is_int(obj) and obj == 0):
             raise ValidationError(f"bad trivial-group element {obj!r}")
         return self.identity()
 
@@ -152,7 +152,7 @@ class CyclicGroup(Group):
         return GroupElem(self, (-a.key) % self.n)
 
     def elem(self, key):
-        if not _is_int(key):
+        if not is_int(key):
             raise ValidationError(f"cyclic element key must be an int, got {key!r}")
         return GroupElem(self, key % self.n)
 
@@ -169,7 +169,7 @@ class CyclicGroup(Group):
         return a.key
 
     def decode_elem(self, obj):
-        if not _is_int(obj):
+        if not is_int(obj):
             raise ValidationError(f"cyclic element must be an integer, got {obj!r}")
         return self.elem(obj)
 
@@ -199,7 +199,7 @@ class TableGroup(Group):
             if len(row) != n:
                 raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not _is_int(v) or not 0 <= v < n:
+                if not is_int(v) or not 0 <= v < n:
                     raise ValidationError(f"table entry ({i},{j}) = {v!r} out of range")
         ident = None
         for e in range(n):
@@ -239,7 +239,7 @@ class TableGroup(Group):
         return GroupElem(self, self.inverse_table[a.key])
 
     def elem(self, key):
-        if not _is_int(key) or not 0 <= key < self.order:
+        if not is_int(key) or not 0 <= key < self.order:
             raise ValidationError(f"table element index {key!r} out of range")
         return GroupElem(self, key)
 
@@ -258,7 +258,7 @@ class TableGroup(Group):
         return a.key
 
     def decode_elem(self, obj):
-        if not _is_int(obj):
+        if not is_int(obj):
             raise ValidationError(f"table element must be an integer index, got {obj!r}")
         return self.elem(obj)
 
@@ -311,7 +311,7 @@ class FreeGroup(Group):
     def elem(self, key):
         word = tuple(key)
         for x in word:
-            if not _is_int(x) or x == 0 or abs(x) > self.rank:
+            if not is_int(x) or x == 0 or abs(x) > self.rank:
                 raise ValidationError(f"bad free-group letter {x!r}")
         if word != _reduce_word(word):
             raise ValidationError(f"word {word!r} is not reduced")
@@ -435,7 +435,7 @@ def _field(obj: dict, key: str, kind: type, what: str):
     if key not in obj:
         raise ValidationError(f"{key}: missing required field")
     v = obj[key]
-    if not isinstance(v, kind) or isinstance(v, bool):
+    if not (is_int(v) if kind is int else isinstance(v, kind)):
         raise ValidationError(f"{key}: expected {what}, got {v!r}")
     return v
 

@@ -17,15 +17,11 @@ from fractions import Fraction
 from .algebra import GradedAlgebra
 from .errors import SchemaError, ValidationError
 from .exactlin import ZERO
-from .groups import group_from_description
+from .groups import group_from_description, is_int
 from .identities import MultilinearGradedPoly
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _too_long(what: str) -> str:
@@ -34,7 +30,7 @@ def _too_long(what: str) -> str:
 
 def parse_rational(obj, where: str) -> Fraction:
     """An integer, or a string "p" or "p/q" in lowest terms with q >= 1."""
-    if _is_int(obj):
+    if is_int(obj):
         return Fraction(obj)
     if isinstance(obj, str):
         m = _RATIONAL.fullmatch(obj)
@@ -81,7 +77,7 @@ def description_to_algebra(obj) -> GradedAlgebra:
     if kind not in ("associative", "lie"):
         raise SchemaError(f"kind: expected 'associative' or 'lie', got {kind!r}")
     dim = obj["dim"]
-    if not _is_int(dim) or dim < 0:
+    if not is_int(dim) or dim < 0:
         raise SchemaError(f"dim: expected a nonnegative integer, got {dim!r}")
     try:
         group = group_from_description(obj["group"])
@@ -105,7 +101,7 @@ def description_to_algebra(obj) -> GradedAlgebra:
             raise SchemaError(f"structure[{pos}]: expected [i, j, k, coeff]")
         i, j, k = entry[:3]
         for label, v in (("i", i), ("j", j), ("k", k)):
-            if not _is_int(v) or not 0 <= v < dim:
+            if not is_int(v) or not 0 <= v < dim:
                 raise SchemaError(f"structure[{pos}]: index {label}={v!r} out of range 0..{dim - 1}")
         if (i, j, k) in structure:
             raise SchemaError(f"structure[{pos}]: duplicate entry for ({i},{j},{k})")
@@ -128,7 +124,7 @@ def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise SchemaError("polynomial description needs 'n' and 'terms'")
     n = obj["n"]
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise SchemaError(f"n: expected a positive integer, got {n!r}")
     raw_terms = obj["terms"]
     if not isinstance(raw_terms, list):
@@ -142,7 +138,7 @@ def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
                 raise SchemaError(f"terms[{pos}]: missing {key!r}")
         coeff = parse_rational(t["coef"], f"terms[{pos}].coef")
         perm = t["perm"]
-        if (not isinstance(perm, list) or not all(_is_int(p) for p in perm)
+        if (not isinstance(perm, list) or not all(is_int(p) for p in perm)
                 or sorted(perm) != list(range(1, n + 1))):
             raise SchemaError(f"terms[{pos}].perm: expected a permutation of 1..{n}")
         labels = t["labels"]

@@ -34,7 +34,8 @@ from math import isqrt, lcm
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import Mat, ONE, Reducer, Subspace, ZERO, axpy, kernel, solve, unit_vector
+from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, axpy, dense, kernel, solve, sparse,
+                       unit_vector)
 from .radical import derived_series, jacobson_radical, solvable_radical
 
 
@@ -135,7 +136,9 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
         f = stack.pop()
         halves = _split(A, centre, f)
         if halves is None:
-            final.append(A.product_span(Subspace.full(A.dim), Subspace.from_vectors(A.dim, [f])))
+            sf = sparse(f)      # A.f, spanned by the e_i f
+            final.append(Subspace.from_vectors(
+                A.dim, [dense(A.mul_sparse({i: ONE}, sf), A.dim) for i in range(A.dim)]))
         else:
             stack += halves
     final.sort(key=lambda s: (s.dim, s.mat.data))

@@ -1,10 +1,11 @@
 """Dense matrix product and trace, and the algebra product summed over the
 structure constants: the references the tests check the library's matrices
-(inverses, left multiplication, the Killing form) and products against."""
+(inverses, left multiplication, the Killing form), products and ideal
+closures against."""
 
 from fractions import Fraction
 
-from gradedalg.exactlin import Mat
+from gradedalg.exactlin import Mat, Subspace
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -37,3 +38,20 @@ def is_ideal_dense(A, s) -> bool:
             if not s.contains(dense_multiply(A, eb, v)) or not s.contains(dense_multiply(A, v, eb)):
                 return False
     return True
+
+
+def ideal_generated_dense(A, gens) -> Subspace:
+    """The two-sided ideal generated by gens, grown a whole round at a time:
+    the span of s and every e_b v and v e_b (`dense_multiply`) over the basis
+    vectors v of s, until the dimension stops growing."""
+    s = Subspace.from_vectors(A.dim, gens)
+    while True:
+        vecs = list(s.basis_vectors())
+        for v in s.basis_vectors():
+            for b in range(A.dim):
+                eb = A.basis_vector(b)
+                vecs += [dense_multiply(A, eb, v), dense_multiply(A, v, eb)]
+        grown = Subspace.from_vectors(A.dim, vecs)
+        if grown.dim == s.dim:
+            return s
+        s = grown

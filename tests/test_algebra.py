@@ -17,7 +17,8 @@ from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
-from tests.dense import dense_multiply, is_ideal_dense, matmul, trace
+from tests.dense import (dense_multiply, ideal_generated_dense, is_ideal_dense, matmul,
+                         trace)
 
 F = Fraction
 
@@ -119,6 +120,24 @@ def test_ideal_generated_examples():
     ideal = Z.ideal_generated([(3, 1)])
     assert ideal.basis_vectors() == ((1, F(1, 3)),)
     assert all(type(a) is Fraction for v in ideal.basis_vectors() for a in v)
+    # inserting e12, a product of e22, reduces the stored generator row
+    # e12 + e11' to e12; the closure must still multiply e12 + e11' itself
+    A = direct_sum(U, U)
+    gens = [(0, 1, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0)]
+    ideal = A.ideal_generated(gens)
+    assert ideal == ideal_generated_dense(A, gens)
+    assert ideal.dim == 4 and A.is_ideal(ideal)
+
+
+def test_ideal_generated_matches_the_dense_reference():
+    rng = random.Random(5)
+    cases = 0
+    for A in associative_corpus() + lie_corpus():
+        gens = [rand_vec(rng, A.dim, -1, 1) for _ in range(rng.randint(1, min(A.dim, 3)))]
+        ideal = A.ideal_generated(gens)
+        assert ideal == ideal_generated_dense(A, gens), A
+        cases += ideal.dim not in (0, A.dim)
+    assert cases > 20
 
 
 def test_quotient_by_zero_ideal_is_copy():
