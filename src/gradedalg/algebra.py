@@ -94,11 +94,12 @@ class GradedAlgebra:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        for i in range(self.dim):
-            gi = self.degrees[i]
-            for j in range(self.dim):
+        for i, gi in enumerate(self.degrees):
+            for j, row in enumerate(self.structure[i]):
+                if not row:
+                    continue
                 gij = gi * self.degrees[j]
-                for k, c in self.structure[i][j]:
+                for k, c in row:
                     if self.degrees[k] != gij:
                         raise ValidationError(
                             f"grading violated: c[{i}][{j}][{k}] != 0 but "
@@ -251,7 +252,7 @@ class GradedAlgebra:
         span under left/right multiplication by basis vectors. The closure
         stops as soon as it fills the whole algebra."""
         red = Reducer(self.dim, gens)
-        work = [list(r) for r in red.rows]      # copies: insert reduces stored rows
+        work = list(red.rows)
         while work and red.dim < self.dim:
             for w in self._basis_products(work.pop()):
                 if red.insert(w):

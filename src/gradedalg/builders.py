@@ -100,8 +100,8 @@ def free_group_truncation(rank: int, cutoff: int) -> GradedAlgebra:
 def group_algebra(group: Group, name: str = "") -> GradedAlgebra:
     """Group algebra QG of a finite group with its natural G-grading."""
     elems = group.elements()
-    index = {e.key: i for i, e in enumerate(elems)}
-    structure = {(i, j, index[(gi * gj).key]): ONE
+    index = {e: i for i, e in enumerate(elems)}
+    structure = {(i, j, index[gi * gj]): ONE
                  for i, gi in enumerate(elems) for j, gj in enumerate(elems)}
     unit = [ONE if e.is_identity() else ZERO for e in elems]
     return GradedAlgebra(group, elems, structure, kind=ASSOCIATIVE, unit=unit,

@@ -161,8 +161,8 @@ class Reducer:
 
     def insert(self, v) -> tuple | None:
         """Add v to the span. Returns None when v already lies in it, else
-        the new basis row as reduced at insertion (a copy: later insertions
-        reduce the stored row further)."""
+        the new basis row as reduced at insertion. Rows that v reduces are
+        replaced in `rows`, never changed in place."""
         if len(v) != self.ambient:
             raise DimensionMismatchError("vector has wrong ambient dimension")
         v = _reduce(as_vector(v), self.pivots, self.rows)
@@ -175,10 +175,10 @@ class Reducer:
             return None
         pv = v[piv]
         v = [a / pv for a in v] if pv != 1 else list(v)
-        for row in self.rows:
+        for r, row in enumerate(self.rows):
             f = row[piv]
             if f != 0:
-                row[:] = [a - f * b for a, b in zip(row, v)]
+                self.rows[r] = [a - f * b for a, b in zip(row, v)]
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.rows.insert(at, v)

@@ -4,6 +4,15 @@ reduced words, and finite direct products.
 Elements are opaque labels with multiplication; nothing here assumes the group
 is finite except where explicitly stated (`elements`). Free-group elements are
 kept as reduced words, so equal elements always have identical keys.
+
+Two layers. Each kind defines arithmetic on bare keys: `identity_key`,
+`key_mul`, `key_inv`, `key_check` (validates and normalises a key given to
+`elem`), `key_encode`/`key_decode` (the JSON form), `key_str`, `key_order`
+and, when finite, `keys`; plus `describe`, `__repr__` and its `signature`
+(kind and parameters), by which groups compare and hash. `Group` alone wraps
+keys as `GroupElem`s and checks that operands belong to the group, once per
+operation. `ProductGroup` composes its factors' key functions, so a product
+never builds an element of a factor. Keys are read only in this module.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ class GroupElem:
         return self.group.inv(self)
 
     def is_identity(self) -> bool:
-        return self.key == self.group.identity().key
+        return self.key == self.group.identity_key
 
     def __repr__(self):
         return self.group.format_elem(self)
@@ -42,20 +51,26 @@ class Group:
     kind = "?"
     is_finite = False
 
+    # -- the element layer, shared by every kind ----------------------------
+
     def identity(self) -> GroupElem:
-        raise NotImplementedError
+        return GroupElem(self, self.identity_key)
 
     def mul(self, a: GroupElem, b: GroupElem) -> GroupElem:
-        raise NotImplementedError
+        self.check_pair(a, b)
+        return GroupElem(self, self.key_mul(a.key, b.key))
 
     def inv(self, a: GroupElem) -> GroupElem:
-        raise NotImplementedError
+        self.check_member(a)
+        return GroupElem(self, self.key_inv(a.key))
 
     def elem(self, key) -> GroupElem:
-        raise NotImplementedError
+        return GroupElem(self, self.key_check(key))
 
     def elements(self) -> list[GroupElem]:
-        raise ValidationError(f"{self.kind} group is not finite; cannot enumerate elements")
+        if not self.is_finite:
+            raise ValidationError(f"{self.kind} group is not finite; cannot enumerate elements")
+        return [GroupElem(self, k) for k in self.keys()]
 
     def check_member(self, a: GroupElem):
         if a.group != self:
@@ -67,65 +82,63 @@ class Group:
 
     def sort_key(self, a: GroupElem):
         """Deterministic total order on elements, used for stable output."""
-        return a.key
+        return self.key_order(a.key)
 
     def format_elem(self, a: GroupElem) -> str:
-        return f"{self.kind}:{a.key}"
-
-    # JSON description fragment (see the CLI file format)
-
-    def describe(self) -> dict:
-        raise NotImplementedError
+        return self.key_str(a.key)
 
     def encode_elem(self, a: GroupElem):
-        raise NotImplementedError
+        """The element's JSON form (see the CLI file format)."""
+        return self.key_encode(a.key)
 
     def decode_elem(self, obj) -> GroupElem:
-        raise NotImplementedError
+        return GroupElem(self, self.key_decode(obj))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Group) and other.signature == self.signature)
+
+    def __hash__(self):
+        return hash(self.signature)
+
+    # -- arithmetic on keys, per kind ---------------------------------------
+
+    def key_order(self, x):
+        return x
+
+    def key_encode(self, x):
+        return x
 
 
 class TrivialGroup(Group):
     kind = "trivial"
     is_finite = True
+    signature = ("trivial",)
+    identity_key = 0
 
-    def identity(self):
-        return GroupElem(self, 0)
+    def key_mul(self, x, y):
+        return 0
 
-    def mul(self, a, b):
-        self.check_pair(a, b)
-        return GroupElem(self, 0)
+    def key_inv(self, x):
+        return 0
 
-    def inv(self, a):
-        self.check_member(a)
-        return GroupElem(self, 0)
-
-    def elem(self, key):
+    def key_check(self, key):
         if not is_int(key) or key != 0:
             raise ValidationError("trivial group has the single key 0")
-        return GroupElem(self, 0)
+        return 0
 
-    def elements(self):
-        return [self.identity()]
+    def key_decode(self, obj):
+        if obj != "e" and not (is_int(obj) and obj == 0):
+            raise ValidationError(f"bad trivial-group element {obj!r}")
+        return 0
 
-    def format_elem(self, a):
+    def key_str(self, x):
         return "e"
+
+    def keys(self):
+        return (0,)
 
     def describe(self):
         return {"type": "trivial"}
-
-    def encode_elem(self, a):
-        return 0
-
-    def decode_elem(self, obj):
-        if obj != "e" and not (is_int(obj) and obj == 0):
-            raise ValidationError(f"bad trivial-group element {obj!r}")
-        return self.identity()
-
-    def __eq__(self, other):
-        return isinstance(other, TrivialGroup)
-
-    def __hash__(self):
-        return hash("trivial")
 
     def __repr__(self):
         return "TrivialGroup()"
@@ -134,50 +147,38 @@ class TrivialGroup(Group):
 class CyclicGroup(Group):
     kind = "cyclic"
     is_finite = True
+    identity_key = 0
 
     def __init__(self, n: int):
         if n < 1:
             raise ValidationError("cyclic group order must be >= 1")
         self.n = n
+        self.signature = ("cyclic", n)
 
-    def identity(self):
-        return GroupElem(self, 0)
+    def key_mul(self, x, y):
+        return (x + y) % self.n
 
-    def mul(self, a, b):
-        self.check_pair(a, b)
-        return GroupElem(self, (a.key + b.key) % self.n)
+    def key_inv(self, x):
+        return (-x) % self.n
 
-    def inv(self, a):
-        self.check_member(a)
-        return GroupElem(self, (-a.key) % self.n)
-
-    def elem(self, key):
+    def key_check(self, key):
         if not is_int(key):
             raise ValidationError(f"cyclic element key must be an int, got {key!r}")
-        return GroupElem(self, key % self.n)
+        return key % self.n
 
-    def elements(self):
-        return [GroupElem(self, k) for k in range(self.n)]
+    def key_decode(self, obj):
+        if not is_int(obj):
+            raise ValidationError(f"cyclic element must be an integer, got {obj!r}")
+        return obj % self.n
 
-    def format_elem(self, a):
-        return f"[{a.key} mod {self.n}]"
+    def key_str(self, x):
+        return f"[{x} mod {self.n}]"
+
+    def keys(self):
+        return range(self.n)
 
     def describe(self):
         return {"type": "cyclic", "n": self.n}
-
-    def encode_elem(self, a):
-        return a.key
-
-    def decode_elem(self, obj):
-        if not is_int(obj):
-            raise ValidationError(f"cyclic element must be an integer, got {obj!r}")
-        return self.elem(obj)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicGroup) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("cyclic", self.n))
 
     def __repr__(self):
         return f"CyclicGroup({self.n})"
@@ -190,7 +191,7 @@ class TableGroup(Group):
     kind = "table"
     is_finite = True
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         tbl = tuple(tuple(row) for row in table)
         n = len(tbl)
         if n == 0:
@@ -223,50 +224,34 @@ class TableGroup(Group):
                         raise ValidationError(f"table is not associative at ({a},{b},{c})")
         self.table = tbl
         self.order = n
-        self.identity_index = ident
+        self.identity_key = ident
         self.inverse_table = tuple(inv)
-        self.names = tuple(names) if names else None
+        self.signature = ("table", tbl)
 
-    def identity(self):
-        return GroupElem(self, self.identity_index)
+    def key_mul(self, x, y):
+        return self.table[x][y]
 
-    def mul(self, a, b):
-        self.check_pair(a, b)
-        return GroupElem(self, self.table[a.key][b.key])
+    def key_inv(self, x):
+        return self.inverse_table[x]
 
-    def inv(self, a):
-        self.check_member(a)
-        return GroupElem(self, self.inverse_table[a.key])
-
-    def elem(self, key):
+    def key_check(self, key):
         if not is_int(key) or not 0 <= key < self.order:
             raise ValidationError(f"table element index {key!r} out of range")
-        return GroupElem(self, key)
+        return key
 
-    def elements(self):
-        return [GroupElem(self, k) for k in range(self.order)]
+    def key_decode(self, obj):
+        if not is_int(obj):
+            raise ValidationError(f"table element must be an integer index, got {obj!r}")
+        return self.key_check(obj)
 
-    def format_elem(self, a):
-        if self.names:
-            return self.names[a.key]
-        return f"t{a.key}"
+    def key_str(self, x):
+        return f"t{x}"
+
+    def keys(self):
+        return range(self.order)
 
     def describe(self):
         return {"type": "table", "table": [list(r) for r in self.table]}
-
-    def encode_elem(self, a):
-        return a.key
-
-    def decode_elem(self, obj):
-        if not is_int(obj):
-            raise ValidationError(f"table element must be an integer index, got {obj!r}")
-        return self.elem(obj)
-
-    def __eq__(self, other):
-        return isinstance(other, TableGroup) and other.table == self.table
-
-    def __hash__(self):
-        return hash(("table", self.table))
 
     def __repr__(self):
         return f"TableGroup(order={self.order})"
@@ -291,31 +276,28 @@ class FreeGroup(Group):
     of nonzero signed generator indices (+i for a_i, -i for its inverse)."""
 
     kind = "free"
+    identity_key = ()
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValidationError("free group rank must be >= 1")
         self.rank = rank
+        self.signature = ("free", rank)
 
-    def identity(self):
-        return GroupElem(self, ())
+    def key_mul(self, x, y):
+        return _reduce_word(x + y)
 
-    def mul(self, a, b):
-        self.check_pair(a, b)
-        return GroupElem(self, _reduce_word(a.key + b.key))
+    def key_inv(self, x):
+        return tuple(-a for a in reversed(x))
 
-    def inv(self, a):
-        self.check_member(a)
-        return GroupElem(self, tuple(-x for x in reversed(a.key)))
-
-    def elem(self, key):
+    def key_check(self, key):
         word = tuple(key)
         for x in word:
             if not is_int(x) or x == 0 or abs(x) > self.rank:
                 raise ValidationError(f"bad free-group letter {x!r}")
         if word != _reduce_word(word):
             raise ValidationError(f"word {word!r} is not reduced")
-        return GroupElem(self, word)
+        return word
 
     def word(self, letters) -> GroupElem:
         """Build an element from possibly unreduced letters."""
@@ -324,25 +306,22 @@ class FreeGroup(Group):
     def gens(self):
         return [GroupElem(self, (i,)) for i in range(1, self.rank + 1)]
 
-    def sort_key(self, a):
-        return (len(a.key), a.key)
+    def key_order(self, x):
+        return (len(x), x)
 
-    def format_elem(self, a):
-        if not a.key:
+    def key_str(self, x):
+        if not x:
             return "1"
-        return ".".join(f"a{x}" if x > 0 else f"a{-x}'" for x in a.key)
+        return ".".join(f"a{a}" if a > 0 else f"a{-a}'" for a in x)
 
-    def describe(self):
-        return {"type": "free", "rank": self.rank}
+    def key_encode(self, x):
+        return self.key_str(x) if x else ""
 
-    def encode_elem(self, a):
-        return self.format_elem(a) if a.key else ""
-
-    def decode_elem(self, obj):
+    def key_decode(self, obj):
         if not isinstance(obj, str):
             raise ValidationError(f"free-group element must be a string, got {obj!r}")
         if obj in ("", "1"):
-            return self.identity()
+            return ()
         letters = []
         for tok in obj.split("."):
             t = tok.strip()
@@ -356,13 +335,10 @@ class FreeGroup(Group):
             if not 1 <= i <= self.rank:
                 raise ValidationError(f"generator index {i} out of range in {obj!r}")
             letters.append(-i if neg else i)
-        return self.word(letters)
+        return _reduce_word(letters)
 
-    def __eq__(self, other):
-        return isinstance(other, FreeGroup) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("free", self.rank))
+    def describe(self):
+        return {"type": "free", "rank": self.rank}
 
     def __repr__(self):
         return f"FreeGroup({self.rank})"
@@ -376,56 +352,40 @@ class ProductGroup(Group):
         if not self.factors:
             raise ValidationError("product group needs at least one factor")
         self.is_finite = all(f.is_finite for f in self.factors)
+        self.identity_key = tuple(f.identity_key for f in self.factors)
+        self.signature = ("product", self.factors)
 
-    def identity(self):
-        return GroupElem(self, tuple(f.identity().key for f in self.factors))
+    def key_mul(self, x, y):
+        return tuple(f.key_mul(a, b) for f, a, b in zip(self.factors, x, y))
 
-    def mul(self, a, b):
-        self.check_pair(a, b)
-        key = tuple(f.mul(GroupElem(f, x), GroupElem(f, y)).key
-                    for f, x, y in zip(self.factors, a.key, b.key))
-        return GroupElem(self, key)
+    def key_inv(self, x):
+        return tuple(f.key_inv(a) for f, a in zip(self.factors, x))
 
-    def inv(self, a):
-        self.check_member(a)
-        return GroupElem(self, tuple(f.inv(GroupElem(f, x)).key
-                                     for f, x in zip(self.factors, a.key)))
-
-    def elem(self, key):
+    def key_check(self, key):
         key = tuple(key)
         if len(key) != len(self.factors):
             raise ValidationError("component count differs from factor count")
-        return GroupElem(self, tuple(f.elem(k).key for f, k in zip(self.factors, key)))
+        return tuple(f.key_check(k) for f, k in zip(self.factors, key))
 
-    def elements(self):
-        if not self.is_finite:
-            raise ValidationError("product group is not finite; cannot enumerate elements")
-        keys = [tuple(e.key for e in f.elements()) for f in self.factors]
-        return [GroupElem(self, k) for k in iproduct(*keys)]
+    def keys(self):
+        return iproduct(*(f.keys() for f in self.factors))
 
-    def sort_key(self, a):
-        return tuple(f.sort_key(GroupElem(f, x)) for f, x in zip(self.factors, a.key))
+    def key_order(self, x):
+        return tuple(f.key_order(a) for f, a in zip(self.factors, x))
 
-    def format_elem(self, a):
-        parts = [f.format_elem(GroupElem(f, x)) for f, x in zip(self.factors, a.key)]
-        return "(" + ", ".join(parts) + ")"
+    def key_str(self, x):
+        return "(" + ", ".join(f.key_str(a) for f, a in zip(self.factors, x)) + ")"
+
+    def key_encode(self, x):
+        return [f.key_encode(a) for f, a in zip(self.factors, x)]
+
+    def key_decode(self, obj):
+        if not isinstance(obj, (list, tuple)) or len(obj) != len(self.factors):
+            raise ValidationError(f"product element must list one entry per factor, got {obj!r}")
+        return tuple(f.key_decode(o) for f, o in zip(self.factors, obj))
 
     def describe(self):
         return {"type": "product", "factors": [f.describe() for f in self.factors]}
-
-    def encode_elem(self, a):
-        return [f.encode_elem(GroupElem(f, x)) for f, x in zip(self.factors, a.key)]
-
-    def decode_elem(self, obj):
-        if not isinstance(obj, (list, tuple)) or len(obj) != len(self.factors):
-            raise ValidationError(f"product element must list one entry per factor, got {obj!r}")
-        return GroupElem(self, tuple(f.decode_elem(o).key for f, o in zip(self.factors, obj)))
-
-    def __eq__(self, other):
-        return isinstance(other, ProductGroup) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("product", self.factors))
 
     def __repr__(self):
         return f"ProductGroup({list(self.factors)!r})"

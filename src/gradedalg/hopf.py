@@ -78,10 +78,7 @@ class DualFunctional:
                 and other.values == self.values)
 
     def __hash__(self):
-        items = tuple(sorted(((g.key, v) for g, v in self.values.items()),
-                             key=lambda it: self.group.sort_key(
-                                 GroupElem(self.group, it[0]))))
-        return hash((self.group, items))
+        return hash((self.group, frozenset(self.values.items())))
 
     def __repr__(self):
         parts = [f"{v}*d[{g!r}]" for g, v in sorted(
@@ -102,22 +99,9 @@ class CoalgebraWindow:
 
     @classmethod
     def from_support(cls, group: Group, support) -> "CoalgebraWindow":
-        seen = []
-        keys = set()
-
-        def push(g):
-            if g.key not in keys:
-                keys.add(g.key)
-                seen.append(g)
-
         support = list(support)
-        for g in support:
-            push(g)
-        for a in support:
-            for b in support:
-                push(a * b)
-        for g in list(seen):
-            push(g.inverse())
+        seen = dict.fromkeys(support + [a * b for a in support for b in support])
+        seen.update(dict.fromkeys([g.inverse() for g in seen]))
         return cls(group, seen)
 
     @classmethod

@@ -449,9 +449,10 @@ def codimension_reports(A: GradedAlgebra, n_max: int, modes,
     per_n = {mode: [] for mode in modes}
     shortcuts = []
     m = len(A.support)
+    # nilpotent_shortcut's test, with the index computed once for every n
+    p = nilpotency_index(A) if A.unit is None else None
     for n in range(1, n_max + 1):
-        short = nilpotent_shortcut(A, n)
-        if short is not None:
+        if p is not None and n >= p:
             values.append(0)
             shortcuts.append(n)
             for rows in per_n.values():

@@ -13,7 +13,7 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
 from gradedalg.errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
                               ValidationError)
 from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank
-from gradedalg.groups import CyclicGroup, TrivialGroup
+from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
@@ -293,6 +293,23 @@ def test_constructor_rejects_bad_grading():
     with pytest.raises(ValidationError):
         from gradedalg.algebra import GradedAlgebra
         GradedAlgebra(z2, [z2.elem(0), z2.elem(1)], structure)
+
+
+def test_grading_check_multiplies_degrees_only_for_nonzero_products(monkeypatch):
+    calls = []
+    mul = GroupElem.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(GroupElem, "__mul__", counted)
+    A = free_group_truncation(2, 5)
+    assert len(calls) == sum(1 for plane in A.structure for row in plane if row) == 129
+    z2 = CyclicGroup(2)
+    degs = [z2.elem(0), z2.elem(1), z2.elem(1)]
+    with pytest.raises(ValidationError, match=r"c\[0\]\[1\]\[0\] != 0"):
+        GradedAlgebra(z2, degs, {(2, 2, 1): F(1), (1, 0, 2): F(1), (0, 1, 0): F(1)})
 
 
 def test_constructor_rejects_non_associative():

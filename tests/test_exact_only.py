@@ -12,7 +12,8 @@ its own definition. `assert` statements are rejected too: they vanish under
 `python -O`, so a check that must hold raises `InternalCheckError`. Dense
 vectors become sparse {index: coefficient} dicts through `exactlin.sparse`
 alone: outside exactlin, a dict comprehension keyed by a bare name over a
-filtered `enumerate(...)` is rejected."""
+filtered `enumerate(...)` is rejected. Group-element keys are read in groups.py
+alone: elsewhere `.key` is rejected."""
 
 import ast
 from pathlib import Path
@@ -97,6 +98,16 @@ def inline_sparse_nodes(tree, module=""):
             yield node, "inline dense-to-sparse conversion"
 
 
+def group_key_nodes(tree, module=""):
+    """`.key` attributes outside groups.py: an element's key is the group's business,
+    and elsewhere elements are compared, hashed and encoded as they are."""
+    if module == "groups.py":
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "key":
+            yield node, "group key access"
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -170,6 +181,23 @@ def test_checker_flags_inline_sparse_conversions():
     lines = [node.lineno for node, _ in inline_sparse_nodes(ast.parse(code))]
     assert sorted(lines) == [1, 2]
     assert not list(inline_sparse_nodes(ast.parse(code), "exactlin.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_no_group_key(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what} (keys stay inside groups.py)"
+             for node, what in group_key_nodes(tree, path.name)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_group_key_reads():
+    code = ("index = {e.key: i for i, e in enumerate(elems)}\n"
+            "sorted(xs, key=len)\nd.keys()\ng.sort_key(e)\n"
+            "if a.key not in seen:\n    pass\nself.key = 1\n")
+    lines = [node.lineno for node, _ in group_key_nodes(ast.parse(code))]
+    assert sorted(lines) == [1, 5, 7]
+    assert not list(group_key_nodes(ast.parse(code), "groups.py"))
 
 
 def test_no_dead_private_helpers():

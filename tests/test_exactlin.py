@@ -170,6 +170,14 @@ def test_reducer_input_stays_exact():
     assert all(type(a) is Fraction for a in red.rows[0] + list(basis[0]))
 
 
+def test_reducer_replaces_rows_it_reduces():
+    red = Reducer(3, [[1, 1, 0]])
+    held = red.rows[0]
+    assert red.insert([0, 1, 1]) == (0, 1, 1)
+    assert held == [1, 1, 0]                      # the row list a caller holds
+    assert red.rows == [[1, 0, -1], [0, 1, 1]]    # the reducer's rows moved on
+
+
 @pytest.mark.parametrize("build", [
     lambda: GradedAlgebra(TrivialGroup(), [TrivialGroup().identity()], {(0, 0, 0): 0.1}),
     lambda: GradedAlgebra(TrivialGroup(), [TrivialGroup().identity()], {(0, 0, 0): 1},

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gradedalg.errors import GroupMismatchError, ValidationError
 from gradedalg.groups import (CyclicGroup, FreeGroup, ProductGroup, TableGroup,
                               TrivialGroup, group_from_description)
+from gradedalg.hopf import CoalgebraWindow, DualFunctional
 
 
 def s3_table():
@@ -159,3 +161,184 @@ def test_free_format():
     assert f.encode_elem(w) == "a1.a2.a1'"
     assert f.decode_elem("a1.a2.a1'") == w
     assert f.encode_elem(f.identity()) == ""
+
+
+# -- the observable behaviour of every kind, recorded before the key-function
+# refactor of groups.py; describe, the encodings, repr, the sort order and the
+# error messages must not change
+
+Z2 = CyclicGroup(2)
+F1, F2 = FreeGroup(1), FreeGroup(2)
+GOLDEN_GROUPS = {
+    "trivial": (TrivialGroup(), [0], [("elem", 1), ("elem", False), ("decode", "x"),
+                                      ("decode", False), ("decode", 1)]),
+    "Z1": (CyclicGroup(1), [0], [("elem", "a"), ("elem", True), ("decode", "1"),
+                                 ("decode", None)]),
+    "Z5": (CyclicGroup(5), [0, 1, 4, 7, -3], [("elem", "1"), ("elem", 1.0), ("decode", "1"),
+                                               ("decode", True)]),
+    "S3": (TableGroup(s3_table()[0]), [0, 1, 2, 3, 4, 5],
+           [("elem", 6), ("elem", -1), ("elem", True), ("decode", "0"), ("decode", 6)]),
+    "F2": (F2, [(), (1,), (-2,), (1, 2, -1), (2, 2, -1, -1)],
+           [("elem", (1, -1)), ("elem", (3,)), ("elem", (0,)), ("elem", (True,)),
+            ("decode", 5), ("decode", "b1"), ("decode", "a3"), ("decode", "a1.x"),
+            ("decode", "a0"), ("elements", None)]),
+    "Z2xZ2": (ProductGroup((Z2, Z2)), [(0, 0), (1, 0), (0, 1), (1, 1), (3, -1)],
+              [("elem", (1,)), ("elem", (1, "a")), ("decode", [1]), ("decode", "ab"),
+               ("decode", [1, True]), ("decode", (0, 1.5))]),
+    "Z2xF1": (ProductGroup((Z2, F1)), [(0, ()), (1, (1,)), (1, (-1, -1))],
+              [("elem", (0, (2,))), ("elem", (0, (1, -1))), ("decode", [0, "a2"]),
+               ("decode", [0, 1]), ("decode", [2]), ("elements", None)]),
+}
+
+
+GOLDEN_BEHAVIOUR = {
+    'trivial': [{'type': 'trivial'},
+                'TrivialGroup()',
+                ('e', 0, 0, 0, True, True),
+                'trivial group has the single key 0',
+                'trivial group has the single key 0',
+                "bad trivial-group element 'x'",
+                'bad trivial-group element False',
+                'bad trivial-group element 1'],
+    'Z1': [{'type': 'cyclic', 'n': 1},
+           'CyclicGroup(1)',
+           ('[0 mod 1]', 0, 0, 0, True, True),
+           "cyclic element key must be an int, got 'a'",
+           'cyclic element key must be an int, got True',
+           "cyclic element must be an integer, got '1'",
+           'cyclic element must be an integer, got None'],
+    'Z5': [{'type': 'cyclic', 'n': 5},
+           'CyclicGroup(5)',
+           ('[0 mod 5]', 0, 0, 0, True, True),
+           ('[1 mod 5]', 1, 1, 4, False, True),
+           ('[4 mod 5]', 4, 4, 1, False, True),
+           ('[2 mod 5]', 2, 2, 3, False, True),
+           ('[2 mod 5]', 2, 2, 3, False, True),
+           "cyclic element key must be an int, got '1'",
+           'cyclic element key must be an int, got 1.0',
+           "cyclic element must be an integer, got '1'",
+           'cyclic element must be an integer, got True'],
+    'S3': [{'type': 'table',
+            'table': [[0, 1, 2, 3, 4, 5],
+                      [1, 0, 4, 5, 2, 3],
+                      [2, 3, 0, 1, 5, 4],
+                      [3, 2, 5, 4, 0, 1],
+                      [4, 5, 1, 0, 3, 2],
+                      [5, 4, 3, 2, 1, 0]]},
+           'TableGroup(order=6)',
+           ('t0', 0, 0, 0, True, True),
+           ('t1', 1, 1, 1, False, True),
+           ('t2', 2, 2, 2, False, True),
+           ('t3', 3, 3, 4, False, True),
+           ('t4', 4, 4, 3, False, True),
+           ('t5', 5, 5, 5, False, True),
+           'table element index 6 out of range',
+           'table element index -1 out of range',
+           'table element index True out of range',
+           "table element must be an integer index, got '0'",
+           'table element index 6 out of range'],
+    'F2': [{'type': 'free', 'rank': 2},
+           'FreeGroup(2)',
+           ('1', '', (0, ()), (), True, True),
+           ('a1', 'a1', (1, (1,)), (-1,), False, True),
+           ("a2'", "a2'", (1, (-2,)), (2,), False, True),
+           ("a1.a2.a1'", "a1.a2.a1'", (3, (1, 2, -1)), (1, -2, -1), False, True),
+           ("a2.a2.a1'.a1'", "a2.a2.a1'.a1'", (4, (2, 2, -1, -1)), (1, 1, -2, -2), False, True),
+           'word (1, -1) is not reduced',
+           'bad free-group letter 3',
+           'bad free-group letter 0',
+           'bad free-group letter True',
+           'free-group element must be a string, got 5',
+           "bad free-group token 'b1'",
+           "generator index 3 out of range in 'a3'",
+           "bad free-group token 'x'",
+           "generator index 0 out of range in 'a0'",
+           'free group is not finite; cannot enumerate elements'],
+    'Z2xZ2': [{'type': 'product',
+               'factors': [{'type': 'cyclic', 'n': 2}, {'type': 'cyclic', 'n': 2}]},
+              'ProductGroup([CyclicGroup(2), CyclicGroup(2)])',
+              ('([0 mod 2], [0 mod 2])', [0, 0], (0, 0), (0, 0), True, True),
+              ('([1 mod 2], [0 mod 2])', [1, 0], (1, 0), (1, 0), False, True),
+              ('([0 mod 2], [1 mod 2])', [0, 1], (0, 1), (0, 1), False, True),
+              ('([1 mod 2], [1 mod 2])', [1, 1], (1, 1), (1, 1), False, True),
+              ('([1 mod 2], [1 mod 2])', [1, 1], (1, 1), (1, 1), False, True),
+              'component count differs from factor count',
+              "cyclic element key must be an int, got 'a'",
+              'product element must list one entry per factor, got [1]',
+              "product element must list one entry per factor, got 'ab'",
+              'cyclic element must be an integer, got True',
+              'cyclic element must be an integer, got 1.5'],
+    'Z2xF1': [{'type': 'product',
+               'factors': [{'type': 'cyclic', 'n': 2}, {'type': 'free', 'rank': 1}]},
+              'ProductGroup([CyclicGroup(2), FreeGroup(1)])',
+              ('([0 mod 2], 1)', [0, ''], (0, (0, ())), (0, ()), True, True),
+              ('([1 mod 2], a1)', [1, 'a1'], (1, (1, (1,))), (1, (-1,)), False, True),
+              ("([1 mod 2], a1'.a1')", [1, "a1'.a1'"], (1, (2, (-1, -1))), (1, (1, 1)),
+               False, True),
+              'bad free-group letter 2',
+              'word (1, -1) is not reduced',
+              "generator index 2 out of range in 'a2'",
+              'free-group element must be a string, got 1',
+              'product element must list one entry per factor, got [2]',
+              'product group is not finite; cannot enumerate elements'],
+}
+
+
+def observe_group(g, keys, bad):
+    out = [g.describe(), repr(g)]
+    for k in keys:
+        e = g.elem(k)
+        out.append((repr(e), g.encode_elem(e), g.sort_key(e), e.inverse().key,
+                    e.is_identity(), g.decode_elem(g.encode_elem(e)) == e))
+    for op, arg in bad:
+        call = {"elem": g.elem, "decode": g.decode_elem, "elements": lambda _: g.elements()}
+        with pytest.raises(ValidationError) as info:
+            call[op](arg)
+        out.append(str(info.value))
+    return out
+
+
+def test_group_behaviour_golden():
+    got = {name: observe_group(*spec) for name, spec in GOLDEN_GROUPS.items()}
+    assert got == GOLDEN_BEHAVIOUR
+
+
+def test_group_equality_and_hash_across_kinds():
+    assert TrivialGroup() != CyclicGroup(1) and CyclicGroup(1) != TrivialGroup()
+    assert ProductGroup((Z2,)) != Z2 and Z2 != ProductGroup((Z2,))
+    assert FreeGroup(1) != CyclicGroup(1) and TableGroup([[0]]) != TrivialGroup()
+    assert TableGroup([[0]]) != CyclicGroup(1)
+    assert Z2 != 2 and TrivialGroup() != "trivial"
+    for a, b in ((TrivialGroup(), TrivialGroup()), (CyclicGroup(5), CyclicGroup(5)),
+                 (TableGroup(s3_table()[0]), TableGroup(s3_table()[0])),
+                 (FreeGroup(2), FreeGroup(2)),
+                 (ProductGroup((Z2, F1)), ProductGroup([CyclicGroup(2), FreeGroup(1)]))):
+        assert a == b and hash(a) == hash(b)
+        assert a.elem(a.identity().key) == b.identity()
+    assert len({CyclicGroup(2), CyclicGroup(2), CyclicGroup(3), ProductGroup((Z2,))}) == 3
+
+
+def test_window_basis_order_golden():
+    k4 = ProductGroup((Z2, Z2))
+    w = CoalgebraWindow.from_support(k4, [k4.elem((1, 0)), k4.elem((0, 1)), k4.elem((1, 0))])
+    assert [repr(g) for g in w.basis] == [
+        "([1 mod 2], [0 mod 2])", "([0 mod 2], [1 mod 2])", "([0 mod 2], [0 mod 2])",
+        "([1 mod 2], [1 mod 2])"]
+    w = CoalgebraWindow.from_support(F2, [F2.elem((1,)), F2.elem((-2,)), F2.elem((1, 2)),
+                                          F2.identity()])
+    assert [repr(g) for g in w.basis] == [
+        "a1", "a2'", "a1.a2", "1", "a1.a1", "a1.a2'", "a1.a1.a2", "a2'.a1", "a2'.a2'",
+        "a2'.a1.a2", "a1.a2.a1", "a1.a2.a1.a2", "a1'", "a2", "a2'.a1'", "a1'.a1'", "a2.a1'",
+        "a2'.a1'.a1'", "a1'.a2", "a2.a2", "a2'.a1'.a2", "a1'.a2'.a1'", "a2'.a1'.a2'.a1'"]
+
+
+def test_equal_functionals_hash_equal_in_any_insertion_order():
+    k, s3 = ProductGroup((Z2, F1)), TableGroup(s3_table()[0])
+    for g, elems in ((k, [k.identity(), k.elem((1, (1,))), k.elem((0, (-1,)))]),
+                     (F2, [F2.identity(), F2.elem((1,)), F2.elem((-2, 1))]),
+                     (s3, s3.elements())):
+        values = {e: Fraction(i + 1, 3) for i, e in enumerate(elems)}
+        f = DualFunctional(g, values)
+        r = DualFunctional(g, dict(reversed(values.items())))
+        assert list(f.values) != list(r.values)
+        assert f == r and hash(f) == hash(r)

@@ -4,13 +4,14 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from gradedalg.algebra import algebra_on_subspace
+from gradedalg import identities
+from gradedalg.algebra import algebra_on_subspace, nilpotency_index
 from gradedalg.builders import (builtin, free_group_truncation,
                                 matrix_algebra, matrix_algebra_z2)
 from gradedalg.errors import ResourceCapError, ValidationError
 from gradedalg.hopf import DualFunctional
 from gradedalg.identities import (MultilinearGradedPoly, codim_block,
-                                  codimension_report, decimal_root,
+                                  codimension_report, codimension_reports, decimal_root,
                                   exponent_estimate, evaluate_functional_poly,
                                   graded_codimension, is_functional_identity,
                                   is_graded_identity, nilpotent_shortcut)
@@ -160,6 +161,22 @@ def test_nilpotent_shortcut():
     assert graded_codimension(B, 2) > 0
     assert graded_codimension(B, 3) == 0
     assert nilpotent_shortcut(A, 5) is None      # unital never shortcuts
+
+
+def test_codimension_reports_compute_the_nilpotency_index_once(monkeypatch):
+    A = free_group_truncation(2, 3)
+    J = algebra_on_subspace(A, jacobson_radical(A), name="J").algebra
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nilpotency_index(*args)
+
+    monkeypatch.setattr(identities, "nilpotency_index", counted)
+    reports = codimension_reports(J, 6, ["gr", "h"])
+    assert len(calls) == 1
+    assert [r.shortcuts for r in reports] == [[3, 4, 5, 6]] * 2
+    assert reports[0].values[2:] == [0, 0, 0, 0]
 
 
 def test_resource_caps():
