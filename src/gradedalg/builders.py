@@ -17,6 +17,21 @@ from .groups import (CyclicGroup, FreeGroup, Group, GroupElem, ProductGroup,
 ONE = Fraction(1)
 
 
+def _elementary_degrees(n: int, group: Group | None, row_labels, pairs) -> tuple:
+    """(group, [deg e_pq for (p, q) in pairs]) for the elementary grading
+    deg e_pq = g_p^{-1} g_q given by one row label g_p per row; the default
+    group is trivial and the default labels are its identity."""
+    if group is None:
+        group = TrivialGroup()
+    if row_labels is None:
+        labels = [group.identity()] * n
+    else:
+        labels = [x if isinstance(x, GroupElem) else group.elem(x) for x in row_labels]
+        if len(labels) != n:
+            raise ValidationError("need one row label per matrix row")
+    return group, [labels[p].inverse() * labels[q] for p, q in pairs]
+
+
 def matrix_algebra(n: int, group: Group | None = None, row_labels=None,
                    name: str = "") -> GradedAlgebra:
     """Full matrix algebra M_n(Q) on the basis e_pq (row-major).
@@ -24,19 +39,12 @@ def matrix_algebra(n: int, group: Group | None = None, row_labels=None,
     With `row_labels` (g_1, ..., g_n) the elementary grading deg e_pq =
     g_p^{-1} g_q is used; the default is the trivial grading.
     """
-    if group is None:
-        group = TrivialGroup()
-    if row_labels is None:
-        labels = [group.identity()] * n
-    else:
-        labels = [group.elem(x) if not isinstance(x, GroupElem) else x for x in row_labels]
-        if len(labels) != n:
-            raise ValidationError("need one row label per matrix row")
+    pairs = [(p, q) for p in range(n) for q in range(n)]
+    group, degrees = _elementary_degrees(n, group, row_labels, pairs)
     idx = lambda p, q: p * n + q
     structure = {(idx(p, q), idx(q, s), idx(p, s)): ONE
                  for p in range(n) for q in range(n) for s in range(n)}
-    degrees = [labels[p].inverse() * labels[q] for p in range(n) for q in range(n)]
-    unit = [ONE if p == q else ZERO for p in range(n) for q in range(n)]
+    unit = [ONE if p == q else ZERO for p, q in pairs]
     return GradedAlgebra(group, degrees, structure, kind=ASSOCIATIVE, unit=unit,
                          name=name or f"M{n}")
 
@@ -52,17 +60,11 @@ def matrix_algebra_z2(n: int = 2) -> GradedAlgebra:
 def upper_triangular(n: int, group: Group | None = None, row_labels=None,
                      name: str = "") -> GradedAlgebra:
     """Upper triangular matrices UT_n(Q), elementary grading as in matrix_algebra."""
-    if group is None:
-        group = TrivialGroup()
-    if row_labels is None:
-        labels = [group.identity()] * n
-    else:
-        labels = [group.elem(x) if not isinstance(x, GroupElem) else x for x in row_labels]
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    group, degrees = _elementary_degrees(n, group, row_labels, pairs)
     index = {pq: i for i, pq in enumerate(pairs)}
     structure = {(index[(p, q)], index[(r, s)], index[(p, s)]): ONE
                  for (p, q) in pairs for (r, s) in pairs if q == r}
-    degrees = [labels[p].inverse() * labels[q] for (p, q) in pairs]
     unit = [ONE if p == q else ZERO for (p, q) in pairs]
     return GradedAlgebra(group, degrees, structure, kind=ASSOCIATIVE, unit=unit,
                          name=name or f"UT{n}")

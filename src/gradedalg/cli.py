@@ -16,7 +16,7 @@ from .builders import builtin, builtin_names
 from .errors import (DimensionMismatchError, GroupMismatchError,
                      InternalCheckError, NotAnIdealError, NotGradedError,
                      ResourceCapError, SchemaError, ValidationError)
-from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_reports,
+from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_report,
                          is_graded_identity)
 from .radical import (graded_radical_report, jacobson_radical,
                       solvable_radical)
@@ -127,35 +127,45 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _h_per_n(rep) -> list:
+    """per_n in mode h, which reads the labels as delta functionals of (QG)*:
+    the same blocks without their statistics; rows settled by nilpotency keep
+    "nonzero_blocks": 0."""
+    return [{k: v for k, v in row.items() if k != "max_block_rank"
+             and (k != "nonzero_blocks" or row["n"] in rep.shortcuts)}
+            for row in rep.per_n]
+
+
 def cmd_codim(args) -> int:
     A, desc = _load_algebra(args)
     modes = ["gr", "h"] if args.mode == "both" else [args.mode]
     out = {"command": "codim", "input_digest": digest(desc), "name": A.name,
            "n_max": args.n_max, "results": {}}
-    reports = codimension_reports(A, args.n_max, modes, predicted_d=args.predicted_d,
-                                  max_n=args.max_n, max_blocks=args.max_blocks)
-    for mode, rep in zip(modes, reports):
+    rep = codimension_report(A, args.n_max, predicted_d=args.predicted_d,
+                             max_n=args.max_n, max_blocks=args.max_blocks)
+    entry = {"values": rep.values, "roots": rep.roots,
+             "ratios": [str(r) if r is not None else None for r in rep.ratios],
+             "shortcut_n": rep.shortcuts}
+    v = rep.verdict
+    if v is not None:
+        entry["verdict"] = {
+            "predicted": v.predicted, "nilpotent": v.nilpotent,
+            "consistent": v.consistent, "lower_power": v.lower_power,
+            "upper_power": v.upper_power,
+            "lower_const": str(v.lower_const) if v.lower_const is not None else None,
+            "upper_const": str(v.upper_const) if v.upper_const is not None else None,
+            "message": v.message}
+    for mode in modes:
         print(f"mode {mode}:")
         print(f"  {'n':>3} {'c_n':>10} {'root':>10} {'ratio':>12}")
-        for i, v in enumerate(rep.values):
+        for i, c in enumerate(rep.values):
             ratio = ""
             if i > 0 and rep.ratios[i - 1] is not None:
                 ratio = str(rep.ratios[i - 1])
-            print(f"  {i + 1:>3} {v:>10} {rep.roots[i]:>10} {ratio:>12}")
-        entry = {"values": rep.values, "roots": rep.roots,
-                 "ratios": [str(r) if r is not None else None for r in rep.ratios],
-                 "per_n": rep.per_n, "shortcut_n": rep.shortcuts}
-        if rep.verdict is not None:
-            v = rep.verdict
-            entry["verdict"] = {
-                "predicted": v.predicted, "nilpotent": v.nilpotent,
-                "consistent": v.consistent, "lower_power": v.lower_power,
-                "upper_power": v.upper_power,
-                "lower_const": str(v.lower_const) if v.lower_const is not None else None,
-                "upper_const": str(v.upper_const) if v.upper_const is not None else None,
-                "message": v.message}
+            print(f"  {i + 1:>3} {c:>10} {rep.roots[i]:>10} {ratio:>12}")
+        if v is not None:
             print(f"  verdict: {v.message}")
-        out["results"][mode] = entry
+        out["results"][mode] = dict(entry, per_n=rep.per_n if mode == "gr" else _h_per_n(rep))
     _emit(out, args.json_out)
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 
 Every scalar is a `fractions.Fraction`; there are no floats and no tolerances.
 Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
-included). `Reducer` is the one elimination: `rref`, `rank`, `kernel`,
+included). `Reducer` is the one elimination: `rank`, `kernel`,
 `solve`, `invert`, subspace sums and intersections and every span are read
 off its pivots and rows. `Subspace` is the currency passed between the
 algebra, radical and structure layers; it carries its RREF basis and that
@@ -190,13 +190,6 @@ class Reducer:
 
     def subspace(self) -> "Subspace":
         return Subspace(self.ambient, Mat(self.rows, cols=self.ambient), self.pivots)
-
-
-def rref(m: Mat) -> tuple[Mat, int]:
-    """Reduced row echelon form (zero rows last) and rank."""
-    red = Reducer(m.cols, m.data)
-    rows = red.rows + [zero_vector(m.cols)] * (m.rows - red.dim)
-    return Mat(rows, cols=m.cols), red.dim
 
 
 def rank(m: Mat) -> int:

@@ -150,6 +150,8 @@ class CyclicGroup(Group):
     identity_key = 0
 
     def __init__(self, n: int):
+        if not is_int(n):
+            raise ValidationError(f"cyclic group order must be an int, got {n!r}")
         if n < 1:
             raise ValidationError("cyclic group order must be >= 1")
         self.n = n
@@ -279,6 +281,8 @@ class FreeGroup(Group):
     identity_key = ()
 
     def __init__(self, rank: int):
+        if not is_int(rank):
+            raise ValidationError(f"free group rank must be an int, got {rank!r}")
         if rank < 1:
             raise ValidationError("free group rank must be >= 1")
         self.rank = rank
@@ -291,6 +295,8 @@ class FreeGroup(Group):
         return tuple(-a for a in reversed(x))
 
     def key_check(self, key):
+        if not isinstance(key, (tuple, list)):
+            raise ValidationError(f"free-group key must be a sequence of letters, got {key!r}")
         word = tuple(key)
         for x in word:
             if not is_int(x) or x == 0 or abs(x) > self.rank:
@@ -351,6 +357,9 @@ class ProductGroup(Group):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValidationError("product group needs at least one factor")
+        for f in self.factors:
+            if not isinstance(f, Group):
+                raise ValidationError(f"product factor {f!r} is not a group")
         self.is_finite = all(f.is_finite for f in self.factors)
         self.identity_key = tuple(f.identity_key for f in self.factors)
         self.signature = ("product", self.factors)
@@ -362,6 +371,8 @@ class ProductGroup(Group):
         return tuple(f.key_inv(a) for f, a in zip(self.factors, x))
 
     def key_check(self, key):
+        if not isinstance(key, (tuple, list)):
+            raise ValidationError(f"product key must list one key per factor, got {key!r}")
         key = tuple(key)
         if len(key) != len(self.factors):
             raise ValidationError("component count differs from factor count")

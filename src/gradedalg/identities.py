@@ -16,12 +16,10 @@ ranks, zero entries and repeated rows. A node's subtree depends only on the
 variables left to place and its partial products, so each distinct
 (remaining variables, products) node is expanded once.
 
-Labels may also be read as delta functionals of (QG)*: for a group grading the
-delta-labelled identities are exactly the graded ones, so mode h of
-`codimension_report` reports the same blocks. General (QG)*-labels expand into
-delta labels (`MultilinearGradedPoly.from_functionals`), and
-`is_functional_identity` checks an identity through projections of
-unrestricted substitutions, independently of the component-wise route.
+For a group grading, the identities whose labels are read as delta
+functionals of (QG)* are exactly the graded ones, so H-identities of a
+QG-comodule algebra need no computation of their own: the CLI's mode h is a
+presentation of `codimension_report` under delta labels.
 """
 
 from __future__ import annotations
@@ -33,9 +31,7 @@ from math import factorial
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
 from .errors import ResourceCapError, ValidationError
-from .exactlin import ONE, Reducer, ZERO, as_rat, is_zero_vector
-from .groups import GroupElem
-from .hopf import DualFunctional, dual_action
+from .exactlin import Reducer, ZERO, as_rat, is_zero_vector
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_BLOCKS = 100_000
@@ -72,50 +68,6 @@ class MultilinearGradedPoly:
                 clean[(perm, degs)] = clean.get((perm, degs), ZERO) + coeff
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
-    @classmethod
-    def from_functionals(cls, n: int, terms: dict, support) -> "MultilinearGradedPoly":
-        """Polynomial whose variables carry (QG)*-labels: each label is a
-        group element g, read as the delta functional at g, or a general
-        `DualFunctional` f. On an algebra with this support, f acts as the sum
-        of f(g) times the projection onto A_g, so a term with label f expands
-        into delta-labelled terms weighted by f's values on the support."""
-        expanded: dict = {}
-        for (perm, labels), coeff in terms.items():
-            coeff = as_rat(coeff)
-            choices = []
-            for l in labels:
-                if isinstance(l, DualFunctional):
-                    choices.append([(g, l(g)) for g in support])
-                elif isinstance(l, GroupElem):
-                    choices.append([(l, ONE)])
-                else:
-                    raise ValidationError(f"label {l!r} is neither a functional nor a group element")
-            for combo in iproduct(*choices):
-                c = coeff
-                for _, w in combo:
-                    c *= w
-                key = (tuple(perm), tuple(g for g, _ in combo))
-                expanded[key] = expanded.get(key, ZERO) + c
-        return cls(n, expanded)
-
-    def __add__(self, other):
-        if other.n != self.n:
-            raise ValidationError("adding polynomials in different variable counts")
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, ZERO) + v
-        return MultilinearGradedPoly(self.n, merged)
-
-    def scale(self, c):
-        c = as_rat(c)
-        return MultilinearGradedPoly(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def is_zero(self):
-        return not self.terms
-
 
 def _fold_basis_product(A: GradedAlgebra, seq) -> dict:
     """Sparse product of basis vectors in word order."""
@@ -148,36 +100,6 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
             for k, c in prod.items():
                 acc[k] += coeff * c
         if not is_zero_vector(acc):
-            return False
-    return True
-
-
-def evaluate_functional_poly(f: MultilinearGradedPoly, A: GradedAlgebra, vectors) -> tuple:
-    """Evaluate with x_i := vectors[i], reading each label as the delta
-    functional at it: a labelled occurrence acts on its unrestricted argument
-    by the projection onto the label's component (zero outside the support)."""
-    if len(vectors) != f.n:
-        raise ValidationError("need one substitution vector per variable")
-    acc = [ZERO] * A.dim
-    for (perm, labels), coeff in f.terms.items():
-        cur = None
-        for p in perm:
-            v = dual_action(DualFunctional.delta(labels[p]), vectors[p], A)
-            cur = v if cur is None else A.multiply(cur, v)
-            if is_zero_vector(cur):
-                break
-        for k, c in enumerate(cur):
-            acc[k] += coeff * c
-    return tuple(acc)
-
-
-def is_functional_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
-    """True iff f, its labels read as delta functionals, vanishes for all
-    substitutions X -> A (basis tuples suffice). An independent route to
-    `is_graded_identity`: it never restricts a variable to a component."""
-    for choice in iproduct(range(A.dim), repeat=f.n):
-        vectors = [A.basis_vector(i) for i in choice]
-        if not is_zero_vector(evaluate_functional_poly(f, A, vectors)):
             return False
     return True
 
@@ -300,15 +222,20 @@ def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     return sum(mult * rank for mult, rank in _codim_blocks(A, n, max_n, max_blocks))
 
 
+def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
+    """The n in ns with c_n = 0 because A has no unit and is certified
+    nilpotent of index <= n (every product of n factors vanishes); the
+    index is computed once."""
+    if A.unit is not None:
+        return []
+    p = nilpotency_index(A)
+    return [n for n in ns if p is not None and n >= p]
+
+
 def nilpotent_shortcut(A: GradedAlgebra, n: int):
     """0 when the algebra is certified nilpotent of index <= n (then every
     product of n factors vanishes); None when the shortcut does not apply."""
-    if A.unit is not None:
-        return None
-    p = nilpotency_index(A)
-    if p is not None and n >= p:
-        return 0
-    return None
+    return 0 if _settled_by_nilpotency(A, (n,)) else None
 
 
 def _int_nth_root(x: int, n: int) -> int:
@@ -351,7 +278,6 @@ class ExponentVerdict:
 
 @dataclass
 class CodimReport:
-    mode: str
     values: list                     # c_1 .. c_N
     per_n: list = field(default_factory=list)
     roots: list = field(default_factory=list)     # decimal strings (exact truncations)
@@ -421,23 +347,14 @@ def exponent_estimate(values, predicted_d: int | None = None) -> ExponentVerdict
     return ExponentVerdict(predicted_d, False, ok, r1, r2, c1, c2, msg)
 
 
-def codimension_report(A: GradedAlgebra, n_max: int, mode: str = "gr",
+def codimension_report(A: GradedAlgebra, n_max: int,
                        predicted_d: int | None = None,
                        max_n: int = DEFAULT_MAX_N,
                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> CodimReport:
     """Codimension table c_1..c_{n_max} with block statistics, exact roots,
-    ratios and (when requested) the growth verdict."""
-    return codimension_reports(A, n_max, (mode,), predicted_d, max_n, max_blocks)[0]
-
-
-def codimension_reports(A: GradedAlgebra, n_max: int, modes,
-                        predicted_d: int | None = None,
-                        max_n: int = DEFAULT_MAX_N,
-                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> list:
-    """One `codimension_report` per mode, every block computed once: the
-    modes share the blocks and differ only in the per_n keys they report."""
-    if any(mode not in ("gr", "h") for mode in modes):
-        raise ValidationError("mode must be 'gr' or 'h'")
+    ratios and (when requested) the growth verdict. Each block is computed
+    once; a per_n row settled by nilpotency reports no nonzero block and no
+    block rank."""
     if n_max < 1:
         raise ValidationError("codimensions start at n = 1")
     if predicted_d is not None and predicted_d < 1:
@@ -446,30 +363,22 @@ def codimension_reports(A: GradedAlgebra, n_max: int, modes,
         raise ValidationError("a predicted exponent needs n_max >= 3: the growth "
                               "verdict compares at least three codimensions")
     values = []
-    per_n = {mode: [] for mode in modes}
-    shortcuts = []
+    per_n = []
     m = len(A.support)
-    # nilpotent_shortcut's test, with the index computed once for every n
-    p = nilpotency_index(A) if A.unit is None else None
+    shortcuts = _settled_by_nilpotency(A, range(1, n_max + 1))
     for n in range(1, n_max + 1):
-        if p is not None and n >= p:
+        if n in shortcuts:
             values.append(0)
-            shortcuts.append(n)
-            for rows in per_n.values():
-                rows.append({"n": n, "assignments": m ** n, "computed": 0,
-                             "nonzero_blocks": 0})
+            per_n.append({"n": n, "assignments": m ** n, "computed": 0,
+                          "nonzero_blocks": 0})
             continue
         blocks = _codim_blocks(A, n, max_n, max_blocks)
         values.append(sum(mult * rank for mult, rank in blocks))
-        for mode, rows in per_n.items():
-            row = {"n": n, "assignments": m ** n, "computed": m ** n}
-            if mode == "gr":
-                row["nonzero_blocks"] = sum(mult for mult, rank in blocks if rank)
-                row["max_block_rank"] = max((rank for _, rank in blocks), default=0)
-            rows.append(row)
+        per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
+                      "nonzero_blocks": sum(mult for mult, rank in blocks if rank),
+                      "max_block_rank": max((rank for _, rank in blocks), default=0)})
     roots = [decimal_root(v, i + 1) if v > 0 else "0.0000" for i, v in enumerate(values)]
     ratios = [Fraction(values[i + 1], values[i]) if values[i] else None
               for i in range(len(values) - 1)]
     verdict = exponent_estimate(values, predicted_d) if len(values) >= 3 else None
-    return [CodimReport(mode, values, per_n[mode], roots, ratios, verdict, shortcuts)
-            for mode in modes]
+    return CodimReport(values, per_n, roots, ratios, verdict, shortcuts)

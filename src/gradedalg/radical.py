@@ -24,10 +24,6 @@ from .errors import InternalCheckError, ValidationError
 from .exactlin import Mat, Reducer, Subspace, ZERO, kernel, unit_vector
 
 
-def is_graded_subspace(w: Subspace, A: GradedAlgebra) -> bool:
-    return graded_check(w, A)[0]
-
-
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
     """The verify=True checks of a radical I: it is nilpotent or solvable
     (`trait`); and when 0 < I < A (0 and A are always graded ideals) it is an

@@ -41,7 +41,7 @@ from .radical import derived_series, jacobson_radical, solvable_radical
 
 @dataclass
 class GradedDecomposition:
-    kind: str                     # "wedderburn_artin" | "malcev" | "levi"
+    kind: str                     # "wedderburn_artin"
     components: list
 
     def dims(self) -> list:
@@ -275,16 +275,3 @@ def levi_graded(L: GradedAlgebra) -> Subspace:
     """A graded semisimple subalgebra B with L = B (+) R (solvable radical)."""
     return graded_complement(L, _lie_radical(L))
 
-
-def _decomposition(kind: str, A: GradedAlgebra, I: Subspace) -> GradedDecomposition:
-    """Complement and ideal packaged as one decomposition record."""
-    parts = [p for p in (graded_complement(A, I), I) if not p.is_zero()]
-    return GradedDecomposition(kind, parts)
-
-
-def malcev_decomposition(A: GradedAlgebra) -> GradedDecomposition:
-    return _decomposition("malcev", A, _unital_radical(A))
-
-
-def levi_decomposition(L: GradedAlgebra) -> GradedDecomposition:
-    return _decomposition("levi", L, _lie_radical(L))

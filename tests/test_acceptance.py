@@ -19,12 +19,12 @@ from gradedalg.groups import CyclicGroup, ProductGroup
 from gradedalg.hopf import (CoalgebraWindow, DualFunctional,
                             trace_identity_check, xi_decompose)
 from gradedalg.identities import (MultilinearGradedPoly, codimension_report,
-                                  evaluate_functional_poly, graded_codimension,
-                                  nilpotent_shortcut)
+                                  graded_codimension, nilpotent_shortcut)
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import (levi_graded, malcev_complement_graded,
                                  wedderburn_artin_graded)
 from tests.corpus import associative_corpus, lie_corpus
+from tests.functional import evaluate_functional_poly
 from tests.oracles import (bareiss_rank, brute_force_largest_nilpotent_ideal,
                            enumerate_minimal_graded_ideals,
                            global_graded_codim_rank)
@@ -262,7 +262,7 @@ def test_c11_nilpotent_codimensions():
 def test_c12_exponent_consistency():
     with criterion(12, 300.0, "free_trunc(2,3) bracketing verdict with d = 1 over n <= 5"):
         A = free_group_truncation(2, 3)
-        rep = codimension_report(A, 5, mode="gr", predicted_d=1)
+        rep = codimension_report(A, 5, predicted_d=1)
         # distinct-concatenation counting gives 3n^2 + 3n + 1 per n
         assert rep.values == [3 * n * n + 3 * n + 1 for n in range(1, 6)]
         v = rep.verdict

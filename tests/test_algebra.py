@@ -421,6 +421,14 @@ def test_upper_triangular_shape():
     assert U.unit is not None
 
 
+@pytest.mark.parametrize("build", [matrix_algebra, upper_triangular])
+@pytest.mark.parametrize("n, labels", [(3, (0, 1)), (2, (0, 1, 1)), (1, ())])
+def test_elementary_builders_need_one_label_per_row(build, n, labels):
+    with pytest.raises(ValidationError, match="one row label per matrix row"):
+        build(n, CyclicGroup(2), labels)
+    assert build(n, CyclicGroup(2), (0, 1, 1)[:n]).dim > 0
+
+
 def test_zero_dimensional_algebra():
     from gradedalg.algebra import GradedAlgebra
     from gradedalg.radical import jacobson_radical, solvable_radical

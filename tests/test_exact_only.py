@@ -13,14 +13,19 @@ its own definition. `assert` statements are rejected too: they vanish under
 vectors become sparse {index: coefficient} dicts through `exactlin.sparse`
 alone: outside exactlin, a dict comprehension keyed by a bare name over a
 filtered `enumerate(...)` is rejected. Group-element keys are read in groups.py
-alone: elsewhere `.key` is rejected."""
+alone: elsewhere `.key` is rejected. README's "Library layout" table names
+only what exists: a bare identifier in backticks in a `gradedalg.X` row must be
+an attribute of that module or of a class defined there."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gradedalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gradedalg"
 MODULES = sorted(SRC.glob("*.py"))
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 
@@ -219,3 +224,44 @@ def test_checker_flags_dead_private_helpers():
     trees = {"a": ast.parse(a), "b": ast.parse(b), "c": ast.parse(c)}
     dead = sorted((module, node.name) for module, node in dead_private_definitions(trees))
     assert dead == [("a", "_recursive"), ("a", "_unused"), ("b", "_Orphan")]
+
+
+def stale_api_names(table: str) -> list:
+    """(module, name) for each bare identifier in backticks in a table row
+    whose first cell names `gradedalg.X` modules, when the name is an
+    attribute of none of those modules nor of any class defined in them."""
+    found = []
+    for line in table.splitlines():
+        cells = line.split("|", 2)
+        if len(cells) < 3 or not line.startswith("|"):
+            continue
+        modules = [importlib.import_module(m)
+                   for m in re.findall(r"`(gradedalg\.\w+)`", cells[1])]
+        owners = modules + [c for m in modules for c in vars(m).values()
+                            if isinstance(c, type) and c.__module__ == m.__name__]
+        for name in cells[2].split("`")[1::2]:
+            if (modules and re.fullmatch(r"[A-Za-z_]\w*", name)
+                    and not any(hasattr(o, name) for o in owners)):
+                found.append((modules[0].__name__, name))
+    return found
+
+
+def test_readme_layout_names_exist():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    assert "`gradedalg.identities`" in table
+    found = [f"{module}: `{name}`" for module, name in stale_api_names(table)]
+    assert not found, "README names what the package lacks:\n" + "\n".join(found)
+
+
+def test_checker_flags_stale_readme_names():
+    table = ("| module | contents |\n| --- | --- |\n"
+             "| `gradedalg.identities` | `codimension_report` (not `codimension_reports`); "
+             "`CodimReport` (`verdict`), `MultilinearGradedPoly` (`from_functionals`) |\n"
+             "| `gradedalg.exactlin` | `Reducer`, `rref`, `Fraction`s, `sparse(v)`, "
+             "`{i: v[i]}` |\n"
+             "| `gradedalg.schema`, `gradedalg.cli` | `main`, `digest`, `python -m gradedalg` |\n"
+             "| other | `rref` |\n")
+    assert stale_api_names(table) == [("gradedalg.identities", "codimension_reports"),
+                                      ("gradedalg.identities", "from_functionals"),
+                                      ("gradedalg.exactlin", "rref")]

@@ -342,3 +342,21 @@ def test_equal_functionals_hash_equal_in_any_insertion_order():
         r = DualFunctional(g, dict(reversed(values.items())))
         assert list(f.values) != list(r.values)
         assert f == r and hash(f) == hash(r)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CyclicGroup(2.0).elem(3),
+    lambda: CyclicGroup(True),
+    lambda: CyclicGroup("2"),
+    lambda: FreeGroup(2.0),
+    lambda: FreeGroup(True),
+    lambda: FreeGroup(2).elem(5),
+    lambda: ProductGroup((Z2,)).elem(5),
+    lambda: ProductGroup((2,)),
+    lambda: ProductGroup((Z2, "Z2")),
+], ids=["cyclic-float-order", "cyclic-bool-order", "cyclic-str-order", "free-float-rank",
+        "free-bool-rank", "free-int-key", "product-int-key", "product-int-factor",
+        "product-str-factor"])
+def test_unchecked_api_input_raises_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -8,15 +9,17 @@ from gradedalg import identities
 from gradedalg.algebra import algebra_on_subspace, nilpotency_index
 from gradedalg.builders import (builtin, free_group_truncation,
                                 matrix_algebra, matrix_algebra_z2)
+from gradedalg.cli import main
 from gradedalg.errors import ResourceCapError, ValidationError
 from gradedalg.hopf import DualFunctional
 from gradedalg.identities import (MultilinearGradedPoly, codim_block,
-                                  codimension_report, codimension_reports, decimal_root,
-                                  exponent_estimate, evaluate_functional_poly,
-                                  graded_codimension, is_functional_identity,
+                                  codimension_report, decimal_root,
+                                  exponent_estimate, graded_codimension,
                                   is_graded_identity, nilpotent_shortcut)
 from gradedalg.radical import jacobson_radical
 from tests.corpus import rescaled
+from tests.functional import (evaluate_functional_poly, from_functionals,
+                              is_functional_identity)
 from tests.oracles import brute_block_rank, global_graded_codim_rank
 
 F = Fraction
@@ -107,7 +110,7 @@ def test_round_trip_label_maps():
             degs = tuple(rng.choice(M.support) for _ in range(n))
             terms[(perm, degs)] = F(rng.randint(-3, 3))
         f = MultilinearGradedPoly(n, terms)
-        assert MultilinearGradedPoly.from_functionals(n, terms, M.support).terms == f.terms
+        assert from_functionals(n, terms, M.support).terms == f.terms
         assert is_graded_identity(f, M) == is_functional_identity(f, M)
 
 
@@ -124,7 +127,7 @@ def test_general_label_reduction():
     M = matrix_algebra_z2()
     g0, g1 = M.support
     f = DualFunctional(M.group, {g0: F(2), g1: F(3)})
-    poly = MultilinearGradedPoly.from_functionals(1, {((0,), (f,)): F(1)}, M.support)
+    poly = from_functionals(1, {((0,), (f,)): F(1)}, M.support)
     assert poly.terms == {((0,), (g0,)): F(2), ((0,), (g1,)): F(3)}
     v = (F(1), F(1), F(1), F(1))
     out = evaluate_functional_poly(poly, M, [v])
@@ -135,12 +138,11 @@ def test_functional_labels_are_validated():
     M = matrix_algebra_z2()
     g0, g1 = M.support
     with pytest.raises(ValidationError, match="one degree label per variable"):
-        MultilinearGradedPoly.from_functionals(2, {((0, 1), (g0,)): 1}, M.support)
+        from_functionals(2, {((0, 1), (g0,)): 1}, M.support)
     with pytest.raises(ValidationError, match="one degree label per variable"):
-        MultilinearGradedPoly.from_functionals(
-            1, {((0,), (DualFunctional.delta(g0), g1)): 1}, M.support)
+        from_functionals(1, {((0,), (DualFunctional.delta(g0), g1)): 1}, M.support)
     with pytest.raises(ValidationError, match="neither a functional nor a group element"):
-        MultilinearGradedPoly.from_functionals(1, {((0,), ("g0",)): 1}, M.support)
+        from_functionals(1, {((0,), ("g0",)): 1}, M.support)
 
 
 def test_polynomial_needs_a_variable():
@@ -149,7 +151,7 @@ def test_polynomial_needs_a_variable():
         with pytest.raises(ValidationError, match="n >= 1 variables"):
             MultilinearGradedPoly(n, {((), ()): 1})
         with pytest.raises(ValidationError, match="n >= 1 variables"):
-            MultilinearGradedPoly.from_functionals(n, {((), ()): 1}, M.support)
+            from_functionals(n, {((), ()): 1}, M.support)
 
 
 def test_nilpotent_shortcut():
@@ -163,7 +165,7 @@ def test_nilpotent_shortcut():
     assert nilpotent_shortcut(A, 5) is None      # unital never shortcuts
 
 
-def test_codimension_reports_compute_the_nilpotency_index_once(monkeypatch):
+def test_codimension_report_computes_the_nilpotency_index_once(monkeypatch):
     A = free_group_truncation(2, 3)
     J = algebra_on_subspace(A, jacobson_radical(A), name="J").algebra
     calls = []
@@ -173,10 +175,10 @@ def test_codimension_reports_compute_the_nilpotency_index_once(monkeypatch):
         return nilpotency_index(*args)
 
     monkeypatch.setattr(identities, "nilpotency_index", counted)
-    reports = codimension_reports(J, 6, ["gr", "h"])
+    rep = codimension_report(J, 6)
     assert len(calls) == 1
-    assert [r.shortcuts for r in reports] == [[3, 4, 5, 6]] * 2
-    assert reports[0].values[2:] == [0, 0, 0, 0]
+    assert rep.shortcuts == [3, 4, 5, 6]
+    assert rep.values[2:] == [0, 0, 0, 0]
 
 
 def test_resource_caps():
@@ -186,13 +188,12 @@ def test_resource_caps():
     with pytest.raises(ResourceCapError):
         graded_codimension(A, 6)     # 7^6 assignments exceed the default cap
     with pytest.raises(ResourceCapError):
-        codimension_report(A, 2, mode="h", max_blocks=7)    # 7^2 labellings
+        codimension_report(A, 2, max_blocks=7)    # 7^2 labellings
     with pytest.raises(ValidationError):
         graded_codimension(A, 0)
-    for mode in ("gr", "h"):
-        for n_max in (0, -1):
-            with pytest.raises(ValidationError, match="codimensions start at n = 1"):
-                codimension_report(A, n_max, mode=mode)
+    for n_max in (0, -1):
+        with pytest.raises(ValidationError, match="codimensions start at n = 1"):
+            codimension_report(A, n_max)
 
 
 def test_decimal_root():
@@ -233,7 +234,7 @@ def test_exponent_estimate_nilpotent():
 
 def test_codimension_report_structure():
     A = free_group_truncation(2, 3)
-    rep = codimension_report(A, 3, mode="gr", predicted_d=1)
+    rep = codimension_report(A, 3, predicted_d=1)
     assert rep.values == [7, 19, 37]
     assert rep.verdict is not None and rep.verdict.consistent
     assert rep.roots[0] == "7.0000"
@@ -245,7 +246,7 @@ def test_codimension_report_uses_shortcut():
     A = free_group_truncation(2, 3)
     J = jacobson_radical(A)
     B = algebra_on_subspace(A, J, name="J").algebra
-    rep = codimension_report(B, 4, mode="gr")
+    rep = codimension_report(B, 4)
     assert rep.values[2:] == [0, 0]
     assert rep.shortcuts == [3, 4]
 
@@ -254,9 +255,8 @@ def test_codimensions_reject_lie():
     from gradedalg.builders import sl2
     with pytest.raises(ValidationError):
         graded_codimension(sl2(), 2)
-    for mode in ("gr", "h"):
-        with pytest.raises(ValidationError):
-            codimension_report(sl2(), 2, mode=mode)
+    with pytest.raises(ValidationError):
+        codimension_report(sl2(), 2)
 
 
 def test_codimension_bounds_for_unital_algebras():
@@ -278,7 +278,7 @@ def test_out_of_support_block_is_zero():
 def test_m2_exponent_consistent_with_four():
     # roots rise toward the predicted exponent and the bracket closes
     M = matrix_algebra_z2()
-    rep = codimension_report(M, 5, mode="gr", predicted_d=4)
+    rep = codimension_report(M, 5, predicted_d=4)
     assert rep.values[:2] == [2, 7]
     assert rep.verdict.consistent
     roots = [F(r.replace(".", "")) for r in rep.roots]
@@ -335,7 +335,7 @@ def test_codimensions_survive_non_integral_constants(name, shear):
             assert codim_block(B, degs) == brute_block_rank(B, degs), degs
 
 
-def test_report_block_statistics_golden():
+def test_report_block_statistics_golden(tmp_path):
     # per_n recorded from the per-labelling engine; the orbit sum must report
     # the same labelling counts
     M = matrix_algebra_z2()
@@ -343,7 +343,10 @@ def test_report_block_statistics_golden():
         {"n": n, "assignments": 2 ** n, "computed": 2 ** n,
          "nonzero_blocks": 2 ** n, "max_block_rank": 2 ** (n - 1)}
         for n in range(1, 6)]
-    assert codimension_report(M, 4, mode="h").per_n == [
+    out = tmp_path / "h.json"
+    assert main(["codim", "--builtin", "m2_z2", "--n-max", "4", "--mode", "h",
+                 "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["h"]["per_n"] == [
         {"n": n, "assignments": 2 ** n, "computed": 2 ** n} for n in range(1, 5)]
     # blocks that vanish for some labellings
     for name, nonzero, max_rank in [("ut2", [2, 3, 4, 5], [1, 2, 4, 8]),

@@ -11,9 +11,11 @@ import pytest
 
 import gradedalg.cli
 import gradedalg.identities
+from gradedalg.algebra import algebra_on_subspace
 from gradedalg.builders import builtin
 from gradedalg.cli import main
 from gradedalg.errors import InternalCheckError, SchemaError
+from gradedalg.radical import jacobson_radical
 from gradedalg.schema import (algebra_to_description, canonical_json,
                               description_to_algebra, digest, load_json,
                               parse_rational, poly_from_description,
@@ -250,6 +252,22 @@ def test_cli_codim_both_modes_golden(name, n_max, stdout_sha, json_sha, capsys, 
                  *predicted, "--json-out", str(out)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+
+
+def test_cli_codim_both_modes_nilpotent_golden(capsys, tmp_path):
+    # sha256 of stdout and --json-out recorded while codimension_report still
+    # took a mode; n = 3..6 are settled by the nilpotency index, and their
+    # per_n rows keep "nonzero_blocks": 0 in mode h as well
+    A = builtin("free_trunc_2_3")
+    J = algebra_on_subspace(A, jacobson_radical(A), name="J(free_trunc_2_3)").algebra
+    desc, out = tmp_path / "nil.json", tmp_path / "r.json"
+    desc.write_text(json.dumps(algebra_to_description(J)))
+    assert main(["codim", "--input", str(desc), "--mode", "both", "--n-max", "6",
+                 "--json-out", str(out)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "291240800728b4689eca473810b0c78d18f08d3e4f5e1b28ebcdf7c221742d94"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "8bbba4c28a806d56761dc4cf88290b6d9d98e1e20e2123af1bfd453a43a84c7d"
 
 
 def test_cli_codim_both_modes_computes_each_block_once(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedalg.algebra import GradedAlgebra, algebra_on_subspace
+from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, graded_check
 from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, gl2_z2,
@@ -12,8 +12,7 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
 from gradedalg.errors import InternalCheckError, NotSemisimpleError, ValidationError
 from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank
 from gradedalg.groups import CyclicGroup, TrivialGroup
-from gradedalg.radical import (is_graded_subspace, jacobson_radical,
-                               killing_form, solvable_radical)
+from gradedalg.radical import jacobson_radical, killing_form, solvable_radical
 from gradedalg.schema import digest, render_rational
 from gradedalg.structure import (graded_complement, levi_graded,
                                  malcev_complement_graded, wedderburn_artin_graded)
@@ -245,7 +244,7 @@ def test_malcev_ut2_is_diagonal():
     J = jacobson_radical(U)
     assert (B & J).is_zero() and (B + J).dim == 3
     assert U.is_subalgebra(B)
-    assert is_graded_subspace(B, U)
+    assert graded_check(B, U)[0]
 
 
 def test_malcev_free_trunc_is_span_of_unit():
@@ -262,7 +261,7 @@ def test_malcev_on_nontrivial_correction():
     assert (B & J).is_zero()
     assert (B + J).dim == A.dim
     assert A.is_subalgebra(B)
-    assert is_graded_subspace(B, A)
+    assert graded_check(B, A)[0]
 
 
 def test_malcev_correction_actually_corrects():
@@ -295,18 +294,6 @@ def test_levi_semisimple_whole_and_solvable_zero():
     assert levi_graded(two_dim_nonabelian_lie()).is_zero()
 
 
-def test_decomposition_records():
-    from gradedalg.structure import levi_decomposition, malcev_decomposition
-    dec = malcev_decomposition(ut2())
-    assert dec.kind == "malcev" and sorted(dec.dims()) == [1, 2]
-    a, b = dec.components
-    assert (a & b).is_zero() and (a + b).dim == 3
-    dec = levi_decomposition(gl2_z2())
-    assert dec.kind == "levi" and sorted(dec.dims()) == [1, 3]
-    dec = levi_decomposition(two_dim_nonabelian_lie())
-    assert dec.dims() == [2]          # wholly solvable: just the radical
-
-
 def test_levi_gl2_is_sl2():
     G = gl2_z2()
     B = levi_graded(G)
@@ -314,7 +301,7 @@ def test_levi_gl2_is_sl2():
     R = solvable_radical(G)
     assert (B & R).is_zero() and (B + R).dim == 4
     assert G.is_subalgebra(B)
-    assert is_graded_subspace(B, G)
+    assert graded_check(B, G)[0]
     # Killing form of the Levi part is nondegenerate
     emb = algebra_on_subspace(G, B, name="levi")
     K = killing_form(emb.algebra)
@@ -328,7 +315,7 @@ def test_levi_direct_sum_with_solvable():
     assert B.dim + R.dim == L.dim
     assert (B & R).is_zero()
     assert L.is_subalgebra(B)
-    assert is_graded_subspace(B, L)
+    assert graded_check(B, L)[0]
 
 
 def test_levi_nonabelian_radical_recursion():
@@ -405,7 +392,7 @@ def test_levi_two_stage_correction():
     assert B == Subspace.from_vectors(
         6, [(1, 0, 0, 0, 0, -1), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
     assert L.is_subalgebra(B)
-    assert is_graded_subspace(B, L)
+    assert graded_check(B, L)[0]
 
 
 def test_malcev_two_stage_correction():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from gradedalg.algebra import algebra_on_subspace, graded_closure, quotient_algebra
 from gradedalg.builders import builtin, ut2, upper_triangular
-from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rref
+from gradedalg.exactlin import Mat, Reducer, Subspace, is_zero_vector
 from gradedalg.groups import CyclicGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.schema import (algebra_to_description, description_to_algebra,
@@ -68,21 +68,23 @@ def test_rref_pivot_structure_random():
              for _ in range(50)]
     for rows, nc in cases + list(random_matrices(78)):
         m = Mat(rows, cols=nc)
-        R, r = rref(m)
-        assert R.rows == m.rows and all(is_zero_vector(row) for row in R.data[r:])
+        red = Reducer(nc, m.data)
+        R = red.rows
+        assert not any(is_zero_vector(row) for row in R)
         pivots = []
-        for row in R.data[:r]:
+        for row in R:
             j = next(k for k, x in enumerate(row) if x != 0)
             assert row[j] == 1
             pivots.append(j)
+        assert pivots == red.pivots
         assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
         for j in pivots:
-            col = [R.data[i][j] for i in range(R.rows)]
+            col = [row[j] for row in R]
             assert sum(1 for x in col if x != 0) == 1
         # each input row is the combination of the RREF rows weighted by its
         # own pivot entries
         for v in m.data:
-            comb = [sum((v[p] * R.data[i][c] for i, p in enumerate(pivots)), F(0))
+            comb = [sum((v[p] * R[i][c] for i, p in enumerate(pivots)), F(0))
                     for c in range(nc)]
             assert tuple(comb) == v
 
