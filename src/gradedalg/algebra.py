@@ -109,9 +109,10 @@ class GradedAlgebra:
         else:
             self._check_lie()
         if self.unit is not None:
+            su = sparse(self.unit)
             for b in range(self.dim):
-                eb = unit_vector(self.dim, b)
-                if self.multiply(self.unit, eb) != eb or self.multiply(eb, self.unit) != eb:
+                eb = {b: ONE}
+                if self.mul_sparse(su, eb) != eb or self.mul_sparse(eb, su) != eb:
                     raise ValidationError(f"unit law fails on basis vector {b}")
 
     def _check_associativity(self):
@@ -120,6 +121,8 @@ class GradedAlgebra:
             for j in range(self.dim):
                 pij = sc[i][j]
                 for k in range(self.dim):
+                    if not pij and not sc[j][k]:
+                        continue        # both sides are 0
                     left: dict = {}
                     for l, c in pij:
                         _sparse_add(left, sc[l][k], c)
@@ -237,22 +240,21 @@ class GradedAlgebra:
 
     # -- ideals and subalgebras ---------------------------------------------
 
-    def _basis_products(self, v):
-        """The nonzero products e_b v and v e_b for b = 0, 1, ..., as dense
-        lists, each read off `mul_sparse`."""
-        sv = sparse(v)
+    def _basis_products(self, sv: dict):
+        """The nonzero products e_b v and v e_b for b = 0, 1, ..., of the
+        sparse v, each a sparse dict from `mul_sparse`."""
         for b in range(self.dim):
             sb = {b: ONE}
             for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
                 if prod:
-                    yield dense(prod, self.dim)
+                    yield prod
 
     def ideal_generated(self, gens: Iterable) -> Subspace:
         """Smallest two-sided ideal containing the generators: closure of their
         span under left/right multiplication by basis vectors. The closure
         stops as soon as it fills the whole algebra."""
         red = Reducer(self.dim, gens)
-        work = list(red.rows)
+        work = list(red.pivot_rows.values())
         while work and red.dim < self.dim:
             for w in self._basis_products(work.pop()):
                 if red.insert(w):
@@ -265,10 +267,8 @@ class GradedAlgebra:
         """Smallest multiplicatively closed subspace containing the generators:
         each new basis row is multiplied with itself and, in both orders, with
         every row kept before it, so each pair of kept rows is multiplied once."""
-        red = Reducer(self.dim)
-        for v in gens:
-            red.insert(v)
-        work = [sparse(r) for r in red.rows]
+        red = Reducer(self.dim, gens)
+        work = list(red.pivot_rows.values())
         kept = []
         while work:
             sv = work.pop()
@@ -277,22 +277,22 @@ class GradedAlgebra:
                 prods += [self.mul_sparse(su, sv), self.mul_sparse(sv, su)]
             kept.append(sv)
             for prod in prods:
-                row = red.insert(dense(prod, self.dim))
+                row = red.insert(prod)
                 if row:
-                    work.append(sparse(row))
+                    work.append(row)
         return red.subspace()
 
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:
-        """Span of pairwise products of the two bases: each basis vector is
-        made sparse once, and each pair is multiplied by `mul_sparse`."""
+        """Span of pairwise products of the two bases: each pair of sparse
+        basis rows is multiplied by `mul_sparse`, and the product enters the
+        Reducer as it comes."""
         if s1.ambient != self.dim or s2.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
         red = Reducer(self.dim)
-        rows2 = [sparse(w) for w in s2.basis_vectors()]
-        for u in s1.basis_vectors():
-            su = sparse(u)
+        rows2 = s2.pivot_rows.values()
+        for su in s1.pivot_rows.values():
             for sw in rows2:
-                red.insert(dense(self.mul_sparse(su, sw), self.dim))
+                red.insert(self.mul_sparse(su, sw))
         return red.subspace()
 
     def is_ideal(self, s: Subspace) -> bool:
@@ -300,7 +300,7 @@ class GradedAlgebra:
         basis vector v of s and every b (`_basis_products`)."""
         if s.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
-        return all(s.contains(w) for v in s.basis_vectors() for w in self._basis_products(v))
+        return all(s.contains(w) for v in s.pivot_rows.values() for w in self._basis_products(v))
 
     def is_subalgebra(self, s: Subspace) -> bool:
         """Whether s is closed under the product: its `product_span` with
@@ -327,12 +327,13 @@ def graded_check(w: Subspace, A: GradedAlgebra):
     w is graded iff every row r of its canonical RREF basis is homogeneous.
     If w is graded, the projection pi_g(r) on the degree g of r's pivot lies
     in w; then r - pi_g(r) lies in w and is zero at every pivot, so it is 0.
-    So only the degrees of r's nonzero coordinates are read. When r mixes
-    degrees, the same argument shows that pi_g(r) escapes w: the witness."""
-    for r, p in zip(w.basis_vectors(), w.pivots):
-        g = A.degrees[p]
-        if any(x != 0 and A.degrees[i] != g for i, x in enumerate(r)):
-            return False, A.homogeneous_projection(r, g)
+    So only the degrees of r's nonzero coordinates, its sparse keys, are
+    read. When r mixes degrees, the same argument shows that pi_g(r) escapes
+    w: the witness."""
+    for p in w.pivots:
+        r, g = w.pivot_rows[p], A.degrees[p]
+        if any(A.degrees[i] != g for i in r):
+            return False, A.homogeneous_projection(dense(r, A.dim), g)
     return True, None
 
 
@@ -380,12 +381,12 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         raise NotAnIdealError("subspace is not a two-sided ideal")
     if not graded_check(ideal, A)[0]:
         raise NotGradedError("ideal is not graded: a basis vector mixes degrees")
-    red = Reducer(A.dim, ideal.basis_vectors())
+    red = Reducer(A.dim, ideal.pivot_rows.values())
     chosen = []
     # basis order; each homogeneous standard vector only reduces against rows
     # of its own component, so this is greedy extension per component
     for i in range(A.dim):
-        if red.insert(unit_vector(A.dim, i)):
+        if red.insert({i: ONE}):
             chosen.append(i)
     qdim = len(chosen)
     if qdim != A.dim - ideal.dim:

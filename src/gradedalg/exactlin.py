@@ -2,17 +2,21 @@
 
 Every scalar is a `fractions.Fraction`; there are no floats and no tolerances.
 Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
-included). `Reducer` is the one elimination: `rank`, `kernel`,
-`solve`, `invert`, subspace sums and intersections and every span are read
-off its pivots and rows. `Subspace` is the currency passed between the
-algebra, radical and structure layers; it carries its RREF basis and that
-basis's pivot columns, so two subspaces are equal iff their basis matrices
-are identical, a plain tuple comparison.
+included). `Reducer` is the one elimination: it keeps its RREF rows sparse,
+as {column: entry} dicts indexed by pivot, and reduces a vector only at the
+pivots in its support (`_reduce`, the one reduce loop). `Reducer.insert` and
+the `Subspace` tests take a dense sequence or a sparse dict. `rank`,
+`kernel`, `solve`, `invert`, subspace sums and intersections and every span
+are read off a Reducer's pivots and rows. `Subspace` is the currency passed
+between the algebra, radical and structure layers; it carries its sparse
+RREF basis rows and their pivot columns, so two subspaces are equal iff
+their basis rows are identical, a plain dict comparison. Its dense basis
+matrix is built only when asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -36,10 +40,6 @@ def as_rat(x) -> Fraction:
 def as_vector(entries: Iterable) -> tuple:
     # Fractions pass without a call: every span is built through here
     return tuple([e if type(e) is Fraction else as_rat(e) for e in entries])
-
-
-def zero_vector(n: int) -> tuple:
-    return (ZERO,) * n
 
 
 def unit_vector(n: int, i: int) -> tuple:
@@ -101,10 +101,6 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls([zero_vector(cols) for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls([unit_vector(n, i) for i in range(n)], cols=n)
 
@@ -130,13 +126,48 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
 
-def _reduce(v, pivots, rows):
-    """v minus, for each RREF row in turn, v's entry at that row's pivot times
-    the row; the one reduce loop of this module."""
-    for p, row in zip(pivots, rows):
-        c = v[p]
-        if c != 0:
-            v = [a - c * b for a, b in zip(v, row)]
+def _checked_sparse(v, ambient: int) -> dict:
+    """v, a dense sequence of length `ambient` or a sparse dict {column:
+    entry}, as a fresh sparse dict of exact nonzero entries."""
+    if isinstance(v, dict):
+        out = {}
+        for j, c in v.items():
+            if not (type(j) is int and 0 <= j < ambient):
+                raise DimensionMismatchError(f"column {j!r} is outside 0..{ambient - 1}")
+            if type(c) is not Fraction:
+                c = as_rat(c)
+            if c:
+                out[j] = c
+        return out
+    if len(v) != ambient:
+        raise DimensionMismatchError("vector has wrong ambient dimension")
+    return sparse(as_vector(v))
+
+
+def _subtract(v: dict, c, row: dict, p: int):
+    """v -= c row in place, for a row with entry 1 at p and v's entry at p
+    already removed; entries that cancel are dropped."""
+    for j, x in row.items():
+        if j != p:
+            y = v.get(j)
+            if y is None:
+                v[j] = -c * x
+            else:
+                y -= c * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+
+
+def _reduce(v: dict, pivot_rows: dict) -> dict:
+    """The sparse v reduced in place against RREF rows {pivot: row}: for each
+    pivot p in v's support, v minus v[p] times row p; the one reduce loop of
+    this module. A row vanishes at every other pivot, so a subtraction leaves
+    v's other pivot entries alone and the order of the subtractions does not
+    matter."""
+    for p in [p for p in v if p in pivot_rows]:
+        _subtract(v, v.pop(p), pivot_rows[p], p)
     return v
 
 
@@ -144,52 +175,58 @@ class Reducer:
     """Incremental reduced-row-echelon accumulator: the one elimination of
     this package.
 
-    Maintains the canonical RREF basis of the span of every inserted vector,
-    with its pivot columns in increasing order; every rank, kernel, solve,
-    inverse and subspace (and every closure loop above this module) is read
-    off one Reducer's `pivots` and `rows`.
+    Maintains the canonical RREF basis of the span of every inserted vector
+    as sparse rows {column: entry}, one per pivot column, in `pivot_rows`;
+    `pivots` lists the pivots in increasing order. A vector is reduced only at
+    the pivots in its own support, and each subtraction touches only a row's
+    nonzero entries. Every rank, kernel, solve, inverse and subspace (and
+    every closure loop above this module) is read off one Reducer. `rows`
+    gives the basis as fresh dense lists in pivot order.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "pivot_rows", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable = ()):
         self.ambient = ambient
-        self.rows: list[list] = []
+        self.pivot_rows: dict[int, dict] = {}
         self.pivots: list[int] = []
         for v in vectors:
             self.insert(v)
 
-    def insert(self, v) -> tuple | None:
-        """Add v to the span. Returns None when v already lies in it, else
-        the new basis row as reduced at insertion. Rows that v reduces are
-        replaced in `rows`, never changed in place."""
-        if len(v) != self.ambient:
-            raise DimensionMismatchError("vector has wrong ambient dimension")
-        v = _reduce(as_vector(v), self.pivots, self.rows)
-        piv = None
-        for j, a in enumerate(v):
-            if a != 0:
-                piv = j
-                break
-        if piv is None:
+    def insert(self, v):
+        """Add v, a dense sequence or a sparse dict {column: entry}, to the
+        span. Returns None when v already lies in it, else the new basis row
+        as reduced at insertion, in the form v was given (a tuple or a dict).
+        Rows are replaced in `pivot_rows`, never changed in place, so a row
+        a caller holds never changes."""
+        row = _reduce(_checked_sparse(v, self.ambient), self.pivot_rows)
+        if not row:
             return None
-        pv = v[piv]
-        v = [a / pv for a in v] if pv != 1 else list(v)
-        for r, row in enumerate(self.rows):
-            f = row[piv]
-            if f != 0:
-                self.rows[r] = [a - f * b for a, b in zip(row, v)]
-        at = bisect_left(self.pivots, piv)
-        self.pivots.insert(at, piv)
-        self.rows.insert(at, v)
-        return tuple(v)
+        piv = min(row)
+        pv = row[piv]
+        if pv != 1:
+            row = {j: x / pv for j, x in row.items()}
+        rows = self.pivot_rows
+        for p, r in rows.items():
+            f = r.get(piv)
+            if f is not None:
+                r = dict(r)
+                _subtract(r, r.pop(piv), row, piv)
+                rows[p] = r
+        rows[piv] = row
+        insort(self.pivots, piv)
+        return dict(row) if isinstance(v, dict) else tuple(dense(row, self.ambient))
+
+    @property
+    def rows(self) -> list:
+        return [dense(self.pivot_rows[p], self.ambient) for p in self.pivots]
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def subspace(self) -> "Subspace":
-        return Subspace(self.ambient, Mat(self.rows, cols=self.ambient), self.pivots)
+        return Subspace(self.ambient, dict(self.pivot_rows))
 
 
 def rank(m: Mat) -> int:
@@ -197,23 +234,26 @@ def rank(m: Mat) -> int:
 
 
 class Subspace:
-    """A linear subspace of Q^ambient held by its canonical RREF basis `mat`
-    and the pivot column of each basis row.
+    """A linear subspace of Q^ambient held by its canonical RREF basis: the
+    sparse rows `pivot_rows` {pivot: row}, read only, with their pivot
+    columns `pivots` in increasing order. The dense matrix `mat` of the same
+    basis is built on first use.
 
     Canonicity: different spanning sets of the same space produce identical
-    basis matrices, so `==` is decisive. The constructor trusts its input, so
-    a Subspace is built only in this module, from an RREF basis; elsewhere use
-    `from_vectors`, `zero` or `full`.
+    basis rows, so `==` is decisive. The constructor trusts its input, so
+    a Subspace is built only in this module, from RREF rows (as
+    `Reducer.subspace` hands them over); elsewhere use `from_vectors`, `zero`
+    or `full`. `residual`, `contains` and `coords` reduce against
+    `pivot_rows`.
     """
 
-    __slots__ = ("ambient", "mat", "pivots")
+    __slots__ = ("ambient", "pivot_rows", "pivots", "_mat")
 
-    def __init__(self, ambient: int, mat: Mat, pivots: Iterable[int]):
-        if mat.cols != ambient:
-            raise DimensionMismatchError("basis width differs from ambient dimension")
+    def __init__(self, ambient: int, pivot_rows: dict):
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivot_rows", pivot_rows)
+        object.__setattr__(self, "pivots", tuple(sorted(pivot_rows)))
+        object.__setattr__(self, "_mat", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -224,48 +264,60 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Mat([], cols=ambient), ())
+        return cls(ambient, {})
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Mat.identity(ambient), range(ambient))
+        return cls(ambient, {i: {i: ONE} for i in range(ambient)})
+
+    @property
+    def mat(self) -> Mat:
+        """The basis as a dense matrix, rows in pivot order."""
+        if self._mat is None:
+            object.__setattr__(self, "_mat", Mat(
+                [dense(self.pivot_rows[p], self.ambient) for p in self.pivots], cols=self.ambient))
+        return self._mat
 
     @property
     def dim(self) -> int:
-        return self.mat.rows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return self.mat.rows == 0
+        return not self.pivots
 
     def basis_vectors(self) -> tuple:
         return self.mat.data
 
-    def residual(self, v) -> tuple:
-        """v reduced against the basis; zero iff v lies in the subspace."""
-        return tuple(_reduce(as_vector(v), self.pivots, self.mat.data))
+    def _reduced(self, v) -> dict:
+        return _reduce(_checked_sparse(v, self.ambient), self.pivot_rows)
+
+    def residual(self, v):
+        """v reduced against the basis, in the form v was given; zero iff v
+        lies in the subspace."""
+        r = self._reduced(v)
+        return r if isinstance(v, dict) else tuple(dense(r, self.ambient))
 
     def contains(self, v) -> bool:
-        return is_zero_vector(self.residual(v))
+        return not self._reduced(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.mat.data)
+        return all(self.contains(r) for r in other.pivot_rows.values())
 
     def coords(self, v):
         """Coefficients of v in the RREF basis, or None if v is outside.
 
-        Reducing by earlier rows leaves later pivot entries alone, so the
+        Reducing by one row leaves the other pivot entries alone, so the
         coefficients are v's own pivot entries."""
-        v = as_vector(v)
-        if not is_zero_vector(_reduce(v, self.pivots, self.mat.data)):
-            return None
-        return tuple(v[p] for p in self.pivots)
+        v = _checked_sparse(v, self.ambient)
+        coords = tuple(v.get(p, ZERO) for p in self.pivots)
+        return None if _reduce(v, self.pivot_rows) else coords
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.mat == other.mat)
+                and self.pivot_rows == other.pivot_rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.mat))
+        return hash((self.ambient, self.pivots))
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_subspace(self)
@@ -283,7 +335,7 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise DimensionMismatchError("subspace sum needs equal ambient dimensions")
-    return Reducer(a.ambient, a.mat.data + b.mat.data).subspace()
+    return Reducer(a.ambient, [*a.pivot_rows.values(), *b.pivot_rows.values()]).subspace()
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -293,28 +345,20 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise DimensionMismatchError("subspace intersection needs equal ambient dimensions")
     n = a.ambient
-    red = Reducer(2 * n, [r + r for r in a.mat.data]
-                  + [r + zero_vector(n) for r in b.mat.data])
-    at = bisect_left(red.pivots, n)
-    return Subspace(n, Mat([row[n:] for row in red.rows[at:]], cols=n),
-                    [p - n for p in red.pivots[at:]])
+    red = Reducer(2 * n, [{**r, **{j + n: c for j, c in r.items()}} for r in a.pivot_rows.values()]
+                  + list(b.pivot_rows.values()))
+    return Subspace(n, {p - n: {j - n: c for j, c in row.items()}
+                        for p, row in red.pivot_rows.items() if p >= n})
 
 
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0}; dim = cols - rank. Each free column f gives
     the vector with 1 at f and -row[f] at each row's pivot."""
     red = Reducer(m.cols, m.data)
-    pivots = set(red.pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for p, row in zip(red.pivots, red.rows):
-            v[p] = -row[f]
-        basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+    rows = red.pivot_rows
+    return Subspace.from_vectors(
+        m.cols, [{f: ONE, **{p: -row[f] for p, row in rows.items() if f in row}}
+                 for f in range(m.cols) if f not in rows])
 
 
 def solve(m: Mat, rhs: Sequence):
@@ -323,11 +367,11 @@ def solve(m: Mat, rhs: Sequence):
     if len(rhs) != m.rows:
         raise DimensionMismatchError("rhs length differs from row count")
     red = Reducer(m.cols + 1, [row + (b,) for row, b in zip(m.data, rhs)])
-    if m.cols in red.pivots:
+    if m.cols in red.pivot_rows:
         return None
     x = [ZERO] * m.cols
-    for p, row in zip(red.pivots, red.rows):
-        x[p] = row[m.cols]
+    for p, row in red.pivot_rows.items():
+        x[p] = row.get(m.cols, ZERO)
     return tuple(x)
 
 
@@ -337,7 +381,8 @@ def invert(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise DimensionMismatchError("only square matrices can be inverted")
     n = m.rows
-    red = Reducer(2 * n, [row + unit_vector(n, i) for i, row in enumerate(m.data)])
+    red = Reducer(2 * n, [{**sparse(row), n + i: ONE} for i, row in enumerate(m.data)])
     if red.pivots != list(range(n)):
         raise DimensionMismatchError("matrix is singular")
-    return Mat([row[n:] for row in red.rows], cols=n)
+    return Mat([[red.pivot_rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)],
+               cols=n)

@@ -159,10 +159,7 @@ def codim_block(A: GradedAlgebra, degs) -> int:
             key = frozenset(row.items())
             if key not in visited:
                 visited.add(key)
-                dense = [ZERO] * width
-                for col, c in row.items():
-                    dense[col] = Fraction(c)
-                red.insert(dense)
+                red.insert(row)
             return
         if len(rest) <= n - 2:
             key = (frozenset(rest),

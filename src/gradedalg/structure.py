@@ -34,14 +34,13 @@ from math import isqrt, lcm
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, axpy, dense, kernel, solve, sparse,
+from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, axpy, kernel, solve, sparse,
                        unit_vector)
 from .radical import derived_series, jacobson_radical, solvable_radical
 
 
 @dataclass
 class GradedDecomposition:
-    kind: str                     # "wedderburn_artin"
     components: list
 
     def dims(self) -> list:
@@ -124,7 +123,7 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     if A.kind != ASSOCIATIVE:
         raise ValidationError("decomposition applies to associative algebras")
     if A.dim == 0:
-        return GradedDecomposition("wedderburn_artin", [])
+        return GradedDecomposition([])
     if A.unit is None:
         raise ValidationError("decomposition needs a unital algebra")
     if not jacobson_radical(A, verify=False).is_zero():
@@ -138,7 +137,7 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
         if halves is None:
             sf = sparse(f)      # A.f, spanned by the e_i f
             final.append(Subspace.from_vectors(
-                A.dim, [dense(A.mul_sparse({i: ONE}, sf), A.dim) for i in range(A.dim)]))
+                A.dim, [A.mul_sparse({i: ONE}, sf) for i in range(A.dim)]))
         else:
             stack += halves
     final.sort(key=lambda s: (s.dim, s.mat.data))
@@ -152,7 +151,7 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     for ci, cj in permutations(final, 2):
         if not A.product_span(ci, cj).is_zero():
             raise InternalCheckError("cross products between components do not vanish")
-    return GradedDecomposition("wedderburn_artin", final)
+    return GradedDecomposition(final)
 
 
 def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:

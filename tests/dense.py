@@ -1,8 +1,10 @@
-"""Dense matrix product and trace, and the algebra product summed over the
-structure constants: the references the tests check the library's matrices
-(inverses, left multiplication, the Killing form), products and ideal
-closures against."""
+"""Dense matrix product and trace, the algebra product summed over the
+structure constants, and Gauss-Jordan elimination over full-width rows: the
+references the tests check the library's matrices (inverses, left
+multiplication, the Killing form), products, ideal closures and sparse
+elimination against."""
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from gradedalg.exactlin import Mat, Subspace
@@ -55,3 +57,44 @@ def ideal_generated_dense(A, gens) -> Subspace:
         if grown.dim == s.dim:
             return s
         s = grown
+
+
+class DenseGaussJordan:
+    """Incremental Gauss-Jordan elimination on dense lists of Fractions,
+    every step over the full width: `rows` is the RREF basis in pivot order
+    and `pivots` its pivot columns."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def residual(self, v) -> list:
+        """v minus, for each basis row in turn, v's entry at that row's pivot
+        times the row."""
+        v = [Fraction(a) for a in v]
+        for p, row in zip(self.pivots, self.rows):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def coords(self, v):
+        """v's entries at the pivots when v is in the span, else None."""
+        if any(self.residual(v)):
+            return None
+        return tuple(Fraction(v[p]) for p in self.pivots)
+
+    def insert(self, v):
+        """Add v; the new row (v reduced and scaled to 1 at its pivot), or
+        None when v is already in the span."""
+        v = self.residual(v)
+        piv = next((j for j, a in enumerate(v) if a), None)
+        if piv is None:
+            return None
+        v = [a / v[piv] for a in v]
+        self.rows = [[a - row[piv] * b for a, b in zip(row, v)] for row in self.rows]
+        at = bisect_left(self.pivots, piv)
+        self.pivots.insert(at, piv)
+        self.rows.insert(at, v)
+        return v

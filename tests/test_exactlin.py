@@ -1,19 +1,22 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedalg.algebra import GradedAlgebra
 from gradedalg.builders import matrix_algebra_z2
 from gradedalg.errors import DimensionMismatchError, ValidationError
-from gradedalg.exactlin import (Mat, Reducer, Subspace, kernel, rank,
-                                solve, invert, subspace_intersection,
+from gradedalg.exactlin import (Mat, Reducer, Subspace, dense, kernel, rank,
+                                solve, invert, sparse, subspace_intersection,
                                 subspace_sum, is_zero_vector)
 from gradedalg.groups import TrivialGroup
 from gradedalg.hopf import DualFunctional, dual_action
 from gradedalg.identities import MultilinearGradedPoly
 from tests.corpus import random_matrices
-from tests.dense import matmul
+from tests.dense import DenseGaussJordan, matmul
 from tests.oracles import bareiss_rank
 
 F = Fraction
@@ -61,7 +64,7 @@ def test_rank_plus_kernel_is_cols():
 
 
 def test_kernel_zero_matrix():
-    assert kernel(Mat.zeros(3, 3)).dim == 3
+    assert kernel(Mat([[0] * 3] * 3)).dim == 3
 
 
 def test_kernel_identity():
@@ -175,6 +178,77 @@ def test_reducer_replaces_rows_it_reduces():
     assert red.insert([0, 1, 1]) == (0, 1, 1)
     assert held == [1, 1, 0]                      # the row list a caller holds
     assert red.rows == [[1, 0, -1], [0, 1, 1]]    # the reducer's rows moved on
+
+
+# mostly zero: three of the four branches give 0
+ENTRY = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(width, rows, probes): mostly-zero integer rows to insert, in random
+    order, and vectors to test against their span, some of them in it."""
+    width = draw(st.integers(1, 8))
+    vec = st.lists(ENTRY, min_size=width, max_size=width)
+    rows = draw(st.lists(vec, max_size=9))
+    probes = draw(st.lists(vec, max_size=4))
+    for row, c in zip(rows, draw(st.lists(st.integers(-2, 2), max_size=3))):
+        probes.append([c * a for a in row])
+    return width, draw(st.permutations(rows)), probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_reducer_matches_dense_gauss_jordan(case):
+    width, rows, probes = case
+    red, ref = Reducer(width), DenseGaussJordan(width)
+    for i, row in enumerate(rows):
+        given_sparse = i % 2 == 1          # every other row as a sparse dict
+        got = red.insert(sparse(row) if given_sparse else row)
+        want = ref.insert(row)
+        if want is None:
+            assert got is None
+        elif given_sparse:
+            assert type(got) is dict and 0 not in got.values()
+            assert dense(got, width) == want
+        else:
+            assert got == tuple(want)
+        assert red.rows == ref.rows and red.pivots == ref.pivots
+    assert all(type(a) is Fraction for row in red.rows for a in row)
+    s = red.subspace()
+    assert s.basis_vectors() == tuple(map(tuple, ref.rows)) and list(s.pivots) == ref.pivots
+    for v in probes:
+        for form in (v, sparse(v)):
+            res = s.residual(form)
+            want = ref.residual(v)
+            assert (dense(res, width) if isinstance(form, dict) else list(res)) == want
+            assert s.contains(form) == (not any(want))
+            assert s.coords(form) == ref.coords(v)
+
+
+def test_sparse_input_stays_exact():
+    red = Reducer(3)
+    assert red.insert({0: 0, 2: 3}) == {2: 1}                  # zeros are dropped
+    with pytest.raises(ValidationError, match=r"0\.5"):
+        red.insert({1: 0.5})
+    with pytest.raises(ValidationError):
+        Subspace.full(3).contains({0: 1.0})
+    for bad in ({3: 1}, {-1: 1}, {"0": 1}):
+        with pytest.raises(DimensionMismatchError):
+            red.insert(bad)
+    assert red.pivots == [2]
+
+
+def test_sparse_insert_touches_only_nonzero_columns():
+    """1,000 one-nonzero rows of width 20,000: about 2e7 Fraction operations
+    for an elimination over the full width, milliseconds for a sparse one."""
+    width, cols = 20_000, [(7919 * i) % 20_000 for i in range(1000)]
+    red = Reducer(width)
+    t0 = time.perf_counter()
+    for i, col in enumerate(cols):
+        assert red.insert({col: i + 1}) == {col: 1}
+    assert time.perf_counter() - t0 < 3
+    assert red.dim == 1000 and red.pivots == sorted(cols)
 
 
 @pytest.mark.parametrize("build", [
