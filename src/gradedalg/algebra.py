@@ -4,14 +4,17 @@ A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
 basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
 over the nonzero c in increasing k, plus one group element per basis vector.
-`integer_structure` is the same table scaled to integers, built on first use.
-`mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
-`exactlin.dense`), is the product kernel that `multiply`, `left_mult_matrix`,
-`product_span` and the closures below go through. The constructor's checks,
-`trace_of_left_mult` and `quotient_algebra` read the table directly.
+`integer_structure` is the same table scaled to integers; the constructor
+builds it, and its associativity or Lie check, the traces `left_mult_traces`
+and the codimension walk read it. `mul_sparse`, on sparse {index:
+coefficient} dicts (`exactlin.sparse`, `exactlin.dense`), is the product
+kernel that `multiply`, `left_mult_matrix`, `product_span` and the closures
+below go through; `quotient_algebra` reads `structure` directly.
 Constructors validate everything: indices, grading compatibility,
-associativity or antisymmetry + Jacobi, and the unit law. Instances are
-immutable in use; all operations are pure.
+associativity or antisymmetry + Jacobi, and the unit law. The associativity
+check reads only nonzero products, so its cost follows the nonzero
+constants, not dim^3; the Jacobi check reads only nonempty rows. Instances
+are immutable in use; all operations are pure.
 """
 
 from __future__ import annotations
@@ -32,15 +35,6 @@ from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
 LIE = "lie"
-
-
-def _sparse_add(acc: dict, other, factor):
-    for k, c in other:
-        v = acc.get(k, ZERO) + factor * c
-        if v == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = v
 
 
 class GradedAlgebra:
@@ -116,39 +110,75 @@ class GradedAlgebra:
                     raise ValidationError(f"unit law fails on basis vector {b}")
 
     def _check_associativity(self):
-        sc = self.structure
-        for i in range(self.dim):
-            for j in range(self.dim):
-                pij = sc[i][j]
-                for k in range(self.dim):
-                    if not pij and not sc[j][k]:
-                        continue        # both sides are 0
-                    left: dict = {}
-                    for l, c in pij:
-                        _sparse_add(left, sc[l][k], c)
-                    right: dict = {}
-                    for m, c in sc[j][k]:
-                        _sparse_add(right, sc[i][m], c)
-                    if left != right:
-                        raise ValidationError(f"associativity fails on basis triple ({i},{j},{k})")
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, in the integer
+        table, where both sides are D^2 times their rational value. For each
+        (i, j) the differences over all k go into one dict keyed by (k, m):
+        (e_i e_j) e_k through the nonempty rows of each plane l in e_i e_j,
+        e_i (e_j e_k) through the nonempty rows of plane j. A side can be
+        nonzero only when e_i e_j != 0 or some e_j e_k holds an l with
+        e_i e_l != 0, so only those j are visited. The least k of the first
+        (i, j) with a nonzero difference names the first failing triple in
+        index order."""
+        table = self.integer_structure[1]
+        nonempty = [[(k, row) for k, row in enumerate(plane) if row] for plane in table]
+        producers = [set() for _ in table]      # producers[l]: each j with l in some e_j e_k
+        for j, rows in enumerate(nonempty):
+            for _, row in rows:
+                for l, _ in row:
+                    producers[l].add(j)
+        for i, plane_i in enumerate(table):
+            js = {l for l, _ in nonempty[i]}
+            for l, _ in nonempty[i]:
+                js |= producers[l]
+            for j in sorted(js):
+                acc: dict = {}
+                for l, a in plane_i[j]:
+                    for k, row in nonempty[l]:
+                        for m, b in row:
+                            acc[k, m] = acc.get((k, m), 0) + a * b
+                for k, row in nonempty[j]:
+                    for l, a in row:
+                        for m, b in plane_i[l]:
+                            acc[k, m] = acc.get((k, m), 0) - a * b
+                bad = [k for (k, _), v in acc.items() if v]
+                if bad:
+                    raise ValidationError(f"associativity fails on basis triple ({i},{j},{min(bad)})")
 
     def _check_lie(self):
-        sc = self.structure
-        for i in range(self.dim):
-            if sc[i][i]:
+        """[e_i, e_i] = 0, antisymmetry, and the Jacobi identity on every
+        triple i < j < k, in the integer table. As for associativity, each
+        (i, j) collects the cyclic sum over all k > j in one dict keyed by
+        (k, m), reading only nonempty rows; [[e_k, e_i], e_j] is read as
+        -[[e_i, e_k], e_j], through the rows of plane i."""
+        table = self.integer_structure[1]
+        for i, plane in enumerate(table):
+            if plane[i]:
                 raise ValidationError(f"[x,x] != 0 on basis vector {i}")
             for j in range(i + 1, self.dim):
-                if sc[i][j] != tuple((k, -c) for k, c in sc[j][i]):
+                if plane[j] != tuple((k, -c) for k, c in table[j][i]):
                     raise ValidationError(f"antisymmetry fails at ({i},{j})")
-        for i in range(self.dim):
+        nonempty = [[(k, row) for k, row in enumerate(plane) if row] for plane in table]
+        for i, plane_i in enumerate(table):
             for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    acc: dict = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, f in sc[a][b]:
-                            _sparse_add(acc, sc[l][c], f)
-                    if acc:
-                        raise ValidationError(f"Jacobi identity fails on ({i},{j},{k})")
+                acc: dict = {}
+                for l, a in plane_i[j]:
+                    for k, row in nonempty[l]:
+                        if k > j:
+                            for m, b in row:
+                                acc[k, m] = acc.get((k, m), 0) + a * b
+                for k, row in nonempty[j]:
+                    if k > j:
+                        for l, a in row:
+                            for m, b in table[l][i]:
+                                acc[k, m] = acc.get((k, m), 0) + a * b
+                for k, row in nonempty[i]:
+                    if k > j:
+                        for l, a in row:
+                            for m, b in table[l][j]:
+                                acc[k, m] = acc.get((k, m), 0) - a * b
+                bad = [k for (k, _), v in acc.items() if v]
+                if bad:
+                    raise ValidationError(f"Jacobi identity fails on ({i},{j},{min(bad)})")
 
     # -- basic operations ---------------------------------------------------
 
@@ -185,25 +215,30 @@ class GradedAlgebra:
         return Mat(cols, cols=self.dim).transpose()
 
     def trace_of_left_mult(self, a) -> Fraction:
-        t = ZERO
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(self.dim):
-                for k, c in self.structure[i][j]:
-                    if k == j:
-                        t += ai * c
-        return t
+        """tr L(a) = sum_i a_i tr L(e_i), over `left_mult_traces`."""
+        if len(a) != self.dim:
+            raise DimensionMismatchError("vector has wrong ambient dimension")
+        return sum((ai * t for ai, t in zip(a, self.left_mult_traces) if ai and t), ZERO)
+
+    @cached_property
+    def left_mult_traces(self) -> tuple:
+        """(tr L(e_0), ..., tr L(e_{dim-1})) with tr L(e_i) = sum_j c_ij^j,
+        read once from the integer table. For a homogeneous e_i of degree
+        other than the identity every c_ij^j is 0, so tr L(e_i) = 0."""
+        D, table = self.integer_structure
+        return tuple(Fraction(sum(c for j, row in enumerate(plane) for k, c in row if k == j), D)
+                     for plane in table)
 
     @cached_property
     def integer_structure(self) -> tuple:
         """(D, table): D is the lcm of the denominators of the structure
         constants and table[i][j] = ((k, D c), ...) holds the integers D c
         for the entries (k, c) of structure[i][j]. A product of n basis
-        vectors folded through the table is D^(n-1) times the true one."""
+        vectors folded through the table is D^(n-1) times the true one. The
+        constructor builds it: its associativity or Lie check runs on it."""
         D = lcm(*(c.denominator for plane in self.structure for row in plane for _, c in row))
         table = tuple(tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in row)
-                            for row in plane) for plane in self.structure)
+                            if row else () for row in plane) for plane in self.structure)
         return D, table
 
     def constants(self) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, graded_check,
                       nilpotency_index, quotient_algebra)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import Mat, Reducer, Subspace, ZERO, kernel, unit_vector
+from .exactlin import Mat, Reducer, Subspace, ZERO, kernel
 
 
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
@@ -48,7 +48,7 @@ def _trace_form_radical(A: GradedAlgebra) -> Subspace:
     x, off the diagonal, so its trace on A (+) Q.1 is its trace on A. The one
     extra pairing, (x, 1) -> tr(L(x)), vanishes on the kernel anyway: there
     tr(L(x)^k) = tr(L(x . x^(k-1))) = 0 for k >= 2, so L(x) is nilpotent."""
-    tvec = [A.trace_of_left_mult(unit_vector(A.dim, i)) for i in range(A.dim)]
+    tvec = A.left_mult_traces
     gram = [[sum((c * tvec[k] for k, c in A.structure[i][j]), ZERO) for j in range(A.dim)]
             for i in range(A.dim)]
     return kernel(Mat(gram, cols=A.dim))

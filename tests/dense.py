@@ -1,11 +1,13 @@
 """Dense matrix product and trace, the algebra product summed over the
-structure constants, and Gauss-Jordan elimination over full-width rows: the
-references the tests check the library's matrices (inverses, left
-multiplication, the Killing form), products, ideal closures and sparse
-elimination against."""
+structure constants, Gauss-Jordan elimination over full-width rows, and the
+associativity and Lie checks as triple loops: the references the tests check
+the library's matrices (inverses, left multiplication, the Killing form),
+products, ideal closures, sparse elimination and constructor checks
+against."""
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations, product
 
 from gradedalg.exactlin import Mat, Subspace
 
@@ -98,3 +100,41 @@ class DenseGaussJordan:
         self.pivots.insert(at, piv)
         self.rows.insert(at, v)
         return v
+
+
+def structure_failure(dim: int, constants: dict, kind: str = "associative"):
+    """The message of the first failing constructor check on the mapping
+    {(i, j, k): c}, or None when all hold, from triple loops over dense
+    Fraction vectors. Associative: (e_i e_j) e_k = e_i (e_j e_k) for every
+    (i, j, k) in index order. Lie: for each i in turn [e_i, e_i] = 0 and then
+    antisymmetry with every j > i, and after those the Jacobi identity on
+    every i < j < k."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), x in constants.items():
+        c[i][j][k] = Fraction(x)
+
+    def mul(u, v):
+        out = [Fraction(0)] * dim
+        for a, b in product(range(dim), repeat=2):
+            if u[a] and v[b]:
+                for m in range(dim):
+                    out[m] += u[a] * v[b] * c[a][b][m]
+        return out
+
+    basis = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
+    if kind == "associative":
+        for i, j, k in product(range(dim), repeat=3):
+            if mul(c[i][j], basis[k]) != mul(basis[i], c[j][k]):
+                return f"associativity fails on basis triple ({i},{j},{k})"
+        return None
+    for i in range(dim):
+        if any(c[i][i]):
+            return f"[x,x] != 0 on basis vector {i}"
+        for j in range(i + 1, dim):
+            if any(a + b for a, b in zip(c[i][j], c[j][i])):
+                return f"antisymmetry fails at ({i},{j})"
+    for i, j, k in combinations(range(dim), 3):
+        terms = (mul(c[i][j], basis[k]), mul(c[j][k], basis[i]), mul(c[k][i], basis[j]))
+        if any(map(sum, zip(*terms))):
+            return f"Jacobi identity fails on ({i},{j},{k})"
+    return None

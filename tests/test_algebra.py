@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradedalg.algebra import (GradedAlgebra, algebra_on_subspace,
                                nilpotency_index, quotient_algebra, unitalize)
@@ -18,7 +21,7 @@ from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
 from tests.dense import (dense_multiply, ideal_generated_dense, is_ideal_dense, matmul,
-                         trace)
+                         structure_failure, trace)
 
 F = Fraction
 
@@ -198,6 +201,10 @@ def test_products_match_the_dense_reference():
                 assert A.multiply(a, b) == dense_multiply(A, a, b)
             columns = Mat([dense_multiply(A, a, e) for e in basis], cols=A.dim)
             assert A.left_mult_matrix(a) == columns.transpose()
+            assert A.trace_of_left_mult(a) == trace(columns)
+        # the trace lemma: tr L(e_i) = 0 when e_i has a degree other than e
+        e = A.group.identity()
+        assert all(t == 0 for t, g in zip(A.left_mult_traces, A.degrees) if g != e)
         s1, s2 = random_span(A), random_span(A)
         assert A.product_span(s1, s2) == dense_span(A, s1, s2)
         for s in (s1, s2, A.subalgebra_generated(s1.basis_vectors()),
@@ -218,6 +225,8 @@ def test_products_reject_other_ambient_spaces():
             A.is_subalgebra(s)
         with pytest.raises(DimensionMismatchError):
             A.multiply(s.basis_vectors()[0], s.basis_vectors()[0])
+        with pytest.raises(DimensionMismatchError):
+            A.trace_of_left_mult(s.basis_vectors()[0])
 
 
 def test_quotient_rejects_non_ideal_and_non_graded():
@@ -446,7 +455,7 @@ def test_zero_dimensional_algebra():
 
 def test_integer_structure_scales_the_table_by_the_common_denominator():
     A = rescaled(builtin("m2_z2"), (Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4), 3))
-    assert "integer_structure" not in vars(A)      # built on first use only
+    assert "integer_structure" in vars(A)          # built by the constructor's checks
     D, table = A.integer_structure
     assert D == lcm(*(c.denominator for c in A.constants().values())) > 1
     assert {(i, j, k): Fraction(c, D) for i, plane in enumerate(table)
@@ -454,3 +463,80 @@ def test_integer_structure_scales_the_table_by_the_common_denominator():
     assert all(type(c) is int for plane in table for row in plane for _, c in row)
     assert A.integer_structure is A.integer_structure
     assert builtin("ut2").integer_structure[0] == 1
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2, 3, 5)))
+
+
+def _radical_of_free_trunc_2_3():
+    A = builtin("free_trunc_2_3")
+    return algebra_on_subspace(A, jacobson_radical(A)).algebra
+
+
+_TABLE_SOURCES = {
+    **{name: (lambda name=name: builtin(name)) for name in (
+        "m2_z2", "ut2", "fz2", "free_trunc_2_2", "free_trunc_2_3",
+        "sl2", "gl2_z2", "heis3", "aff1")},
+    "ut3_z3": lambda: upper_triangular(3, CyclicGroup(3), (0, 1, 2)),
+    "J(free_trunc_2_3)": _radical_of_free_trunc_2_3,
+}
+
+
+@st.composite
+def graded_tables(draw):
+    """(group, degrees, constants, kind): the constants of an algebra A on a
+    basis changed by random fractions within each homogeneous component,
+    with the basis then permuted, and up to three grading-compatible
+    constants shifted. A unital associative A is `rescaled` (with a shear);
+    any other A has e_i scaled by s_i, so c_ij^k becomes c_ij^k s_i s_j / s_k.
+    The nilpotent J(free_trunc_2_3) has mostly zero products, so a shift
+    there can fail on a triple with e_i e_j = 0. Most Lie shifts at (i, j, k)
+    with i != j shift (j, i, k) the other way too, which keeps the table
+    antisymmetric, so Jacobi failures come up as well; a shift with i = j
+    breaks [x, x] = 0."""
+    A = _TABLE_SOURCES[draw(st.sampled_from(sorted(_TABLE_SOURCES)))]()
+    scales = draw(st.lists(_FRACTIONS, min_size=A.dim, max_size=A.dim))
+    if A.unit is not None:
+        constants = rescaled(A, scales, draw(st.sampled_from((0, 1, Fraction(-1, 2))))).constants()
+    else:
+        constants = {(i, j, k): c * scales[i] * scales[j] / scales[k]
+                     for (i, j, k), c in A.constants().items()}
+    p = draw(st.permutations(range(A.dim)))
+    constants = {(p[i], p[j], p[k]): c for (i, j, k), c in constants.items()}
+    degrees = [None] * A.dim
+    for i, g in enumerate(A.degrees):
+        degrees[p[i]] = g
+    compatible = [(i, j, k) for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)
+                  if degrees[k] == degrees[i] * degrees[j]]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = draw(st.sampled_from(compatible))
+        delta = draw(_FRACTIONS)
+        constants[i, j, k] = constants.get((i, j, k), 0) + delta
+        if A.kind == "lie" and i != j and draw(st.sampled_from((True, True, True, False))):
+            constants[j, i, k] = constants.get((j, i, k), 0) - delta
+    return A.group, degrees, constants, A.kind
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graded_tables())
+def test_constructor_checks_match_the_triple_loop_reference(case):
+    # same verdict and the same message, naming the first failing triple
+    group, degrees, constants, kind = case
+    assume(lcm(*(Fraction(c).denominator for c in constants.values())) > 1)
+    expected = structure_failure(len(degrees), constants, kind)
+    if expected is None:
+        A = GradedAlgebra(group, degrees, constants, kind=kind)
+        assert A.integer_structure[0] > 1
+    else:
+        with pytest.raises(ValidationError) as err:
+            GradedAlgebra(group, degrees, constants, kind=kind)
+        assert str(err.value) == expected
+
+
+def test_constructor_check_follows_the_nonzero_constants():
+    # UT_32 has dim 528 and 5,984 nonzero constants: a dim^3 loop over basis
+    # triples takes seconds here, a walk over the nonzero products well under one
+    start = time.perf_counter()
+    U = upper_triangular(32)
+    assert time.perf_counter() - start < 4.0
+    assert U.dim == 528 and len(U.constants()) == 5984

@@ -331,6 +331,32 @@ def test_cli_decompose_refuses_a_split_that_needs_factoring(tmp_path, capsys):
     assert err.startswith("invariant violation: ValidationError: ") and "Traceback" not in err
 
 
+_BENT_UT2 = {"kind": "associative", "dim": 3, "group": {"type": "cyclic", "n": 2},
+             "degrees": [0, 1, 0], "unit": ["1", "0", "1"], "name": "ut2_bent",
+             "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1/2"], [2, 2, 2, "1"]]}
+_NOT_LIE = {"kind": "lie", "dim": 4, "group": {"type": "trivial"}, "degrees": [0, 0, 0, 0],
+            "name": "not_lie",
+            "structure": [[1, 2, 1, "1"], [2, 1, 1, "-1"], [2, 3, 2, "1"], [3, 2, 2, "-1"],
+                          [1, 3, 3, "1/3"], [3, 1, 3, "-1/3"]]}
+
+
+@pytest.mark.parametrize("desc, message", [
+    # e12 e22 = e12/2: (e12 e22) e22 = e12/4 but e12 (e22 e22) = e12/2; every
+    # triple before (1,2,2) holds
+    (_BENT_UT2, "associativity fails on basis triple (1,2,2)"),
+    # antisymmetric, e0 central; the cyclic sum on (1,2,3) is -e1 + e2/3 + e3/3
+    (_NOT_LIE, "Jacobi identity fails on (1,2,3)"),
+], ids=["associativity", "jacobi"])
+@pytest.mark.parametrize("command", ["radical", "verify", "decompose"])
+def test_cli_structure_check_failure_exits_3(desc, message, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert main([command, "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invariant violation: ValidationError: {message}\n"
+
+
 @pytest.mark.parametrize("name, radical", [("ut2", "jacobson_radical"),
                                             ("gl2_z2", "solvable_radical")])
 def test_cli_decompose_computes_the_radical_once(name, radical, monkeypatch):
