@@ -12,9 +12,16 @@ The resource guard still counts all |support|^n labellings, not the multisets.
 `codim_block` walks the word orders as a tree of partial products over the
 integer table `GradedAlgebra.integer_structure`: every row of a block is
 D^(n-1) times its rational value for the common denominator D, which keeps
-ranks, zero entries and repeated rows. A node's subtree depends only on the
-variables left to place and its partial products, so each distinct
-(remaining variables, products) node is expanded once.
+ranks, zero entries and repeated rows. Partial products are interned: a
+`_Products` table gives each distinct integer vector a small int id and
+memoises vector x basis products by id. `_codim_blocks` builds one table per
+n and shares it between the blocks of that n, so each such product is
+computed once per n; the table is dropped when the call returns. A node's
+subtree depends only on the variables left to place and its partial
+products, so every node, leaves included, is keyed by (bitmask of the
+remaining variables, set of (column offset, vector id)) and each distinct
+node is expanded once. `is_graded_identity` folds its words through a table
+of its own.
 
 For a group grading, the identities whose labels are read as delta
 functionals of (QG)* are exactly the graded ones, so H-identities of a
@@ -69,21 +76,61 @@ class MultilinearGradedPoly:
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
 
-def _fold_basis_product(A: GradedAlgebra, seq) -> dict:
-    """Sparse product of basis vectors in word order."""
-    acc = {seq[0]: Fraction(1)}
-    for b in seq[1:]:
-        acc = A.mul_sparse(acc, {b: Fraction(1)})
-        if not acc:
-            break
-    return acc
+class _Products:
+    """Products of basis vectors in the integer table `A.integer_structure`,
+    interned for one computation. Each distinct integer vector {k: c} gets a
+    small int id, kept as its sorted items in `vectors`; the basis vector e_b
+    has id b. memo[v, b] is the id of vector v times e_b, or None when that
+    product vanishes, and `multiply` computes it on the first lookup only;
+    a lookup reads -1 for a product not computed yet.
+    A product of n factors folded from a basis vector is D^(n-1) times its
+    rational value for the common denominator D."""
+
+    def __init__(self, A: GradedAlgebra):
+        self.table = A.integer_structure[1]
+        self.vectors = [((b, 1),) for b in range(A.dim)]
+        self.ids = {vec: b for b, vec in enumerate(self.vectors)}
+        self.memo = {}
+
+    def times(self, v: int, b: int):
+        w = self.memo.get((v, b), -1)
+        return self.multiply(v, b) if w == -1 else w
+
+    def multiply(self, v: int, b: int):
+        table = self.table
+        if v < len(table):
+            # e_v e_b is a row of the table, whose entries are in index order
+            vec = table[v][b]
+        else:
+            prod = {}
+            for k, c in self.vectors[v]:
+                for j, d in table[k][b]:
+                    if j in prod:
+                        x = prod[j] + c * d
+                        if x:
+                            prod[j] = x
+                        else:
+                            del prod[j]
+                    else:
+                        prod[j] = c * d
+            vec = tuple(sorted(prod.items()))
+        w = None
+        if vec:
+            w = self.ids.get(vec)
+            if w is None:
+                w = self.ids[vec] = len(self.vectors)
+                self.vectors.append(vec)
+        self.memo[v, b] = w
+        return w
 
 
 def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     """True iff f vanishes under every substitution sending each labelled
     variable into its component; by multilinearity basis tuples suffice.
     Variables labelled outside the support only admit zero, so terms carrying
-    them vanish identically."""
+    them vanish identically. Each word is folded through one `_Products`
+    table: every term has all n factors, so every product is D^(n-1) times
+    its rational value and the sum vanishes exactly when the true one does."""
     terms = {k: v for k, v in f.terms.items()
              if all(A.component_indices(g) for g in set(k[1]))}
     if not terms:
@@ -92,13 +139,19 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
                    key=lambda s: (s[0], A.group.sort_key(s[1])))
     slot_pos = {s: p for p, s in enumerate(slots)}
     options = [A.component_indices(g) for (_, g) in slots]
+    products = _Products(A)
     for choice in iproduct(*options):
         acc = [ZERO] * A.dim
         for (perm, degs), coeff in terms.items():
             seq = [choice[slot_pos[(i, degs[i])]] for i in perm]
-            prod = _fold_basis_product(A, seq)
-            for k, c in prod.items():
-                acc[k] += coeff * c
+            v = seq[0]
+            for b in seq[1:]:
+                v = products.times(v, b)
+                if v is None:
+                    break
+            if v is not None:
+                for k, c in products.vectors[v]:
+                    acc[k] += coeff * c
         if not is_zero_vector(acc):
             return False
     return True
@@ -115,7 +168,7 @@ def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
             f"{m}^{n} = {m ** n} degree assignments exceed the cap of {max_blocks}")
 
 
-def codim_block(A: GradedAlgebra, degs) -> int:
+def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> int:
     """Rank of one assignment block: variable i ranges over the basis of the
     component of degs[i]; rows are the n! word orders, columns are (matching
     basis tuple) x (output coordinate).
@@ -125,71 +178,70 @@ def codim_block(A: GradedAlgebra, degs) -> int:
     offset that choice contributes; a child multiplies each by one more basis
     vector. A node whose products all vanish is dropped with its subtree.
 
-    The walk multiplies integers through `A.integer_structure`: each product
-    starts from the int 1 and every factor after the first scales it by the
-    common denominator D, so every row of the block, a product of n factors,
-    is D^(n-1) times its rational value. One common nonzero factor changes
-    neither the rank, nor which entries vanish, nor which rows coincide; only
-    a row's nonzero entries become Fractions as it enters the Reducer.
+    Products are ids of the interned integer vectors of `products`, a
+    `_Products` table that `_codim_blocks` shares between all blocks of one
+    n (a table of its own when none is given), so a child only looks up
+    memo[v, b] and each vector x basis product is computed once per table.
+    Every row of the block, a product of n factors, is D^(n-1) times its
+    rational value for the common denominator D. One common nonzero factor
+    changes neither the rank, nor which entries vanish, nor which rows
+    coincide; only a row's nonzero entries become Fractions as it enters
+    the Reducer.
 
     A node's subtree depends only on the variables still to place and on its
-    products, so a node is keyed by (the set of those variables, its products
-    as a set of (offset, vector) pairs) and a repeated key returns at once.
-    The key is taken from two placed variables on, since one-variable prefixes
-    are all distinct. At a leaf the key is the row itself, so each distinct
-    nonzero row enters the Reducer once.
+    products, so every node, leaves included, is keyed by (bitmask of those
+    variables, set of (offset, vector id) pairs) and a repeated key returns
+    at once. The offsets are mixed-radix, so a leaf's key fixes its row: each
+    distinct nonzero row enters the Reducer once.
     """
     comps = [A.component_indices(g) for g in degs]
     if any(not c for c in comps):
         return 0
+    if products is None:
+        products = _Products(A)
+    memo, multiply, vectors = products.memo, products.multiply, products.vectors
     n = len(comps)
-    table = A.integer_structure[1]
     # mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])
     offset = [None] * n
     width = A.dim
     for i in reversed(range(n)):
-        offset[i] = {b: j * width for j, b in enumerate(comps[i])}
+        offset[i] = [(b, j * width) for j, b in enumerate(comps[i])]
         width *= len(comps[i])
+    # Depth first from the root, the empty product None. Children are pushed
+    # last first, so they pop in variable order. A key is checked as its node
+    # is made: the nodes made after it and popped before it have fewer
+    # variables left, so none shares its key. A leaf is the only child of its
+    # parent and enters the Reducer as it is made, so rows arrive in the
+    # order of a recursive walk.
+    bits = [(i, 1 << i) for i in reversed(range(n))]
     red = Reducer(width)
     visited = set()
-
-    def walk(rest, partial):
-        if not rest:
-            row = {off + k: c for off, vec in partial.items() for k, c in vec.items()}
-            key = frozenset(row.items())
-            if key not in visited:
-                visited.add(key)
-                red.insert(row)
-            return
-        if len(rest) <= n - 2:
-            key = (frozenset(rest),
-                   frozenset((off, frozenset(vec.items())) for off, vec in partial.items()))
-            if key in visited:
-                return
-            visited.add(key)
-        for i in rest:
-            child = {}
-            for off, vec in partial.items():
-                for b, boff in offset[i].items():
-                    prod = {}
-                    for k, c in vec.items():
-                        for j, d in table[k][b]:
-                            if j in prod:
-                                x = prod[j] + c * d
-                                if x:
-                                    prod[j] = x
-                                else:
-                                    del prod[j]
-                            else:
-                                prod[j] = c * d
-                    if prod:
-                        child[off + boff] = prod
-            if child:
-                walk([r for r in rest if r != i], child)
-
-    for i in range(n):
-        walk([r for r in range(n) if r != i],
-             {boff: {b: 1} for b, boff in offset[i].items()})
+    stack = [((1 << n) - 1, None)]
+    while stack:
+        rest, partial = stack.pop()
+        for i, bit in bits:
+            if rest & bit:
+                if partial is None:
+                    child = {boff: b for b, boff in offset[i]}
+                else:
+                    child = {}
+                    for off, v in partial.items():
+                        for b, boff in offset[i]:
+                            w = memo.get((v, b), -1)
+                            if w == -1:
+                                w = multiply(v, b)
+                            if w is not None:
+                                child[off + boff] = w
+                if child:
+                    left = rest ^ bit
+                    key = (left, frozenset(child.items()))
+                    if key not in visited:
+                        visited.add(key)
+                        if left:
+                            stack.append((left, child))
+                        else:
+                            red.insert({off + k: c for off, v in child.items()
+                                        for k, c in vectors[v]})
     return red.dim
 
 
@@ -204,11 +256,16 @@ def _label_orbits(support, n):
 
 
 def _codim_blocks(A: GradedAlgebra, n: int, max_n: int, max_blocks: int) -> list:
-    """(labelling count, block rank) per multiset of n support labels."""
+    """(labelling count, block rank) per multiset of n support labels. The
+    blocks share one product table, which is dropped on return."""
     if A.kind != ASSOCIATIVE:
         raise ValidationError("codimensions are computed for associative algebras")
     _guard(A, n, max_n, max_blocks)
-    return [(mult, codim_block(A, labels)) for labels, mult in _label_orbits(A.support, n)]
+    products = _Products(A)
+    # called through the module global, so that a wrapper put there sees
+    # every block
+    return [(mult, codim_block(A, labels, products))
+            for labels, mult in _label_orbits(A.support, n)]
 
 
 def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,

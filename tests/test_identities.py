@@ -1,9 +1,13 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedalg import identities
 from gradedalg.algebra import algebra_on_subspace, nilpotency_index
@@ -17,7 +21,7 @@ from gradedalg.identities import (MultilinearGradedPoly, codim_block,
                                   exponent_estimate, graded_codimension,
                                   is_graded_identity, nilpotent_shortcut)
 from gradedalg.radical import jacobson_radical
-from tests.corpus import rescaled
+from tests.corpus import random_graded_quotient, random_matrix_subalgebra, rescaled
 from tests.functional import (evaluate_functional_poly, from_functionals,
                               is_functional_identity)
 from tests.oracles import brute_block_rank, global_graded_codim_rank
@@ -232,6 +236,26 @@ def test_exponent_estimate_nilpotent():
         exponent_estimate([1, 2], predicted_d=1)
 
 
+# the integers d in 1..9 that the verdict accepts, over a short and a long
+# range of each builtin's codimensions: the finite-range verdict is not
+# monotone in d (m2_z2 at n <= 6 accepts 7 but not 6)
+M2_Z2_CODIMS = [2, 7, 28, 111, 431, 1653, 6308, 24055, 91867, 351693]
+
+
+@pytest.mark.parametrize("values, accepted", [
+    (M2_Z2_CODIMS[:6], {3, 4, 5, 7}),
+    (M2_Z2_CODIMS[:8], {3, 4, 5}),
+    (M2_Z2_CODIMS, {3, 4}),
+    ([n * 2 ** (n - 1) + 1 for n in range(1, 7)], {2, 3, 5}),       # ut2
+    ([n * 2 ** (n - 1) + 1 for n in range(1, 12)], {2, 3}),
+    ([2 ** n for n in range(1, 7)], {1, 2, 4}),                      # fz2
+    ([2 ** n for n in range(1, 9)], {2}),
+    ([3 * n * n + 3 * n + 1 for n in range(1, 8)], {1}),             # free_trunc_2_3
+])
+def test_exponent_estimate_accepted_exponents(values, accepted):
+    assert {d for d in range(1, 10) if exponent_estimate(values, d).consistent} == accepted
+
+
 def test_codimension_report_structure():
     A = free_group_truncation(2, 3)
     rep = codimension_report(A, 3, predicted_d=1)
@@ -314,7 +338,9 @@ def test_codimensions_beyond_the_old_reach():
     # the unmemoised walk over Fractions
     assert graded_codimension(A, 7, max_n=7, max_blocks=7 ** 7) == 3 * 49 + 3 * 7 + 1
     for name, n, value in [("m2_z2", 7, 6308), ("m2_z2", 8, 24055),
-                           ("ut2", 8, 1025), ("fz2", 8, 256)]:
+                           ("ut2", 8, 1025), ("fz2", 8, 256),
+                           # closed forms n 2^(n-1) + 1 and 2^n
+                           ("ut2", 9, 9 * 2 ** 8 + 1), ("fz2", 9, 2 ** 9)]:
         assert graded_codimension(builtin(name), n, max_n=n, max_blocks=2 ** n) == value
 
 
@@ -333,6 +359,71 @@ def test_codimensions_survive_non_integral_constants(name, shear):
     for n in (1, 2, 3):
         for degs in combinations_with_replacement(B.support, n):
             assert codim_block(B, degs) == brute_block_rank(B, degs), degs
+
+
+NON_INTEGRAL = (F(2, 3), F(-5, 2), F(7, 4), F(-3, 5), F(1, 2), F(3, 7))
+
+
+def _random_algebra(kind, rng):
+    if kind == "quotient":
+        return random_graded_quotient(rng)
+    if kind == "subalgebra":
+        return random_matrix_subalgebra(rng)
+    A = builtin(rng.choice(["m2_z2", "ut2", "fz2"]))
+    B = rescaled(A, [rng.choice(NON_INTEGRAL) for _ in range(A.dim)], rng.choice([0, F(1, 2)]))
+    assert B.integer_structure[0] > 1
+    return B
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["quotient", "subalgebra", "rescaled"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_codim_block_matches_brute_rank_on_random_algebras(kind, seed, data):
+    # blocks of one n share a product table, as in _codim_blocks
+    A = _random_algebra(kind, random.Random(seed))
+    n = data.draw(st.integers(1, 3))
+    products = identities._Products(A)
+    for _ in range(3):
+        labels = tuple(data.draw(st.lists(st.sampled_from(A.support), min_size=n, max_size=n)))
+        assert codim_block(A, labels, products) == brute_block_rank(A, labels), labels
+        assert codim_block(A, labels) == brute_block_rank(A, labels), labels
+
+
+def test_each_product_is_computed_once_per_n(monkeypatch):
+    # a count of work, not of time: every (vector id, basis index) product is
+    # computed once per table, and all blocks of one n share one table
+    calls = []
+    multiply = identities._Products.multiply
+
+    def counting(table, v, b):
+        calls.append((table, v, b))
+        return multiply(table, v, b)
+
+    monkeypatch.setattr(identities._Products, "multiply", counting)
+    assert graded_codimension(builtin("m2_z2"), 6) == 1653
+    assert len({table for table, _, _ in calls}) == 1
+    assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    assert codimension_report(builtin("free_trunc_2_3"), 4).values == [7, 19, 37, 61]
+    assert len({table for table, _, _ in calls}) == 3          # n = 2, 3, 4
+    assert len(calls) == len(set(calls)) > 0
+
+
+def test_product_tables_do_not_outlive_their_computation(monkeypatch):
+    tables = []
+    init = identities._Products.__init__
+
+    def tracking(table, A):
+        tables.append(weakref.ref(table))
+        init(table, A)
+
+    monkeypatch.setattr(identities._Products, "__init__", tracking)
+    A = builtin("m2_z2")
+    codimension_report(A, 4)
+    g0, g1 = A.support
+    assert not is_graded_identity(commutator((g0, g1)), A)
+    gc.collect()
+    assert len(tables) == 5 and all(ref() is None for ref in tables)
 
 
 def test_report_block_statistics_golden(tmp_path):

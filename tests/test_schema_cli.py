@@ -274,9 +274,9 @@ def test_cli_codim_both_modes_computes_each_block_once(monkeypatch):
     calls = []
     codim_block = gradedalg.identities.codim_block
 
-    def counting(A, labels):
+    def counting(A, labels, *rest):
         calls.append(labels)
-        return codim_block(A, labels)
+        return codim_block(A, labels, *rest)
 
     monkeypatch.setattr(gradedalg.identities, "codim_block", counting)
     counts = {}
