@@ -6,8 +6,13 @@ evaluation matrix splits into independent blocks per assignment and the n-th
 codimension is the sum of block ranks. Renaming variables permutes a block's
 rows and columns, so its rank depends only on the multiset of labels: each
 multiset's block is computed once and weighted by the multinomial count of
-its labellings (`_codim_blocks`, associative algebras only).
-The resource guard still counts all |support|^n labellings, not the multisets.
+its labellings (`_codim_blocks`, associative algebras only). Since
+A_g A_h lies in A_{gh}, the grading rules out most multisets before any
+vector is built: `_live_label_orbits` walks the degrees that the prefix
+products of some order of the labels can reach, and a multiset that reaches
+none has every word product 0. Only the live multisets are built; the rest
+add 0 to c_n. The resource guard still counts all |support|^n labellings,
+and a report checks it for every n it will compute before computing any.
 
 `codim_block` walks the word orders as a tree of partial products over the
 integer table `GradedAlgebra.integer_structure`: every row of a block is
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product as iproduct
+from itertools import groupby, product as iproduct
 from math import factorial
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
@@ -158,6 +163,8 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
 
 
 def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
+    if A.kind != ASSOCIATIVE:
+        raise ValidationError("codimensions are computed for associative algebras")
     if n < 1:
         raise ValidationError("codimensions start at n = 1")
     if n > max_n:
@@ -245,35 +252,65 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> in
     return red.dim
 
 
-def _label_orbits(support, n):
-    """Each multiset of n labels from the support, as a sorted tuple, with
-    the multinomial count of the labellings that rearrange it."""
-    for labels in combinations_with_replacement(support, n):
+def _live_label_orbits(A: GradedAlgebra, n: int) -> list:
+    """Each multiset of n support labels that can give a nonzero block, as a
+    sorted tuple of labels, with the multinomial count of the labellings that
+    rearrange it.
+
+    The step table holds, for each pair (r, s) of support indices such that
+    some e_i e_j with e_i in A_r and e_j in A_s is nonzero, the support index
+    t of the degree of A_r A_s: step[r] is the set of pairs (s, t). It is read
+    off the output basis index, with no group product. The prefixes of a
+    nonzero word product are nonzero and their degrees follow the table, so
+    level k maps each live multiset of k support indices to the degrees that
+    the prefix products of its orders can reach. A multiset that is never
+    reached has every word product 0 and a block of rank 0.
+    """
+    support = A.support
+    index = [0] * A.dim
+    for s, g in enumerate(support):
+        for i in A.component_indices(g):
+            index[i] = s
+    step = [set() for _ in support]
+    for i, plane in enumerate(A.integer_structure[1]):
+        for j, row in enumerate(plane):
+            if row:
+                step[index[i]].add((index[j], index[row[0][0]]))
+    level = {(s,): {s} for s in range(len(support))}
+    for _ in range(n - 1):
+        grown = {}
+        for labels, reach in level.items():
+            for r in reach:
+                for s, t in step[r]:
+                    grown.setdefault(tuple(sorted(labels + (s,))), set()).add(t)
+        level = grown
+    orbits = []
+    for labels in sorted(level):
         mult = factorial(n)
         for _, run in groupby(labels):
             mult //= factorial(len(list(run)))
-        yield labels, mult
+        orbits.append((tuple(support[s] for s in labels), mult))
+    return orbits
 
 
-def _codim_blocks(A: GradedAlgebra, n: int, max_n: int, max_blocks: int) -> list:
-    """(labelling count, block rank) per multiset of n support labels. The
-    blocks share one product table, which is dropped on return."""
-    if A.kind != ASSOCIATIVE:
-        raise ValidationError("codimensions are computed for associative algebras")
-    _guard(A, n, max_n, max_blocks)
+def _codim_blocks(A: GradedAlgebra, n: int) -> list:
+    """(labelling count, block rank) per live multiset of n support labels;
+    every other multiset has rank 0 and is never built. The blocks share one
+    product table, which is dropped on return."""
     products = _Products(A)
     # called through the module global, so that a wrapper put there sees
-    # every block
+    # every block that is built
     return [(mult, codim_block(A, labels, products))
-            for labels, mult in _label_orbits(A.support, n)]
+            for labels, mult in _live_label_orbits(A, n)]
 
 
 def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> int:
     """c_n = sum of block ranks over all assignments in Support^n, computed
-    once per label multiset and weighted by the multinomial. The trivial
-    group reproduces ordinary codimensions."""
-    return sum(mult * rank for mult, rank in _codim_blocks(A, n, max_n, max_blocks))
+    once per live label multiset and weighted by the multinomial. The
+    trivial group reproduces ordinary codimensions."""
+    _guard(A, n, max_n, max_blocks)
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n))
 
 
 def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
@@ -420,13 +457,19 @@ def codimension_report(A: GradedAlgebra, n_max: int,
     per_n = []
     m = len(A.support)
     shortcuts = _settled_by_nilpotency(A, range(1, n_max + 1))
+    settled = set(shortcuts)
+    # every n to compute is checked before the first block is built; the
+    # first n past a cap names it, as when each n was checked in turn
     for n in range(1, n_max + 1):
-        if n in shortcuts:
+        if n not in settled:
+            _guard(A, n, max_n, max_blocks)
+    for n in range(1, n_max + 1):
+        if n in settled:
             values.append(0)
             per_n.append({"n": n, "assignments": m ** n, "computed": 0,
                           "nonzero_blocks": 0})
             continue
-        blocks = _codim_blocks(A, n, max_n, max_blocks)
+        blocks = _codim_blocks(A, n)
         values.append(sum(mult * rank for mult, rank in blocks))
         per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
                       "nonzero_blocks": sum(mult for mult, rank in blocks if rank),

@@ -2,25 +2,29 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedalg import identities
-from gradedalg.algebra import algebra_on_subspace, nilpotency_index
+from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, nilpotency_index
 from gradedalg.builders import (builtin, free_group_truncation,
                                 matrix_algebra, matrix_algebra_z2)
 from gradedalg.cli import main
 from gradedalg.errors import ResourceCapError, ValidationError
+from gradedalg.groups import CyclicGroup, FreeGroup
 from gradedalg.hopf import DualFunctional
 from gradedalg.identities import (MultilinearGradedPoly, codim_block,
                                   codimension_report, decimal_root,
                                   exponent_estimate, graded_codimension,
                                   is_graded_identity, nilpotent_shortcut)
 from gradedalg.radical import jacobson_radical
+from gradedalg.schema import algebra_to_description
 from tests.corpus import random_graded_quotient, random_matrix_subalgebra, rescaled
 from tests.functional import (evaluate_functional_poly, from_functionals,
                               is_functional_identity)
@@ -337,6 +341,7 @@ def test_codimensions_beyond_the_old_reach():
     # reached by the memoised walk; each value was first checked against
     # the unmemoised walk over Fractions
     assert graded_codimension(A, 7, max_n=7, max_blocks=7 ** 7) == 3 * 49 + 3 * 7 + 1
+    assert graded_codimension(A, 8, max_n=8, max_blocks=7 ** 8) == 3 * 64 + 3 * 8 + 1
     for name, n, value in [("m2_z2", 7, 6308), ("m2_z2", 8, 24055),
                            ("ut2", 8, 1025), ("fz2", 8, 256),
                            # closed forms n 2^(n-1) + 1 and 2^n
@@ -448,3 +453,136 @@ def test_report_block_statistics_golden(tmp_path):
             {"n": n, "assignments": m ** n, "computed": m ** n,
              "nonzero_blocks": nonzero[n - 1], "max_block_rank": max_rank[n - 1]}
             for n in range(1, 5)]
+
+
+def _counting_blocks(mp):
+    """Record the labels of every block built, through the module global."""
+    built = []
+    block = identities.codim_block
+
+    def counting(A, labels, *rest):
+        built.append(labels)
+        return block(A, labels, *rest)
+
+    mp.setattr(identities, "codim_block", counting)
+    return built
+
+
+@pytest.mark.parametrize("name, n, value, blocks", [
+    ("free_trunc_2_3", 4, 61, 10),       # 210 multisets
+    ("free_trunc_2_3", 6, 127, 10),      # 924 multisets
+    ("ut2", 5, 81, 2),                   # only e^n and e^(n-1) g are live
+    ("m2_z2", 5, 431, 6),                # every multiset is live
+])
+def test_only_live_blocks_are_built(monkeypatch, name, n, value, blocks):
+    built = _counting_blocks(monkeypatch)
+    A = builtin(name)
+    assert graded_codimension(A, n, max_blocks=len(A.support) ** n) == value
+    assert len(built) == len(set(built)) == blocks
+
+
+def _multinomial(labels):
+    return factorial(len(labels)) // prod(factorial(k) for k in Counter(labels).values())
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["quotient", "subalgebra", "rescaled", "free"]),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+def test_dropped_multisets_have_rank_zero(kind, seed, n):
+    rng = random.Random(seed)
+    if kind == "free":
+        A = free_group_truncation(rng.randint(2, 3), rng.randint(2, 3))
+    else:
+        A = _random_algebra(kind, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counting_blocks(mp)
+        c_n = graded_codimension(A, n)
+    built = set(built)
+    unfiltered = 0
+    for labels in combinations_with_replacement(A.support, n):
+        unfiltered += _multinomial(labels) * codim_block(A, labels)
+        if labels not in built:
+            assert brute_block_rank(A, labels) == 0, labels
+    assert c_n == unfiltered
+
+
+def _path_algebra(arrows, longest):
+    """Paths of length 1..longest in a quiver with arrows {letter: (source,
+    target)}, graded by the free group on the letters 1..len(arrows): the
+    product of two paths is their concatenation when they compose and it is
+    not longer than `longest`, and 0 otherwise."""
+    paths = frontier = [(x,) for x in arrows]
+    for _ in range(longest - 1):
+        frontier = [p + (x,) for p in frontier for x in arrows
+                    if arrows[p[-1]][1] == arrows[x][0]]
+        paths = paths + frontier
+    index = {p: i for i, p in enumerate(paths)}
+    F = FreeGroup(len(arrows))
+    structure = {(index[u], index[v], index[u + v]): 1
+                 for u in paths for v in paths if u + v in index}
+    return GradedAlgebra(F, [F.word(p) for p in paths], structure), F
+
+
+def test_filter_follows_prefix_products_not_pairs(monkeypatch):
+    # 1 -a-> 2 -c-> 3 -b-> 4 with basis a, c, b, ac, cb, acb: ab = ba = 0,
+    # yet a c b = acb, so a rule on pairs of labels would drop {a, b, c}
+    # while the prefix walk a -> ac -> acb keeps it
+    P, F = _path_algebra({1: (1, 2), 3: (2, 3), 2: (3, 4)}, 3)
+    a, b, c = F.word([1]), F.word([2]), F.word([3])
+    assert P.support[:3] == (a, c, b)
+    built = _counting_blocks(monkeypatch)
+    graded_codimension(P, 2)
+    assert (a, b) not in built and (a, c) in built and (c, b) in built
+    assert codim_block(P, (a, b)) == 0
+    built.clear()
+    c3 = graded_codimension(P, 3)
+    assert (a, c, b) in built
+    assert codim_block(P, (a, c, b)) == brute_block_rank(P, (a, c, b)) == 1
+    assert c3 == global_graded_codim_rank(P, 3) > 0
+
+
+def test_filter_keeps_every_degree_a_multiset_reaches(monkeypatch):
+    # 1 -a-> 2 -b-> 1 -c-> 3: {a, b} reaches both ab and ba, and only
+    # ab c = abc is nonzero, so {a, b, c} is live through ab alone
+    Q, F = _path_algebra({1: (1, 2), 2: (2, 1), 3: (1, 3)}, 3)
+    a, b, c = Q.support[:3]
+    built = _counting_blocks(monkeypatch)
+    graded_codimension(Q, 3)
+    assert (a, b, c) in built
+    assert codim_block(Q, (a, b, c)) == brute_block_rank(Q, (a, b, c)) == 1
+
+
+def test_filter_reads_every_product_of_a_component(monkeypatch):
+    # Z3-graded, basis d, a, c of degree 1 and ac of degree 2, with a c = ac
+    # the only nonzero product: A_1 A_1 is nonzero through neither the first
+    # basis vector d of A_1 nor its products
+    Z3 = CyclicGroup(3)
+    one, two = Z3.elem(1), Z3.elem(2)
+    B = GradedAlgebra(Z3, [one, one, one, two], {(1, 2, 3): 1})
+    built = _counting_blocks(monkeypatch)
+    assert graded_codimension(B, 2) == global_graded_codim_rank(B, 2) == 2
+    assert built == [(one, one)]
+
+
+def test_capped_report_fails_before_building_a_block(monkeypatch, capsys):
+    built = _counting_blocks(monkeypatch)
+    with pytest.raises(ResourceCapError, match="^n = 13 exceeds the cap of 12$"):
+        codimension_report(builtin("ut2"), 13, max_n=12, max_blocks=2 ** 13)
+    with pytest.raises(ResourceCapError,
+                       match=r"^7\^6 = 117649 degree assignments exceed the cap of 100000$"):
+        codimension_report(builtin("free_trunc_2_3"), 6)
+    assert main(["codim", "--builtin", "ut2", "--max-n", "12", "--n-max", "13",
+                 "--max-blocks", str(2 ** 13)]) == 4
+    assert capsys.readouterr().err == "resource cap: n = 13 exceeds the cap of 12\n"
+    assert built == []
+
+
+def test_nilpotent_report_runs_past_the_caps(tmp_path):
+    # n >= 3 is settled by the nilpotency index, so only c_1 and c_2 are
+    # computed and the cap of 6 on n does not apply
+    A = free_group_truncation(2, 3)
+    J = algebra_on_subspace(A, jacobson_radical(A), name="J").algebra
+    assert codimension_report(J, 10).values == [6, 6] + [0] * 8
+    desc = tmp_path / "j.json"
+    desc.write_text(json.dumps(algebra_to_description(J)))
+    assert main(["codim", "--input", str(desc), "--n-max", "10"]) == 0
