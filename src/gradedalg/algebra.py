@@ -5,11 +5,15 @@ basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
 over the nonzero c in increasing k, plus one group element per basis vector.
 `integer_structure` is the same table scaled to integers; the constructor
-builds it, and its associativity or Lie check, the traces `left_mult_traces`
-and the codimension walk read it. `mul_sparse`, on sparse {index:
-coefficient} dicts (`exactlin.sparse`, `exactlin.dense`), is the product
-kernel that `multiply`, `left_mult_matrix`, `product_span` and the closures
-below go through; `quotient_algebra` reads `structure` directly.
+builds it, and its associativity or Lie check, the traces `integer_traces`
+and `left_mult_traces`, the trace-form radical and the codimension walk read
+it. `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
+`exactlin.dense`), is the product kernel that `multiply`, `left_mult_matrix`,
+`product_span`, `algebra_on_subspace` and the closures below go through;
+`multiply` is its dense view, which the radical, quotient and structure
+layers do not use. `quotient_algebra` inverts no matrix: its projection is
+the RREF of the functionals that vanish on the ideal (`exactlin.null_space`),
+and it reads `structure` directly.
 Constructors validate everything: indices, grading compatibility,
 associativity or antisymmetry + Jacobi, and the unit law. The associativity
 check reads only nonzero products, so its cost follows the nonzero
@@ -29,8 +33,8 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
                      NotGradedError, ValidationError)
 from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
-                       axpy, dense, invert, is_zero_vector, solve, sparse,
-                       unit_vector)
+                       axpy, dense, is_zero_vector, null_space, solve_rows,
+                       sparse, unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -222,12 +226,18 @@ class GradedAlgebra:
 
     @cached_property
     def left_mult_traces(self) -> tuple:
-        """(tr L(e_0), ..., tr L(e_{dim-1})) with tr L(e_i) = sum_j c_ij^j,
-        read once from the integer table. For a homogeneous e_i of degree
-        other than the identity every c_ij^j is 0, so tr L(e_i) = 0."""
-        D, table = self.integer_structure
-        return tuple(Fraction(sum(c for j, row in enumerate(plane) for k, c in row if k == j), D)
-                     for plane in table)
+        """(tr L(e_0), ..., tr L(e_{dim-1})) with tr L(e_i) = sum_j c_ij^j:
+        the `integer_traces` over D. For a homogeneous e_i of degree other
+        than the identity every c_ij^j is 0, so tr L(e_i) = 0."""
+        D = self.integer_structure[0]
+        return tuple(Fraction(t, D) for t in self.integer_traces)
+
+    @cached_property
+    def integer_traces(self) -> tuple:
+        """(D tr L(e_0), ..., D tr L(e_{dim-1})) as ints, read once from the
+        integer table `integer_structure` over the common denominator D."""
+        return tuple(sum(c for j, row in enumerate(plane) for k, c in row if k == j)
+                     for plane in self.integer_structure[1])
 
     @cached_property
     def integer_structure(self) -> tuple:
@@ -406,9 +416,21 @@ class QuotientResult:
 def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResult:
     """Quotient by a graded two-sided ideal, on a homogeneous complement basis.
 
-    The complement is picked by greedy pivot extension in basis order (which
-    works per homogeneous component), so quotient bases are reproducible and
-    every quotient basis vector is the class of a standard basis vector of A.
+    The complement is picked by greedy pivot extension in basis order: e_i is
+    chosen iff its class is not in the span of the classes of the e_j chosen
+    before it. So quotient bases are reproducible and every quotient basis
+    vector is the class of a standard basis vector of A. No matrix is
+    inverted. For each column j that is not a pivot of the ideal's RREF,
+    P_j = e_j - sum_p row_p[j] e_p is the functional that reads coordinate j
+    of a vector reduced modulo the ideal; the P_j span the functionals that
+    vanish on the ideal (`null_space` of its rows). Column i of the P_j is
+    the class of e_i, so the pivots of their RREF are the greedy complement,
+    and since each RREF row is 1 at its own pivot and 0 at the others, the
+    RREF rows are the projection onto it. The ideal's own non-pivot columns
+    are not the complement in general: for the ideal spanned by e_0 + e_1
+    the greedy rule picks e_0. The product of sections a, b is the sparse
+    row structure[i_a][i_b], projected through the sparse columns of the
+    projection.
     """
     if ideal.ambient != A.dim:
         raise DimensionMismatchError("ideal lives in a different ambient space")
@@ -416,36 +438,33 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         raise NotAnIdealError("subspace is not a two-sided ideal")
     if not graded_check(ideal, A)[0]:
         raise NotGradedError("ideal is not graded: a basis vector mixes degrees")
-    red = Reducer(A.dim, ideal.pivot_rows.values())
-    chosen = []
-    # basis order; each homogeneous standard vector only reduces against rows
-    # of its own component, so this is greedy extension per component
-    for i in range(A.dim):
-        if red.insert({i: ONE}):
-            chosen.append(i)
+    projection = null_space(A.dim, ideal.pivot_rows.values())
+    chosen = projection.pivots
     qdim = len(chosen)
     if qdim != A.dim - ideal.dim:
         raise InternalCheckError("quotient dimension differs from dim A - dim I")
-    # full coordinates w.r.t. rows(ideal basis) + chosen standard vectors
-    rows = [list(r) for r in ideal.basis_vectors()] + [list(unit_vector(A.dim, i)) for i in chosen]
-    binv = invert(Mat(rows, cols=A.dim).transpose())
-    proj = Mat(binv.data[ideal.dim:], cols=A.dim)
-    section = tuple(unit_vector(A.dim, i) for i in chosen)
-    # the product of sections a, b is the sparse row structure[i_a][i_b]:
-    # project only its nonzero entries, through the columns of proj
-    proj_cols = proj.transpose().data
+    proj_cols: dict = {}        # column k of the projection, {quotient index: entry}
+    for a, i in enumerate(chosen):
+        for k, x in projection.pivot_rows[i].items():
+            proj_cols.setdefault(k, {})[a] = x
     structure = {}
     for a, i in enumerate(chosen):
         for b, j in enumerate(chosen):
-            acc = [ZERO] * qdim
+            acc: dict = {}
             for k, c in A.structure[i][j]:
-                axpy(acc, c, proj_cols[k])
-            structure.update({(a, b, r): x for r, x in enumerate(acc) if x != 0})
+                if k in proj_cols:      # else e_k lies in the ideal
+                    axpy(acc, c, proj_cols[k])
+            structure.update({(a, b, r): x for r, x in acc.items()})
     degrees = [A.degrees[i] for i in chosen]
-    unit = proj.mul_vec(A.unit) if A.unit is not None else None
+    unit = None
+    if A.unit is not None:
+        su = sparse(A.unit)
+        unit = tuple(sum((x * su[k] for k, x in projection.pivot_rows[i].items() if k in su), ZERO)
+                     for i in chosen)
     Q = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit,
                       name=name or (A.name + "/I" if A.name else ""))
-    return QuotientResult(Q, section, proj, tuple(chosen))
+    section = tuple(unit_vector(A.dim, i) for i in chosen)
+    return QuotientResult(Q, section, projection.mat, chosen)
 
 
 def unitalize(A: GradedAlgebra) -> GradedAlgebra:
@@ -486,29 +505,24 @@ def algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> Subalg
     """
     if not graded_check(s, A)[0]:
         raise NotGradedError("subspace is not graded: basis vector mixes degrees")
-    rows = s.basis_vectors()
     degrees = [A.degrees[p] for p in s.pivots]
+    rows = [s.pivot_rows[p] for p in s.pivots]
     dim = len(rows)
     structure = {}
-    for a in range(dim):
-        for b in range(dim):
-            coords = s.coords(A.multiply(rows[a], rows[b]))
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            coords = s.coords(A.mul_sparse(ra, rb))
             if coords is None:
                 raise ValidationError("subspace is not multiplicatively closed")
             structure.update({(a, b, k): c for k, c in enumerate(coords) if c != 0})
     unit = None
     if A.kind == ASSOCIATIVE and dim > 0:
-        # a unit of the subalgebra, if one exists: u * r_b = r_b * u = r_b
-        eqs = []
-        rhs = []
-        for b in range(dim):
-            for k in range(dim):
-                eqs.append([structure.get((a, b, k), ZERO) for a in range(dim)])
-                rhs.append(ONE if b == k else ZERO)
-                eqs.append([structure.get((b, a, k), ZERO) for a in range(dim)])
-                rhs.append(ONE if b == k else ZERO)
-        sol = solve(Mat(eqs, cols=dim), rhs)
-        if sol is not None:
-            unit = sol
+        # a unit of the subalgebra, if one exists: u * r_b = r_b and
+        # r_b * u = r_b, one sparse equation per (side, b, k), rhs in column dim
+        eqs = {(side, b, b): {dim: ONE} for b in range(dim) for side in (0, 1)}
+        for (x, y, k), c in structure.items():
+            eqs.setdefault((0, y, k), {})[x] = c
+            eqs.setdefault((1, x, k), {})[y] = c
+        unit = solve_rows(dim, eqs.values())
     alg = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit, name=name)
-    return SubalgebraEmbedding(alg, tuple(rows))
+    return SubalgebraEmbedding(alg, s.basis_vectors())

@@ -216,49 +216,64 @@ def _add_input_opts(p: _Parser):
     p.add_argument("--json-out", help="write a machine-readable JSON report here")
 
 
-def build_parser() -> _Parser:
+def _add_codim_opts(p: _Parser):
+    _add_input_opts(p)
+    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--mode", choices=("gr", "h", "both"), default="gr")
+    p.add_argument("--predicted-d", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                   help="hard cap on n (resource guard)")
+    p.add_argument("--max-blocks", type=int, default=DEFAULT_MAX_BLOCKS,
+                   help="hard cap on the number of degree assignments (all m^n "
+                        "labellings, not the multisets computed) per n")
+
+
+def _add_identity_opts(p: _Parser):
+    _add_input_opts(p)
+    p.add_argument("--poly", required=True, help="polynomial description JSON file")
+
+
+def _add_builtin_opts(p: _Parser):
+    p.add_argument("name")
+    p.add_argument("--json-out")
+
+
+def build_parser(only: str | None = None) -> _Parser:
+    """The argument parser. When `only` names a subcommand, the tree holds
+    that subcommand alone, and its usage line still lists every name, so
+    that output and errors read as with the whole tree; any other `only`
+    gives the whole tree. The table is built per call, so that it holds the
+    command functions bound in this module at that time."""
+    commands = {     # name: (help, command, options), in the order of the help listing
+        "radical": ("radical dims, gradedness, nilpotency index", cmd_radical, _add_input_opts),
+        "decompose": ("graded-simple components / complements", cmd_decompose,
+                      _add_input_opts),
+        "codim": ("codimension sequence table", cmd_codim, _add_codim_opts),
+        "check-identity": ("test a multilinear graded polynomial", cmd_check_identity,
+                           _add_identity_opts),
+        "verify": ("run the radical gradedness checks", cmd_verify, _add_input_opts),
+        "builtin": ("print a builtin algebra description", cmd_builtin, _add_builtin_opts),
+    }
+    if only not in commands:
+        only = None
     p = _Parser(prog="gradedalg",
                 description="exact computations with group-graded algebras")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    pr = sub.add_parser("radical", help="radical dims, gradedness, nilpotency index")
-    _add_input_opts(pr)
-    pr.set_defaults(func=cmd_radical)
-
-    pd = sub.add_parser("decompose", help="graded-simple components / complements")
-    _add_input_opts(pd)
-    pd.set_defaults(func=cmd_decompose)
-
-    pc = sub.add_parser("codim", help="codimension sequence table")
-    _add_input_opts(pc)
-    pc.add_argument("--n-max", type=int, default=3)
-    pc.add_argument("--mode", choices=("gr", "h", "both"), default="gr")
-    pc.add_argument("--predicted-d", type=int, default=None)
-    pc.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                    help="hard cap on n (resource guard)")
-    pc.add_argument("--max-blocks", type=int, default=DEFAULT_MAX_BLOCKS,
-                    help="hard cap on the number of degree assignments (all m^n "
-                         "labellings, not the multisets computed) per n")
-    pc.set_defaults(func=cmd_codim)
-
-    pi = sub.add_parser("check-identity", help="test a multilinear graded polynomial")
-    _add_input_opts(pi)
-    pi.add_argument("--poly", required=True, help="polynomial description JSON file")
-    pi.set_defaults(func=cmd_check_identity)
-
-    pv = sub.add_parser("verify", help="run the radical gradedness checks")
-    _add_input_opts(pv)
-    pv.set_defaults(func=cmd_verify)
-
-    pb = sub.add_parser("builtin", help="print a builtin algebra description")
-    pb.add_argument("name")
-    pb.add_argument("--json-out")
-    pb.set_defaults(func=cmd_builtin)
+    sub = p.add_subparsers(dest="cmd", required=True,
+                           metavar=None if only is None else "{" + ",".join(commands) + "}")
+    for name, (help_text, func, add_opts) in commands.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            add_opts(sp)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named subcommand needs only its own subparser; anything else (no
+    # arguments, -h, an unknown command) gets the whole tree
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,13 +5,16 @@ Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
 included). `Reducer` is the one elimination: it keeps its RREF rows sparse,
 as {column: entry} dicts indexed by pivot, and reduces a vector only at the
 pivots in its support (`_reduce`, the one reduce loop). `Reducer.insert` and
-the `Subspace` tests take a dense sequence or a sparse dict. `rank`,
-`kernel`, `solve`, `invert`, subspace sums and intersections and every span
-are read off a Reducer's pivots and rows. `Subspace` is the currency passed
-between the algebra, radical and structure layers; it carries its sparse
-RREF basis rows and their pivot columns, so two subspaces are equal iff
-their basis rows are identical, a plain dict comparison. Its dense basis
-matrix is built only when asked for.
+the `Subspace` tests take a dense sequence or a sparse dict. `rank`, null
+spaces (`null_space`, and `kernel` on a dense `Mat`), solves (`solve_rows`,
+and `solve` on a dense `Mat`), subspace sums and intersections and every
+span are read off a Reducer's pivots and rows; `null_space` and `solve_rows`
+take their equations as sparse rows, so the radical, quotient and structure
+layers build no dense matrix. `axpy` adds a multiple of one sparse vector to
+another. `Subspace` is the currency passed between the algebra, radical and
+structure layers; it carries its sparse RREF basis rows and their pivot
+columns, so two subspaces are equal iff their basis rows are identical, a
+plain dict comparison. Its dense basis matrix is built only when asked for.
 """
 
 from __future__ import annotations
@@ -64,11 +67,19 @@ def dense(sv: dict, n: int) -> list:
     return w
 
 
-def axpy(acc: list, c, v):
-    """acc += c v in place, skipping the zero entries of v."""
-    for i, x in enumerate(v):
-        if x:
-            acc[i] += c * x
+def axpy(acc: dict, c, v: dict):
+    """acc += c v in place on sparse vectors {index: entry}; entries that
+    cancel are dropped."""
+    for i, x in v.items():
+        y = acc.get(i)
+        if y is None:
+            acc[i] = c * x
+        else:
+            y += c * x
+            if y:
+                acc[i] = y
+            else:
+                del acc[i]
 
 
 class Mat:
@@ -146,7 +157,9 @@ def _checked_sparse(v, ambient: int) -> dict:
 
 def _subtract(v: dict, c, row: dict, p: int):
     """v -= c row in place, for a row with entry 1 at p and v's entry at p
-    already removed; entries that cancel are dropped."""
+    already removed; entries that cancel are dropped. `axpy` with the entry
+    at p skipped: this is the inner loop of every elimination, and the
+    entry that cancels by construction costs no Fraction arithmetic here."""
     for j, x in row.items():
         if j != p:
             y = v.get(j)
@@ -179,8 +192,8 @@ class Reducer:
     as sparse rows {column: entry}, one per pivot column, in `pivot_rows`;
     `pivots` lists the pivots in increasing order. A vector is reduced only at
     the pivots in its own support, and each subtraction touches only a row's
-    nonzero entries. Every rank, kernel, solve, inverse and subspace (and
-    every closure loop above this module) is read off one Reducer. `rows`
+    nonzero entries. Every rank, null space, solve and subspace (and every
+    closure loop above this module) is read off one Reducer. `rows`
     gives the basis as fresh dense lists in pivot order.
     """
 
@@ -351,38 +364,44 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
                         for p, row in red.pivot_rows.items() if p >= n})
 
 
+def null_space(ambient: int, rows: Iterable) -> Subspace:
+    """{v : r . v = 0 for every r in rows}, the rows dense sequences or
+    sparse dicts of length `ambient`; dim = ambient - rank. Each free column
+    f of the rows' RREF gives the vector with 1 at f and -row[f] at each
+    row's pivot: read off the sparse rows, with no dense matrix. These
+    vectors also span the annihilator of the span of the rows when the rows
+    are read as vectors (`algebra.quotient_algebra` uses this)."""
+    pivot_rows = Reducer(ambient, rows).pivot_rows
+    free = {f: {f: ONE} for f in range(ambient) if f not in pivot_rows}
+    for p, row in pivot_rows.items():
+        for f, c in row.items():
+            if f != p:
+                free[f][p] = -c
+    return Subspace.from_vectors(ambient, free.values())
+
+
 def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0}; dim = cols - rank. Each free column f gives
-    the vector with 1 at f and -row[f] at each row's pivot."""
-    red = Reducer(m.cols, m.data)
-    rows = red.pivot_rows
-    return Subspace.from_vectors(
-        m.cols, [{f: ONE, **{p: -row[f] for p, row in rows.items() if f in row}}
-                 for f in range(m.cols) if f not in rows])
+    """Null space {v : m v = 0} of a dense matrix: `null_space` of its rows."""
+    return null_space(m.cols, m.data)
 
 
-def solve(m: Mat, rhs: Sequence):
-    """One exact solution x of m x = rhs with free variables set to zero,
-    or None when the system is infeasible (the rhs column is a pivot)."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatchError("rhs length differs from row count")
-    red = Reducer(m.cols + 1, [row + (b,) for row, b in zip(m.data, rhs)])
-    if m.cols in red.pivot_rows:
+def solve_rows(nunk: int, rows: Iterable):
+    """One exact solution x of a linear system in nunk unknowns with free
+    variables set to zero, or None when the system is infeasible. Each
+    equation is a row of width nunk + 1, a dense sequence or a sparse dict,
+    whose column nunk is the right-hand side; the rows enter one Reducer and
+    x is read off its pivot rows. Infeasible means the rhs column is a pivot."""
+    red = Reducer(nunk + 1, rows)
+    if nunk in red.pivot_rows:
         return None
-    x = [ZERO] * m.cols
+    x = [ZERO] * nunk
     for p, row in red.pivot_rows.items():
-        x[p] = row.get(m.cols, ZERO)
+        x[p] = row.get(nunk, ZERO)
     return tuple(x)
 
 
-def invert(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises on singular input (a pivot of
-    [m | I] beyond column n - 1)."""
-    if m.rows != m.cols:
-        raise DimensionMismatchError("only square matrices can be inverted")
-    n = m.rows
-    red = Reducer(2 * n, [{**sparse(row), n + i: ONE} for i, row in enumerate(m.data)])
-    if red.pivots != list(range(n)):
-        raise DimensionMismatchError("matrix is singular")
-    return Mat([[red.pivot_rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)],
-               cols=n)
+def solve(m: Mat, rhs: Sequence):
+    """`solve_rows` on the dense system m x = rhs."""
+    if len(rhs) != m.rows:
+        raise DimensionMismatchError("rhs length differs from row count")
+    return solve_rows(m.cols, [row + (b,) for row, b in zip(m.data, rhs)])

@@ -8,11 +8,12 @@ rows and columns, so its rank depends only on the multiset of labels: each
 multiset's block is computed once and weighted by the multinomial count of
 its labellings (`_codim_blocks`, associative algebras only). Since
 A_g A_h lies in A_{gh}, the grading rules out most multisets before any
-vector is built: `_live_label_orbits` walks the degrees that the prefix
+vector is built: `_live_levels` walks the degrees that the prefix
 products of some order of the labels can reach, and a multiset that reaches
 none has every word product 0. Only the live multisets are built; the rest
-add 0 to c_n. The resource guard still counts all |support|^n labellings,
-and a report checks it for every n it will compute before computing any.
+add 0 to c_n. A report grows the live multisets of n + 1 from those of n.
+The resource guard still counts all |support|^n labellings, and a report
+checks it for every n it will compute before computing any.
 
 `codim_block` walks the word orders as a tree of partial products over the
 integer table `GradedAlgebra.integer_structure`: every row of a block is
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, product as iproduct
+from itertools import groupby, islice, product as iproduct
 from math import factorial
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
@@ -175,10 +176,13 @@ def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
             f"{m}^{n} = {m ** n} degree assignments exceed the cap of {max_blocks}")
 
 
-def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> int:
+def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
+                comps: list | None = None) -> int:
     """Rank of one assignment block: variable i ranges over the basis of the
     component of degs[i]; rows are the n! word orders, columns are (matching
-    basis tuple) x (output coordinate).
+    basis tuple) x (output coordinate). `comps`, when given, holds the basis
+    indices of each label's component, as `_codim_blocks` hands them over by
+    support index; otherwise each label's component is looked up.
 
     Word orders are walked depth first. A node holds the nonzero products of
     the variables placed so far, one per basis choice, keyed by the column
@@ -201,7 +205,8 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> in
     at once. The offsets are mixed-radix, so a leaf's key fixes its row: each
     distinct nonzero row enters the Reducer once.
     """
-    comps = [A.component_indices(g) for g in degs]
+    if comps is None:
+        comps = [A.component_indices(g) for g in degs]
     if any(not c for c in comps):
         return 0
     if products is None:
@@ -252,10 +257,12 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> in
     return red.dim
 
 
-def _live_label_orbits(A: GradedAlgebra, n: int) -> list:
-    """Each multiset of n support labels that can give a nonzero block, as a
-    sorted tuple of labels, with the multinomial count of the labellings that
-    rearrange it.
+def _live_levels(A: GradedAlgebra):
+    """Yield, for n = 1, 2, ..., the multisets of n support indices that can
+    give a nonzero block, each a sorted tuple mapped to the set of support
+    indices of the degrees its prefix products can reach. Level n + 1 is
+    grown from level n, so a report that runs n up hands each level on to
+    the next n.
 
     The step table holds, for each pair (r, s) of support indices such that
     some e_i e_j with e_i in A_r and e_j in A_s is nonzero, the support index
@@ -266,42 +273,44 @@ def _live_label_orbits(A: GradedAlgebra, n: int) -> list:
     the prefix products of its orders can reach. A multiset that is never
     reached has every word product 0 and a block of rank 0.
     """
-    support = A.support
     index = [0] * A.dim
-    for s, g in enumerate(support):
+    for s, g in enumerate(A.support):
         for i in A.component_indices(g):
             index[i] = s
-    step = [set() for _ in support]
+    step = [set() for _ in A.support]
     for i, plane in enumerate(A.integer_structure[1]):
         for j, row in enumerate(plane):
             if row:
                 step[index[i]].add((index[j], index[row[0][0]]))
-    level = {(s,): {s} for s in range(len(support))}
-    for _ in range(n - 1):
+    level = {(s,): {s} for s in range(len(A.support))}
+    while True:
+        yield level
         grown = {}
         for labels, reach in level.items():
             for r in reach:
                 for s, t in step[r]:
                     grown.setdefault(tuple(sorted(labels + (s,))), set()).add(t)
         level = grown
-    orbits = []
+
+
+def _codim_blocks(A: GradedAlgebra, n: int, level: dict) -> list:
+    """(labelling count, block rank) per live multiset of n support labels,
+    the keys of `level` (from `_live_levels`), in sorted order; every other
+    multiset has rank 0 and is never built. Each block gets its components
+    by support index. The blocks share one product table, which is dropped
+    on return."""
+    products = _Products(A)
+    comps = [A.component_indices(g) for g in A.support]
+    blocks = []
     for labels in sorted(level):
         mult = factorial(n)
         for _, run in groupby(labels):
             mult //= factorial(len(list(run)))
-        orbits.append((tuple(support[s] for s in labels), mult))
-    return orbits
-
-
-def _codim_blocks(A: GradedAlgebra, n: int) -> list:
-    """(labelling count, block rank) per live multiset of n support labels;
-    every other multiset has rank 0 and is never built. The blocks share one
-    product table, which is dropped on return."""
-    products = _Products(A)
-    # called through the module global, so that a wrapper put there sees
-    # every block that is built
-    return [(mult, codim_block(A, labels, products))
-            for labels, mult in _live_label_orbits(A, n)]
+        # called through the module global, so that a wrapper put there
+        # sees every block that is built
+        blocks.append((mult, codim_block(A, tuple(A.support[s] for s in labels), products,
+                                         [comps[s] for s in labels])))
+    return blocks
 
 
 def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
@@ -310,7 +319,8 @@ def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     once per live label multiset and weighted by the multinomial. The
     trivial group reproduces ordinary codimensions."""
     _guard(A, n, max_n, max_blocks)
-    return sum(mult * rank for mult, rank in _codim_blocks(A, n))
+    level = next(islice(_live_levels(A), n - 1, None))
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n, level))
 
 
 def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
@@ -463,13 +473,16 @@ def codimension_report(A: GradedAlgebra, n_max: int,
     for n in range(1, n_max + 1):
         if n not in settled:
             _guard(A, n, max_n, max_blocks)
+    # the settled n are every n from the nilpotency index on, so the levels
+    # of the n computed follow one another
+    levels = _live_levels(A)
     for n in range(1, n_max + 1):
         if n in settled:
             values.append(0)
             per_n.append({"n": n, "assignments": m ** n, "computed": 0,
                           "nonzero_blocks": 0})
             continue
-        blocks = _codim_blocks(A, n)
+        blocks = _codim_blocks(A, n, next(levels))
         values.append(sum(mult * rank for mult, rank in blocks))
         per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
                       "nonzero_blocks": sum(mult for mult, rank in blocks if rank),

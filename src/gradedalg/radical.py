@@ -12,6 +12,10 @@ since J(E) is the radical of the trace form of E (see `nilradical`). The
 Killing form and the ad-word span are read off the sparse structure
 constants. With verify=True each radical runs the same post-checks
 (`_post_check`).
+
+Every radical is the `null_space` of its rows, one Reducer and no dense
+matrix; the trace form's rows are sparse integer rows (`_trace_form_radical`).
+That one call is also where a test can hand a radical a wrong candidate.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, graded_check,
                       nilpotency_index, quotient_algebra)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import Mat, Reducer, Subspace, ZERO, kernel
+from .exactlin import Mat, Reducer, Subspace, ZERO, null_space
 
 
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
@@ -47,11 +51,25 @@ def _trace_form_radical(A: GradedAlgebra) -> Subspace:
     non-unital A, where J(A) is J(A (+) Q.1) ^ A. For x in A, L(x) sends 1 to
     x, off the diagonal, so its trace on A (+) Q.1 is its trace on A. The one
     extra pairing, (x, 1) -> tr(L(x)), vanishes on the kernel anyway: there
-    tr(L(x)^k) = tr(L(x . x^(k-1))) = 0 for k >= 2, so L(x) is nilpotent."""
-    tvec = A.left_mult_traces
-    gram = [[sum((c * tvec[k] for k, c in A.structure[i][j]), ZERO) for j in range(A.dim)]
-            for i in range(A.dim)]
-    return kernel(Mat(gram, cols=A.dim))
+    tr(L(x)^k) = tr(L(x . x^(k-1))) = 0 for k >= 2, so L(x) is nilpotent.
+
+    The Gram rows are built in integers from the nonempty rows of
+    `integer_structure`: G_ij = sum_k C_ijk T_k with C = D c and the integer
+    traces T_k = D tr L(e_k), so G is D^2 times the rational Gram matrix and
+    has the same kernel. T_k = 0 for e_k of degree other than e, so G_ij can
+    be nonzero only when deg e_i deg e_j = e: each row is sparse."""
+    traces = A.integer_traces
+    rows = []
+    for plane in A.integer_structure[1]:
+        row = {}
+        for j, terms in enumerate(plane):
+            if terms:
+                g = sum(c * traces[k] for k, c in terms)
+                if g:
+                    row[j] = g
+        if row:
+            rows.append(row)
+    return null_space(A.dim, rows)
 
 
 def jacobson_radical(A: GradedAlgebra, verify: bool = True) -> Subspace:
@@ -120,7 +138,7 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     K = killing_form(L)
     derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
     rows = [K.mul_vec(d) for d in derived.basis_vectors()]
-    R = kernel(Mat(rows, cols=L.dim))
+    R = null_space(L.dim, rows)
     if verify:
         _post_check(L, R, "solvable radical", "solvable",
                     lambda Q: solvable_radical(Q, verify=False))
@@ -167,7 +185,7 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     n = L.dim
     if n == 0:
         return Subspace.zero(0)
-    N = kernel(Mat([_ad_traces(L, y) for y in _ad_word_span(L)], cols=n))
+    N = null_space(n, [_ad_traces(L, y) for y in _ad_word_span(L)])
     if verify:
         _post_check(L, N, "nilradical", "nilpotent")
     return N

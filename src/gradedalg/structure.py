@@ -3,14 +3,16 @@ simple ideals, graded semisimple complements to the Jacobson radical, and
 graded Levi decompositions.
 
 The semisimple decomposition runs through the degree-e centre C = Z(A) ^ A_e,
-one kernel. Every graded ideal of a graded semisimple unital A is A.f for a
-central idempotent f of degree e, so the graded-simple components are the A.f
-for the primitive idempotents f of the commutative semisimple C. A piece A.f
-is final when C.f = C ^ A.f is Q f, or Q[c] for a c whose minimal polynomial
-has degree <= 3 and no rational root, so is irreducible and C.f a field.
+one null space of sparse integer rows. Every graded ideal of a graded
+semisimple unital A is A.f for a central idempotent f of degree e, so the
+graded-simple components are the A.f for the primitive idempotents f of the
+commutative semisimple C. A piece A.f is final when C.f = C ^ A.f is Q f,
+or Q[c] for a c whose minimal polynomial has degree <= 3 and no rational
+root, so is irreducible and C.f a field.
 Otherwise a rational root l of the minimal polynomial m = (x - l) q of some c
 in C.f gives the idempotent f' = q(c) / q(l), and A.f = A.f' (+) A.(f - f').
 Nothing beyond this rational-root test is factored: such a piece is refused.
+Idempotents and powers are sparse dicts, multiplied by `mul_sparse`.
 
 The Mal'cev complement (I = J, the Jacobson radical) and the Levi subalgebra
 (I = R, the solvable radical) are one routine, `graded_complement`. It takes
@@ -22,7 +24,8 @@ I_k . I_k = I_{k+1}, the s_a make I_k / I_{k+1} a bimodule (Lie: a module) of
 the semisimple A/I, and the defect of s is a 2-cocycle there. It is a
 coboundary, so step k is solvable: by the Wedderburn-Mal'cev theorem
 (Hochschild H^2 = 0) for associative A/I, by Whitehead's second lemma for Lie
-A/I. The chain reaches zero because I is nilpotent or solvable.
+A/I. The chain reaches zero because I is nilpotent or solvable. The section
+is sparse, and each step is one sparse elimination (`solve_rows`).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from math import isqrt, lcm
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, axpy, kernel, solve, sparse,
-                       unit_vector)
+from .exactlin import (ONE, Reducer, Subspace, ZERO, axpy, null_space, solve_rows,
+                       sparse)
 from .radical import derived_series, jacobson_radical, solvable_radical
 
 
@@ -48,27 +51,38 @@ class GradedDecomposition:
 
 
 def _degree_e_centre(A: GradedAlgebra) -> Subspace:
-    """C = Z(A) ^ A_e: the degree-e vectors z with z e_b = e_b z for every b."""
+    """C = Z(A) ^ A_e: the degree-e vectors z with z e_b = e_b z for every b,
+    the null space of sparse rows: one row e_i per basis vector of degree
+    other than e, and for each (b, k) the coefficient of e_k in
+    e_i e_b - e_b e_i over the degree-e e_i, read off the integer table
+    (D times the rational rows, the same null space)."""
     e = A.group.identity()
-    rows = {i: unit_vector(A.dim, i) for i in range(A.dim) if A.degrees[i] != e}
+    table = A.integer_structure[1]
+    rows = {i: {i: 1} for i in range(A.dim) if A.degrees[i] != e}
     for i in A.component_indices(e):
         for b in range(A.dim):
-            for terms, sign in ((A.structure[i][b], ONE), (A.structure[b][i], -ONE)):
+            for terms, sign in ((table[i][b], 1), (table[b][i], -1)):
                 for k, c in terms:
-                    rows.setdefault((b, k), [ZERO] * A.dim)[i] += sign * c
-    return kernel(Mat(list(rows.values()), cols=A.dim))
+                    row = rows.setdefault((b, k), {})
+                    row[i] = row.get(i, 0) + sign * c
+    return null_space(A.dim, rows.values())
 
 
-def _minimal_polynomial(A: GradedAlgebra, f, c):
-    """(m, K): the monic minimal polynomial m of c in the algebra with unit f,
-    constant term first, and the matrix K whose columns are the powers f, c,
-    ..., c^(deg m - 1), so that K q = q(c) for deg q < deg m."""
+def _minimal_polynomial(A: GradedAlgebra, f: dict, c: dict):
+    """(m, powers): the monic minimal polynomial m of the sparse c in the
+    algebra with unit f, constant term first, and the sparse powers f, c,
+    ..., c^(deg m - 1), so that sum_t q_t powers[t] = q(c) for deg q < deg m.
+    m's lower coefficients solve sum_t x_t powers[t] = c^(deg m), one sparse
+    equation per coordinate."""
     powers, red, p = [f], Reducer(A.dim, [f]), c
     while red.insert(p) is not None:
         powers.append(p)
-        p = A.multiply(p, c)
-    krylov = Mat(list(zip(*powers)), cols=len(powers))
-    return [-a for a in solve(krylov, p)] + [ONE], krylov
+        p = A.mul_sparse(p, c)
+    eqs: dict = {}
+    for t, v in enumerate(powers + [p]):
+        for i, x in v.items():
+            eqs.setdefault(i, {})[t] = x
+    return [-a for a in solve_rows(len(powers), eqs.values())] + [ONE], powers
 
 
 def _divide(m, r):
@@ -94,19 +108,26 @@ def _rational_root(m):
     return next((r for r in candidates if _divide(m, r)[1] == 0), None)
 
 
-def _split(A: GradedAlgebra, centre: Subspace, f):
+def _split(A: GradedAlgebra, centre: Subspace, f: dict):
     """Two orthogonal idempotents of C.f summing to the central idempotent f,
-    or None when A.f is graded-simple (C.f = Q f, or a certified field)."""
-    cf = Subspace.from_vectors(A.dim, [A.multiply(z, f) for z in centre.basis_vectors()])
+    all sparse, or None when A.f is graded-simple (C.f = Q f, or a certified
+    field)."""
+    cf = Subspace.from_vectors(A.dim, [A.mul_sparse(z, f) for z in centre.pivot_rows.values()])
     if cf.dim == 1:
         return None
-    for c in cf.basis_vectors():
-        m, krylov = _minimal_polynomial(A, f, c)
+    for c in (cf.pivot_rows[p] for p in cf.pivots):
+        m, powers = _minimal_polynomial(A, f, c)
         root = _rational_root(m) if len(m) > 2 else None
         if root is not None:
             q, _ = _divide(m, root)
-            half = tuple(x / _divide(q, root)[1] for x in krylov.mul_vec(q))
-            return half, tuple(x - y for x, y in zip(f, half))
+            scale = _divide(q, root)[1]
+            half: dict = {}
+            for a, v in zip(q, powers):
+                if a:
+                    axpy(half, a / scale, v)
+            rest = dict(f)
+            axpy(rest, -ONE, half)
+            return half, rest
         if len(m) - 1 == cf.dim <= 3:
             return None
     raise ValidationError(
@@ -130,14 +151,13 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
         raise NotSemisimpleError("algebra has a nonzero radical")
     centre = _degree_e_centre(A)
     final = []
-    stack = [A.unit]
+    stack = [sparse(A.unit)]
     while stack:
         f = stack.pop()
         halves = _split(A, centre, f)
-        if halves is None:
-            sf = sparse(f)      # A.f, spanned by the e_i f
+        if halves is None:      # A.f, spanned by the e_i f
             final.append(Subspace.from_vectors(
-                A.dim, [A.mul_sparse({i: ONE}, sf) for i in range(A.dim)]))
+                A.dim, [A.mul_sparse({i: ONE}, f) for i in range(A.dim)]))
         else:
             stack += halves
     final.sort(key=lambda s: (s.dim, s.mat.data))
@@ -154,10 +174,10 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     return GradedDecomposition(final)
 
 
-def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:
+def _image(Q: GradedAlgebra, section: list, a: int, b: int) -> dict:
     """sum_k mu^k_ab s_k: the product of quotient basis vectors a, b carried
-    back along the section."""
-    out = [ZERO] * A.dim
+    back along the sparse section."""
+    out: dict = {}
     for k, mu in Q.structure[a][b]:
         axpy(out, mu, section[k])
     return out
@@ -165,52 +185,61 @@ def _image(A: GradedAlgebra, Q: GradedAlgebra, section, a: int, b: int) -> list:
 
 def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
                   ideal: Subspace, below: Subspace):
-    """Correct the homogeneous section of A -> Q in place by t_a in the ideal.
+    """Correct the homogeneous section of A -> Q, sparse dicts, in place by
+    t_a in the ideal.
 
     Solves s_a t_b + t_a s_b - sum_k mu^k_ab t_k = -defect_ab modulo `below`
     with t_a in ideal ^ A_{deg a}, where defect_ab = s_a s_b - sum_k mu^k_ab s_k
     and mu are the structure constants of Q. The dropped terms t_a t_b must lie
-    in `below`. The correction is the echelon particular solution (free
-    variables zero), hence deterministic.
+    in `below`. The ideal is graded (`quotient_algebra` refuses one that is
+    not, and each I_k is a product span of graded subspaces), so its RREF
+    rows are homogeneous and the block of unknowns of degree g is read off
+    the rows whose pivot has degree g. The products are `mul_sparse` on the
+    sparse rows; only the nonzero columns of each (a, b) pass through
+    `below.residual`, and each nonzero coordinate of the reduced columns and
+    right-hand side is one equation of one Reducer. The correction is its
+    echelon solution (free variables zero), hence deterministic.
     """
+    by_degree: dict = {}
+    for p in ideal.pivots:
+        by_degree.setdefault(A.degrees[p], []).append(ideal.pivot_rows[p])
     blocks = []
     offsets = []
     nunk = 0
     for g in Q.degrees:
-        comp = Subspace.from_vectors(
-            A.dim, [A.homogeneous_projection(v, g) for v in ideal.basis_vectors()])
-        blocks.append(comp.basis_vectors())
+        blocks.append(by_degree.get(g, []))
         offsets.append(nunk)
-        nunk += comp.dim
+        nunk += len(blocks[-1])
     rows = []
-    rhs = []
     for a, sa in enumerate(section):
         for b, sb in enumerate(section):
-            cols = [[ZERO] * A.dim for _ in range(nunk)]
+            cols: dict = {}
             for u, t in enumerate(blocks[b]):
-                axpy(cols[offsets[b] + u], ONE, A.multiply(sa, t))
+                axpy(cols.setdefault(offsets[b] + u, {}), ONE, A.mul_sparse(sa, t))
             for u, t in enumerate(blocks[a]):
-                axpy(cols[offsets[a] + u], ONE, A.multiply(t, sb))
+                axpy(cols.setdefault(offsets[a] + u, {}), ONE, A.mul_sparse(t, sb))
             for k, mu in Q.structure[a][b]:
                 for u, t in enumerate(blocks[k]):
-                    axpy(cols[offsets[k] + u], -mu, t)
+                    axpy(cols.setdefault(offsets[k] + u, {}), -mu, t)
             # -defect_ab = sum_k mu^k_ab s_k - s_a s_b
-            neg_defect = [e - p for p, e in zip(A.multiply(sa, sb), _image(A, Q, section, a, b))]
-            red_cols = [below.residual(col) for col in cols]
-            red_rhs = below.residual(neg_defect)
-            for i in range(A.dim):
-                row = [rc[i] for rc in red_cols]
-                if any(x != 0 for x in row) or red_rhs[i] != 0:
-                    rows.append(row)
-                    rhs.append(red_rhs[i])
-    if not rows:
-        return
-    sol = solve(Mat(rows, cols=nunk), rhs)
+            neg_defect = _image(Q, section, a, b)
+            axpy(neg_defect, -ONE, A.mul_sparse(sa, sb))
+            eqs: dict = {}
+            for x, col in cols.items():
+                if col:
+                    for i, c in below.residual(col).items():
+                        eqs.setdefault(i, {})[x] = c
+            for i, c in below.residual(neg_defect).items():
+                eqs.setdefault(i, {})[nunk] = c
+            rows += eqs.values()
+    sol = solve_rows(nunk, rows)
     if sol is None:
         raise InternalCheckError("section lifting system is infeasible")
     for a, block in enumerate(blocks):
         for u, t in enumerate(block):
-            axpy(section[a], sol[offsets[a] + u], t)
+            x = sol[offsets[a] + u]
+            if x:
+                axpy(section[a], x, t)
 
 
 def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
@@ -228,7 +257,7 @@ def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
     if I.is_zero():
         return Subspace.full(A.dim)
     q = quotient_algebra(A, I)
-    section = [list(v) for v in q.section]
+    section = [{i: ONE} for i in q.indices]
     series = derived_series(A, I)
     if not series[-1].is_zero():
         raise InternalCheckError("ideal is not solvable: I_k . I_k = I_k != 0")
@@ -244,7 +273,7 @@ def _verify_complement(A, B, I, Q, section):
         raise InternalCheckError("complement does not split the algebra")
     for a in range(Q.dim):
         for b in range(Q.dim):
-            if list(A.multiply(section[a], section[b])) != _image(A, Q, section, a, b):
+            if A.mul_sparse(section[a], section[b]) != _image(Q, section, a, b):
                 raise InternalCheckError("complement section is not multiplicative")
     if not graded_check(B, A)[0]:
         raise InternalCheckError("complement is not graded")

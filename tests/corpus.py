@@ -18,10 +18,11 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, gl2_z2, heisenberg3,
                                 matrix_algebra, matrix_algebra_z2, sl2,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
-from gradedalg.exactlin import Mat, Subspace, invert
+from gradedalg.exactlin import Mat, Subspace
 from gradedalg.groups import CyclicGroup, ProductGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical
 from gradedalg.structure import malcev_complement_graded
+from tests.dense import invert
 
 MAX_DIM = 8
 

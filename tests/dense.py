@@ -1,15 +1,23 @@
-"""Dense matrix product and trace, the algebra product summed over the
-structure constants, Gauss-Jordan elimination over full-width rows, and the
-associativity and Lie checks as triple loops: the references the tests check
-the library's matrices (inverses, left multiplication, the Killing form),
-products, ideal closures, sparse elimination and constructor checks
-against."""
+"""Dense matrix product, inverse and trace, the algebra product summed over
+the structure constants, Gauss-Jordan elimination over full-width rows, the
+associativity and Lie checks as triple loops, and the radical, quotient and
+structure routines as they were on dense Fraction vectors (a dense Gram or
+Killing matrix and `kernel`, a quotient through `invert`, the section lift,
+the degree-e centre and the idempotent split on dense vectors): the
+references the tests check the library's matrices (inverses, left
+multiplication, the Killing form), products, ideal closures, sparse
+elimination, constructor checks, radicals, quotients, complements and
+graded-simple components against."""
 
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 
-from gradedalg.exactlin import Mat, Subspace
+from gradedalg.algebra import GradedAlgebra, QuotientResult
+from gradedalg.errors import DimensionMismatchError, InternalCheckError
+from gradedalg.exactlin import Mat, Reducer, Subspace, kernel, solve, sparse, unit_vector
+from gradedalg.radical import _ad_traces, _ad_word_span, derived_series, killing_form
+from gradedalg.structure import _divide, _rational_root
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -21,6 +29,19 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 def trace(m: Mat) -> Fraction:
     return sum((m.data[i][i] for i in range(min(m.rows, m.cols))), Fraction(0))
+
+
+def invert(m: Mat) -> Mat:
+    """Inverse of a square matrix; raises on singular input (a pivot of
+    [m | I] beyond column n - 1)."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("only square matrices can be inverted")
+    n = m.rows
+    red = Reducer(2 * n, [{**sparse(row), n + i: Fraction(1)} for i, row in enumerate(m.data)])
+    if red.pivots != list(range(n)):
+        raise DimensionMismatchError("matrix is singular")
+    return Mat([[red.pivot_rows[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)],
+               cols=n)
 
 
 def dense_multiply(A, a, b) -> tuple:
@@ -138,3 +159,157 @@ def structure_failure(dim: int, constants: dict, kind: str = "associative"):
         if any(map(sum, zip(*terms))):
             return f"Jacobi identity fails on ({i},{j},{k})"
     return None
+
+
+# -- radicals, quotients and structure on dense vectors --------------------
+
+def _axpy(acc: list, c, v):
+    for i, x in enumerate(v):
+        if x:
+            acc[i] += c * x
+
+
+def jacobson_radical_dense(A) -> Subspace:
+    """The kernel of the dense Gram matrix tr L(e_i e_j) = sum_k c_ij^k tr L(e_k)."""
+    t = A.left_mult_traces
+    gram = [[sum((c * t[k] for k, c in A.structure[i][j]), Fraction(0)) for j in range(A.dim)]
+            for i in range(A.dim)]
+    return kernel(Mat(gram, cols=A.dim))
+
+
+def solvable_radical_dense(L) -> Subspace:
+    """The kernel of the dense rows K d, K the Killing matrix, d over a basis of [L, L]."""
+    K = killing_form(L)
+    derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
+    return kernel(Mat([K.mul_vec(d) for d in derived.basis_vectors()], cols=L.dim))
+
+
+def nilradical_dense(L) -> Subspace:
+    return kernel(Mat([_ad_traces(L, y) for y in _ad_word_span(L)], cols=L.dim))
+
+
+def quotient_dense(A, ideal) -> QuotientResult:
+    """A/I on the greedy standard-vector complement, its projection the last
+    rows of the inverse of [ideal basis; chosen unit vectors]^T."""
+    red = Reducer(A.dim, ideal.pivot_rows.values())
+    chosen = [i for i in range(A.dim) if red.insert({i: Fraction(1)})]
+    rows = [list(r) for r in ideal.basis_vectors()] + [list(unit_vector(A.dim, i)) for i in chosen]
+    binv = invert(Mat(rows, cols=A.dim).transpose())
+    proj = Mat(binv.data[ideal.dim:], cols=A.dim)
+    proj_cols = proj.transpose().data
+    structure = {}
+    for a, i in enumerate(chosen):
+        for b, j in enumerate(chosen):
+            acc = [Fraction(0)] * len(chosen)
+            for k, c in A.structure[i][j]:
+                _axpy(acc, c, proj_cols[k])
+            structure.update({(a, b, r): x for r, x in enumerate(acc) if x != 0})
+    unit = proj.mul_vec(A.unit) if A.unit is not None else None
+    Q = GradedAlgebra(A.group, [A.degrees[i] for i in chosen], structure, kind=A.kind,
+                      unit=unit, name=A.name + "/I" if A.name else "")
+    return QuotientResult(Q, tuple(unit_vector(A.dim, i) for i in chosen), proj, tuple(chosen))
+
+
+def _image_dense(Q, section, a, b) -> list:
+    out = [Fraction(0)] * len(section[0])
+    for k, mu in Q.structure[a][b]:
+        _axpy(out, mu, section[k])
+    return out
+
+
+def lift_section_dense(A, Q, section, ideal, below):
+    """The section lift on dense vectors: each block projected from the whole
+    ideal basis, one dense column per unknown, one `solve` on a dense matrix."""
+    blocks, offsets, nunk = [], [], 0
+    for g in Q.degrees:
+        comp = Subspace.from_vectors(
+            A.dim, [A.homogeneous_projection(v, g) for v in ideal.basis_vectors()])
+        blocks.append(comp.basis_vectors())
+        offsets.append(nunk)
+        nunk += comp.dim
+    rows, rhs = [], []
+    for a, sa in enumerate(section):
+        for b, sb in enumerate(section):
+            cols = [[Fraction(0)] * A.dim for _ in range(nunk)]
+            for u, t in enumerate(blocks[b]):
+                _axpy(cols[offsets[b] + u], 1, A.multiply(sa, t))
+            for u, t in enumerate(blocks[a]):
+                _axpy(cols[offsets[a] + u], 1, A.multiply(t, sb))
+            for k, mu in Q.structure[a][b]:
+                for u, t in enumerate(blocks[k]):
+                    _axpy(cols[offsets[k] + u], -mu, t)
+            neg_defect = [e - p for p, e in zip(A.multiply(sa, sb), _image_dense(Q, section, a, b))]
+            red_cols = [below.residual(col) for col in cols]
+            red_rhs = below.residual(neg_defect)
+            for i in range(A.dim):
+                row = [rc[i] for rc in red_cols]
+                if any(row) or red_rhs[i]:
+                    rows.append(row)
+                    rhs.append(red_rhs[i])
+    if not rows:
+        return
+    sol = solve(Mat(rows, cols=nunk), rhs)
+    if sol is None:
+        raise InternalCheckError("section lifting system is infeasible")
+    for a, block in enumerate(blocks):
+        for u, t in enumerate(block):
+            _axpy(section[a], sol[offsets[a] + u], t)
+
+
+def graded_complement_dense(A, I) -> Subspace:
+    """The graded complement through `quotient_dense` and `lift_section_dense`."""
+    if I.is_zero():
+        return Subspace.full(A.dim)
+    q = quotient_dense(A, I)
+    section = [list(v) for v in q.section]
+    series = derived_series(A, I)
+    for power, below in zip(series, series[1:]):
+        lift_section_dense(A, q.algebra, section, power, below)
+    return Subspace.from_vectors(A.dim, section)
+
+
+def wedderburn_dense(A) -> list:
+    """The graded-simple components of a semisimple unital A in canonical
+    order, from the dense degree-e centre and dense idempotent splits."""
+    e = A.group.identity()
+    rows = {i: unit_vector(A.dim, i) for i in range(A.dim) if A.degrees[i] != e}
+    for i in A.component_indices(e):
+        for b in range(A.dim):
+            for terms, sign in ((A.structure[i][b], 1), (A.structure[b][i], -1)):
+                for k, c in terms:
+                    rows.setdefault((b, k), [Fraction(0)] * A.dim)[i] += sign * c
+    centre = kernel(Mat(list(rows.values()), cols=A.dim))
+
+    def minimal_polynomial(f, c):
+        powers, red, p = [f], Reducer(A.dim, [f]), c
+        while red.insert(p) is not None:
+            powers.append(p)
+            p = A.multiply(p, c)
+        krylov = Mat(list(zip(*powers)), cols=len(powers))
+        return [-a for a in solve(krylov, p)] + [Fraction(1)], krylov
+
+    def split(f):
+        cf = Subspace.from_vectors(A.dim, [A.multiply(z, f) for z in centre.basis_vectors()])
+        if cf.dim == 1:
+            return None
+        for c in cf.basis_vectors():
+            m, krylov = minimal_polynomial(f, c)
+            root = _rational_root(m) if len(m) > 2 else None
+            if root is not None:
+                q, _ = _divide(m, root)
+                half = tuple(x / _divide(q, root)[1] for x in krylov.mul_vec(q))
+                return half, tuple(x - y for x, y in zip(f, half))
+            if len(m) - 1 == cf.dim <= 3:
+                return None
+        raise ValueError("split needs factoring")
+
+    final, stack = [], [A.unit]
+    while stack:
+        f = stack.pop()
+        halves = split(f)
+        if halves is None:
+            final.append(Subspace.from_vectors(
+                A.dim, [A.multiply(A.basis_vector(i), f) for i in range(A.dim)]))
+        else:
+            stack += halves
+    return sorted(final, key=lambda s: (s.dim, s.mat.data))

@@ -10,13 +10,13 @@ from gradedalg.algebra import GradedAlgebra
 from gradedalg.builders import matrix_algebra_z2
 from gradedalg.errors import DimensionMismatchError, ValidationError
 from gradedalg.exactlin import (Mat, Reducer, Subspace, dense, kernel, rank,
-                                solve, invert, sparse, subspace_intersection,
+                                solve, sparse, subspace_intersection,
                                 subspace_sum, is_zero_vector)
 from gradedalg.groups import TrivialGroup
 from gradedalg.hopf import DualFunctional, dual_action
 from gradedalg.identities import MultilinearGradedPoly
 from tests.corpus import random_matrices
-from tests.dense import DenseGaussJordan, matmul
+from tests.dense import DenseGaussJordan, invert, matmul
 from tests.oracles import bareiss_rank
 
 F = Fraction

@@ -481,6 +481,34 @@ def test_only_live_blocks_are_built(monkeypatch, name, n, value, blocks):
     assert len(built) == len(set(built)) == blocks
 
 
+@pytest.mark.parametrize("name, n_max, values", [
+    ("free_trunc_2_3", 5, [7, 19, 37, 61, 91]),
+    ("ut2", 5, [2, 5, 13, 33, 81]),
+])
+def test_report_grows_each_level_once(monkeypatch, name, n_max, values):
+    # one walk of the live multisets per report, one level per computed n,
+    # and every block gets its labels' components by support index
+    A = builtin(name)
+    walks, levels = [], identities._live_levels
+
+    def counting(B):
+        walks.append(0)
+        for level in levels(B):
+            walks[-1] += 1
+            yield level
+
+    block = identities.codim_block
+
+    def checking(B, labels, products, comps):
+        assert comps == [B.component_indices(g) for g in labels]
+        return block(B, labels, products, comps)
+
+    monkeypatch.setattr(identities, "_live_levels", counting)
+    monkeypatch.setattr(identities, "codim_block", checking)
+    assert codimension_report(A, n_max).values == values
+    assert walks == [n_max]
+
+
 def _multinomial(labels):
     return factorial(len(labels)) // prod(factorial(k) for k in Counter(labels).values())
 

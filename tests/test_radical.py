@@ -10,7 +10,7 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 matrix_algebra_z2, sl2, gl2_z2, heisenberg3,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
 from gradedalg.errors import InternalCheckError, ValidationError
-from gradedalg.exactlin import Mat, Subspace, kernel, unit_vector
+from gradedalg.exactlin import Mat, Subspace, kernel, null_space, unit_vector
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import (derived_series, graded_check, graded_radical_report,
                                jacobson_radical, killing_form, nilradical,
@@ -289,15 +289,17 @@ def test_non_unital_jacobson_radical_matches_the_unitalization():
 
 
 def _first_kernel_returns(monkeypatch, rows, dim):
-    # the first `kernel` call of each radical builds its candidate; later
+    # the first `null_space` call of each radical builds its candidate; later
     # calls (the radical of the quotient) stay exact
     import gradedalg.radical
     calls = []
 
-    def fake(m):
-        calls.append(m)
-        return Subspace.from_vectors(dim, rows) if len(calls) == 1 else kernel(m)
-    monkeypatch.setattr(gradedalg.radical, "kernel", fake)
+    def fake(ambient, equations):
+        calls.append(ambient)
+        if len(calls) == 1:
+            return Subspace.from_vectors(dim, rows)
+        return null_space(ambient, equations)
+    monkeypatch.setattr(gradedalg.radical, "null_space", fake)
 
 
 # ut3 basis: e11, e12, e13, e22, e23, e33; free_trunc_2_3: 1, a, b, aa, ab,

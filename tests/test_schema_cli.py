@@ -473,6 +473,35 @@ def test_cli_exit_codes(tmp_path, capsys):
                 assert out == "" and "predicted exponent must be a positive integer" in err
 
 
+SUBCOMMANDS = ["radical", "decompose", "codim", "check-identity", "verify", "builtin"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["codim", "--help"], ["builtin", "-h"], ["bogus", "--builtin", "ut2"],
+    ["radical"], ["verify", "--builtin", "ut2", "--input", "x.json"],
+    ["codim", "--builtin", "ut2", "--mode", "xx"], ["codim", "--builtin", "ut2", "extra"],
+    ["check-identity", "--builtin", "ut2"], ["codim", "--builtin", "ut2", "--n-max", "2"],
+])
+def test_cli_parser_of_one_subcommand_reads_as_the_whole_tree(argv, monkeypatch, capsys):
+    # main builds only the named subcommand's parser; usage, help, errors
+    # and exit codes must be those of the whole tree
+    built = []
+    build = gradedalg.cli.build_parser
+
+    def recording(only=None):
+        parser = build(only)
+        built.append(tuple(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(gradedalg.cli, "build_parser", recording)
+    code = main(argv)
+    got = (code, *capsys.readouterr())
+    monkeypatch.setattr(gradedalg.cli, "build_parser", lambda only=None: build())
+    assert got == (main(argv), *capsys.readouterr())
+    named = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    assert built == [tuple(named)]
+
+
 def test_cli_predicted_exponent_needs_three_values(capsys):
     # the verdict compares at least three codimensions, so a prediction that
     # could not be checked is refused instead of silently dropped

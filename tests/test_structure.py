@@ -10,7 +10,7 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 matrix_algebra_z2, sl2, gl2_z2,
                                 two_dim_nonabelian_lie, ut2)
 from gradedalg.errors import InternalCheckError, NotSemisimpleError, ValidationError
-from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank
+from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank, sparse
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical, killing_form, solvable_radical
 from gradedalg.schema import digest, render_rational
@@ -89,7 +89,7 @@ def test_wedderburn_descends_each_component_once(monkeypatch):
     q = matrix_algebra(1, CyclicGroup(2))
     A = direct_sum(direct_sum(matrix_algebra_z2(), fz2()), q)
     assert wedderburn_artin_graded(A).dims() == [1, 2, 4]
-    assert len(calls) == 5 and calls[0][0] == A.unit
+    assert len(calls) == 5 and calls[0][0] == sparse(A.unit)     # idempotents are sparse
     assert sum(final for _, final in calls) == 3
 
 
@@ -102,7 +102,7 @@ def test_wedderburn_post_check_rejects_a_non_ideal_component(monkeypatch):
     M = matrix_algebra_z2()
     e11, e22 = M.basis_vector(0), M.basis_vector(3)
     monkeypatch.setattr(gradedalg.structure, "_split",
-                        lambda A, centre, f: (e11, e22) if f == A.unit else None)
+                        lambda A, centre, f: (sparse(e11), sparse(e22)) if f == sparse(A.unit) else None)
     with pytest.raises(InternalCheckError, match="not a two-sided ideal"):
         wedderburn_artin_graded(M)
 
@@ -115,7 +115,7 @@ def test_wedderburn_post_check_rejects_a_non_graded_component(monkeypatch):
     A = fz2()
     plus, minus = (F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))
     monkeypatch.setattr(gradedalg.structure, "_split",
-                        lambda A, centre, f: (plus, minus) if f == A.unit else None)
+                        lambda A, centre, f: (sparse(plus), sparse(minus)) if f == sparse(A.unit) else None)
     with pytest.raises(InternalCheckError, match="not graded"):
         wedderburn_artin_graded(A)
 
