@@ -8,12 +8,12 @@ over the nonzero c in increasing k, plus one group element per basis vector.
 builds it, and its associativity or Lie check, the traces `integer_traces`
 and `left_mult_traces`, the trace-form radical and the codimension walk read
 it. `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
-`exactlin.dense`), is the product kernel that `multiply`, `left_mult_matrix`,
-`product_span`, `algebra_on_subspace` and the closures below go through;
-`multiply` is its dense view, which the radical, quotient and structure
-layers do not use. `quotient_algebra` inverts no matrix: its projection is
-the RREF of the functionals that vanish on the ideal (`exactlin.null_space`),
-and it reads `structure` directly.
+`exactlin.dense`), is the product kernel that `multiply`, `product_span`,
+`algebra_on_subspace` and the closures below go through; `multiply` is its
+dense view, which the radical, quotient and structure layers do not use.
+`quotient_algebra` inverts no matrix: its projection is the RREF of the
+functionals that vanish on the ideal (`exactlin.null_space`), and it reads
+`structure` directly.
 Constructors validate everything: indices, grading compatibility,
 associativity or antisymmetry + Jacobi, and the unit law. The associativity
 check reads only nonzero products, so its cost follows the nonzero
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
                      NotGradedError, ValidationError)
-from .exactlin import (Mat, ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
+from .exactlin import (ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
                        axpy, dense, is_zero_vector, null_space, solve_rows,
                        sparse, unit_vector)
 from .groups import Group, GroupElem
@@ -210,13 +210,6 @@ class GradedAlgebra:
                         t = f * c
                         acc[k] = acc[k] + t if k in acc else t
         return {k: c for k, c in acc.items() if c}
-
-    def left_mult_matrix(self, a) -> Mat:
-        """Matrix of b -> a b in the algebra basis: column j is a e_j, read
-        off `mul_sparse`."""
-        sa = sparse(a)
-        cols = [dense(self.mul_sparse(sa, {j: ONE}), self.dim) for j in range(self.dim)]
-        return Mat(cols, cols=self.dim).transpose()
 
     def trace_of_left_mult(self, a) -> Fraction:
         """tr L(a) = sum_i a_i tr L(e_i), over `left_mult_traces`."""
@@ -406,11 +399,13 @@ def nilpotency_index(A: GradedAlgebra, s: Subspace | None = None):
 class QuotientResult:
     algebra: GradedAlgebra
     section: tuple          # quotient basis lifted to ambient vectors (standard basis vectors)
-    projection: Mat         # dim(quotient) x dim(A), v -> coordinates of v + I
+    projection: tuple       # dim(quotient) rows of length dim(A), v -> coordinates of v + I
     indices: tuple          # ambient indices of the chosen complement vectors
 
     def project(self, v) -> tuple:
-        return self.projection.mul_vec(v)
+        if any(len(row) != len(v) for row in self.projection):
+            raise DimensionMismatchError("vector has wrong ambient dimension")
+        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.projection)
 
 
 def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResult:
@@ -438,6 +433,12 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         raise NotAnIdealError("subspace is not a two-sided ideal")
     if not graded_check(ideal, A)[0]:
         raise NotGradedError("ideal is not graded: a basis vector mixes degrees")
+    return _quotient(A, ideal, name)
+
+
+def _quotient(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResult:
+    """`quotient_algebra` without its input checks, for an ideal that is
+    already known to be a graded two-sided ideal of A."""
     projection = null_space(A.dim, ideal.pivot_rows.values())
     chosen = projection.pivots
     qdim = len(chosen)
@@ -464,7 +465,7 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
     Q = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit,
                       name=name or (A.name + "/I" if A.name else ""))
     section = tuple(unit_vector(A.dim, i) for i in chosen)
-    return QuotientResult(Q, section, projection.mat, chosen)
+    return QuotientResult(Q, section, projection.basis_vectors(), chosen)
 
 
 def unitalize(A: GradedAlgebra) -> GradedAlgebra:
@@ -486,10 +487,10 @@ def unitalize(A: GradedAlgebra) -> GradedAlgebra:
 class SubalgebraEmbedding:
     algebra: GradedAlgebra
     rows: tuple             # basis of the subalgebra as ambient vectors
+    ambient: int            # dimension of the ambient algebra
 
     def include(self, v_sub) -> tuple:
-        n = len(self.rows[0]) if self.rows else 0
-        out = [ZERO] * n
+        out = [ZERO] * self.ambient
         for c, r in zip(v_sub, self.rows):
             if c != 0:
                 for i, x in enumerate(r):
@@ -525,4 +526,4 @@ def algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> Subalg
             eqs.setdefault((1, x, k), {})[y] = c
         unit = solve_rows(dim, eqs.values())
     alg = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit, name=name)
-    return SubalgebraEmbedding(alg, s.basis_vectors())
+    return SubalgebraEmbedding(alg, s.basis_vectors(), A.dim)

@@ -1,27 +1,28 @@
-"""Exact rational linear algebra: matrices, reduced row echelon form, canonical subspaces.
+"""Exact rational linear algebra on sparse rows: reduced row echelon form,
+null spaces, solves and canonical subspaces.
 
 Every scalar is a `fractions.Fraction`; there are no floats and no tolerances.
 Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
 included). `Reducer` is the one elimination: it keeps its RREF rows sparse,
 as {column: entry} dicts indexed by pivot, and reduces a vector only at the
 pivots in its support (`_reduce`, the one reduce loop). `Reducer.insert` and
-the `Subspace` tests take a dense sequence or a sparse dict. `rank`, null
-spaces (`null_space`, and `kernel` on a dense `Mat`), solves (`solve_rows`,
-and `solve` on a dense `Mat`), subspace sums and intersections and every
-span are read off a Reducer's pivots and rows; `null_space` and `solve_rows`
-take their equations as sparse rows, so the radical, quotient and structure
-layers build no dense matrix. `axpy` adds a multiple of one sparse vector to
-another. `Subspace` is the currency passed between the algebra, radical and
-structure layers; it carries its sparse RREF basis rows and their pivot
-columns, so two subspaces are equal iff their basis rows are identical, a
-plain dict comparison. Its dense basis matrix is built only when asked for.
+the `Subspace` tests take a dense sequence or a sparse dict. Ranks
+(`Reducer(...).dim`), null spaces (`null_space`), solves (`solve_rows`),
+subspace sums and intersections and every span are read off a Reducer's
+pivots and rows; `null_space` and `solve_rows` take their equations as
+sparse rows, so no layer builds a dense matrix. `axpy` adds a multiple of
+one sparse vector to another. `Subspace` is the currency passed between the
+algebra, radical and structure layers; it carries its sparse RREF basis rows
+and their pivot columns, so two subspaces are equal iff their basis rows are
+identical, a plain dict comparison. Dense tuples appear only at the API
+boundary: `Subspace.basis_vectors()` builds them on first use.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionMismatchError, ValidationError
 
@@ -80,61 +81,6 @@ def axpy(acc: dict, c, v: dict):
                 acc[i] = y
             else:
                 del acc[i]
-
-
-class Mat:
-    """Immutable dense matrix of Fractions, row-major.
-
-    0 x n and n x 0 shapes are legal; `cols` must be given explicitly when
-    there are no rows.
-    """
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data, cols: int | None = None):
-        rows = tuple(as_vector(r) for r in data)
-        if rows:
-            ncols = len(rows[0])
-            for r in rows:
-                if len(r) != ncols:
-                    raise DimensionMismatchError("ragged rows in matrix")
-            if cols is not None and cols != ncols:
-                raise DimensionMismatchError("explicit cols disagrees with row length")
-        else:
-            if cols is None:
-                raise DimensionMismatchError("empty matrix needs explicit cols")
-            ncols = cols
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Mat is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([unit_vector(n, i) for i in range(n)], cols=n)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def transpose(self) -> "Mat":
-        return Mat([tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)],
-                   cols=self.rows)
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise DimensionMismatchError("matrix-vector shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
-
-    def __hash__(self):
-        return hash((self.cols, self.data))
-
-    def __repr__(self):
-        return f"Mat({self.rows}x{self.cols})"
 
 
 def _checked_sparse(v, ambient: int) -> dict:
@@ -242,15 +188,11 @@ class Reducer:
         return Subspace(self.ambient, dict(self.pivot_rows))
 
 
-def rank(m: Mat) -> int:
-    return Reducer(m.cols, m.data).dim
-
-
 class Subspace:
     """A linear subspace of Q^ambient held by its canonical RREF basis: the
     sparse rows `pivot_rows` {pivot: row}, read only, with their pivot
-    columns `pivots` in increasing order. The dense matrix `mat` of the same
-    basis is built on first use.
+    columns `pivots` in increasing order. The same basis as dense tuples,
+    `basis_vectors()`, is built on first use.
 
     Canonicity: different spanning sets of the same space produce identical
     basis rows, so `==` is decisive. The constructor trusts its input, so
@@ -260,13 +202,13 @@ class Subspace:
     `pivot_rows`.
     """
 
-    __slots__ = ("ambient", "pivot_rows", "pivots", "_mat")
+    __slots__ = ("ambient", "pivot_rows", "pivots", "_basis")
 
     def __init__(self, ambient: int, pivot_rows: dict):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "pivot_rows", pivot_rows)
         object.__setattr__(self, "pivots", tuple(sorted(pivot_rows)))
-        object.__setattr__(self, "_mat", None)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -284,14 +226,6 @@ class Subspace:
         return cls(ambient, {i: {i: ONE} for i in range(ambient)})
 
     @property
-    def mat(self) -> Mat:
-        """The basis as a dense matrix, rows in pivot order."""
-        if self._mat is None:
-            object.__setattr__(self, "_mat", Mat(
-                [dense(self.pivot_rows[p], self.ambient) for p in self.pivots], cols=self.ambient))
-        return self._mat
-
-    @property
     def dim(self) -> int:
         return len(self.pivots)
 
@@ -299,7 +233,11 @@ class Subspace:
         return not self.pivots
 
     def basis_vectors(self) -> tuple:
-        return self.mat.data
+        """The basis as dense tuples of Fractions, rows in pivot order."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(
+                tuple(dense(self.pivot_rows[p], self.ambient)) for p in self.pivots))
+        return self._basis
 
     def _reduced(self, v) -> dict:
         return _reduce(_checked_sparse(v, self.ambient), self.pivot_rows)
@@ -380,11 +318,6 @@ def null_space(ambient: int, rows: Iterable) -> Subspace:
     return Subspace.from_vectors(ambient, free.values())
 
 
-def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0} of a dense matrix: `null_space` of its rows."""
-    return null_space(m.cols, m.data)
-
-
 def solve_rows(nunk: int, rows: Iterable):
     """One exact solution x of a linear system in nunk unknowns with free
     variables set to zero, or None when the system is infeasible. Each
@@ -399,9 +332,3 @@ def solve_rows(nunk: int, rows: Iterable):
         x[p] = row.get(nunk, ZERO)
     return tuple(x)
 
-
-def solve(m: Mat, rhs: Sequence):
-    """`solve_rows` on the dense system m x = rhs."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatchError("rhs length differs from row count")
-    return solve_rows(m.cols, [row + (b,) for row, b in zip(m.data, rhs)])

@@ -333,12 +333,6 @@ def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
     return [n for n in ns if p is not None and n >= p]
 
 
-def nilpotent_shortcut(A: GradedAlgebra, n: int):
-    """0 when the algebra is certified nilpotent of index <= n (then every
-    product of n factors vanishes); None when the shortcut does not apply."""
-    return 0 if _settled_by_nilpotency(A, (n,)) else None
-
-
 def _int_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)) by integer Newton iteration."""
     if x < 0:

@@ -8,30 +8,36 @@ trace criterion J = rad{(a,b) -> tr(L(ab))} is exact, on A itself also when
 A has no unit (see `_trace_form_radical`); the Killing-orthogonal complement
 of [L, L] is the solvable radical, and the nilradical {x : ad x in J(E)}, E
 the span of the nonempty ad-words, is {x : tr(ad x . y) = 0 for all y in E},
-since J(E) is the radical of the trace form of E (see `nilradical`). The
-Killing form and the ad-word span are read off the sparse structure
-constants. With verify=True each radical runs the same post-checks
-(`_post_check`).
+since J(E) is the radical of the trace form of E (see `nilradical`). With
+verify=True each radical runs the same post-checks (`_post_check`).
 
-Every radical is the `null_space` of its rows, one Reducer and no dense
-matrix; the trace form's rows are sparse integer rows (`_trace_form_radical`).
-That one call is also where a test can hand a radical a wrong candidate.
+Every radical is the `null_space` of sparse rows read off the integer table
+`integer_structure`, one Reducer and no dense matrix. The trace form's rows
+are integer rows (`_trace_form_radical`). The Lie radicals pair with ad
+operators held as sparse dicts over the n^2 matrix cells (`_ad_operators`):
+one helper, `_trace_row`, gives tr(ad e_i . y) for every i, and serves the
+Killing form, the solvable radical (y = ad d, d over [L, L]) and the
+nilradical (y over the ad-word span). That one `null_space` call per radical
+is also where a test can hand a radical a wrong candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, graded_check,
-                      nilpotency_index, quotient_algebra)
+from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, _quotient, graded_check,
+                      nilpotency_index)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import Mat, Reducer, Subspace, ZERO, null_space
+from .exactlin import Reducer, Subspace, axpy, null_space
 
 
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
     """The verify=True checks of a radical I: it is nilpotent or solvable
     (`trait`); and when 0 < I < A (0 and A are always graded ideals) it is an
-    ideal, it is graded, and, given `quotient_radical`, A/I has zero radical."""
+    ideal, it is graded, and, given `quotient_radical`, A/I has zero radical.
+    Those two checks are the input checks of `quotient_algebra`, so the
+    quotient is built without repeating them."""
     holds = is_solvable(A, I) if trait == "solvable" else nilpotency_index(A, I) is not None
     if not holds:
         raise InternalCheckError(f"{name} candidate is not {trait}")
@@ -42,7 +48,7 @@ def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_r
     ok, witness = graded_check(I, A)
     if not ok:
         raise InternalCheckError(f"{name} is not graded; witness {witness}")
-    if quotient_radical and not quotient_radical(quotient_algebra(A, I).algebra).is_zero():
+    if quotient_radical and not quotient_radical(_quotient(A, I).algebra).is_zero():
         raise InternalCheckError(f"quotient by the {name} is not semisimple")
 
 
@@ -87,29 +93,44 @@ def jacobson_radical(A: GradedAlgebra, verify: bool = True) -> Subspace:
     return J
 
 
-def _ad_matrix(L: GradedAlgebra, i: int) -> list:
-    """ad x_i flattened row-major: entry (k, j) is the coefficient of x_k in [x_i, x_j]."""
+def _ad_operators(L: GradedAlgebra) -> tuple:
+    """(D, ad, pairing) from the integer table (D, C) of `integer_structure`.
+    ad[i] is D ad e_i as a sparse dict over the n^2 cells: cell k n + j holds
+    C_ij^k, the coefficient of e_k in D [e_i, e_j]. pairing[j n + k] lists the
+    (i, C_ij^k), the ad e_i that meet cell (j, k) of a matrix y in
+    tr(ad e_i . y) (`_trace_row`)."""
     n = L.dim
-    flat = [ZERO] * (n * n)
-    for j, row in enumerate(L.structure[i]):
-        for k, c in row:
-            flat[k * n + j] = c
-    return flat
+    D, table = L.integer_structure
+    ad = [{} for _ in range(n)]
+    pairing: dict = {}
+    for i, plane in enumerate(table):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                ad[i][k * n + j] = c
+                pairing.setdefault(j * n + k, []).append((i, c))
+    return D, ad, pairing
 
 
-def _ad_traces(L: GradedAlgebra, y) -> list:
-    """(tr(ad x_i . y))_i for a flattened n x n matrix y, read off the sparse
-    constants: tr(ad x_i . y) = sum over j and c_ij^k of c_ij^k y[j][k]."""
-    n = L.dim
-    return [sum((c * y[j * n + k] for j, row in enumerate(plane) for k, c in row), ZERO)
-            for plane in L.structure]
+def _trace_row(pairing: dict, y: dict) -> dict:
+    """{i: D tr(ad e_i . y)} over its nonzero entries, for an n x n matrix y
+    held as a sparse dict over the cells j n + k:
+    tr(ad e_i . y) = sum over j, k of c_ij^k y[j][k], read off the cells of
+    y, so a row costs the constants that meet y's support."""
+    row: dict = {}
+    for cell, x in y.items():
+        for i, c in pairing.get(cell, ()):
+            row[i] = row.get(i, 0) + c * x
+    return {i: t for i, t in row.items() if t}
 
 
-def killing_form(L: GradedAlgebra) -> Mat:
-    """kappa(x, y) = tr(ad x . ad y) as a matrix over the basis."""
+def killing_form(L: GradedAlgebra) -> tuple:
+    """kappa(x, y) = tr(ad x . ad y) over the basis, as row tuples: row j is
+    `_trace_row` of D ad e_j, which is D^2 times the rational row."""
     if L.kind != LIE:
         raise ValidationError("Killing form is for Lie algebras")
-    return Mat([_ad_traces(L, _ad_matrix(L, j)) for j in range(L.dim)], cols=L.dim)
+    D, ad, pairing = _ad_operators(L)
+    rows = [_trace_row(pairing, a) for a in ad]
+    return tuple(tuple(Fraction(row.get(i, 0), D * D) for i in range(L.dim)) for row in rows)
 
 
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
@@ -130,14 +151,21 @@ def is_solvable(L: GradedAlgebra, s: Subspace) -> bool:
 
 def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     """R = Killing-orthogonal complement of [L, L]; over Q this is the solvable
-    radical (Cartan criterion)."""
+    radical (Cartan criterion). x is in R iff tr(ad x . ad d) = 0 for d over
+    the sparse basis rows of [L, L]: one `_trace_row` of D ad d per d, with
+    no Killing matrix built."""
     if L.kind != LIE:
         raise ValidationError("solvable radical is for Lie algebras")
     if L.dim == 0:
         return Subspace.zero(0)
-    K = killing_form(L)
+    _, ad, pairing = _ad_operators(L)
     derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
-    rows = [K.mul_vec(d) for d in derived.basis_vectors()]
+    rows = []
+    for d in derived.pivot_rows.values():
+        ad_d: dict = {}
+        for j, x in d.items():
+            axpy(ad_d, x, ad[j])
+        rows.append(_trace_row(pairing, ad_d))
     R = null_space(L.dim, rows)
     if verify:
         _post_check(L, R, "solvable radical", "solvable",
@@ -145,29 +173,31 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     return R
 
 
-def _ad_word_span(L: GradedAlgebra) -> list:
-    """A basis of E = the span of all nonempty ad-words ad x_i1 ... ad x_ik
-    (the associative subalgebra of End(L) the ad x generate), as flattened
-    n x n matrices: the ad x_i, closed by multiplying each new basis row on
-    the left once by each ad x_i."""
-    n = L.dim
+def _ad_word_span(n: int, ad: list) -> list:
+    """The sparse RREF rows of E = the span of all nonempty ad-words
+    ad x_i1 ... ad x_ik (the associative subalgebra of End(L) the ad x
+    generate), as sparse dicts over the n^2 cells: the ad x_i, closed by
+    multiplying each new basis row y on the left once by each ad x_i, with
+    (ad x_i . y)[k][m] = sum over j of ad x_i[k][j] y[j][m]. `ad` holds the
+    D ad x_i of `_ad_operators`, whose words span the same E."""
     red = Reducer(n * n)
-    basis = []
-    work = [_ad_matrix(L, i) for i in range(n)]
+    work = list(ad)
     while work:
         y = red.insert(work.pop())
         if y is None:
             continue
-        basis.append(y)
-        rows = [[(m, y[j * n + m]) for m in range(n) if y[j * n + m] != 0] for j in range(n)]
-        for plane in L.structure:
-            p = [ZERO] * (n * n)
-            for j, row in enumerate(plane):
-                for k, c in row:
-                    for m, v in rows[j]:
-                        p[k * n + m] += c * v
+        by_row: dict = {}           # row j of y as [(m, y[j][m]), ...]
+        for cell, v in y.items():
+            j, m = divmod(cell, n)
+            by_row.setdefault(j, []).append((m, v))
+        for a in ad:
+            p: dict = {}
+            for cell, c in a.items():
+                k, j = divmod(cell, n)
+                for m, v in by_row.get(j, ()):
+                    p[k * n + m] = p.get(k * n + m, 0) + c * v
             work.append(p)
-    return basis
+    return list(red.pivot_rows.values())
 
 
 def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
@@ -185,7 +215,8 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     n = L.dim
     if n == 0:
         return Subspace.zero(0)
-    N = null_space(n, [_ad_traces(L, y) for y in _ad_word_span(L)])
+    _, ad, pairing = _ad_operators(L)
+    N = null_space(n, [_trace_row(pairing, y) for y in _ad_word_span(n, ad)])
     if verify:
         _post_check(L, N, "nilradical", "nilpotent")
     return N

@@ -160,7 +160,7 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
                 A.dim, [A.mul_sparse({i: ONE}, f) for i in range(A.dim)]))
         else:
             stack += halves
-    final.sort(key=lambda s: (s.dim, s.mat.data))
+    final.sort(key=lambda s: (s.dim, s.basis_vectors()))
     if sum(c.dim for c in final) != A.dim:
         raise InternalCheckError("component dimensions do not add up")
     for c in final:

@@ -18,7 +18,7 @@ from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, gl2_z2, heisenberg3,
                                 matrix_algebra, matrix_algebra_z2, sl2,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
-from gradedalg.exactlin import Mat, Subspace
+from gradedalg.exactlin import Subspace
 from gradedalg.groups import CyclicGroup, ProductGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical
 from gradedalg.structure import malcev_complement_graded
@@ -140,23 +140,24 @@ def trivially_graded(A: GradedAlgebra) -> GradedAlgebra:
 
 
 def change_basis(A: GradedAlgebra, rows):
-    """(B, image) for a unital A: B is A written on the basis b_i = rows[i]
+    """(B, image) for a unital associative A or a Lie A: B is A written on the basis b_i = rows[i]
     (A-coordinates, b_i homogeneous of degree A.degrees[i]), and image takes
     a subspace of A to the same subspace in B's coordinates."""
-    inverse = invert(Mat(rows)).data
+    inverse = invert(rows)
 
     def coords(v):
         return tuple(sum(v[r] * inverse[r][k] for r in range(A.dim)) for k in range(A.dim))
 
     structure = {(i, j, k): c for i, bi in enumerate(rows) for j, bj in enumerate(rows)
                  for k, c in enumerate(coords(A.multiply(bi, bj)))}
-    B = GradedAlgebra(A.group, A.degrees, structure, unit=coords(A.unit),
+    unit = None if A.unit is None else coords(A.unit)
+    B = GradedAlgebra(A.group, A.degrees, structure, kind=A.kind, unit=unit,
                       name=f"{A.name}_rebased")
     return B, lambda S: Subspace.from_vectors(A.dim, [coords(v) for v in S.basis_vectors()])
 
 
 def rescaled(A: GradedAlgebra, scales, shear=0) -> GradedAlgebra:
-    """A unital A on the basis b_i = scales[i] e_i + shear e_j, where e_j is
+    """A unital associative A or a Lie A on the basis b_i = scales[i] e_i + shear e_j, where e_j is
     the next basis vector of e_i's degree (none for the last one): the same
     grading, with the structure constants changed. With shear 0 each constant
     is multiplied by scales[i] * scales[j] / scales[k]."""

@@ -1,13 +1,15 @@
-"""Dense matrix product, inverse and trace, the algebra product summed over
-the structure constants, Gauss-Jordan elimination over full-width rows, the
-associativity and Lie checks as triple loops, and the radical, quotient and
-structure routines as they were on dense Fraction vectors (a dense Gram or
-Killing matrix and `kernel`, a quotient through `invert`, the section lift,
-the degree-e centre and the idempotent split on dense vectors): the
-references the tests check the library's matrices (inverses, left
-multiplication, the Killing form), products, ideal closures, sparse
-elimination, constructor checks, radicals, quotients, complements and
-graded-simple components against."""
+"""Dense matrix product, inverse and trace on tuple rows, the algebra
+product summed over the structure constants, Gauss-Jordan elimination over
+full-width rows with its null space and solve, the associativity and Lie
+checks as triple loops, and the radical, quotient and structure routines as
+they were on dense Fraction vectors (a dense Gram or Killing matrix and its
+null space, the ad-word span as dense n x n matrices, a quotient through
+`invert`, the section lift, the degree-e centre and the idempotent split on
+dense vectors): the references the tests check the library's products,
+ideal closures, sparse elimination, constructor checks, Killing form,
+radicals, quotients, complements and graded-simple components against.
+Every elimination here is `DenseGaussJordan`, and the Gram, Killing and
+ad-word references read only `A.constants()`."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -15,33 +17,44 @@ from itertools import combinations, product
 
 from gradedalg.algebra import GradedAlgebra, QuotientResult
 from gradedalg.errors import DimensionMismatchError, InternalCheckError
-from gradedalg.exactlin import Mat, Reducer, Subspace, kernel, solve, sparse, unit_vector
-from gradedalg.radical import _ad_traces, _ad_word_span, derived_series, killing_form
+from gradedalg.exactlin import Subspace, unit_vector
+from gradedalg.radical import derived_series
 from gradedalg.structure import _divide, _rational_root
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    assert a.cols == b.rows, "matrix product shape mismatch"
-    cols = b.transpose().data
-    return Mat([[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
-                for row in a.data], cols=b.cols)
+def matmul(a, b) -> tuple:
+    """The product of matrices given as sequences of rows; b has at least
+    one row."""
+    assert all(len(row) == len(b) for row in a), "matrix product shape mismatch"
+    cols = list(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+                 for row in a)
 
 
-def trace(m: Mat) -> Fraction:
-    return sum((m.data[i][i] for i in range(min(m.rows, m.cols))), Fraction(0))
+def matvec(m, v) -> tuple:
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m)
 
 
-def invert(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises on singular input (a pivot of
-    [m | I] beyond column n - 1)."""
-    if m.rows != m.cols:
+def trace(m) -> Fraction:
+    return sum((row[i] for i, row in enumerate(m) if i < len(row)), Fraction(0))
+
+
+def identity(n: int) -> tuple:
+    return tuple(unit_vector(n, i) for i in range(n))
+
+
+def invert(m) -> tuple:
+    """Inverse of a square matrix given by its rows; raises on singular
+    input (a pivot of [m | I] beyond column n - 1)."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DimensionMismatchError("only square matrices can be inverted")
-    n = m.rows
-    red = Reducer(2 * n, [{**sparse(row), n + i: Fraction(1)} for i, row in enumerate(m.data)])
-    if red.pivots != list(range(n)):
+    gj = DenseGaussJordan(2 * n)
+    for row, e in zip(m, identity(n)):
+        gj.insert(list(row) + list(e))
+    if gj.pivots != list(range(n)):
         raise DimensionMismatchError("matrix is singular")
-    return Mat([[red.pivot_rows[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)],
-               cols=n)
+    return tuple(tuple(row[n:]) for row in gj.rows)
 
 
 def dense_multiply(A, a, b) -> tuple:
@@ -123,6 +136,37 @@ class DenseGaussJordan:
         return v
 
 
+def null_space_dense(width: int, rows) -> Subspace:
+    """{v : r . v = 0 for every r in rows}: for each free column f of the
+    rows' Gauss-Jordan form, 1 at f and -row[f] at each row's pivot."""
+    gj = DenseGaussJordan(width)
+    for row in rows:
+        gj.insert(row)
+    vecs = []
+    for f in range(width):
+        if f not in gj.pivots:
+            v = [Fraction(0)] * width
+            v[f] = Fraction(1)
+            for p, row in zip(gj.pivots, gj.rows):
+                v[p] = -row[f]
+            vecs.append(v)
+    return Subspace.from_vectors(width, vecs)
+
+
+def solve_dense(nunk: int, rows, rhs):
+    """The solution of rows . x = rhs with free variables zero, read off the
+    Gauss-Jordan form of [rows | rhs]; None when the rhs column is a pivot."""
+    gj = DenseGaussJordan(nunk + 1)
+    for row, b in zip(rows, rhs):
+        gj.insert(list(row) + [b])
+    if nunk in gj.pivots:
+        return None
+    x = [Fraction(0)] * nunk
+    for p, row in zip(gj.pivots, gj.rows):
+        x[p] = row[nunk]
+    return x
+
+
 def structure_failure(dim: int, constants: dict, kind: str = "associative"):
     """The message of the first failing constructor check on the mapping
     {(i, j, k): c}, or None when all hold, from triple loops over dense
@@ -170,33 +214,73 @@ def _axpy(acc: list, c, v):
 
 
 def jacobson_radical_dense(A) -> Subspace:
-    """The kernel of the dense Gram matrix tr L(e_i e_j) = sum_k c_ij^k tr L(e_k)."""
-    t = A.left_mult_traces
-    gram = [[sum((c * t[k] for k, c in A.structure[i][j]), Fraction(0)) for j in range(A.dim)]
-            for i in range(A.dim)]
-    return kernel(Mat(gram, cols=A.dim))
+    """The null space of the dense Gram matrix tr L(e_i e_j) = sum_k c_ij^k tr L(e_k),
+    with tr L(e_k) = sum_j c_kj^j, all read off `A.constants()`."""
+    constants = A.constants()
+    t = [Fraction(0)] * A.dim
+    gram = [[Fraction(0)] * A.dim for _ in range(A.dim)]
+    for (k, j, m), c in constants.items():
+        if j == m:
+            t[k] += c
+    for (i, j, k), c in constants.items():
+        gram[i][j] += c * t[k]
+    return null_space_dense(A.dim, gram)
+
+
+def ad_matrices(L) -> list:
+    """ad e_i as dense n x n row tuples: entry (k, j) is the coefficient of
+    e_k in [e_i, e_j], read off `L.constants()`."""
+    ads = [[[Fraction(0)] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
+    for (i, j, k), c in L.constants().items():
+        ads[i][k][j] = c
+    return [tuple(map(tuple, m)) for m in ads]
+
+
+def killing_form_dense(L) -> tuple:
+    """tr(ad e_i . ad e_j) as row tuples, from dense matrix products."""
+    ads = ad_matrices(L)
+    return tuple(tuple(trace(matmul(ads[i], ads[j])) for j in range(L.dim))
+                 for i in range(L.dim))
 
 
 def solvable_radical_dense(L) -> Subspace:
-    """The kernel of the dense rows K d, K the Killing matrix, d over a basis of [L, L]."""
-    K = killing_form(L)
-    derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
-    return kernel(Mat([K.mul_vec(d) for d in derived.basis_vectors()], cols=L.dim))
+    """The null space of the dense rows K d, K the Killing matrix, d over a
+    basis of [L, L] spanned by the dense products [e_i, e_j]."""
+    derived = DenseGaussJordan(L.dim)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            derived.insert(dense_multiply(L, L.basis_vector(i), L.basis_vector(j)))
+    K = killing_form_dense(L)
+    return null_space_dense(L.dim, [matvec(K, d) for d in derived.rows])
 
 
 def nilradical_dense(L) -> Subspace:
-    return kernel(Mat([_ad_traces(L, y) for y in _ad_word_span(L)], cols=L.dim))
+    """The null space of the rows (tr(ad e_i . y))_i, y over a basis of the
+    ad-word span, closed under left multiplication by each ad e_i as dense
+    n x n matrices."""
+    n = L.dim
+    ads = ad_matrices(L)
+    span = DenseGaussJordan(n * n)
+    work, basis = list(ads), []
+    while work:
+        y = work.pop()
+        if span.insert([x for row in y for x in row]) is not None:
+            basis.append(y)
+            work += [matmul(a, y) for a in ads]
+    return null_space_dense(n, [[trace(matmul(a, y)) for a in ads] for y in basis])
 
 
 def quotient_dense(A, ideal) -> QuotientResult:
     """A/I on the greedy standard-vector complement, its projection the last
     rows of the inverse of [ideal basis; chosen unit vectors]^T."""
-    red = Reducer(A.dim, ideal.pivot_rows.values())
-    chosen = [i for i in range(A.dim) if red.insert({i: Fraction(1)})]
-    rows = [list(r) for r in ideal.basis_vectors()] + [list(unit_vector(A.dim, i)) for i in chosen]
-    binv = invert(Mat(rows, cols=A.dim).transpose())
-    proj = Mat(binv.data[ideal.dim:], cols=A.dim)
-    proj_cols = proj.transpose().data
+    gj = DenseGaussJordan(A.dim)
+    for r in ideal.basis_vectors():
+        gj.insert(r)
+    chosen = [i for i in range(A.dim) if gj.insert(unit_vector(A.dim, i)) is not None]
+    rows = list(ideal.basis_vectors()) + [unit_vector(A.dim, i) for i in chosen]
+    binv = invert(tuple(zip(*rows))) if rows else ()
+    proj = binv[ideal.dim:]
+    proj_cols = list(zip(*proj)) if proj else [()] * A.dim
     structure = {}
     for a, i in enumerate(chosen):
         for b, j in enumerate(chosen):
@@ -204,7 +288,7 @@ def quotient_dense(A, ideal) -> QuotientResult:
             for k, c in A.structure[i][j]:
                 _axpy(acc, c, proj_cols[k])
             structure.update({(a, b, r): x for r, x in enumerate(acc) if x != 0})
-    unit = proj.mul_vec(A.unit) if A.unit is not None else None
+    unit = matvec(proj, A.unit) if A.unit is not None else None
     Q = GradedAlgebra(A.group, [A.degrees[i] for i in chosen], structure, kind=A.kind,
                       unit=unit, name=A.name + "/I" if A.name else "")
     return QuotientResult(Q, tuple(unit_vector(A.dim, i) for i in chosen), proj, tuple(chosen))
@@ -219,7 +303,7 @@ def _image_dense(Q, section, a, b) -> list:
 
 def lift_section_dense(A, Q, section, ideal, below):
     """The section lift on dense vectors: each block projected from the whole
-    ideal basis, one dense column per unknown, one `solve` on a dense matrix."""
+    ideal basis, one dense column per unknown, one `solve_dense`."""
     blocks, offsets, nunk = [], [], 0
     for g in Q.degrees:
         comp = Subspace.from_vectors(
@@ -248,7 +332,7 @@ def lift_section_dense(A, Q, section, ideal, below):
                     rhs.append(red_rhs[i])
     if not rows:
         return
-    sol = solve(Mat(rows, cols=nunk), rhs)
+    sol = solve_dense(nunk, rows, rhs)
     if sol is None:
         raise InternalCheckError("section lifting system is infeasible")
     for a, block in enumerate(blocks):
@@ -278,15 +362,16 @@ def wedderburn_dense(A) -> list:
             for terms, sign in ((A.structure[i][b], 1), (A.structure[b][i], -1)):
                 for k, c in terms:
                     rows.setdefault((b, k), [Fraction(0)] * A.dim)[i] += sign * c
-    centre = kernel(Mat(list(rows.values()), cols=A.dim))
+    centre = null_space_dense(A.dim, list(rows.values()))
 
     def minimal_polynomial(f, c):
-        powers, red, p = [f], Reducer(A.dim, [f]), c
+        powers, red, p = [f], DenseGaussJordan(A.dim), c
+        red.insert(f)
         while red.insert(p) is not None:
             powers.append(p)
             p = A.multiply(p, c)
-        krylov = Mat(list(zip(*powers)), cols=len(powers))
-        return [-a for a in solve(krylov, p)] + [Fraction(1)], krylov
+        krylov = tuple(zip(*powers))
+        return [-a for a in solve_dense(len(powers), krylov, p)] + [Fraction(1)], krylov
 
     def split(f):
         cf = Subspace.from_vectors(A.dim, [A.multiply(z, f) for z in centre.basis_vectors()])
@@ -297,7 +382,7 @@ def wedderburn_dense(A) -> list:
             root = _rational_root(m) if len(m) > 2 else None
             if root is not None:
                 q, _ = _divide(m, root)
-                half = tuple(x / _divide(q, root)[1] for x in krylov.mul_vec(q))
+                half = tuple(x / _divide(q, root)[1] for x in matvec(krylov, q))
                 return half, tuple(x - y for x, y in zip(f, half))
             if len(m) - 1 == cf.dim <= 3:
                 return None
@@ -312,4 +397,4 @@ def wedderburn_dense(A) -> list:
                 A.dim, [A.multiply(A.basis_vector(i), f) for i in range(A.dim)]))
         else:
             stack += halves
-    return sorted(final, key=lambda s: (s.dim, s.mat.data))
+    return sorted(final, key=lambda s: (s.dim, s.basis_vectors()))

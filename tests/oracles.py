@@ -106,7 +106,7 @@ def enumerate_minimal_graded_ideals(A: GradedAlgebra, entries=(-1, 0, 1)) -> lis
     for i in ideals:
         if not any(j.dim < i.dim and j <= i for j in ideals):
             minimal.append(i)
-    return sorted(set(minimal), key=lambda s: (s.dim, s.mat.data))
+    return sorted(set(minimal), key=lambda s: (s.dim, s.basis_vectors()))
 
 
 def global_graded_codim_rank(A: GradedAlgebra, n: int) -> int:

@@ -15,13 +15,13 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 upper_triangular, ut2)
 from gradedalg.errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
                               ValidationError)
-from gradedalg.exactlin import Mat, Subspace, is_zero_vector, rank
+from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
-from tests.dense import (dense_multiply, ideal_generated_dense, is_ideal_dense, matmul,
-                         structure_failure, trace)
+from tests.dense import (dense_multiply, ideal_generated_dense, identity, is_ideal_dense,
+                         matmul, structure_failure, trace)
 
 F = Fraction
 
@@ -57,19 +57,24 @@ def test_lie_square_vanishes():
         assert is_zero_vector(L.multiply(v, v))
 
 
+def left_mult_matrix(A, a) -> tuple:
+    """The matrix of b -> a b: column j is a e_j, from `mul_sparse`."""
+    sa = sparse(a)
+    columns = [dense(A.mul_sparse(sa, {j: F(1)}), A.dim) for j in range(A.dim)]
+    return tuple(zip(*columns))
+
+
 def test_left_mult_matrix_of_unit_is_identity():
     for name in ("m2_z2", "fz2", "ut2"):
         A = builtin(name)
-        m = A.left_mult_matrix(A.unit)
-        assert all(m.entry(i, j) == (1 if i == j else 0)
-                   for i in range(A.dim) for j in range(A.dim))
+        assert left_mult_matrix(A, A.unit) == identity(A.dim)
 
 
 def test_left_mult_matrix_e12():
     M = matrix_algebra_z2()
-    phi = M.left_mult_matrix(M.basis_vector(E12))
-    assert rank(phi) == 2          # e12 * e21 = e11 and e12 * e22 = e12
-    assert trace(phi) == 0
+    phi = left_mult_matrix(M, M.basis_vector(E12))
+    assert Reducer(M.dim, phi).dim == 2          # e12 * e21 = e11 and e12 * e22 = e12
+    assert trace(phi) == 0 == M.trace_of_left_mult(M.basis_vector(E12))
 
 
 def test_left_mult_is_multiplicative():
@@ -78,8 +83,8 @@ def test_left_mult_is_multiplicative():
         A = builtin(name)
         for _ in range(10):
             a, b = rand_vec(rng, A.dim), rand_vec(rng, A.dim)
-            assert A.left_mult_matrix(A.multiply(a, b)) == \
-                matmul(A.left_mult_matrix(a), A.left_mult_matrix(b))
+            assert left_mult_matrix(A, A.multiply(a, b)) == \
+                matmul(left_mult_matrix(A, a), left_mult_matrix(A, b))
 
 
 def test_homogeneous_projection():
@@ -173,10 +178,12 @@ def test_quotient_projection_is_multiplicative():
         a, b = rand_vec(rng, A.dim), rand_vec(rng, A.dim)
         assert q.project(A.multiply(a, b)) == \
             q.algebra.multiply(q.project(a), q.project(b))
+    with pytest.raises(DimensionMismatchError):
+        q.project(rand_vec(rng, A.dim + 1))
 
 
 def test_products_match_the_dense_reference():
-    """multiply, left_mult_matrix, product_span and is_subalgebra against
+    """multiply, trace_of_left_mult, product_span and is_subalgebra against
     `dense_multiply`, which reads only the structure constants."""
     rng = random.Random(13)
     t = TrivialGroup()
@@ -199,9 +206,7 @@ def test_products_match_the_dense_reference():
         for a in vecs:
             for b in vecs:
                 assert A.multiply(a, b) == dense_multiply(A, a, b)
-            columns = Mat([dense_multiply(A, a, e) for e in basis], cols=A.dim)
-            assert A.left_mult_matrix(a) == columns.transpose()
-            assert A.trace_of_left_mult(a) == trace(columns)
+            assert A.trace_of_left_mult(a) == trace([dense_multiply(A, a, e) for e in basis])
         # the trace lemma: tr L(e_i) = 0 when e_i has a degree other than e
         e = A.group.identity()
         assert all(t == 0 for t, g in zip(A.left_mult_traces, A.degrees) if g != e)
@@ -413,6 +418,15 @@ def test_algebra_on_subspace_detects_unit():
     emb = algebra_on_subspace(M, S)
     assert emb.algebra.dim == 1
     assert emb.algebra.unit == (F(1),)
+
+
+def test_include_lands_in_the_ambient_space():
+    M = matrix_algebra(2)
+    emb = algebra_on_subspace(M, M.subalgebra_generated([M.basis_vector(E11)]))
+    assert emb.ambient == 4 and emb.include((F(3),)) == (F(3), F(0), F(0), F(0))
+    zero = algebra_on_subspace(ut2(), Subspace.zero(3))
+    assert zero.algebra.dim == 0 and zero.rows == ()
+    assert zero.include(()) == (F(0), F(0), F(0))
 
 
 def test_group_algebra_unit_and_grading():

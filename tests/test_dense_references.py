@@ -17,12 +17,13 @@ from gradedalg.algebra import (GradedAlgebra, algebra_on_subspace, graded_check,
                                quotient_algebra)
 from gradedalg.exactlin import Reducer, Subspace, null_space
 from gradedalg.groups import CyclicGroup, TrivialGroup
-from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
+from gradedalg.radical import jacobson_radical, killing_form, nilradical, solvable_radical
 from gradedalg.structure import (levi_graded, malcev_complement_graded,
                                  wedderburn_artin_graded)
 from tests.corpus import _random_homogeneous, associative_corpus, lie_corpus, rescaled
-from tests.dense import (graded_complement_dense, jacobson_radical_dense, nilradical_dense,
-                         quotient_dense, solvable_radical_dense, wedderburn_dense)
+from tests.dense import (graded_complement_dense, jacobson_radical_dense, killing_form_dense,
+                         nilradical_dense, quotient_dense, solvable_radical_dense,
+                         wedderburn_dense)
 
 F = Fraction
 SCALES = [F(1, 2), F(-2, 3), F(3), F(5, 7), F(-1)]
@@ -88,12 +89,29 @@ def test_rebased_corpus_matches_the_dense_routines():
         assert _matches_the_dense_routines(B, rng)
 
 
+def _lie_matches_the_dense_routines(L):
+    R, N = solvable_radical(L), nilradical(L)
+    assert killing_form(L) == killing_form_dense(L), L.name
+    assert R == solvable_radical_dense(L) and N == nilradical_dense(L), L.name
+    _assert_same_quotient(L, R)
+    assert levi_graded(L) == graded_complement_dense(L, R), L.name
+
+
 def test_lie_corpus_matches_the_dense_routines():
     for L in lie_corpus():
-        R, N = solvable_radical(L), nilradical(L)
-        assert R == solvable_radical_dense(L) and N == nilradical_dense(L), L.name
-        _assert_same_quotient(L, R)
-        assert levi_graded(L) == graded_complement_dense(L, R), L.name
+        _lie_matches_the_dense_routines(L)
+
+
+def test_rebased_lie_corpus_matches_the_dense_routines():
+    # every Lie corpus member has integer constants (D = 1); on a rescaled
+    # and sheared basis D > 1, so the Killing rows must be divided by D^2
+    rng = random.Random(2123)
+    rebased = [rescaled(L, [rng.choice(SCALES) for _ in range(L.dim)], shear)
+               for L in lie_corpus() for shear in (0, F(1, 2))]
+    assert all(L.integer_structure[0] == 1 for L in lie_corpus())
+    assert len(rebased) == 16 and all(B.integer_structure[0] > 1 for B in rebased)
+    for B in rebased:
+        _lie_matches_the_dense_routines(B)
 
 
 def test_quotient_complement_is_greedy_not_the_ideals_non_pivots():
@@ -106,7 +124,7 @@ def test_quotient_complement_is_greedy_not_the_ideals_non_pivots():
     assert ideal.pivots == (0,)
     q = quotient_algebra(A, ideal)
     assert q.indices == (0,) == _greedy_complement(ideal)
-    assert q.projection.data == ((F(1), F(-1)),)      # e_1 = -e_0 modulo I
+    assert q.projection == ((F(1), F(-1)),)      # e_1 = -e_0 modulo I
     _assert_same_quotient(A, ideal)
 
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from gradedalg.algebra import GradedAlgebra
 from gradedalg.builders import matrix_algebra_z2
 from gradedalg.errors import DimensionMismatchError, ValidationError
-from gradedalg.exactlin import (Mat, Reducer, Subspace, dense, kernel, rank,
-                                solve, sparse, subspace_intersection,
-                                subspace_sum, is_zero_vector)
+from gradedalg.exactlin import (Reducer, Subspace, dense, null_space, solve_rows,
+                                sparse, subspace_intersection, subspace_sum,
+                                is_zero_vector)
 from gradedalg.groups import TrivialGroup
 from gradedalg.hopf import DualFunctional, dual_action
 from gradedalg.identities import MultilinearGradedPoly
 from tests.corpus import random_matrices
-from tests.dense import DenseGaussJordan, invert, matmul
+from tests.dense import DenseGaussJordan, identity, invert, matmul, matvec
 from tests.oracles import bareiss_rank
 
 F = Fraction
@@ -27,9 +27,8 @@ def first_nonzero_columns(rows):
 
 
 def test_rref_identity():
-    m = Mat.identity(2)
-    red = Reducer(m.cols, m.data)
-    assert Mat(red.rows, cols=m.cols) == m
+    red = Reducer(2, identity(2))
+    assert red.rows == [[1, 0], [0, 1]]
     assert red.dim == 2
 
 
@@ -43,53 +42,55 @@ def test_rref_rank_matches_bareiss_oracle():
     rng = random.Random(101)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(5)]
-        assert rank(Mat(rows)) == bareiss_rank(rows)
+        assert Reducer(7, rows).dim == bareiss_rank(rows)
     for rows, nc in random_matrices(102):
-        assert rank(Mat(rows, cols=nc)) == bareiss_rank(rows)
+        assert Reducer(nc, rows).dim == bareiss_rank(rows)
 
 
 def test_rank_plus_kernel_is_cols():
     rng = random.Random(7)
     for _ in range(30):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        m = Mat([[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)])
-        assert rank(m) + kernel(m).dim == nc
+        m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        assert Reducer(nc, m).dim + null_space(nc, m).dim == nc
     for rows, nc in random_matrices(103):
-        m = Mat(rows, cols=nc)
-        k = kernel(m)
+        k = null_space(nc, rows)
         assert k.dim == nc - bareiss_rank(rows)
         assert k.pivots == first_nonzero_columns(k.basis_vectors())
         for v in k.basis_vectors():
-            assert is_zero_vector(m.mul_vec(v))
+            assert is_zero_vector(matvec(rows, v))
+        assert null_space(nc, [sparse(r) for r in rows]) == k
 
 
 def test_kernel_zero_matrix():
-    assert kernel(Mat([[0] * 3] * 3)).dim == 3
+    assert null_space(3, [[0] * 3] * 3).dim == 3
 
 
 def test_kernel_identity():
-    assert kernel(Mat.identity(4)).is_zero()
+    assert null_space(4, identity(4)).is_zero()
 
 
 def test_kernel_vectors_annihilate():
-    m = Mat([[1, 1, 0]])
-    k = kernel(m)
+    m = [[1, 1, 0]]
+    k = null_space(3, m)
     assert k.dim == 2
     for v in k.basis_vectors():
-        assert is_zero_vector(m.mul_vec(v))
+        assert is_zero_vector(matvec(m, v))
 
 
 def test_degenerate_shapes():
-    assert rank(Mat([], cols=5)) == 0
-    assert rank(Mat([[], [], []], cols=0)) == 0
-    assert kernel(Mat([], cols=3)).dim == 3
+    assert Reducer(5, []).dim == 0
+    assert Reducer(0, [[], [], []]).dim == 0
+    assert null_space(3, []).dim == 3
+    assert null_space(0, []).is_zero() and Subspace.zero(0).basis_vectors() == ()
 
 
 def test_canonicity_of_subspaces():
     a = Subspace.from_vectors(3, [(1, 1, 0), (0, 1, 1)])
     b = Subspace.from_vectors(3, [(1, 2, 1), (2, 3, 1), (1, 0, -1)])
     assert a == b
-    assert a.mat == b.mat
+    assert a.basis_vectors() == b.basis_vectors()
+    assert a.basis_vectors() is a.basis_vectors()      # built once
     assert a.pivots == b.pivots == (0, 1)
 
 
@@ -134,33 +135,32 @@ def test_contains_and_coords():
 
 
 def test_solve_and_invert():
-    m = Mat([[2, 1], [1, 1]])
-    x = solve(m, (3, 2))
-    assert m.mul_vec(x) == (F(3), F(2))
-    assert solve(Mat([[1, 0], [1, 0]]), (1, 2)) is None
+    m = [[2, 1], [1, 1]]
+    x = solve_rows(2, [[2, 1, 3], [1, 1, 2]])
+    assert matvec(m, x) == (F(3), F(2))
+    assert solve_rows(2, [{0: 1, 2: 1}, {0: 1, 2: 2}]) is None      # x_0 = 1 and x_0 = 2
     inv = invert(m)
-    assert matmul(inv, m) == Mat.identity(2)
+    assert matmul(inv, m) == identity(2)
     rng = random.Random(104)
     for rows, nc in random_matrices(105):
-        m = Mat(rows, cols=nc)
         x0 = [rng.randint(-3, 3) for _ in range(nc)]
-        for rhs in (m.mul_vec(x0), [rng.randint(-4, 4) for _ in rows]):
-            x = solve(m, rhs)
+        for rhs in (matvec(rows, x0), [rng.randint(-4, 4) for _ in rows]):
             aug = [r + [b] for r, b in zip(rows, rhs)]
+            x = solve_rows(nc, aug)
             assert (x is not None) == (bareiss_rank(aug) == bareiss_rank(rows))
             if x is not None:
-                assert m.mul_vec(x) == tuple(rhs)
+                assert matvec(rows, x) == tuple(rhs)
+                assert solve_rows(nc, [sparse(r) for r in aug]) == x
         if len(rows) == nc:
             if bareiss_rank(rows) < nc:
                 with pytest.raises(DimensionMismatchError):
-                    invert(m)
+                    invert(rows)
             else:
-                assert matmul(invert(m), m) == Mat.identity(nc)
+                assert matmul(invert(rows), rows) == identity(nc)
 
 
 def test_exactness_with_awkward_fractions():
-    m = Mat([[F(1, 3), F(1, 7)], [F(2, 3), F(2, 7)]])
-    assert rank(m) == 1
+    assert Reducer(2, [[F(1, 3), F(1, 7)], [F(2, 3), F(2, 7)]]).dim == 1
 
 
 def test_reducer_input_stays_exact():
@@ -257,7 +257,7 @@ def test_sparse_insert_touches_only_nonzero_columns():
                           unit=(1.0,)),
     lambda: MultilinearGradedPoly(1, {((0,), (TrivialGroup().identity(),)): 0.5}),
     lambda: DualFunctional(TrivialGroup(), {TrivialGroup().identity(): 0.5}),
-    lambda: Mat([[1, 0.5]]),
+    lambda: null_space(2, [[1, 0.5]]),
     lambda: Subspace.from_vectors(2, [(1, 0.5)]),
     lambda: dual_action(DualFunctional.delta(matrix_algebra_z2().support[0]),
                         (0.5, 0, 0, 0), matrix_algebra_z2()),

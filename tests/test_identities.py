@@ -22,7 +22,7 @@ from gradedalg.hopf import DualFunctional
 from gradedalg.identities import (MultilinearGradedPoly, codim_block,
                                   codimension_report, decimal_root,
                                   exponent_estimate, graded_codimension,
-                                  is_graded_identity, nilpotent_shortcut)
+                                  is_graded_identity)
 from gradedalg.radical import jacobson_radical
 from gradedalg.schema import algebra_to_description
 from tests.corpus import random_graded_quotient, random_matrix_subalgebra, rescaled
@@ -166,11 +166,12 @@ def test_nilpotent_shortcut():
     A = free_group_truncation(2, 3)
     J = jacobson_radical(A)
     B = algebra_on_subspace(A, J, name="J").algebra
-    assert nilpotent_shortcut(B, 3) == 0
-    assert nilpotent_shortcut(B, 2) is None
+    # 0 from the nilpotency index 3 on, and none below it
+    assert codimension_report(B, 3).shortcuts == [3]
+    assert codimension_report(B, 2).shortcuts == []
     assert graded_codimension(B, 2) > 0
     assert graded_codimension(B, 3) == 0
-    assert nilpotent_shortcut(A, 5) is None      # unital never shortcuts
+    assert codimension_report(A, 3).shortcuts == []      # unital never shortcuts
 
 
 def test_codimension_report_computes_the_nilpotency_index_once(monkeypatch):

@@ -10,14 +10,14 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 matrix_algebra_z2, sl2, gl2_z2, heisenberg3,
                                 two_dim_nonabelian_lie, upper_triangular, ut2)
 from gradedalg.errors import InternalCheckError, ValidationError
-from gradedalg.exactlin import Mat, Subspace, kernel, null_space, unit_vector
+from gradedalg.exactlin import Subspace, null_space, unit_vector
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import (derived_series, graded_check, graded_radical_report,
                                jacobson_radical, killing_form, nilradical,
                                solvable_radical)
 from gradedalg.schema import digest
 from tests.corpus import associative_corpus, commutator_corpus, lie_corpus
-from tests.dense import matmul, trace
+from tests.dense import killing_form_dense
 from tests.oracles import brute_force_largest_nilpotent_ideal
 
 F = Fraction
@@ -70,21 +70,22 @@ def test_radical_graded_on_builtins():
 
 def test_killing_form_values():
     K = killing_form(sl2())
-    det = (K.entry(0, 0) * (K.entry(1, 1) * K.entry(2, 2) - K.entry(1, 2) * K.entry(2, 1))
-           - K.entry(0, 1) * (K.entry(1, 0) * K.entry(2, 2) - K.entry(1, 2) * K.entry(2, 0))
-           + K.entry(0, 2) * (K.entry(1, 0) * K.entry(2, 1) - K.entry(1, 1) * K.entry(2, 0)))
+    det = (K[0][0] * (K[1][1] * K[2][2] - K[1][2] * K[2][1])
+           - K[0][1] * (K[1][0] * K[2][2] - K[1][2] * K[2][0])
+           + K[0][2] * (K[1][0] * K[2][1] - K[1][1] * K[2][0]))
     assert det != 0
+    assert all(type(x) is Fraction for row in K for x in row)
     t = TrivialGroup()
     abelian = lie_from_brackets(t, [t.identity()] * 2, 2, {}, name="ab2")
-    assert killing_form(abelian) == Mat([[0] * 2] * 2)
-    assert killing_form(heisenberg3()) == Mat([[0] * 3] * 3)
+    assert killing_form(abelian) == ((0, 0), (0, 0))
+    assert killing_form(heisenberg3()) == ((0,) * 3,) * 3
 
 
 def test_killing_form_invariance():
     rng = random.Random(11)
     for L in (sl2(), gl2_z2(), heisenberg3(), two_dim_nonabelian_lie()):
         K = killing_form(L)
-        kf = lambda x, y: sum(a * sum(K.entry(i, j) * b for j, b in enumerate(y))
+        kf = lambda x, y: sum(a * sum(K[i][j] * b for j, b in enumerate(y))
                               for i, a in enumerate(x))
         for i in range(L.dim):
             for j in range(L.dim):
@@ -141,7 +142,7 @@ def test_nilradical_is_not_the_killing_radical():
     L = lie_from_brackets(z2, [0, 1, 1, 0, 1], 5,
                           {(0, 1): [(2, 1)], (0, 2): [(1, -1)], (0, 3): [(3, 1)],
                            (0, 4): [(4, -1)]}, name="rot+hyp")
-    assert killing_form(L) == Mat([[0] * 5] * 5)
+    assert killing_form(L) == ((0,) * 5,) * 5
     N = nilradical(L)
     assert N == Subspace.from_vectors(5, [L.basis_vector(i) for i in range(1, 5)])
     assert N == brute_force_largest_nilpotent_ideal(L, entries=(-1, 0, 1))
@@ -149,11 +150,7 @@ def test_nilradical_is_not_the_killing_radical():
 
 def test_killing_form_matches_dense_ad_products(lie_algebras):
     for L in lie_algebras:
-        ads = [L.left_mult_matrix(L.basis_vector(i)) for i in range(L.dim)]
-        K = killing_form(L)
-        for i in range(L.dim):
-            for j in range(L.dim):
-                assert K.entry(i, j) == trace(matmul(ads[i], ads[j]))
+        assert killing_form(L) == killing_form_dense(L), L.name
 
 
 def test_derived_series_and_solvability():
@@ -328,6 +325,26 @@ POST_CHECK_FAILURES = [
     (nilradical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
      "nilradical is not graded; witness " + str(_E(3, 0))),
 ]
+
+
+@pytest.mark.parametrize("radical, build, proper", [
+    (jacobson_radical, lambda: upper_triangular(3), True),
+    (jacobson_radical, matrix_algebra_z2, False),
+    (solvable_radical, gl2_z2, True),
+    (nilradical, two_dim_nonabelian_lie, True),
+])
+def test_post_check_tests_a_proper_radical_for_an_ideal_once(monkeypatch, radical, build, proper):
+    # `_post_check` tests a proper radical for being an ideal once and then
+    # builds the quotient without the input checks of `quotient_algebra`
+    import gradedalg.algebra
+    A = build()
+    calls = []
+    is_ideal = gradedalg.algebra.GradedAlgebra.is_ideal
+    monkeypatch.setattr(gradedalg.algebra.GradedAlgebra, "is_ideal",
+                        lambda self, s: calls.append(s) or is_ideal(self, s))
+    I = radical(A, verify=True)
+    assert (0 < I.dim < A.dim) == proper
+    assert calls == ([I] if proper else [])
 
 
 @pytest.mark.parametrize("radical, build, rows, message", POST_CHECK_FAILURES)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from gradedalg.algebra import algebra_on_subspace, graded_closure, quotient_algebra
 from gradedalg.builders import builtin, ut2, upper_triangular
-from gradedalg.exactlin import Mat, Reducer, Subspace, is_zero_vector
+from gradedalg.exactlin import Reducer, Subspace, is_zero_vector
 from gradedalg.groups import CyclicGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.schema import (algebra_to_description, description_to_algebra,
@@ -67,8 +67,7 @@ def test_rref_pivot_structure_random():
     cases = [([[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)], 6)
              for _ in range(50)]
     for rows, nc in cases + list(random_matrices(78)):
-        m = Mat(rows, cols=nc)
-        red = Reducer(nc, m.data)
+        red = Reducer(nc, rows)
         R = red.rows
         assert not any(is_zero_vector(row) for row in R)
         pivots = []
@@ -83,10 +82,10 @@ def test_rref_pivot_structure_random():
             assert sum(1 for x in col if x != 0) == 1
         # each input row is the combination of the RREF rows weighted by its
         # own pivot entries
-        for v in m.data:
+        for v in rows:
             comb = [sum((v[p] * R[i][c] for i, p in enumerate(pivots)), F(0))
                     for c in range(nc)]
-            assert tuple(comb) == v
+            assert comb == list(v)
 
 
 def test_radical_in_skewed_rational_basis():
