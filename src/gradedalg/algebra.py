@@ -401,9 +401,10 @@ class QuotientResult:
     section: tuple          # quotient basis lifted to ambient vectors (standard basis vectors)
     projection: tuple       # dim(quotient) rows of length dim(A), v -> coordinates of v + I
     indices: tuple          # ambient indices of the chosen complement vectors
+    ambient: int            # dimension of the algebra divided by the ideal
 
     def project(self, v) -> tuple:
-        if any(len(row) != len(v) for row in self.projection):
+        if len(v) != self.ambient:
             raise DimensionMismatchError("vector has wrong ambient dimension")
         return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.projection)
 
@@ -431,8 +432,9 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
         raise DimensionMismatchError("ideal lives in a different ambient space")
     if not A.is_ideal(ideal):
         raise NotAnIdealError("subspace is not a two-sided ideal")
-    if not graded_check(ideal, A)[0]:
-        raise NotGradedError("ideal is not graded: a basis vector mixes degrees")
+    ok, witness = graded_check(ideal, A)
+    if not ok:
+        raise NotGradedError(f"ideal is not graded: a basis row mixes degrees; witness {witness}")
     return _quotient(A, ideal, name)
 
 
@@ -465,7 +467,7 @@ def _quotient(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResu
     Q = GradedAlgebra(A.group, degrees, structure, kind=A.kind, unit=unit,
                       name=name or (A.name + "/I" if A.name else ""))
     section = tuple(unit_vector(A.dim, i) for i in chosen)
-    return QuotientResult(Q, section, projection.basis_vectors(), chosen)
+    return QuotientResult(Q, section, projection.basis_vectors(), chosen, A.dim)
 
 
 def unitalize(A: GradedAlgebra) -> GradedAlgebra:

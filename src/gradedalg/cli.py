@@ -3,6 +3,12 @@
 Subcommands: radical, decompose, codim, check-identity, verify, builtin.
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 invariant violation, 4 resource
 cap. Reports go to stdout; --json-out also writes a deterministic JSON report.
+
+decompose certifies its unverified radical by the decomposition, each fact
+once: `graded_complement` tests graded ideal and nilpotent (solvable), and the
+quotient's semisimplicity is tested on the complement, isomorphic to it (the
+`wedderburn_artin_graded` guard, or the Levi subalgebra's solvable radical).
+Nothing is printed before every check has passed.
 """
 
 from __future__ import annotations
@@ -95,34 +101,35 @@ def cmd_decompose(args) -> int:
     A, desc = _load_algebra(args)
     out = {"command": "decompose", "input_digest": digest(desc), "name": A.name,
            "results": {}}
+    lines = []
     if A.kind == ASSOCIATIVE:
-        J = jacobson_radical(A)
+        J = jacobson_radical(A, verify=False)
         out["results"]["radical_dim"] = J.dim
         if J.is_zero():
             semi = A
-            print(f"semisimple: dim {A.dim}")
+            lines.append(f"semisimple: dim {A.dim}")
         else:
             B = graded_complement(A, J)
-            print(f"radical dim {J.dim}; graded complement dim {B.dim}")
+            lines.append(f"radical dim {J.dim}; graded complement dim {B.dim}")
             out["results"]["complement_dim"] = B.dim
-            emb = algebra_on_subspace(A, B, name="complement")
-            semi = emb.algebra
+            semi = algebra_on_subspace(A, B, name="complement").algebra
         dec = wedderburn_artin_graded(semi)
-        dims = dec.dims()
-        print(f"graded-simple components: {len(dims)} with dims {dims}")
-        comps = []
-        for c in dec.components:
-            degs = sorted(set(_degree_names(semi, c)))
-            comps.append({"dim": c.dim, "degrees": degs})
-            print(f"  component dim {c.dim}, degrees {degs}")
+        comps = [{"dim": c.dim, "degrees": sorted(set(_degree_names(semi, c)))}
+                 for c in dec.components]
+        lines.append(f"graded-simple components: {len(comps)} with dims {dec.dims()}")
+        lines += [f"  component dim {c['dim']}, degrees {c['degrees']}" for c in comps]
         out["results"]["components"] = comps
     else:
-        R = solvable_radical(A)
+        R = solvable_radical(A, verify=False)
         B = graded_complement(A, R)
-        print(f"solvable radical dim {R.dim}; graded Levi subalgebra dim {B.dim}")
+        if not R.is_zero() and not solvable_radical(
+                algebra_on_subspace(A, B, name="levi").algebra, verify=False).is_zero():
+            raise InternalCheckError("quotient by the solvable radical is not semisimple")
+        lines.append(f"solvable radical dim {R.dim}; graded Levi subalgebra dim {B.dim}")
         out["results"]["radical_dim"] = R.dim
         out["results"]["levi_dim"] = B.dim
     out["results"]["verified"] = True
+    print("\n".join(lines))
     _emit(out, args.json_out)
     return EXIT_OK
 

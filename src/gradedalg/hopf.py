@@ -133,17 +133,14 @@ def xi_decompose(f: DualFunctional, window: CoalgebraWindow):
     """Split f of a product into a finite sum of pure tensors on the window:
     f(g q) = sum_i f_i'(g) f_i''(q) for all g, q in the window basis.
 
-    For group algebras the pairs are (delta_g, q -> f(g q)); zero second legs
-    are dropped, so at most |window| pairs are returned.
+    For group algebras the pairs are (delta_g, q -> f(g q)), one per window
+    element; translation permutes G, so a translate of f is zero iff f is.
     """
     if f.group != window.group:
         raise GroupMismatchError("functional and window live on different groups")
-    pairs = []
-    for g in window.basis:
-        t = f.translate(g)
-        if not t.is_zero():
-            pairs.append((DualFunctional.delta(g), t))
-    return pairs
+    if f.is_zero():
+        return []
+    return [(DualFunctional.delta(g), f.translate(g)) for g in window.basis]
 
 
 def verify_ideal_closure(ideal: Subspace, A: GradedAlgebra) -> bool:

@@ -251,6 +251,10 @@ def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
     ... (`derived_series`, which ends at 0 unless I is not solvable) with
     `_lift_section` (see the module docstring for why each step is solvable);
     every correction is homogeneous because each I_k is graded.
+
+    `quotient_algebra` tests that I is a graded ideal and the derived series
+    that it is nilpotent (solvable), once each; that A/I, isomorphic to B, is
+    semisimple is left to a caller that needs it (`cli decompose`).
     """
     if A.kind == ASSOCIATIVE and A.unit is None:
         raise ValidationError("complement construction needs a unital algebra")
@@ -269,7 +273,8 @@ def graded_complement(A: GradedAlgebra, I: Subspace) -> Subspace:
 
 
 def _verify_complement(A, B, I, Q, section):
-    if B.dim != Q.dim or not (B & I).is_zero() or (B + I).dim != A.dim:
+    # B.dim = Q.dim = A.dim - I.dim, so B + I = A forces B ^ I = 0
+    if B.dim != Q.dim or (B + I).dim != A.dim:
         raise InternalCheckError("complement does not split the algebra")
     for a in range(Q.dim):
         for b in range(Q.dim):
@@ -279,27 +284,15 @@ def _verify_complement(A, B, I, Q, section):
         raise InternalCheckError("complement is not graded")
 
 
-def _unital_radical(A: GradedAlgebra) -> Subspace:
-    """J(A), behind the kind guard of the Mal'cev complement (the unit guard
-    is `graded_complement`'s)."""
-    if A.kind != ASSOCIATIVE:
-        raise ValidationError("complement construction applies to associative algebras")
-    return jacobson_radical(A, verify=False)
-
-
-def _lie_radical(L: GradedAlgebra) -> Subspace:
-    """The solvable radical, behind the guard of the Levi subalgebra."""
-    if L.kind != LIE:
-        raise ValidationError("Levi decomposition applies to Lie algebras")
-    return solvable_radical(L, verify=False)
-
-
 def malcev_complement_graded(A: GradedAlgebra) -> Subspace:
     """A graded semisimple complement B with A = B (+) J(A), a subalgebra."""
-    return graded_complement(A, _unital_radical(A))
+    if A.kind != ASSOCIATIVE:
+        raise ValidationError("complement construction applies to associative algebras")
+    return graded_complement(A, jacobson_radical(A, verify=False))
 
 
 def levi_graded(L: GradedAlgebra) -> Subspace:
     """A graded semisimple subalgebra B with L = B (+) R (solvable radical)."""
-    return graded_complement(L, _lie_radical(L))
-
+    if L.kind != LIE:
+        raise ValidationError("Levi decomposition applies to Lie algebras")
+    return graded_complement(L, solvable_radical(L, verify=False))

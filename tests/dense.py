@@ -291,7 +291,8 @@ def quotient_dense(A, ideal) -> QuotientResult:
     unit = matvec(proj, A.unit) if A.unit is not None else None
     Q = GradedAlgebra(A.group, [A.degrees[i] for i in chosen], structure, kind=A.kind,
                       unit=unit, name=A.name + "/I" if A.name else "")
-    return QuotientResult(Q, tuple(unit_vector(A.dim, i) for i in chosen), proj, tuple(chosen))
+    return QuotientResult(Q, tuple(unit_vector(A.dim, i) for i in chosen), proj, tuple(chosen),
+                          A.dim)
 
 
 def _image_dense(Q, section, a, b) -> list:

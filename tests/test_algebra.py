@@ -180,6 +180,12 @@ def test_quotient_projection_is_multiplicative():
             q.algebra.multiply(q.project(a), q.project(b))
     with pytest.raises(DimensionMismatchError):
         q.project(rand_vec(rng, A.dim + 1))
+    # the quotient by the whole algebra has no projection rows, and still
+    # knows the dimension of the algebra
+    whole = quotient_algebra(ut2(), Subspace.full(3))
+    assert whole.project((1, 2, 3)) == ()
+    with pytest.raises(DimensionMismatchError):
+        whole.project((1, 2))
 
 
 def test_products_match_the_dense_reference():

@@ -12,14 +12,17 @@ import pytest
 import gradedalg.cli
 import gradedalg.identities
 from gradedalg.algebra import algebra_on_subspace
-from gradedalg.builders import builtin
+from gradedalg.builders import (builtin, free_group_truncation, heisenberg3, sl2,
+                                two_dim_nonabelian_lie, upper_triangular)
 from gradedalg.cli import main
 from gradedalg.errors import InternalCheckError, SchemaError
+from gradedalg.exactlin import unit_vector
 from gradedalg.radical import jacobson_radical
 from gradedalg.schema import (algebra_to_description, canonical_json,
                               description_to_algebra, digest, load_json,
                               parse_rational, poly_from_description,
                               render_rational)
+from tests.test_radical import _first_kernel_returns
 
 F = Fraction
 
@@ -327,6 +330,7 @@ def test_cli_decompose_refuses_a_split_that_needs_factoring(tmp_path, capsys):
         trivially_graded(group_algebra(CyclicGroup(5))))))
     assert main(["decompose", "--input", str(path)]) == 3
     out, err = capsys.readouterr()
+    assert out == ""        # not even the "semisimple: dim 5" line
     assert "graded-simple split needs factoring over Q" in err
     assert err.startswith("invariant violation: ValidationError: ") and "Traceback" not in err
 
@@ -360,22 +364,89 @@ def test_cli_structure_check_failure_exits_3(desc, message, command, tmp_path, c
 @pytest.mark.parametrize("name, radical", [("ut2", "jacobson_radical"),
                                             ("gl2_z2", "solvable_radical")])
 def test_cli_decompose_computes_the_radical_once(name, radical, monkeypatch):
-    # decompose passes its verified radical to the complement; the radical of
-    # the complement algebra (Wedderburn-Artin's semisimplicity guard) is not
-    # a computation on the input, so only calls on the input count
+    # decompose computes its radical once, unverified, and certifies it by
+    # the decomposition, each fact once: no `_post_check`, one ideal test and
+    # one gradedness test (`quotient_algebra`), one derived series
+    # (nilpotent, resp. solvable), and one radical of the complement, which
+    # is isomorphic to the quotient (semisimple)
+    import gradedalg.algebra
     import gradedalg.radical
     import gradedalg.structure
     calls = []
     compute = getattr(gradedalg.radical, radical)
 
     def counting(A, verify=True):
-        calls.append(A.name)
+        calls.append((A.name, verify))
         return compute(A, verify=verify)
 
     for module in (gradedalg.cli, gradedalg.radical, gradedalg.structure):
         monkeypatch.setattr(module, radical, counting)
+
+    def no_post_check(*args):
+        raise AssertionError("decompose reached _post_check")
+
+    monkeypatch.setattr(gradedalg.radical, "_post_check", no_post_check)
+    tested = {"is_ideal": [], "graded_check": [], "derived_series": []}
+
+    def spy(owner, fname, arg):         # record the subspace, argument `arg`
+        f = getattr(owner, fname)
+        monkeypatch.setattr(owner, fname,
+                            lambda *args: tested[fname].append(args[arg]) or f(*args))
+
+    spy(gradedalg.algebra.GradedAlgebra, "is_ideal", 1)
+    spy(gradedalg.algebra, "graded_check", 0)
+    spy(gradedalg.structure, "graded_check", 0)
+    spy(gradedalg.structure, "derived_series", 1)
     assert main(["decompose", "--builtin", name]) == 0
-    assert calls.count(name) == 1
+    complement = "complement" if radical == "jacobson_radical" else "levi"
+    assert calls == [(name, False), (complement, False)]
+    I = compute(builtin(name), verify=False)
+    assert {k: v.count(I) for k, v in tested.items()} == \
+        {"is_ideal": 1, "graded_check": 1, "derived_series": 1}
+
+
+# ut3 basis: e11, e12, e13, e22, e23, e33; free_trunc_2_3: 1, a, b, aa, ab,
+# ba, bb; sl2: e, h, f; heis3: x, y, z with deg x != deg y; aff1: [x, y] = x
+_E = unit_vector
+WRONG_RADICALS = [
+    (lambda: upper_triangular(3), [_E(6, i) for i in range(6)],
+     "internal check failed: ideal is not solvable: I_k . I_k = I_k != 0"),
+    (lambda: upper_triangular(3), [_E(6, 1)],
+     "invariant violation: NotAnIdealError: subspace is not a two-sided ideal"),
+    (lambda: free_group_truncation(2, 3), [(0, 1, 1, 0, 0, 0, 0)] + [_E(7, i) for i in range(3, 7)],
+     "invariant violation: NotGradedError: ideal is not graded: a basis row mixes degrees; "
+     "witness " + str(_E(7, 1))),
+    # too small: ut3 / (e12, e13) keeps the radical (e23), which the complement
+    # (Wedderburn-Artin's guard) shows; over ut3 / (e13) no complement lifts
+    (lambda: upper_triangular(3), [_E(6, 1), _E(6, 2)],
+     "invariant violation: NotSemisimpleError: algebra has a nonzero radical"),
+    (lambda: upper_triangular(3), [_E(6, 2)],
+     "internal check failed: section lifting system is infeasible"),
+    (sl2, [_E(3, i) for i in range(3)],
+     "internal check failed: ideal is not solvable: I_k . I_k = I_k != 0"),
+    (sl2, [_E(3, 1)], "invariant violation: NotAnIdealError: subspace is not a two-sided ideal"),
+    (heisenberg3, [(1, 1, 0), (0, 0, 1)],
+     "invariant violation: NotGradedError: ideal is not graded: a basis row mixes degrees; "
+     "witness " + str(_E(3, 0))),
+    (two_dim_nonabelian_lie, [(1, 0)],
+     "internal check failed: quotient by the solvable radical is not semisimple"),
+]
+
+
+@pytest.mark.parametrize("build, rows, message", WRONG_RADICALS, ids=[
+    "J-not-nilpotent", "J-not-ideal", "J-not-graded", "J-too-small", "J-too-small-no-lift",
+    "R-not-solvable", "R-not-ideal", "R-not-graded", "R-too-small"])
+def test_cli_decompose_refuses_a_wrong_radical(build, rows, message, monkeypatch,
+                                               tmp_path, capsys):
+    # the first `null_space` of the radical module hands decompose a wrong
+    # candidate; the decomposition refuses it before anything is printed
+    A = build()
+    path, report = tmp_path / "a.json", tmp_path / "r.json"
+    path.write_text(json.dumps(algebra_to_description(A)))
+    _first_kernel_returns(monkeypatch, rows, A.dim)
+    assert main(["decompose", "--input", str(path), "--json-out", str(report)]) == 3
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not report.exists()
 
 
 def test_cli_builtin_emits_parseable_json(capsys):
