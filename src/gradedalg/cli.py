@@ -73,14 +73,6 @@ def _emit(report: dict, json_out: str | None):
         _write_report(json_out, canonical_json(report))
 
 
-def _degree_names(A: GradedAlgebra, sub) -> list:
-    degs = []
-    for v in sub.basis_vectors():
-        g = A.degree_of(v)
-        degs.append(repr(g) if g is not None else "mixed")
-    return degs
-
-
 def cmd_radical(args) -> int:
     A, desc = _load_algebra(args)
     reports = graded_radical_report(A)
@@ -114,7 +106,9 @@ def cmd_decompose(args) -> int:
             out["results"]["complement_dim"] = B.dim
             semi = algebra_on_subspace(A, B, name="complement").algebra
         dec = wedderburn_artin_graded(semi)
-        comps = [{"dim": c.dim, "degrees": sorted(set(_degree_names(semi, c)))}
+        # each component passed the graded check of wedderburn_artin_graded,
+        # so each RREF row has the degree of its pivot
+        comps = [{"dim": c.dim, "degrees": sorted({repr(semi.degrees[p]) for p in c.pivots})}
                  for c in dec.components]
         lines.append(f"graded-simple components: {len(comps)} with dims {dec.dims()}")
         lines += [f"  component dim {c['dim']}, degrees {c['degrees']}" for c in comps]

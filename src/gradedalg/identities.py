@@ -352,11 +352,14 @@ def _int_nth_root(x: int, n: int) -> int:
     return r
 
 
-def decimal_root(c: int, n: int, digits: int = 4) -> str:
-    """c ** (1/n) truncated to `digits` decimals, computed in integers."""
-    scaled = _int_nth_root(c * 10 ** (digits * n), n)
-    s = str(scaled).rjust(digits + 1, "0")
-    return s[:-digits] + "." + s[-digits:]
+_ROOT_DIGITS = 4
+
+
+def decimal_root(c: int, n: int) -> str:
+    """c ** (1/n) truncated to four decimals, computed in integers."""
+    scaled = _int_nth_root(c * 10 ** (_ROOT_DIGITS * n), n)
+    s = str(scaled).rjust(_ROOT_DIGITS + 1, "0")
+    return s[:-_ROOT_DIGITS] + "." + s[-_ROOT_DIGITS:]
 
 
 @dataclass
@@ -414,27 +417,23 @@ def exponent_estimate(values, predicted_d: int | None = None) -> ExponentVerdict
     u = [Fraction(v) / d ** (i + 1) for i, v in enumerate(values)]
     N = len(u)
     ratio = u[N - 1] / u[0]                    # = N^(chord slope)
-    r1 = None
-    for r in range(_POWER_WINDOW, -_POWER_WINDOW - 1, -1):
-        if Fraction(N) ** r <= ratio:
-            r1 = r
-            break
-    r2 = None
-    for r in range(-_POWER_WINDOW, _POWER_WINDOW + 1):
-        if ratio <= Fraction(N) ** r:
-            r2 = r
-            break
-    if r1 is None or r2 is None:
+    # r1 = floor, r2 = ceil of log_N(ratio), walked from 0 to one step past
+    # the window; the base stays a Fraction, as an int to a negative power
+    # would be a float
+    base = Fraction(N)
+    r1 = 0
+    while r1 <= _POWER_WINDOW and base ** (r1 + 1) <= ratio:
+        r1 += 1
+    while r1 >= -_POWER_WINDOW and base ** r1 > ratio:
+        r1 -= 1
+    r2 = r1 if base ** r1 == ratio else r1 + 1
+    if r1 < -_POWER_WINDOW or r2 > _POWER_WINDOW:
         return ExponentVerdict(predicted_d, False, False,
                                message="endpoint slope outside the power window")
-    c2 = max(u[0], u[N - 1] / Fraction(N) ** r2)
-    c1 = min(u[0], u[N - 1] / Fraction(N) ** r1)
-    ok = True
-    for i, un in enumerate(u):
-        n = Fraction(i + 1)
-        if not (c1 * n ** r1 <= un <= c2 * n ** r2):
-            ok = False
-            break
+    c2 = max(u[0], u[N - 1] / base ** r2)
+    c1 = min(u[0], u[N - 1] / base ** r1)
+    ok = all(c1 * Fraction(n) ** r1 <= un <= c2 * Fraction(n) ** r2
+             for n, un in enumerate(u, 1))
     msg = (f"consistent with exponent {predicted_d}: "
            f"{c1} * n^{r1} * {predicted_d}^n <= c_n <= {c2} * n^{r2} * {predicted_d}^n "
            f"over n = 1..{N}") if ok else (
@@ -481,7 +480,7 @@ def codimension_report(A: GradedAlgebra, n_max: int,
         per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
                       "nonzero_blocks": sum(mult for mult, rank in blocks if rank),
                       "max_block_rank": max((rank for _, rank in blocks), default=0)})
-    roots = [decimal_root(v, i + 1) if v > 0 else "0.0000" for i, v in enumerate(values)]
+    roots = [decimal_root(v, i + 1) for i, v in enumerate(values)]
     ratios = [Fraction(values[i + 1], values[i]) if values[i] else None
               for i in range(len(values) - 1)]
     verdict = exponent_estimate(values, predicted_d) if len(values) >= 3 else None

@@ -38,7 +38,8 @@ def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_r
     ideal, it is graded, and, given `quotient_radical`, A/I has zero radical.
     Those two checks are the input checks of `quotient_algebra`, so the
     quotient is built without repeating them."""
-    holds = is_solvable(A, I) if trait == "solvable" else nilpotency_index(A, I) is not None
+    holds = (derived_series(A, I)[-1].is_zero() if trait == "solvable"
+             else nilpotency_index(A, I) is not None)
     if not holds:
         raise InternalCheckError(f"{name} candidate is not {trait}")
     if I.is_zero() or I.dim == A.dim:
@@ -145,10 +146,6 @@ def derived_series(L: GradedAlgebra, s: Subspace) -> list:
     return out
 
 
-def is_solvable(L: GradedAlgebra, s: Subspace) -> bool:
-    return derived_series(L, s)[-1].is_zero()
-
-
 def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     """R = Killing-orthogonal complement of [L, L]; over Q this is the solvable
     radical (Cartan criterion). x is in R iff tr(ad x . ad d) = 0 for d over
@@ -156,8 +153,6 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     no Killing matrix built."""
     if L.kind != LIE:
         raise ValidationError("solvable radical is for Lie algebras")
-    if L.dim == 0:
-        return Subspace.zero(0)
     _, ad, pairing = _ad_operators(L)
     derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
     rows = []
@@ -213,8 +208,6 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     if L.kind != LIE:
         raise ValidationError("nilradical is for Lie algebras")
     n = L.dim
-    if n == 0:
-        return Subspace.zero(0)
     _, ad, pairing = _ad_operators(L)
     N = null_space(n, [_trace_row(pairing, y) for y in _ad_word_span(n, ad)])
     if verify:
@@ -244,24 +237,19 @@ def graded_radical_report(A: GradedAlgebra) -> list[RadicalReport]:
     grading, w is graded iff it holds the homogeneous projections of its
     basis, iff w equals its graded closure, i.e. graded and delta-closed
     coincide."""
-    reports = []
     if A.kind == ASSOCIATIVE:
-        J = jacobson_radical(A, verify=False)
-        ok, witness = graded_check(J, A)
-        if not ok:
-            raise InternalCheckError(f"Jacobson radical not graded; witness {witness}")
-        reports.append(RadicalReport("jacobson", J, ok, nilpotency_index(A, J)))
+        radicals = [("Jacobson radical", "jacobson", jacobson_radical(A, verify=False))]
     else:
         R = solvable_radical(A, verify=False)
         N = nilradical(A, verify=False)
-        okR, wR = graded_check(R, A)
-        okN, wN = graded_check(N, A)
-        if not (okR and okN):
-            raise InternalCheckError(f"Lie radical not graded; witnesses {wR} {wN}")
+        radicals = [("solvable radical", "solvable", R), ("nilradical", "nilpotent", N)]
+    for name, _, I in radicals:
+        ok, witness = graded_check(I, A)
+        if not ok:
+            raise InternalCheckError(f"{name} not graded; witness {witness}")
+    if A.kind != ASSOCIATIVE:
         if not N <= R:
             raise InternalCheckError("nilradical is not inside the solvable radical")
         if not A.product_span(Subspace.full(A.dim), R) <= N:
             raise InternalCheckError("[L, R] escapes the nilradical")
-        reports.append(RadicalReport("solvable", R, okR, nilpotency_index(A, R)))
-        reports.append(RadicalReport("nilpotent", N, okN, nilpotency_index(A, N)))
-    return reports
+    return [RadicalReport(kind, I, True, nilpotency_index(A, I)) for _, kind, I in radicals]

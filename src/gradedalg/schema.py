@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .algebra import GradedAlgebra
 from .errors import SchemaError, ValidationError
@@ -21,7 +22,7 @@ from .groups import group_from_description, is_int
 from .identities import MultilinearGradedPoly
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _too_long(what: str) -> str:
@@ -36,14 +37,15 @@ def parse_rational(obj, where: str) -> Fraction:
         m = _RATIONAL.fullmatch(obj)
         if m is None:
             raise SchemaError(f"{where}: bad rational {obj!r} (expected 'p' or 'p/q')")
-        q = m.group(1)
+        # q first: a zero q is refused whatever the length of p
         try:
-            x = Fraction(obj) if q is None or int(q) != 0 else None
+            q = int(m.group(2) or 1)
+            p = int(m.group(1)) if q else 0
         except ValueError:
             raise SchemaError(f"{where}: {_too_long('rational has a numerator or denominator')}") from None
-        if x is None or (q is not None and x.denominator != int(q)):
+        if gcd(p, q) != 1:
             raise SchemaError(f"{where}: bad rational {obj!r} (not in lowest terms with q >= 1)")
-        return x
+        return Fraction(p, q)
     raise SchemaError(f"{where}: rational must be an integer or 'p/q' string, got {obj!r}")
 
 

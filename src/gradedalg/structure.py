@@ -234,7 +234,10 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
             rows += eqs.values()
     sol = solve_rows(nunk, rows)
     if sol is None:
-        raise InternalCheckError("section lifting system is infeasible")
+        # I is a graded nilpotent (solvable) ideal here, so every step is
+        # solvable when A/I is semisimple (module docstring)
+        raise InternalCheckError("quotient by the ideal is not semisimple: "
+                                 "the section lifting system is infeasible")
     for a, block in enumerate(blocks):
         for u, t in enumerate(block):
             x = sol[offsets[a] + u]

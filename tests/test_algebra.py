@@ -460,7 +460,8 @@ def test_elementary_builders_need_one_label_per_row(build, n, labels):
 
 def test_zero_dimensional_algebra():
     from gradedalg.algebra import GradedAlgebra
-    from gradedalg.radical import jacobson_radical, solvable_radical
+    from gradedalg.radical import (graded_radical_report, jacobson_radical, killing_form,
+                                   nilradical, solvable_radical)
     from gradedalg.structure import levi_graded, wedderburn_artin_graded
     from gradedalg.identities import graded_codimension
     z = GradedAlgebra(TrivialGroup(), [], {}, kind="associative")
@@ -470,7 +471,14 @@ def test_zero_dimensional_algebra():
     assert graded_codimension(z, 1) == 0
     zl = GradedAlgebra(TrivialGroup(), [], {}, kind="lie")
     assert solvable_radical(zl).dim == 0
+    assert nilradical(zl) == Subspace.zero(0)
+    assert killing_form(zl) == ()
     assert levi_graded(zl).dim == 0
+    assert [r.summary() for r in graded_radical_report(z)] == \
+        ["jacobson: dim 0, graded=True, nilpotency index 1"]
+    assert [r.summary() for r in graded_radical_report(zl)] == \
+        ["solvable: dim 0, graded=True, nilpotency index 1",
+         "nilpotent: dim 0, graded=True, nilpotency index 1"]
 
 
 def test_integer_structure_scales_the_table_by_the_common_denominator():

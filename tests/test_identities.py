@@ -19,8 +19,8 @@ from gradedalg.cli import main
 from gradedalg.errors import ResourceCapError, ValidationError
 from gradedalg.groups import CyclicGroup, FreeGroup
 from gradedalg.hopf import DualFunctional
-from gradedalg.identities import (MultilinearGradedPoly, codim_block,
-                                  codimension_report, decimal_root,
+from gradedalg.identities import (ExponentVerdict, MultilinearGradedPoly,
+                                  codim_block, codimension_report, decimal_root,
                                   exponent_estimate, graded_codimension,
                                   is_graded_identity)
 from gradedalg.radical import jacobson_radical
@@ -259,6 +259,105 @@ M2_Z2_CODIMS = [2, 7, 28, 111, 431, 1653, 6308, 24055, 91867, 351693]
 ])
 def test_exponent_estimate_accepted_exponents(values, accepted):
     assert {d for d in range(1, 10) if exponent_estimate(values, d).consistent} == accepted
+
+
+def _two_scan_verdict(values, predicted_d):
+    # frozen copy of the verdict's earlier power search, for positive values:
+    # r1 and r2 each scanned over the whole window [-64, 64] from one end
+    d = F(predicted_d)
+    u = [F(v) / d ** (i + 1) for i, v in enumerate(values)]
+    N = len(u)
+    ratio = u[N - 1] / u[0]
+    r1 = None
+    for r in range(64, -65, -1):
+        if F(N) ** r <= ratio:
+            r1 = r
+            break
+    r2 = None
+    for r in range(-64, 65):
+        if ratio <= F(N) ** r:
+            r2 = r
+            break
+    if r1 is None or r2 is None:
+        return ExponentVerdict(predicted_d, False, False,
+                               message="endpoint slope outside the power window")
+    c2 = max(u[0], u[N - 1] / F(N) ** r2)
+    c1 = min(u[0], u[N - 1] / F(N) ** r1)
+    ok = True
+    for i, un in enumerate(u):
+        n = F(i + 1)
+        if not (c1 * n ** r1 <= un <= c2 * n ** r2):
+            ok = False
+            break
+    msg = (f"consistent with exponent {predicted_d}: "
+           f"{c1} * n^{r1} * {predicted_d}^n <= c_n <= {c2} * n^{r2} * {predicted_d}^n "
+           f"over n = 1..{N}") if ok else (
+           f"no endpoint-anchored bracket around {predicted_d}^n fits the range")
+    return ExponentVerdict(predicted_d, False, ok, r1, r2, c1, c2, msg)
+
+
+def _verdict_cases(seed, count):
+    # seeded (values, d): sequences near C n^k b^n, and arbitrary ones
+    rng = random.Random(seed)
+    for _ in range(count):
+        N = rng.randint(3, 8)
+        if rng.random() < 0.6:
+            C, k, b = rng.randint(1, 50), rng.randint(0, 6), rng.randint(1, 12)
+            values = [max(1, C * n ** k * b ** n + rng.randint(-n, n)) for n in range(1, N + 1)]
+        else:
+            values = [rng.randint(1, 10 ** rng.randint(1, 60)) for _ in range(N)]
+        d = rng.choice([rng.randint(1, 12), rng.randint(1, 10 ** rng.randint(2, 40))])
+        yield values, d
+
+
+# three-term sequences: ratio = c_3 / (c_1 d^2) against 3^r
+VERDICT_EDGES = [
+    [1, 9, 3 ** 64],                     # ratio = 3^64: r1 = r2 = 64
+    [1, 9, 3 ** 64 - 1],                 # just inside the top of the window
+    [1, 9, 3 ** 64 + 1],                 # just outside it
+    [3 ** 64, 3, 1],                     # ratio = 3^-64: r1 = r2 = -64
+    [3 ** 64, 3, 2],                     # just inside the bottom
+    [3 ** 64 + 1, 3, 1],                 # just outside it
+    [5, 45, 5 * 3 ** 5],                 # ratio = 3^5 exactly: r1 = r2
+    [2, 4, 8], [1, 10, 100], [7, 7, 7],
+]
+
+
+@pytest.mark.parametrize("values", VERDICT_EDGES)
+@pytest.mark.parametrize("d", [1, 2, 3, 10 ** 40])
+def test_exponent_walk_matches_the_two_scans_at_the_edges(values, d):
+    v = exponent_estimate(values, d)
+    assert v == _two_scan_verdict(values, d)
+    if v.lower_power is not None:
+        ratio = F(values[2], values[0] * d * d)
+        assert v.upper_power == v.lower_power + (ratio != F(3) ** v.lower_power)
+        assert type(v.lower_const) is F and type(v.upper_const) is F
+
+
+def test_exponent_walk_window_edges_and_a_huge_exponent():
+    top = exponent_estimate([1, 9, 3 ** 64], 1)
+    assert (top.lower_power, top.upper_power) == (64, 64)
+    assert exponent_estimate([1, 9, 3 ** 64 + 1], 1).message == \
+        "endpoint slope outside the power window"
+    bottom = exponent_estimate([3 ** 64, 3, 2], 1)
+    assert (bottom.lower_power, bottom.upper_power) == (-64, -63)
+    assert exponent_estimate([3 ** 64 + 1, 3, 1], 1).lower_power is None
+    # d = 10^40 on c_n = d^n n: ratio 3 = N^1 exactly
+    d = 10 ** 40
+    v = exponent_estimate([d, 2 * d ** 2, 3 * d ** 3], d)
+    assert v.consistent and (v.lower_power, v.upper_power) == (1, 1)
+    assert type(v.lower_const) is F and type(v.upper_const) is F
+
+
+def test_exponent_walk_matches_the_two_scans_on_seeded_cases():
+    cases = list(_verdict_cases(24, 2000))
+    verdicts = [exponent_estimate(v, d) for v, d in cases]
+    assert [c for c, v in zip(cases, verdicts) if v != _two_scan_verdict(*c)] == []
+    # the sample reaches every outcome: consistent, refused, outside the window
+    assert {v.consistent for v in verdicts} == {True, False}
+    assert any(v.lower_power is None for v in verdicts)
+    assert all(type(v.lower_const) is F and type(v.upper_const) is F
+               for v in verdicts if v.lower_power is not None)
 
 
 def test_codimension_report_structure():

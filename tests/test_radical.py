@@ -196,6 +196,19 @@ def test_report_raises_the_gradedness_witness(monkeypatch):
     assert str(e11) in str(exc.value)
 
 
+@pytest.mark.parametrize("radical, name", [("solvable_radical", "solvable radical"),
+                                            ("nilradical", "nilradical")])
+def test_lie_report_names_the_radical_that_is_not_graded(radical, name, monkeypatch):
+    # span(x + y) mixes the degrees of heis3's x and y; its projection x
+    # escapes it, and the report names the radical and that witness
+    import gradedalg.radical
+    mixed = Subspace.from_vectors(3, [(1, 1, 0)])
+    monkeypatch.setattr(gradedalg.radical, radical, lambda L, verify=True: mixed)
+    with pytest.raises(InternalCheckError) as exc:
+        graded_radical_report(heisenberg3())
+    assert str(exc.value) == f"{name} not graded; witness {(F(1), F(0), F(0))}"
+
+
 def test_brute_force_oracle_small_instances():
     cases = [
         ut2(),

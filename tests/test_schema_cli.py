@@ -168,6 +168,36 @@ def test_rendered_rationals_parse_back():
         assert parse_rational(render_rational(x), "x") == x
 
 
+_LOWEST = "(not in lowest terms with q >= 1)"
+_LONG = "rational has a numerator or denominator longer than Python's 4300-digit limit for integers"
+
+
+@pytest.mark.parametrize("obj, expected", [
+    ("-17/3", F(-17, 3)), ("1", F(1)), ("-0", F(0)), ("0/1", F(0)), ("007/3", F(7, 3)),
+    ("7/009", F(7, 9)), (7, F(7)), (-3, F(-3)),
+    ("2/4", f"bad rational '2/4' {_LOWEST}"), ("-2/4", f"bad rational '-2/4' {_LOWEST}"),
+    ("0/5", f"bad rational '0/5' {_LOWEST}"), ("1/0", f"bad rational '1/0' {_LOWEST}"),
+    ("6/009", f"bad rational '6/009' {_LOWEST}"),
+    ("9" * 5000 + "/0", f"bad rational '{'9' * 5000}/0' {_LOWEST}"),
+    ("9" * 4301, _LONG), ("-" + "9" * 4301, _LONG), ("1/" + "0" * 4301, _LONG),
+    ("+1", "bad rational '+1' (expected 'p' or 'p/q')"),
+    ("1/-3", "bad rational '1/-3' (expected 'p' or 'p/q')"),
+    (" 1", "bad rational ' 1' (expected 'p' or 'p/q')"),
+    ("1.5", "bad rational '1.5' (expected 'p' or 'p/q')"),
+    (True, "rational must be an integer or 'p/q' string, got True"),
+    (1.5, "rational must be an integer or 'p/q' string, got 1.5"),
+    (None, "rational must be an integer or 'p/q' string, got None"),
+], ids=lambda x: repr(x)[:12])
+def test_parse_rational_table(obj, expected):
+    if isinstance(expected, F):
+        assert parse_rational(obj, "w") == expected
+        assert type(parse_rational(obj, "w")) is F
+    else:
+        with pytest.raises(SchemaError) as exc:
+            parse_rational(obj, "w")
+        assert str(exc.value) == f"w: {expected}"
+
+
 def test_internal_check_failure_exits_3(monkeypatch, capsys):
     def fail(A):
         raise InternalCheckError("radical candidate is not graded")
@@ -421,7 +451,8 @@ WRONG_RADICALS = [
     (lambda: upper_triangular(3), [_E(6, 1), _E(6, 2)],
      "invariant violation: NotSemisimpleError: algebra has a nonzero radical"),
     (lambda: upper_triangular(3), [_E(6, 2)],
-     "internal check failed: section lifting system is infeasible"),
+     "internal check failed: quotient by the ideal is not semisimple: "
+     "the section lifting system is infeasible"),
     (sl2, [_E(3, i) for i in range(3)],
      "internal check failed: ideal is not solvable: I_k . I_k = I_k != 0"),
     (sl2, [_E(3, 1)], "invariant violation: NotAnIdealError: subspace is not a two-sided ideal"),
