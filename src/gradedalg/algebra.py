@@ -11,6 +11,8 @@ it. `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
 `exactlin.dense`), is the product kernel that `multiply`, `product_span`,
 `algebra_on_subspace` and the closures below go through; `multiply` is its
 dense view, which the radical, quotient and structure layers do not use.
+Ideals and subalgebras are generated by `span_closure`; `product_chain`,
+bounded at dim + 2 terms, gives nilpotency indices and derived series.
 `quotient_algebra` inverts no matrix: its projection is the RREF of the
 functionals that vanish on the ideal (`exactlin.null_space`), and it reads
 `structure` directly.
@@ -34,7 +36,7 @@ from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError
                      NotGradedError, ValidationError)
 from .exactlin import (ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
                        axpy, dense, is_zero_vector, null_space, solve_rows,
-                       sparse, unit_vector)
+                       span_closure, sparse, unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -288,37 +290,24 @@ class GradedAlgebra:
                     yield prod
 
     def ideal_generated(self, gens: Iterable) -> Subspace:
-        """Smallest two-sided ideal containing the generators: closure of their
-        span under left/right multiplication by basis vectors. The closure
-        stops as soon as it fills the whole algebra."""
-        red = Reducer(self.dim, gens)
-        work = list(red.pivot_rows.values())
-        while work and red.dim < self.dim:
-            for w in self._basis_products(work.pop()):
-                if red.insert(w):
-                    work.append(w)
-                    if red.dim == self.dim:
-                        break
-        return red.subspace()
+        """Smallest two-sided ideal containing the generators: their span closed
+        under left/right multiplication by basis vectors (`_basis_products`)."""
+        return span_closure(self.dim, gens, self._basis_products)
 
     def subalgebra_generated(self, gens: Iterable) -> Subspace:
         """Smallest multiplicatively closed subspace containing the generators:
-        each new basis row is multiplied with itself and, in both orders, with
-        every row kept before it, so each pair of kept rows is multiplied once."""
-        red = Reducer(self.dim, gens)
-        work = list(red.pivot_rows.values())
+        `span_closure` multiplies each new basis row, as it enters, with
+        itself and, in both orders, with every row kept before it, so each
+        pair of kept rows is multiplied once."""
         kept = []
-        while work:
-            sv = work.pop()
+
+        def images(sv):
             prods = [self.mul_sparse(sv, sv)]
             for su in kept:
                 prods += [self.mul_sparse(su, sv), self.mul_sparse(sv, su)]
             kept.append(sv)
-            for prod in prods:
-                row = red.insert(prod)
-                if row:
-                    work.append(row)
-        return red.subspace()
+            return prods
+        return span_closure(self.dim, gens, images)
 
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:
         """Span of pairwise products of the two bases: each pair of sparse
@@ -375,24 +364,26 @@ def graded_check(w: Subspace, A: GradedAlgebra):
     return True, None
 
 
+def product_chain(A: GradedAlgebra, s: Subspace, step) -> list:
+    """[s, step(s), ...] up to the first 0, before the first repeat of the last
+    term (0 then never comes), and at most A.dim + 2 terms: a chain that shrinks
+    at each step ends within A.dim + 1; span(diag(2, 3))^k in M2 does not."""
+    out = [s]
+    while not out[-1].is_zero() and len(out) < A.dim + 2:
+        nxt = step(out[-1])
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return out
+
+
 def nilpotency_index(A: GradedAlgebra, s: Subspace | None = None):
     """Smallest p with S^p = 0 for the subspace S (default: the whole algebra),
-    powers taken as iterated product spans; None if S is not nilpotent.
-    S^(p+1) = S^p . S depends on S^p alone, so a power that repeats without
-    being 0 never reaches 0."""
-    if s is None:
-        s = Subspace.full(A.dim)
-    power = s
-    p = 1
-    while not power.is_zero():
-        if p > A.dim + 1:
-            return None
-        nxt = A.product_span(power, s)
-        if nxt == power:
-            return None
-        power = nxt
-        p += 1
-    return p
+    powers taken as iterated product spans S^(p+1) = S^p . S
+    (`product_chain`); None if S is not nilpotent."""
+    s = Subspace.full(A.dim) if s is None else s
+    chain = product_chain(A, s, lambda t: A.product_span(t, s))
+    return len(chain) if chain[-1].is_zero() else None
 
 
 @dataclass

@@ -49,10 +49,8 @@ def matrix_algebra(n: int, group: Group | None = None, row_labels=None,
                          name=name or f"M{n}")
 
 
-def matrix_algebra_z2(n: int = 2) -> GradedAlgebra:
+def matrix_algebra_z2() -> GradedAlgebra:
     """M_2(Q) with the Z2 grading: diagonal in degree 0, antidiagonal in degree 1."""
-    if n != 2:
-        raise ValidationError("the Z2 checkerboard grading builder is fixed at n = 2")
     z2 = CyclicGroup(2)
     return matrix_algebra(2, z2, (0, 1), name="m2_z2")
 

@@ -6,7 +6,8 @@ Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
 included). `Reducer` is the one elimination: it keeps its RREF rows sparse,
 as {column: entry} dicts indexed by pivot, and reduces a vector only at the
 pivots in its support (`_reduce`, the one reduce loop). `Reducer.insert` and
-the `Subspace` tests take a dense sequence or a sparse dict. Ranks
+the `Subspace` tests take a dense sequence or a sparse dict. `span_closure`
+is the one span closure; it stops once the span is everything. Ranks
 (`Reducer(...).dim`), null spaces (`null_space`), solves (`solve_rows`),
 subspace sums and intersections and every span are read off a Reducer's
 pivots and rows; `null_space` and `solve_rows` take their equations as
@@ -138,9 +139,9 @@ class Reducer:
     as sparse rows {column: entry}, one per pivot column, in `pivot_rows`;
     `pivots` lists the pivots in increasing order. A vector is reduced only at
     the pivots in its own support, and each subtraction touches only a row's
-    nonzero entries. Every rank, null space, solve and subspace (and every
-    closure loop above this module) is read off one Reducer. `rows`
-    gives the basis as fresh dense lists in pivot order.
+    nonzero entries. Every rank, null space, solve and subspace is read off
+    one Reducer, and so is every `span_closure`. `rows` gives the basis as
+    fresh dense lists in pivot order.
     """
 
     __slots__ = ("ambient", "pivot_rows", "pivots")
@@ -281,6 +282,22 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def span_closure(ambient: int, vectors: Iterable, images) -> Subspace:
+    """The span of the vectors closed under `images`: each new basis row, as
+    reduced when it enters, goes once as a sparse dict to images(row), whose
+    images are inserted as they come, before the rest of the images that
+    produced the row. Stops as soon as the span is the whole space."""
+    red = Reducer(ambient)
+    pending = [iter([_checked_sparse(v, ambient) for v in vectors])]
+    while pending and red.dim < ambient:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
+        elif row := red.insert(w):
+            pending.append(iter(images(row)))
+    return red.subspace()
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

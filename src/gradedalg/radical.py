@@ -18,7 +18,9 @@ operators held as sparse dicts over the n^2 matrix cells (`_ad_operators`):
 one helper, `_trace_row`, gives tr(ad e_i . y) for every i, and serves the
 Killing form, the solvable radical (y = ad d, d over [L, L]) and the
 nilradical (y over the ad-word span). That one `null_space` call per radical
-is also where a test can hand a radical a wrong candidate.
+is also where a test can hand a radical a wrong candidate. The ad-word span
+is a `span_closure`, and `derived_series` an `algebra.product_chain`, so
+the solvability post-check ends within dim + 2 terms on any candidate.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, _quotient, graded_check,
-                      nilpotency_index)
+                      nilpotency_index, product_chain)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import Reducer, Subspace, axpy, null_space
+from .exactlin import Subspace, axpy, null_space, span_closure
 
 
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
@@ -135,15 +137,10 @@ def killing_form(L: GradedAlgebra) -> tuple:
 
 
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
-    """s, [s,s], [[s,s],[s,s]], ... down to the first repetition or zero; for
-    an associative ideal s the products give s, s^2, s^4, ..."""
-    out = [s]
-    while not out[-1].is_zero():
-        nxt = L.product_span(out[-1], out[-1])
-        if nxt == out[-1]:
-            break
-        out.append(nxt)
-    return out
+    """s, [s,s], [[s,s],[s,s]], ... (s, s^2, s^4, ... for an associative s),
+    a `product_chain`; the series of an ideal shrinks until 0 or a repeat,
+    so only a subspace that is not an ideal meets its bound."""
+    return product_chain(L, s, lambda t: L.product_span(t, t))
 
 
 def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
@@ -171,16 +168,12 @@ def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
 def _ad_word_span(n: int, ad: list) -> list:
     """The sparse RREF rows of E = the span of all nonempty ad-words
     ad x_i1 ... ad x_ik (the associative subalgebra of End(L) the ad x
-    generate), as sparse dicts over the n^2 cells: the ad x_i, closed by
-    multiplying each new basis row y on the left once by each ad x_i, with
-    (ad x_i . y)[k][m] = sum over j of ad x_i[k][j] y[j][m]. `ad` holds the
-    D ad x_i of `_ad_operators`, whose words span the same E."""
-    red = Reducer(n * n)
-    work = list(ad)
-    while work:
-        y = red.insert(work.pop())
-        if y is None:
-            continue
+    generate), as sparse dicts over the n^2 cells: the span of the ad x_i
+    closed (`span_closure`) by multiplying each new basis row y on the
+    left by each ad x_i, with (ad x_i . y)[k][m] = sum over j of
+    ad x_i[k][j] y[j][m]. `ad` holds the D ad x_i of `_ad_operators`, whose
+    words span the same E."""
+    def images(y):
         by_row: dict = {}           # row j of y as [(m, y[j][m]), ...]
         for cell, v in y.items():
             j, m = divmod(cell, n)
@@ -191,8 +184,8 @@ def _ad_word_span(n: int, ad: list) -> list:
                 k, j = divmod(cell, n)
                 for m, v in by_row.get(j, ()):
                     p[k * n + m] = p.get(k * n + m, 0) + c * v
-            work.append(p)
-    return list(red.pivot_rows.values())
+            yield p
+    return list(span_closure(n * n, ad, images).pivot_rows.values())
 
 
 def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
@@ -219,8 +212,8 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
 class RadicalReport:
     kind: str                     # "jacobson" | "solvable" | "nilpotent"
     radical: Subspace
-    graded: bool
     nilpotency: int | None        # power index when the radical is nilpotent
+    graded = True                 # `graded_radical_report` raises on one that is not
 
     def summary(self) -> str:
         idx = "-" if self.nilpotency is None else str(self.nilpotency)
@@ -252,4 +245,4 @@ def graded_radical_report(A: GradedAlgebra) -> list[RadicalReport]:
             raise InternalCheckError("nilradical is not inside the solvable radical")
         if not A.product_span(Subspace.full(A.dim), R) <= N:
             raise InternalCheckError("[L, R] escapes the nilradical")
-    return [RadicalReport(kind, I, True, nilpotency_index(A, I)) for _, kind, I in radicals]
+    return [RadicalReport(kind, I, nilpotency_index(A, I)) for _, kind, I in radicals]

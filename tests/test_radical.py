@@ -159,6 +159,50 @@ def test_derived_series_and_solvability():
     assert [s.dim for s in series] == [2, 1, 0]
 
 
+# subspaces whose derived series neither reaches 0 nor repeats its last
+# term: the lines of diag(2^(2^k), 1) in M2, a period-2 cycle of lines in M2,
+# and a 3-dimensional subspace of sl2 + sl2 whose coefficients grow without
+# bound
+NON_SOLVABLE_SUBSPACES = [
+    (lambda: matrix_algebra(2), [(2, 0, 0, 1)]),
+    (lambda: matrix_algebra(2), [(-2, -1, 1, -1)]),
+    (lambda: direct_sum(sl2(), sl2()),
+     [(-1, 1, 1, -1, 0, 1), (0, 1, 1, -1, 1, -1), (0, 0, 1, -1, -1, 1)]),
+]
+
+
+@pytest.mark.parametrize("build, rows", NON_SOLVABLE_SUBSPACES)
+def test_derived_series_is_bounded_by_the_dimension(build, rows):
+    A = build()
+    series = derived_series(A, Subspace.from_vectors(A.dim, rows))
+    assert len(series) <= A.dim + 2
+    assert not series[-1].is_zero()
+
+
+def _inserts_into_a_full_span(monkeypatch):
+    # every `Reducer.insert` call made while the span is already everything
+    import gradedalg.exactlin
+    late = []
+    insert = gradedalg.exactlin.Reducer.insert
+
+    def spy(self, v):
+        if self.dim == self.ambient:
+            late.append(v)
+        return insert(self, v)
+    monkeypatch.setattr(gradedalg.exactlin.Reducer, "insert", spy)
+    return late
+
+
+def test_span_closures_stop_once_the_span_is_full(monkeypatch):
+    from gradedalg.radical import _ad_operators, _ad_word_span
+    M, L = matrix_algebra(2), sl2()
+    late = _inserts_into_a_full_span(monkeypatch)
+    assert M.subalgebra_generated([M.basis_vector(1), M.basis_vector(2)]) == Subspace.full(4)
+    assert M.ideal_generated([M.basis_vector(1)]) == Subspace.full(4)
+    assert len(_ad_word_span(3, _ad_operators(L)[1])) == 9       # ad sl2 spans End(sl2)
+    assert late == []
+
+
 def test_lie_reports():
     for L in lie_corpus():
         reports = graded_radical_report(L)
@@ -337,6 +381,8 @@ POST_CHECK_FAILURES = [
     (nilradical, sl2, [_E(3, 0)], "nilradical candidate is not an ideal"),
     (nilradical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
      "nilradical is not graded; witness " + str(_E(3, 0))),
+    (solvable_radical, lambda: direct_sum(sl2(), sl2()), NON_SOLVABLE_SUBSPACES[2][1],
+     "solvable radical candidate is not solvable"),
 ]
 
 
