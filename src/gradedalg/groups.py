@@ -11,14 +11,18 @@ Two layers. Each kind defines arithmetic on bare keys: `identity_key`,
 and, when finite, `keys`; plus `describe`, `__repr__` and its `signature`
 (kind and parameters), by which groups compare and hash. `Group` alone wraps
 keys as `GroupElem`s and checks that operands belong to the group, once per
-operation. `ProductGroup` composes its factors' key functions, so a product
-never builds an element of a factor. Keys are read only in this module.
+operation: by identity first, then by signature, so an element of an equal but
+distinct group object is accepted. A group hashes its signature once and an
+element its (group, key) pair once, at construction; neither cached hash is
+pickled, since `str` hashes differ between processes. `left_translates` maps
+many elements through one left multiplication. `ProductGroup` composes its
+factors' key functions, so a product never builds an element of a factor.
+Keys are read only in this module.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import GroupMismatchError, ValidationError
@@ -29,10 +33,30 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
 class GroupElem:
-    group: "Group"
-    key: object
+    """An element of `group`, held as the group's normalised key. Only this
+    module builds one, so its key is always valid for its group. Its hash is
+    computed once, so its fields are never reassigned."""
+
+    __slots__ = ("group", "key", "_hash")
+
+    def __init__(self, group: "Group", key):
+        self.group = group
+        self.key = key
+        self._hash = hash((group, key))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, GroupElem):
+            return NotImplemented
+        return self.key == other.key and self.group == other.group
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return GroupElem, (self.group, self.key)
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         return self.group.mul(self, other)
@@ -57,12 +81,26 @@ class Group:
         return GroupElem(self, self.identity_key)
 
     def mul(self, a: GroupElem, b: GroupElem) -> GroupElem:
-        self.check_pair(a, b)
+        if a.group is not self or b.group is not self:
+            self.check_pair(a, b)
         return GroupElem(self, self.key_mul(a.key, b.key))
 
     def inv(self, a: GroupElem) -> GroupElem:
-        self.check_member(a)
+        if a.group is not self:
+            self.check_member(a)
         return GroupElem(self, self.key_inv(a.key))
+
+    def left_translates(self, g: GroupElem, elems) -> list[GroupElem]:
+        """[g * s for s in elems], with g checked once."""
+        if g.group is not self:
+            self.check_member(g)
+        mul, gk = self.key_mul, g.key
+        out = []
+        for s in elems:
+            if s.group is not self:
+                self.check_member(s)
+            out.append(GroupElem(self, mul(gk, s.key)))
+        return out
 
     def elem(self, key) -> GroupElem:
         return GroupElem(self, self.key_check(key))
@@ -98,7 +136,16 @@ class Group:
         return self is other or (isinstance(other, Group) and other.signature == self.signature)
 
     def __hash__(self):
-        return hash(self.signature)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.signature)
+            return self._hash
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     # -- arithmetic on keys, per kind ---------------------------------------
 
@@ -289,7 +336,11 @@ class FreeGroup(Group):
         self.signature = ("free", rank)
 
     def key_mul(self, x, y):
-        return _reduce_word(x + y)
+        # both words are reduced, so letters cancel only at the junction
+        n = 0
+        while n < len(x) and n < len(y) and x[-1 - n] == -y[n]:
+            n += 1
+        return x[:len(x) - n] + y[n:] if n else x + y
 
     def key_inv(self, x):
         return tuple(-a for a in reversed(x))

@@ -29,12 +29,21 @@ class DualFunctional:
         self.group = group
         vals = {}
         for g, c in (values or {}).items():
-            if not isinstance(g, GroupElem) or g.group != group:
+            if not isinstance(g, GroupElem) or (g.group is not group and g.group != group):
                 raise GroupMismatchError("functional support must lie in the stated group")
             c = as_rat(c)
             if c != 0:
                 vals[g] = c
         self.values = vals
+
+    @classmethod
+    def _checked(cls, group: Group, values: dict) -> "DualFunctional":
+        """A functional from values already known to be nonzero `Fraction`s on
+        elements of `group`; the constructor's checks are skipped."""
+        f = cls.__new__(cls)
+        f.group = group
+        f.values = values
+        return f
 
     @classmethod
     def delta(cls, g: GroupElem) -> "DualFunctional":
@@ -46,7 +55,7 @@ class DualFunctional:
         return cls(group, {g: Fraction(1) for g in elems})
 
     def __call__(self, g: GroupElem) -> Fraction:
-        if g.group != self.group:
+        if g.group is not self.group and g.group != self.group:
             raise GroupMismatchError("evaluating a functional outside its group")
         return self.values.get(g, ZERO)
 
@@ -69,9 +78,12 @@ class DualFunctional:
         return DualFunctional(self.group, {g: c * v for g, v in self.values.items()})
 
     def translate(self, g: GroupElem) -> "DualFunctional":
-        """The functional q -> self(g q)."""
-        ginv = g.inverse()
-        return DualFunctional(self.group, {ginv * s: v for s, v in self.values.items()})
+        """The functional q -> self(g q). Its support is g^-1 times this one's,
+        mapped by one `Group.left_translates` call, and its values are this
+        one's, already checked, so they are not checked again. Raises
+        `GroupMismatchError` unless g lies in a group equal to `self.group`."""
+        support = self.group.left_translates(g.inverse(), self.values)
+        return self._checked(self.group, dict(zip(support, self.values.values())))
 
     def __eq__(self, other):
         return (isinstance(other, DualFunctional) and other.group == self.group
@@ -120,12 +132,13 @@ def dual_action(f: DualFunctional, v, A: GradedAlgebra) -> tuple:
     if len(v) != A.dim:
         raise DimensionMismatchError("vector has wrong ambient dimension")
     acc = [ZERO] * A.dim
+    values = f.values
     for g in A.support:
-        c = f(g)
-        if c == 0:
+        c = values.get(g)
+        if c is None:
             continue
-        for i in A.component_indices(g):
-            acc[i] += c * v[i]
+        for i in A.component_indices(g):     # the components are disjoint
+            acc[i] = c * v[i]
     return tuple(acc)
 
 

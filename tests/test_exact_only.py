@@ -13,7 +13,9 @@ its own definition. `assert` statements are rejected too: they vanish under
 vectors become sparse {index: coefficient} dicts through `exactlin.sparse`
 alone: outside exactlin, a dict comprehension keyed by a bare name over a
 filtered `enumerate(...)` is rejected. Group-element keys are read in groups.py
-alone: elsewhere `.key` is rejected. README's "Library layout" table names
+alone: elsewhere `.key` is rejected, and so is a `GroupElem(...)` call, which
+trusts its key to be valid for its group (elsewhere `Group.elem`,
+`decode_elem` and the arithmetic build one). README's "Library layout" table names
 only what exists: a bare identifier in backticks in a `gradedalg.X` row must be
 an attribute of that module or of a class defined there."""
 
@@ -104,13 +106,17 @@ def inline_sparse_nodes(tree, module=""):
 
 
 def group_key_nodes(tree, module=""):
-    """`.key` attributes outside groups.py: an element's key is the group's business,
-    and elsewhere elements are compared, hashed and encoded as they are."""
+    """`.key` attributes and `GroupElem(...)` calls outside groups.py: an
+    element's key is the group's business, and elsewhere elements are built by
+    the group, then compared, hashed and encoded as they are."""
     if module == "groups.py":
         return
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "key":
             yield node, "group key access"
+        elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "GroupElem"
+                                             or getattr(node.func, "attr", None) == "GroupElem"):
+            yield node, "direct GroupElem() call"
 
 
 def test_modules_found():
@@ -202,6 +208,14 @@ def test_checker_flags_group_key_reads():
             "if a.key not in seen:\n    pass\nself.key = 1\n")
     lines = [node.lineno for node, _ in group_key_nodes(ast.parse(code))]
     assert sorted(lines) == [1, 5, 7]
+    assert not list(group_key_nodes(ast.parse(code), "groups.py"))
+
+
+def test_checker_flags_group_elem_construction():
+    code = ("GroupElem(g, 1)\ngroups.GroupElem(g, (1, -2))\nisinstance(x, GroupElem)\n"
+            "g.elem(1)\ng.decode_elem('a1')\nGroupElement(g, 1)\nmake = GroupElem\n")
+    found = [(node.lineno, what) for node, what in group_key_nodes(ast.parse(code))]
+    assert found == [(1, "direct GroupElem() call"), (2, "direct GroupElem() call")]
     assert not list(group_key_nodes(ast.parse(code), "groups.py"))
 
 

@@ -1,13 +1,23 @@
+import ast
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedalg.errors import GroupMismatchError, ValidationError
 from gradedalg.groups import (CyclicGroup, FreeGroup, ProductGroup, TableGroup,
                               TrivialGroup, group_from_description)
 from gradedalg.hopf import CoalgebraWindow, DualFunctional
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def s3_table():
@@ -360,3 +370,131 @@ def test_equal_functionals_hash_equal_in_any_insertion_order():
 def test_unchecked_api_input_raises_validation_error(build):
     with pytest.raises(ValidationError):
         build()
+
+
+# -- equal but distinct group objects: membership is tested by identity first,
+# then by signature, so either object's elements serve both
+
+def equal_pairs():
+    """(name, build, keys, other): `build()` makes a fresh group object each
+    call, `keys` are element keys for it and `other` is an unequal group."""
+    s3 = s3_table()[0]
+    z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    return [
+        ("Z2", lambda: CyclicGroup(2), [0, 1], CyclicGroup(3)),
+        ("S3", lambda: TableGroup(s3), list(range(6)), TableGroup(z6)),
+        ("Z2xF1", lambda: ProductGroup((CyclicGroup(2), FreeGroup(1))),
+         [(0, ()), (1, (1,)), (0, (-1, -1))], ProductGroup((CyclicGroup(2), FreeGroup(2)))),
+        ("F2", lambda: FreeGroup(2), [(), (1,), (-2,), (1, 2, -1)], FreeGroup(3)),
+    ]
+
+
+@pytest.mark.parametrize("name, build, keys, other", equal_pairs(),
+                         ids=[p[0] for p in equal_pairs()])
+def test_equal_distinct_groups_share_elements(name, build, keys, other):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b) and a != other
+    xs, ys = [a.elem(k) for k in keys], [b.elem(k) for k in keys]
+    for x, y in zip(xs, ys):
+        assert x == y and y == x and hash(x) == hash(y)
+    by_a = {x: i for i, x in enumerate(xs)}
+    assert [by_a[y] for y in ys] == list(range(len(keys)))
+    assert {y: 0 for y in ys}.keys() == set(xs)
+    for x in xs:
+        for y in ys:
+            assert a.mul(x, y) == b.mul(x, y) == x * y
+            assert (x * y).group is a and a.mul(y, y).group is a
+        assert a.inv(ys[xs.index(x)]) == x.inverse()
+    f = DualFunctional(a, {x: Fraction(i + 1) for i, x in enumerate(xs)})
+    for x, y in zip(xs, ys):
+        assert f.translate(y) == f.translate(x)
+    stranger = other.identity()
+    with pytest.raises(GroupMismatchError):
+        a.mul(xs[-1], stranger)
+    with pytest.raises(GroupMismatchError):
+        a.mul(stranger, ys[-1])
+    with pytest.raises(GroupMismatchError):
+        a.inv(stranger)
+    with pytest.raises(GroupMismatchError):
+        f.translate(stranger)
+    with pytest.raises(GroupMismatchError):
+        a.left_translates(xs[0], [ys[0], stranger])
+
+
+_UNPICKLE = """
+import pickle, sys
+from gradedalg.groups import group_from_description
+out = []
+for g, e in pickle.loads(sys.stdin.buffer.read()):
+    fresh = group_from_description(g.describe())
+    f = fresh.decode_elem(fresh.encode_elem(e))
+    out.append((g == fresh, e == f, hash(g) == hash(fresh), hash(e) == hash(f), hash(fresh)))
+print(repr(out))
+"""
+
+
+def test_pickled_elements_rehash_in_another_process():
+    # str hashes are salted per process: a hash cached before pickling would
+    # disagree with one computed after loading under another seed
+    z2, s3, f2 = CyclicGroup(2), TableGroup(s3_table()[0]), FreeGroup(2)
+    k = ProductGroup((CyclicGroup(2), FreeGroup(1)))
+    pairs = [(z2, z2.elem(1)), (s3, s3.elem(4)), (f2, f2.elem((1, -2))),
+             (k, k.elem((1, (-1,))))]
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
+    run = subprocess.run([sys.executable, "-c", _UNPICKLE], input=pickle.dumps(pairs),
+                         capture_output=True, env=env, timeout=60, check=True)
+    out = ast.literal_eval(run.stdout.decode())
+    assert [row[:4] for row in out] == [(True,) * 4] * len(pairs)
+    assert [row[4] for row in out] != [hash(g) for g, _ in pairs]
+
+
+letters3 = st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters3, letters3, st.integers(0, 8))
+def test_free_product_is_the_reduced_concatenation(xs, ys, cancel):
+    f = FreeGroup(3)
+    a = f.word(xs)
+    # b starts with the inverse of a's last `cancel` letters, so that the
+    # product cancels across the junction, totally when b = a^-1
+    tail = a.key[len(a.key) - min(cancel, len(a.key)):]
+    b = f.word(([-x for x in reversed(tail)] + list(f.word(ys).key))[:8])
+    assert len(a.key) <= 8 and len(b.key) <= 8
+    assert (a * b).key == f.word(list(a.key) + list(b.key)).key
+    assert (a * a.inverse()).key == () and (a.inverse() * a).key == ()
+    if not ys and cancel >= len(a.key):
+        assert (a * b).is_identity()
+
+
+def translate_cases():
+    s3 = TableGroup(s3_table()[0])
+    k = ProductGroup((CyclicGroup(2), FreeGroup(1)))
+    return [
+        ("Z6", CyclicGroup(6), lambda g, rng: g.elem(rng.randrange(6))),
+        ("S3", s3, lambda g, rng: g.elem(rng.randrange(6))),
+        ("F2", F2, lambda g, rng: g.word([rng.choice([1, 2, -1, -2])
+                                         for _ in range(rng.randint(0, 4))])),
+        ("Z2xF1", k, lambda g, rng: g.elem((rng.randrange(2),
+                                            (rng.choice([1, -1]),) * rng.randint(0, 3)))),
+    ]
+
+
+@pytest.mark.parametrize("name, group, draw", translate_cases(),
+                         ids=[c[0] for c in translate_cases()])
+def test_translate_law(name, group, draw):
+    rng = random.Random(11)
+    e = group.identity()
+    for _ in range(40):
+        support = {draw(group, rng) for _ in range(rng.randint(0, 5))}
+        f = DualFunctional(group, {s: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                                   for s in support})
+        g, h = draw(group, rng), draw(group, rng)
+        assert f.translate(g).translate(h) == f.translate(g * h)
+        assert f.translate(e) == f
+        t = f.translate(g)
+        assert sorted(t.values.values()) == sorted(f.values.values())
+        assert all(s.group == f.group for s in t.values)
+        assert all(t(s) == f(g * s) for s in t.values)

@@ -360,29 +360,37 @@ def _first_kernel_returns(monkeypatch, rows, dim):
 # ba, bb; sl2: e, h, f; heis3: x, y, z with deg x != deg y; aff1: [x, y] = x
 _E = unit_vector
 POST_CHECK_FAILURES = [
-    (jacobson_radical, lambda: upper_triangular(3), [_E(6, i) for i in range(6)],
-     "Jacobson radical candidate is not nilpotent"),
-    (jacobson_radical, lambda: upper_triangular(3), [_E(6, 1)],
-     "Jacobson radical candidate is not an ideal"),
-    (jacobson_radical, lambda: free_group_truncation(2, 3),
-     [(0, 1, 1, 0, 0, 0, 0)] + [_E(7, i) for i in range(3, 7)],
-     "Jacobson radical is not graded; witness " + str(_E(7, 1))),
-    (jacobson_radical, lambda: upper_triangular(3), [_E(6, 2)],
-     "quotient by the Jacobson radical is not semisimple"),
-    (solvable_radical, sl2, [_E(3, i) for i in range(3)],
-     "solvable radical candidate is not solvable"),
-    (solvable_radical, sl2, [_E(3, 1)], "solvable radical candidate is not an ideal"),
-    (solvable_radical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
-     "solvable radical is not graded; witness " + str(_E(3, 0))),
-    (solvable_radical, two_dim_nonabelian_lie, [(1, 0)],
-     "quotient by the solvable radical is not semisimple"),
-    (nilradical, two_dim_nonabelian_lie, [(1, 0), (0, 1)],
-     "nilradical candidate is not nilpotent"),
-    (nilradical, sl2, [_E(3, 0)], "nilradical candidate is not an ideal"),
-    (nilradical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
-     "nilradical is not graded; witness " + str(_E(3, 0))),
-    (solvable_radical, lambda: direct_sum(sl2(), sl2()), NON_SOLVABLE_SUBSPACES[2][1],
-     "solvable radical candidate is not solvable"),
+    pytest.param(jacobson_radical, lambda: upper_triangular(3), [_E(6, i) for i in range(6)],
+                 "Jacobson radical candidate is not nilpotent", id="J-not-nilpotent-ut3"),
+    pytest.param(jacobson_radical, lambda: upper_triangular(3), [_E(6, 1)],
+                 "Jacobson radical candidate is not an ideal", id="J-not-ideal-ut3"),
+    pytest.param(jacobson_radical, lambda: free_group_truncation(2, 3),
+                 [(0, 1, 1, 0, 0, 0, 0)] + [_E(7, i) for i in range(3, 7)],
+                 "Jacobson radical is not graded; witness " + str(_E(7, 1)),
+                 id="J-not-graded-free_trunc_2_3"),
+    pytest.param(jacobson_radical, lambda: upper_triangular(3), [_E(6, 2)],
+                 "quotient by the Jacobson radical is not semisimple",
+                 id="J-quotient-not-semisimple-ut3"),
+    pytest.param(solvable_radical, sl2, [_E(3, i) for i in range(3)],
+                 "solvable radical candidate is not solvable", id="R-not-solvable-sl2"),
+    pytest.param(solvable_radical, sl2, [_E(3, 1)],
+                 "solvable radical candidate is not an ideal", id="R-not-ideal-sl2"),
+    pytest.param(solvable_radical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
+                 "solvable radical is not graded; witness " + str(_E(3, 0)),
+                 id="R-not-graded-heisenberg3"),
+    pytest.param(solvable_radical, two_dim_nonabelian_lie, [(1, 0)],
+                 "quotient by the solvable radical is not semisimple",
+                 id="R-quotient-not-semisimple-aff1"),
+    pytest.param(nilradical, two_dim_nonabelian_lie, [(1, 0), (0, 1)],
+                 "nilradical candidate is not nilpotent", id="N-not-nilpotent-aff1"),
+    pytest.param(nilradical, sl2, [_E(3, 0)],
+                 "nilradical candidate is not an ideal", id="N-not-ideal-sl2"),
+    pytest.param(nilradical, heisenberg3, [(1, 1, 0), (0, 0, 1)],
+                 "nilradical is not graded; witness " + str(_E(3, 0)),
+                 id="N-not-graded-heisenberg3"),
+    pytest.param(solvable_radical, lambda: direct_sum(sl2(), sl2()),
+                 NON_SOLVABLE_SUBSPACES[2][1], "solvable radical candidate is not solvable",
+                 id="R-not-solvable-sl2+sl2"),
 ]
 
 
