@@ -3,10 +3,12 @@
 A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
 basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
-over the nonzero c in increasing k, plus one group element per basis vector.
-`integer_structure` is the same table scaled to integers; the constructor
-builds it, and its associativity or Lie check, the traces `integer_traces`
-and `left_mult_traces`, the trace-form radical and the codimension walk read
+over the nonzero c in increasing k, each c an int when it is an integer
+(`exactlin.as_rat`), plus one group element per basis vector.
+`integer_structure` is the same table scaled to integers, `structure` itself
+when every constant is an integer; the constructor builds it, and its
+associativity or Lie check, the traces `integer_traces` and
+`left_mult_traces`, the trace-form radical and the codimension walk read
 it. `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
 `exactlin.dense`), is the product kernel that `multiply`, `product_span`,
 `algebra_on_subspace` and the closures below go through; `multiply` is its
@@ -238,10 +240,14 @@ class GradedAlgebra:
     def integer_structure(self) -> tuple:
         """(D, table): D is the lcm of the denominators of the structure
         constants and table[i][j] = ((k, D c), ...) holds the integers D c
-        for the entries (k, c) of structure[i][j]. A product of n basis
-        vectors folded through the table is D^(n-1) times the true one. The
-        constructor builds it: its associativity or Lie check runs on it."""
+        for the entries (k, c) of structure[i][j]. When every constant is an
+        integer, D = 1 and the table is `structure` itself, whose integral
+        entries are ints. A product of n basis vectors folded through the
+        table is D^(n-1) times the true one. The constructor builds it: its
+        associativity or Lie check runs on it."""
         D = lcm(*(c.denominator for plane in self.structure for row in plane for _, c in row))
+        if D == 1:
+            return 1, self.structure
         table = tuple(tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in row)
                             if row else () for row in plane) for plane in self.structure)
         return D, table
@@ -312,10 +318,18 @@ class GradedAlgebra:
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:
         """Span of pairwise products of the two bases: each pair of sparse
         basis rows is multiplied by `mul_sparse`, and the product enters the
-        Reducer as it comes."""
+        Reducer as it comes. When both are the whole space, A A is the span
+        of the nonempty rows of `structure`, which enter as they are: the
+        RREF is canonical, so the span is the same."""
         if s1.ambient != self.dim or s2.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
         red = Reducer(self.dim)
+        if s1.dim == s2.dim == self.dim:
+            for plane in self.structure:
+                for row in plane:
+                    if row:
+                        red.insert(dict(row))
+            return red.subspace()
         rows2 = s2.pivot_rows.values()
         for su in s1.pivot_rows.values():
             for sw in rows2:

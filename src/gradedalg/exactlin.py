@@ -1,9 +1,14 @@
 """Exact rational linear algebra on sparse rows: reduced row echelon form,
 null spaces, solves and canonical subspaces.
 
-Every scalar is a `fractions.Fraction`; there are no floats and no tolerances.
-Entries enter as Fractions or ints (`as_rat` rejects anything else, floats
-included). `Reducer` is the one elimination: it keeps its RREF rows sparse,
+Every scalar is exact, with no floats and no tolerances: a Python int where
+the value is an integer, a `fractions.Fraction` where it is not. Entries
+enter as ints or Fractions (`as_rat` rejects anything else, floats
+included, and gives an int for an integral value). `div` is the one
+division: an int over an int is a float in Python, so no other `/` runs on
+scalars. Sparse rows hold ints and Fractions; dense tuples, at the API
+boundary, hold Fractions only (`dense`, `unit_vector`, `as_vector`).
+`Reducer` is the one elimination: it keeps its RREF rows sparse,
 as {column: entry} dicts indexed by pivot, and reduces a vector only at the
 pivots in its support (`_reduce`, the one reduce loop). `Reducer.insert` and
 the `Subspace` tests take a dense sequence or a sparse dict. `span_closure`
@@ -15,8 +20,9 @@ sparse rows, so no layer builds a dense matrix. `axpy` adds a multiple of
 one sparse vector to another. `Subspace` is the currency passed between the
 algebra, radical and structure layers; it carries its sparse RREF basis rows
 and their pivot columns, so two subspaces are equal iff their basis rows are
-identical, a plain dict comparison. Dense tuples appear only at the API
-boundary: `Subspace.basis_vectors()` builds them on first use.
+identical, a plain dict comparison (an int equals the Fraction of the same
+value). Dense tuples appear only at the API boundary:
+`Subspace.basis_vectors()` builds them on first use.
 """
 
 from __future__ import annotations
@@ -29,26 +35,39 @@ from .errors import DimensionMismatchError, ValidationError
 
 Rat = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = Fraction(0)      # the fill of dense vectors
+ONE = 1                 # the unit entry of a sparse row
 
 
-def as_rat(x) -> Fraction:
-    """x as a Fraction; only Fractions and ints (not bools) are exact input."""
+def as_rat(x):
+    """x as an exact rational: an int for an integral value, else a Fraction;
+    only Fractions and ints (not bools) are exact input."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return int(x)
     raise ValidationError(f"{x!r} is not an exact rational: expected a Fraction or an int")
 
 
+def div(a, b):
+    """a / b for exact rationals a, b != 0: an int when the quotient is an
+    integer, else a Fraction, never a float. The one division of this
+    package."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def as_vector(entries: Iterable) -> tuple:
-    # Fractions pass without a call: every span is built through here
-    return tuple([e if type(e) is Fraction else as_rat(e) for e in entries])
+    """The entries as a dense tuple of Fractions."""
+    # Fractions pass without a call: every dense vector is built through here
+    return tuple([e if type(e) is Fraction else Fraction(as_rat(e)) for e in entries])
 
 
 def unit_vector(n: int, i: int) -> tuple:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return tuple(Fraction(1) if j == i else ZERO for j in range(n))
 
 
 def is_zero_vector(u) -> bool:
@@ -56,16 +75,18 @@ def is_zero_vector(u) -> bool:
 
 
 def sparse(v) -> dict:
-    """The vector v as {i: v[i]} over its nonzero entries, in index order:
-    the one dense-to-sparse conversion of this package."""
-    return {i: c for i, c in enumerate(v) if c}
+    """The vector v as {i: v[i]} over its nonzero entries, in index order,
+    each through `as_rat` (so an integral entry is an int): the one
+    dense-to-sparse conversion of this package."""
+    return {i: c for i, c in enumerate(map(as_rat, v)) if c}
 
 
 def dense(sv: dict, n: int) -> list:
-    """The sparse vector {i: c} as a dense list of length n: undoes `sparse`."""
+    """The sparse vector {i: c} as a dense list of length n of Fractions:
+    undoes `sparse`."""
     w = [ZERO] * n
     for i, c in sv.items():
-        w[i] = c
+        w[i] = c if type(c) is Fraction else Fraction(c)
     return w
 
 
@@ -86,27 +107,28 @@ def axpy(acc: dict, c, v: dict):
 
 def _checked_sparse(v, ambient: int) -> dict:
     """v, a dense sequence of length `ambient` or a sparse dict {column:
-    entry}, as a fresh sparse dict of exact nonzero entries."""
+    entry}, as a fresh sparse dict of exact nonzero entries; ints and
+    Fractions pass as they are."""
     if isinstance(v, dict):
         out = {}
         for j, c in v.items():
             if not (type(j) is int and 0 <= j < ambient):
                 raise DimensionMismatchError(f"column {j!r} is outside 0..{ambient - 1}")
-            if type(c) is not Fraction:
+            if type(c) is not int and type(c) is not Fraction:
                 c = as_rat(c)
             if c:
                 out[j] = c
         return out
     if len(v) != ambient:
         raise DimensionMismatchError("vector has wrong ambient dimension")
-    return sparse(as_vector(v))
+    return sparse(v)
 
 
 def _subtract(v: dict, c, row: dict, p: int):
     """v -= c row in place, for a row with entry 1 at p and v's entry at p
     already removed; entries that cancel are dropped. `axpy` with the entry
     at p skipped: this is the inner loop of every elimination, and the
-    entry that cancels by construction costs no Fraction arithmetic here."""
+    entry that cancels by construction costs no arithmetic here."""
     for j, x in row.items():
         if j != p:
             y = v.get(j)
@@ -157,15 +179,16 @@ class Reducer:
         """Add v, a dense sequence or a sparse dict {column: entry}, to the
         span. Returns None when v already lies in it, else the new basis row
         as reduced at insertion, in the form v was given (a tuple or a dict).
-        Rows are replaced in `pivot_rows`, never changed in place, so a row
-        a caller holds never changes."""
+        The new row is scaled to 1 at its pivot through `div`, so entries
+        that stay integers stay ints. Rows are replaced in `pivot_rows`,
+        never changed in place, so a row a caller holds never changes."""
         row = _reduce(_checked_sparse(v, self.ambient), self.pivot_rows)
         if not row:
             return None
         piv = min(row)
         pv = row[piv]
         if pv != 1:
-            row = {j: x / pv for j, x in row.items()}
+            row = {j: div(x, pv) for j, x in row.items()}
         rows = self.pivot_rows
         for p, r in rows.items():
             f = r.get(piv)

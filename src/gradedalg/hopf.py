@@ -11,8 +11,6 @@ fragments would plug in.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import GradedAlgebra, graded_closure
 from .errors import DimensionMismatchError, GroupMismatchError, NotAnIdealError
 from .exactlin import Subspace, ZERO, as_rat, as_vector
@@ -38,8 +36,9 @@ class DualFunctional:
 
     @classmethod
     def _checked(cls, group: Group, values: dict) -> "DualFunctional":
-        """A functional from values already known to be nonzero `Fraction`s on
-        elements of `group`; the constructor's checks are skipped."""
+        """A functional from values already known to be nonzero exact
+        rationals (ints or Fractions, as `as_rat` gives them) on elements of
+        `group`; the constructor's checks are skipped."""
         f = cls.__new__(cls)
         f.group = group
         f.values = values
@@ -47,14 +46,14 @@ class DualFunctional:
 
     @classmethod
     def delta(cls, g: GroupElem) -> "DualFunctional":
-        return cls(g.group, {g: Fraction(1)})
+        return cls(g.group, {g: 1})
 
     @classmethod
     def all_ones(cls, group: Group, elems) -> "DualFunctional":
         """The operational counit: value 1 on each listed element."""
-        return cls(group, {g: Fraction(1) for g in elems})
+        return cls(group, {g: 1 for g in elems})
 
-    def __call__(self, g: GroupElem) -> Fraction:
+    def __call__(self, g: GroupElem):
         if g.group is not self.group and g.group != self.group:
             raise GroupMismatchError("evaluating a functional outside its group")
         return self.values.get(g, ZERO)

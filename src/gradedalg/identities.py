@@ -44,7 +44,7 @@ from math import factorial
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
 from .errors import ResourceCapError, ValidationError
-from .exactlin import Reducer, ZERO, as_rat, is_zero_vector
+from .exactlin import Reducer, as_rat, is_zero_vector
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_BLOCKS = 100_000
@@ -78,7 +78,7 @@ class MultilinearGradedPoly:
                 raise ValidationError("need one degree label per variable")
             coeff = as_rat(coeff)
             if coeff != 0:
-                clean[(perm, degs)] = clean.get((perm, degs), ZERO) + coeff
+                clean[(perm, degs)] = clean.get((perm, degs), 0) + coeff
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
 
@@ -147,7 +147,7 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     options = [A.component_indices(g) for (_, g) in slots]
     products = _Products(A)
     for choice in iproduct(*options):
-        acc = [ZERO] * A.dim
+        acc = [0] * A.dim
         for (perm, degs), coeff in terms.items():
             seq = [choice[slot_pos[(i, degs[i])]] for i in perm]
             v = seq[0]
@@ -196,8 +196,8 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
     Every row of the block, a product of n factors, is D^(n-1) times its
     rational value for the common denominator D. One common nonzero factor
     changes neither the rank, nor which entries vanish, nor which rows
-    coincide; only a row's nonzero entries become Fractions as it enters
-    the Reducer.
+    coincide. The rows enter the Reducer as ints, and a row becomes
+    fractional only where a pivot division leaves a remainder.
 
     A node's subtree depends only on the variables still to place and on its
     products, so every node, leaves included, is keyed by (bitmask of those

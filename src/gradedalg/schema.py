@@ -17,7 +17,6 @@ from math import gcd
 
 from .algebra import GradedAlgebra
 from .errors import SchemaError, ValidationError
-from .exactlin import ZERO
 from .groups import group_from_description, is_int
 from .identities import MultilinearGradedPoly
 
@@ -29,10 +28,11 @@ def _too_long(what: str) -> str:
     return f"{what} longer than Python's {sys.get_int_max_str_digits()}-digit limit for integers"
 
 
-def parse_rational(obj, where: str) -> Fraction:
-    """An integer, or a string "p" or "p/q" in lowest terms with q >= 1."""
+def parse_rational(obj, where: str):
+    """An integer, or a string "p" or "p/q" in lowest terms with q >= 1, as
+    an int when it is one, else a Fraction."""
     if is_int(obj):
-        return Fraction(obj)
+        return obj
     if isinstance(obj, str):
         m = _RATIONAL.fullmatch(obj)
         if m is None:
@@ -45,11 +45,11 @@ def parse_rational(obj, where: str) -> Fraction:
             raise SchemaError(f"{where}: {_too_long('rational has a numerator or denominator')}") from None
         if gcd(p, q) != 1:
             raise SchemaError(f"{where}: bad rational {obj!r} (not in lowest terms with q >= 1)")
-        return Fraction(p, q)
+        return p if q == 1 else Fraction(p, q)
     raise SchemaError(f"{where}: rational must be an integer or 'p/q' string, got {obj!r}")
 
 
-def render_rational(x: Fraction) -> str:
+def render_rational(x) -> str:
     return str(x)
 
 
@@ -151,7 +151,7 @@ def poly_from_description(obj, A: GradedAlgebra) -> MultilinearGradedPoly:
         except ValidationError as exc:
             raise SchemaError(f"terms[{pos}].labels: {exc}") from None
         key = (tuple(p - 1 for p in perm), degs)
-        terms[key] = terms.get(key, ZERO) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return MultilinearGradedPoly(n, terms)
 
 

@@ -37,8 +37,8 @@ from math import isqrt, lcm
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import (ONE, Reducer, Subspace, ZERO, axpy, null_space, solve_rows,
-                       sparse)
+from .exactlin import (ONE, Reducer, Subspace, ZERO, axpy, div, null_space,
+                       solve_rows, sparse)
 from .radical import derived_series, jacobson_radical, solvable_radical
 
 
@@ -124,7 +124,7 @@ def _split(A: GradedAlgebra, centre: Subspace, f: dict):
             half: dict = {}
             for a, v in zip(q, powers):
                 if a:
-                    axpy(half, a / scale, v)
+                    axpy(half, div(a, scale), v)
             rest = dict(f)
             axpy(rest, -ONE, half)
             return half, rest

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 fz2, group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, two_dim_nonabelian_lie,
                                 upper_triangular, ut2)
+from gradedalg.cli import main
 from gradedalg.errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
                               ValidationError)
 from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
@@ -225,6 +227,47 @@ def test_products_match_the_dense_reference():
             assert A.is_subalgebra(s) == verdict
             verdicts.append(verdict)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 50
+
+
+def test_whole_space_product_span_matches_the_pairwise_span():
+    # A A from the nonempty rows of `structure` against every e_i e_j
+    for A in associative_corpus() + lie_corpus():
+        full = Subspace.full(A.dim)
+        pairwise = Subspace.from_vectors(A.dim, [A.mul_sparse({i: 1}, {j: 1})
+                                                 for i in range(A.dim) for j in range(A.dim)])
+        assert A.product_span(full, full) == pairwise
+
+
+def test_whole_space_product_span_multiplies_no_pair(tmp_path, monkeypatch):
+    """On a zero-product algebra of dim 300, `radical` and `codim --n-max 2`
+    take A A (under `nilpotency_index`) with no `mul_sparse` call from
+    `product_span`: a pairwise span would make 90,000."""
+    t = TrivialGroup()
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"kind": "associative", "dim": 300, "group": t.describe(),
+                                "degrees": [t.encode_elem(t.identity())] * 300,
+                                "structure": []}))
+    product_span, mul_sparse = GradedAlgebra.product_span, GradedAlgebra.mul_sparse
+    inside, spans, calls = [False], [], []
+
+    def spy_span(self, s1, s2):
+        spans.append((s1.dim, s2.dim))
+        inside[0] = True
+        try:
+            return product_span(self, s1, s2)
+        finally:
+            inside[0] = False
+
+    def spy_mul(self, sa, sb):
+        if inside[0]:
+            calls.append((sa, sb))
+        return mul_sparse(self, sa, sb)
+    monkeypatch.setattr(GradedAlgebra, "product_span", spy_span)
+    monkeypatch.setattr(GradedAlgebra, "mul_sparse", spy_mul)
+    for argv in (["radical"], ["codim", "--n-max", "2"]):
+        spans.clear()
+        assert main(argv + ["--input", str(path)]) == 0
+        assert spans == [(300, 300)] and calls == []
 
 
 def test_products_reject_other_ambient_spaces():
@@ -490,7 +533,10 @@ def test_integer_structure_scales_the_table_by_the_common_denominator():
             for j, row in enumerate(plane) for k, c in row} == A.constants()
     assert all(type(c) is int for plane in table for row in plane for _, c in row)
     assert A.integer_structure is A.integer_structure
-    assert builtin("ut2").integer_structure[0] == 1
+    # integral constants: D = 1 and the table is `structure`, with no copy
+    U = builtin("ut2")
+    assert U.integer_structure[0] == 1 and U.integer_structure[1] is U.structure
+    assert all(type(c) is int for plane in U.structure for row in plane for _, c in row)
 
 
 _FRACTIONS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2, 3, 5)))

@@ -2,7 +2,11 @@
 no random draw anywhere. Walk the AST of every module and reject float
 literals, float(), round() and math.isclose calls, `import math`, `from math
 import` of anything but the integer-exact functions, and any import of
-`random`, so that no result can hang on a seed. The same walk keeps modules to each
+`random`, so that no result can hang on a seed. Integral scalars are ints,
+and an int over an int is a float in Python, so a true division `/` (or
+`/=`) stands only in `exactlin.div`, the one division, and in
+`identities.exponent_estimate`, whose operands are Fractions by
+construction. The same walk keeps modules to each
 other's public surface: `x._name` is allowed on `self` and `cls` only, and
 only exactlin calls the `Subspace(...)` constructor, which trusts its basis to
 be in reduced row echelon form (elsewhere `Subspace.from_vectors`, `zero` and
@@ -52,6 +56,22 @@ def inexact_nodes(tree):
                     yield node, f"from math import {a.name}"
         elif isinstance(node, ast.ImportFrom) and node.module == "random":
             yield node, "from random import"
+
+
+# (module, function) where `/` may stand: the one division, and the growth
+# verdict, whose operands are Fractions by construction
+TRUE_DIVISION_ALLOWED = {("exactlin.py", "div"), ("identities.py", "exponent_estimate")}
+
+
+def true_division_nodes(tree, module=""):
+    """`a / b` and `a /= b` outside the functions of TRUE_DIVISION_ALLOWED."""
+    allowed = {id(n) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and (module, node.name) in TRUE_DIVISION_ALLOWED for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                and id(node) not in allowed):
+            yield node, "true division /"
 
 
 def foreign_private_nodes(tree, module=""):
@@ -139,6 +159,27 @@ def test_checker_flags_inexact_code():
     assert kinds == ["float literal 1.5", "float() call", "from math import sqrt",
                      "from random import", "import math", "import random", "import random",
                      "isclose() call", "round() call"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_divides_through_exactlin(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what} (use exactlin.div)"
+             for node, what in true_division_nodes(tree, path.name)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_true_division():
+    code = ("a / b\nx /= 2\nn // d\nq, r = divmod(a, b)\n"
+            "def div(a, b):\n    return a / b\n"
+            "def exponent_estimate(u):\n    return u[1] / u[0]\n"
+            "path = 'a/b'\n")
+    found = sorted((node.lineno, what) for node, what in true_division_nodes(ast.parse(code)))
+    assert found == [(1, "true division /"), (2, "true division /"),
+                     (6, "true division /"), (8, "true division /")]
+    lines = {module: sorted(node.lineno for node, _ in true_division_nodes(ast.parse(code), module))
+             for module in ("exactlin.py", "identities.py")}
+    assert lines == {"exactlin.py": [1, 2, 8], "identities.py": [1, 2, 6]}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

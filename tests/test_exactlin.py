@@ -3,14 +3,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedalg.algebra import GradedAlgebra
 from gradedalg.builders import matrix_algebra_z2
 from gradedalg.errors import DimensionMismatchError, ValidationError
-from gradedalg.exactlin import (Reducer, Subspace, dense, null_space, solve_rows,
-                                sparse, subspace_intersection, subspace_sum,
+from gradedalg.exactlin import (Reducer, Subspace, as_rat, dense, div, null_space,
+                                solve_rows, sparse, subspace_intersection, subspace_sum,
                                 is_zero_vector)
 from gradedalg.groups import TrivialGroup
 from gradedalg.hopf import DualFunctional, dual_action
@@ -215,6 +215,7 @@ def test_sparse_reducer_matches_dense_gauss_jordan(case):
             assert got == tuple(want)
         assert red.rows == ref.rows and red.pivots == ref.pivots
     assert all(type(a) is Fraction for row in red.rows for a in row)
+    assert all(type(a) in (int, Fraction) for row in red.pivot_rows.values() for a in row.values())
     s = red.subspace()
     assert s.basis_vectors() == tuple(map(tuple, ref.rows)) and list(s.pivots) == ref.pivots
     for v in probes:
@@ -226,6 +227,24 @@ def test_sparse_reducer_matches_dense_gauss_jordan(case):
             assert s.coords(form) == ref.coords(v)
 
 
+RATIONAL = st.one_of(st.integers(-60, 60),
+                     st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONAL, RATIONAL.filter(bool))
+@example(-12, 4).via("divides, negative")
+@example(12, -5).via("no int quotient")
+@example(F(9, 2), F(3, 2)).via("Fractions with an integral quotient")
+@example(F(6), 4).via("an integral Fraction over an int")
+@example(0, F(-2, 3)).via("zero")
+def test_div_is_exact_and_an_int_when_it_can_be(a, b):
+    q = div(a, b)
+    assert q == Fraction(a, b)
+    assert type(q) is (int if Fraction(a, b).denominator == 1 else Fraction)
+    assert type(as_rat(Fraction(a, b))) is type(q)
+
+
 def test_sparse_input_stays_exact():
     red = Reducer(3)
     assert red.insert({0: 0, 2: 3}) == {2: 1}                  # zeros are dropped
@@ -233,6 +252,9 @@ def test_sparse_input_stays_exact():
         red.insert({1: 0.5})
     with pytest.raises(ValidationError):
         Subspace.full(3).contains({0: 1.0})
+    for bad in ({1: True}, [0, True, 0]):      # a bool is no exact rational
+        with pytest.raises(ValidationError, match="True"):
+            red.insert(bad)
     for bad in ({3: 1}, {-1: 1}, {"0": 1}):
         with pytest.raises(DimensionMismatchError):
             red.insert(bad)

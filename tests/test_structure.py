@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, graded_check
+from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, graded_check, quotient_algebra
 from gradedalg.builders import (direct_sum, free_group_truncation, fz2,
                                 group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, gl2_z2,
@@ -463,3 +463,40 @@ def test_malcev_and_levi_bases_golden():
         "d0c3db3e292b104668fda3d6994d5110fef016c4a887747cdd6446e3f0e541d7")
     assert _basis_digest(levi_graded(L) for L in lie_corpus()) == (
         "f98bcbdfeb7a8bacf4971325592ae9d6880eb6d53673d06136075b46f367623a")
+
+
+def test_corpus_scalars_are_ints_or_fractions():
+    """Over the radicals, quotients and complements of the corpus: sparse
+    rows and structure constants hold ints and Fractions (never a bool or a
+    float), a structure constant is an int exactly when it is an integer,
+    and the dense tuples handed out hold Fractions only."""
+    def exact(values):
+        return all(type(c) in (int, Fraction) for c in values)
+
+    def constants_ok(A):
+        return all((type(c) is int) == (F(c).denominator == 1) and exact([c])
+                   for c in A.constants().values())
+
+    def rows_ok(s):
+        return all(exact(row.values()) for row in s.pivot_rows.values())
+
+    def dense_ok(vectors):
+        return all(type(c) is Fraction for v in vectors for c in v)
+
+    for A in associative_corpus():
+        assert constants_ok(A)
+        J = jacobson_radical(A, verify=False)
+        assert rows_ok(J) and dense_ok(J.basis_vectors())
+        if 0 < J.dim < A.dim:
+            q = quotient_algebra(A, J)
+            assert constants_ok(q.algebra)
+            assert dense_ok(q.projection) and dense_ok(q.section)
+            assert dense_ok([q.project(v) for v in J.basis_vectors()[:1] + q.section[:1]])
+            if q.algebra.unit is not None:
+                assert dense_ok([q.algebra.unit])
+        if A.unit is not None:
+            B = malcev_complement_graded(A)
+            assert rows_ok(B) and dense_ok(B.basis_vectors())
+            emb = algebra_on_subspace(A, B)
+            assert constants_ok(emb.algebra) and dense_ok(emb.rows)
+            assert dense_ok([emb.algebra.unit, emb.include(emb.algebra.unit)])
