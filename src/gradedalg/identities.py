@@ -26,8 +26,8 @@ computed once per n; the table is dropped when the call returns. A node's
 subtree depends only on the variables left to place and its partial
 products, so every node, leaves included, is keyed by (bitmask of the
 remaining variables, set of (column offset, vector id)) and each distinct
-node is expanded once. `is_graded_identity` folds its words through a table
-of its own.
+node is expanded once. `is_graded_identity` folds each labelling's words
+with the same steps into the rows that `codim_block` would build.
 
 For a group grading, the identities whose labels are read as delta
 functionals of (QG)* are exactly the graded ones, so H-identities of a
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, islice, product as iproduct
+from itertools import groupby, islice
 from math import factorial
 
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
 from .errors import ResourceCapError, ValidationError
-from .exactlin import Reducer, as_rat, is_zero_vector
+from .exactlin import Reducer, as_rat, axpy
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_BLOCKS = 100_000
@@ -61,8 +61,8 @@ class MultilinearGradedPoly:
     coefficient.
 
     The pair key means: the monomial is x_{perm[0]} x_{perm[1]} ... with
-    variable i labelled by degs[i]. Note x_i with two different labels are two
-    different free variables; they may substitute independently.
+    variable i labelled by degs[i]. x_i under two labels is two free
+    variables, so f vanishes iff each labelling's part does.
     """
 
     def __init__(self, n: int, terms: dict):
@@ -84,23 +84,21 @@ class MultilinearGradedPoly:
 
 class _Products:
     """Products of basis vectors in the integer table `A.integer_structure`,
-    interned for one computation. Each distinct integer vector {k: c} gets a
-    small int id, kept as its sorted items in `vectors`; the basis vector e_b
-    has id b. memo[v, b] is the id of vector v times e_b, or None when that
-    product vanishes, and `multiply` computes it on the first lookup only;
-    a lookup reads -1 for a product not computed yet.
-    A product of n factors folded from a basis vector is D^(n-1) times its
-    rational value for the common denominator D."""
+    interned for one computation, and the steps of the one word walk of
+    `codim_block` and `is_graded_identity`. Each distinct integer vector
+    {k: c} gets a small int id, kept as its sorted items in `vectors`; e_b
+    has id b. memo[v, b] is the id of v times e_b, or None when it vanishes;
+    `multiply` computes it on the first lookup only, and a lookup reads -1
+    before. A walk node maps the column offset (`offsets`) of each basis
+    choice of the variables placed so far to the id of its nonzero product;
+    `_child` adds a variable, and `row` spreads a leaf over its columns."""
 
     def __init__(self, A: GradedAlgebra):
+        self.dim = A.dim
         self.table = A.integer_structure[1]
         self.vectors = [((b, 1),) for b in range(A.dim)]
         self.ids = {vec: b for b, vec in enumerate(self.vectors)}
         self.memo = {}
-
-    def times(self, v: int, b: int):
-        w = self.memo.get((v, b), -1)
-        return self.multiply(v, b) if w == -1 else w
 
     def multiply(self, v: int, b: int):
         table = self.table
@@ -129,36 +127,59 @@ class _Products:
         self.memo[v, b] = w
         return w
 
+    def offsets(self, comps):
+        """Mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])."""
+        offset, width = [], self.dim
+        for comp in reversed(comps):
+            offset.append([(b, j * width) for j, b in enumerate(comp)])
+            width *= len(comp)
+        return offset[::-1], width
+
+    def row(self, leaf):
+        vectors = self.vectors
+        return {off + k: c for off, v in leaf.items() for k, c in vectors[v]}
+
+
+def _child(memo, multiply, node, offset_i):
+    """The walk's step: each product of `node` (None at the root) times each
+    basis choice of one more variable, vanishing ones dropped. memo and
+    multiply are a `_Products` table's, bound once per caller, not per node."""
+    if node is None:
+        return {boff: b for b, boff in offset_i}
+    child = {}
+    for off, v in node.items():
+        for b, boff in offset_i:
+            w = memo.get((v, b), -1)
+            if w == -1:
+                w = multiply(v, b)
+            if w is not None:
+                child[off + boff] = w
+    return child
+
 
 def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     """True iff f vanishes under every substitution sending each labelled
-    variable into its component; by multilinearity basis tuples suffice.
-    Variables labelled outside the support only admit zero, so terms carrying
-    them vanish identically. Each word is folded through one `_Products`
-    table: every term has all n factors, so every product is D^(n-1) times
-    its rational value and the sum vanishes exactly when the true one does."""
-    terms = {k: v for k, v in f.terms.items()
-             if all(A.component_indices(g) for g in set(k[1]))}
-    if not terms:
-        return True
-    slots = sorted({(i, degs[i]) for (_, degs) in terms for i in range(f.n)},
-                   key=lambda s: (s[0], A.group.sort_key(s[1])))
-    slot_pos = {s: p for p, s in enumerate(slots)}
-    options = [A.component_indices(g) for (_, g) in slots]
+    variable into its component. Variables with different labels are
+    different variables, so f vanishes iff each labelling's part does. A
+    part is multilinear, so it vanishes iff the sum of coeff * row(word) is
+    empty, row(word) being the row that `codim_block` builds for the word;
+    a label outside the support has no basis choice, so its rows are
+    empty. Every row is D^(n-1) times its rational value, so that sum
+    vanishes iff the true one does."""
+    parts = {}
+    for (perm, degs), coeff in f.terms.items():
+        parts.setdefault(degs, []).append((perm, coeff))
     products = _Products(A)
-    for choice in iproduct(*options):
-        acc = [0] * A.dim
-        for (perm, degs), coeff in terms.items():
-            seq = [choice[slot_pos[(i, degs[i])]] for i in perm]
-            v = seq[0]
-            for b in seq[1:]:
-                v = products.times(v, b)
-                if v is None:
-                    break
-            if v is not None:
-                for k, c in products.vectors[v]:
-                    acc[k] += coeff * c
-        if not is_zero_vector(acc):
+    memo, multiply = products.memo, products.multiply
+    for degs, words in parts.items():
+        offset, _ = products.offsets([A.component_indices(g) for g in degs])
+        acc = {}
+        for perm, coeff in words:
+            node = None
+            for i in perm:
+                node = _child(memo, multiply, node, offset[i])
+            axpy(acc, coeff, products.row(node))
+        if acc:
             return False
     return True
 
@@ -184,20 +205,15 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
     indices of each label's component, as `_codim_blocks` hands them over by
     support index; otherwise each label's component is looked up.
 
-    Word orders are walked depth first. A node holds the nonzero products of
-    the variables placed so far, one per basis choice, keyed by the column
-    offset that choice contributes; a child multiplies each by one more basis
-    vector. A node whose products all vanish is dropped with its subtree.
-
-    Products are ids of the interned integer vectors of `products`, a
-    `_Products` table that `_codim_blocks` shares between all blocks of one
-    n (a table of its own when none is given), so a child only looks up
-    memo[v, b] and each vector x basis product is computed once per table.
-    Every row of the block, a product of n factors, is D^(n-1) times its
-    rational value for the common denominator D. One common nonzero factor
-    changes neither the rank, nor which entries vanish, nor which rows
-    coincide. The rows enter the Reducer as ints, and a row becomes
-    fractional only where a pivot division leaves a remainder.
+    Word orders are walked depth first through the nodes of `products`, the
+    `_Products` table that `_codim_blocks` shares between the blocks of one
+    n (a table of its own when none is given). A node whose products all
+    vanish is dropped with its subtree. Every row of the block, a product
+    of n factors, is D^(n-1) times its rational value for the common
+    denominator D. One common nonzero factor changes neither the rank, nor
+    which entries vanish, nor which rows coincide. The rows enter the
+    Reducer as ints, and a row becomes fractional only where a pivot
+    division leaves a remainder.
 
     A node's subtree depends only on the variables still to place and on its
     products, so every node, leaves included, is keyed by (bitmask of those
@@ -211,14 +227,9 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
         return 0
     if products is None:
         products = _Products(A)
-    memo, multiply, vectors = products.memo, products.multiply, products.vectors
+    memo, multiply, row = products.memo, products.multiply, products.row
     n = len(comps)
-    # mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])
-    offset = [None] * n
-    width = A.dim
-    for i in reversed(range(n)):
-        offset[i] = [(b, j * width) for j, b in enumerate(comps[i])]
-        width *= len(comps[i])
+    offset, width = products.offsets(comps)
     # Depth first from the root, the empty product None. Children are pushed
     # last first, so they pop in variable order. A key is checked as its node
     # is made: the nodes made after it and popped before it have fewer
@@ -233,17 +244,7 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
         rest, partial = stack.pop()
         for i, bit in bits:
             if rest & bit:
-                if partial is None:
-                    child = {boff: b for b, boff in offset[i]}
-                else:
-                    child = {}
-                    for off, v in partial.items():
-                        for b, boff in offset[i]:
-                            w = memo.get((v, b), -1)
-                            if w == -1:
-                                w = multiply(v, b)
-                            if w is not None:
-                                child[off + boff] = w
+                child = _child(memo, multiply, partial, offset[i])
                 if child:
                     left = rest ^ bit
                     key = (left, frozenset(child.items()))
@@ -252,8 +253,7 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
                         if left:
                             stack.append((left, child))
                         else:
-                            red.insert({off + k: c for off, v in child.items()
-                                        for k, c in vectors[v]})
+                            red.insert(row(child))
     return red.dim
 
 

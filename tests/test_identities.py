@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -105,13 +106,18 @@ def test_trivial_group_reproduces_ordinary_codimension():
         assert graded_codimension(M2, n) == global_graded_codim_rank(M2, n)
 
 
-def test_round_trip_label_maps():
+@pytest.mark.parametrize("name, count", [
+    ("m2_z2", 100), ("ut2", 100), ("fz2", 100), ("free_trunc_2_3", 25),
+    ("sl2", 100), ("gl2_z2", 100), ("heis3", 100), ("aff1", 100)])
+def test_round_trip_label_maps(name, count):
     # delta labels through unrestricted substitutions decide the same
-    # identities as degree labels through component substitutions
+    # identities as degree labels through component substitutions, also
+    # when the terms of one polynomial carry different labellings; the
+    # oracle tries dim^n substitutions, so the dim-7 algebra gets fewer
     rng = random.Random(21)
-    M = matrix_algebra_z2()
-    for _ in range(100):
-        n = rng.randint(1, 3)
+    M = builtin(name)
+    for _ in range(count):
+        n = rng.randint(1, 4)
         terms = {}
         for _ in range(rng.randint(1, 4)):
             perm = tuple(rng.sample(range(n), n))
@@ -120,6 +126,46 @@ def test_round_trip_label_maps():
         f = MultilinearGradedPoly(n, terms)
         assert from_functionals(n, terms, M.support).terms == f.terms
         assert is_graded_identity(f, M) == is_functional_identity(f, M)
+
+
+def _mixed_counterexamples():
+    A = builtin("fz2")
+    g0, g1 = A.support
+    S = builtin("sl2")
+    a, b = S.group.word([1]), S.group.word([-1])
+    return [(A, {((1, 0, 2), (g1, g1, g1)): -1, ((0, 2, 1), (g0, g0, g1)): 1}),
+            (A, {((2, 0, 1), (g0, g1, g0)): -3, ((0, 1, 2), (g1, g1, g1)): 3}),
+            (S, {((1, 0, 2), (a, a, a)): -2, ((1, 0, 2), (a, b, a)): 3,
+                 ((2, 0, 1), (a, a, b)): -1, ((0, 1, 2), (b, a, a)): -2})]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_mixed_labellings_vanish_part_by_part(case):
+    # x_i under two labels is two free variables, so f is not multilinear in
+    # the slots (i, label) and basis choices of the slots do not decide it:
+    # on fz2, with x_i = s_i 1 under label 0 and t_i u under label 1, the
+    # first is (s1 s2 - t1 t2) t3 u
+    A, terms = _mixed_counterexamples()[case]
+    f = MultilinearGradedPoly(3, terms)
+    assert not is_functional_identity(f, A)
+    assert not is_graded_identity(f, A)
+
+
+def test_check_identity_cost_follows_the_nonzero_products():
+    # x_1..x_n - x_n..x_1 on m2_z2: a fold over every basis choice takes
+    # 2^n of them per labelling (74 s at n = 11 with both labellings), the
+    # walk keeps only the nonzero partial products
+    M = matrix_algebra_z2()
+    g0, g1 = M.support
+    for n, labels in [(11, (g0, g1)), (30, (g0,))]:
+        fwd = tuple(range(n))
+        terms = {}
+        for g in labels:
+            terms[(fwd, (g,) * n)] = 1
+            terms[(fwd[::-1], (g,) * n)] = -1
+        start = time.perf_counter()
+        assert is_graded_identity(MultilinearGradedPoly(n, terms), M)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_out_of_support_maps_to_zero():

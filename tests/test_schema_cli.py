@@ -517,6 +517,17 @@ def test_cli_check_identity(tmp_path, capsys):
     assert "identity" in capsys.readouterr().out
 
 
+def test_cli_check_identity_splits_mixed_labellings(tmp_path, capsys):
+    # (s1 s2 - t1 t2) t3 u for x_i = s_i 1 under label 0 and t_i u under label 1
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({
+        "n": 3,
+        "terms": [{"coef": "-1", "perm": [2, 1, 3], "labels": [1, 1, 1]},
+                  {"coef": "1", "perm": [1, 3, 2], "labels": [0, 0, 1]}]}))
+    assert main(["check-identity", "--builtin", "fz2", "--poly", str(poly)]) == 0
+    assert capsys.readouterr().out == "not an identity\n"
+
+
 def test_cli_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["codim", "--builtin", "ut2", "--n-max", "3", "--json-out", str(a)])
