@@ -4,15 +4,14 @@ A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
 basis vectors i and j has coefficient c on basis vector k, and absent triples
 are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
 over the nonzero c in increasing k, each c an int when it is an integer
-(`exactlin.as_rat`), plus one group element per basis vector.
-`integer_structure` is the same table scaled to integers, `structure` itself
-when every constant is an integer; the constructor builds it, and its
-associativity or Lie check, the traces `integer_traces` and
-`left_mult_traces`, the trace-form radical and the codimension walk read
-it. `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
+(`exactlin.as_rat`), plus one group element per basis vector. It is the
+one table: the associativity or Lie check, the traces `left_mult_traces`,
+the radicals, the degree-e centre and the codimension walk all read it.
+`mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
 `exactlin.dense`), is the product kernel that `multiply`, `product_span`,
-`algebra_on_subspace` and the closures below go through; `multiply` is its
-dense view, which the radical, quotient and structure layers do not use.
+`algebra_on_subspace`, the closures below and the codimension walk go
+through; `multiply` is its dense view, which the radical, quotient and
+structure layers do not use.
 Ideals and subalgebras are generated by `span_closure`; `product_chain`,
 bounded at dim + 2 terms, gives nilpotency indices and derived series.
 `quotient_algebra` inverts no matrix: its projection is the RREF of the
@@ -31,7 +30,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
@@ -118,8 +116,7 @@ class GradedAlgebra:
                     raise ValidationError(f"unit law fails on basis vector {b}")
 
     def _check_associativity(self):
-        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, in the integer
-        table, where both sides are D^2 times their rational value. For each
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple. For each
         (i, j) the differences over all k go into one dict keyed by (k, m):
         (e_i e_j) e_k through the nonempty rows of each plane l in e_i e_j,
         e_i (e_j e_k) through the nonempty rows of plane j. A side can be
@@ -127,7 +124,7 @@ class GradedAlgebra:
         e_i e_l != 0, so only those j are visited. The least k of the first
         (i, j) with a nonzero difference names the first failing triple in
         index order."""
-        table = self.integer_structure[1]
+        table = self.structure
         nonempty = [[(k, row) for k, row in enumerate(plane) if row] for plane in table]
         producers = [set() for _ in table]      # producers[l]: each j with l in some e_j e_k
         for j, rows in enumerate(nonempty):
@@ -154,11 +151,11 @@ class GradedAlgebra:
 
     def _check_lie(self):
         """[e_i, e_i] = 0, antisymmetry, and the Jacobi identity on every
-        triple i < j < k, in the integer table. As for associativity, each
-        (i, j) collects the cyclic sum over all k > j in one dict keyed by
-        (k, m), reading only nonempty rows; [[e_k, e_i], e_j] is read as
-        -[[e_i, e_k], e_j], through the rows of plane i."""
-        table = self.integer_structure[1]
+        triple i < j < k. As for associativity, each (i, j) collects the
+        cyclic sum over all k > j in one dict keyed by (k, m), reading only
+        nonempty rows; [[e_k, e_i], e_j] is read as -[[e_i, e_k], e_j],
+        through the rows of plane i."""
+        table = self.structure
         for i, plane in enumerate(table):
             if plane[i]:
                 raise ValidationError(f"[x,x] != 0 on basis vector {i}")
@@ -217,40 +214,17 @@ class GradedAlgebra:
 
     def trace_of_left_mult(self, a) -> Fraction:
         """tr L(a) = sum_i a_i tr L(e_i), over `left_mult_traces`."""
-        if len(a) != self.dim:
-            raise DimensionMismatchError("vector has wrong ambient dimension")
+        a = self._checked(a)
         return sum((ai * t for ai, t in zip(a, self.left_mult_traces) if ai and t), ZERO)
 
     @cached_property
     def left_mult_traces(self) -> tuple:
-        """(tr L(e_0), ..., tr L(e_{dim-1})) with tr L(e_i) = sum_j c_ij^j:
-        the `integer_traces` over D. For a homogeneous e_i of degree other
-        than the identity every c_ij^j is 0, so tr L(e_i) = 0."""
-        D = self.integer_structure[0]
-        return tuple(Fraction(t, D) for t in self.integer_traces)
-
-    @cached_property
-    def integer_traces(self) -> tuple:
-        """(D tr L(e_0), ..., D tr L(e_{dim-1})) as ints, read once from the
-        integer table `integer_structure` over the common denominator D."""
-        return tuple(sum(c for j, row in enumerate(plane) for k, c in row if k == j)
-                     for plane in self.integer_structure[1])
-
-    @cached_property
-    def integer_structure(self) -> tuple:
-        """(D, table): D is the lcm of the denominators of the structure
-        constants and table[i][j] = ((k, D c), ...) holds the integers D c
-        for the entries (k, c) of structure[i][j]. When every constant is an
-        integer, D = 1 and the table is `structure` itself, whose integral
-        entries are ints. A product of n basis vectors folded through the
-        table is D^(n-1) times the true one. The constructor builds it: its
-        associativity or Lie check runs on it."""
-        D = lcm(*(c.denominator for plane in self.structure for row in plane for _, c in row))
-        if D == 1:
-            return 1, self.structure
-        table = tuple(tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in row)
-                            if row else () for row in plane) for plane in self.structure)
-        return D, table
+        """(tr L(e_0), ..., tr L(e_{dim-1})) with tr L(e_i) = sum_j c_ij^j,
+        read once from `structure`, each an int where it is an integer. For
+        a homogeneous e_i of degree other than the identity every c_ij^j is
+        0, so tr L(e_i) = 0."""
+        return tuple(as_rat(sum(c for j, row in enumerate(plane) for k, c in row if k == j))
+                     for plane in self.structure)
 
     def constants(self) -> dict:
         """The structure constants as the mapping {(i, j, k): c} the
@@ -264,15 +238,24 @@ class GradedAlgebra:
         return self._components.get(g, ())
 
     def homogeneous_projection(self, v, g: GroupElem) -> tuple:
+        return self._projection(self._checked(v), g)
+
+    def _checked(self, v) -> tuple:
+        """v as a dense tuple of Fractions (`as_vector`) of length dim."""
+        v = as_vector(v)
         if len(v) != self.dim:
             raise DimensionMismatchError("vector has wrong ambient dimension")
+        return v
+
+    def _projection(self, v: tuple, g: GroupElem) -> tuple:
         return tuple(x if self.degrees[i] == g else ZERO for i, x in enumerate(v))
 
     def homogeneous_components(self, v) -> list:
         """Nonzero pieces [(g, pi_g(v)), ...] in support order."""
+        v = self._checked(v)
         out = []
         for g in self.support:
-            p = self.homogeneous_projection(v, g)
+            p = self._projection(v, g)
             if not is_zero_vector(p):
                 out.append((g, p))
         return out
@@ -409,6 +392,7 @@ class QuotientResult:
     ambient: int            # dimension of the algebra divided by the ideal
 
     def project(self, v) -> tuple:
+        v = as_vector(v)
         if len(v) != self.ambient:
             raise DimensionMismatchError("vector has wrong ambient dimension")
         return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.projection)
@@ -497,6 +481,9 @@ class SubalgebraEmbedding:
     ambient: int            # dimension of the ambient algebra
 
     def include(self, v_sub) -> tuple:
+        v_sub = as_vector(v_sub)
+        if len(v_sub) != len(self.rows):
+            raise DimensionMismatchError("vector has wrong subalgebra dimension")
         out = [ZERO] * self.ambient
         for c, r in zip(v_sub, self.rows):
             if c != 0:

@@ -9,12 +9,16 @@ import re
 from fractions import Fraction
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .exactlin import ZERO
 from .groups import (CyclicGroup, FreeGroup, Group, GroupElem, ProductGroup,
                      TrivialGroup)
 
 ONE = Fraction(1)
+
+# the largest dimension `free_group_truncation` builds: free_trunc_2_10, of
+# dim 1023, is the largest binary truncation allowed
+MAX_FREE_TRUNC_DIM = 1024
 
 
 def _elementary_degrees(n: int, group: Group | None, row_labels, pairs) -> tuple:
@@ -78,9 +82,18 @@ def free_group_truncation(rank: int, cutoff: int) -> GradedAlgebra:
     the free group of that rank; concatenation products of length >= cutoff are 0.
 
     dim = sum_{t < cutoff} rank^t; every homogeneous component is 1-dimensional.
+    A dim above MAX_FREE_TRUNC_DIM raises ResourceCapError before anything is
+    built; the sum stops as soon as it passes the cap.
     """
     if rank < 1 or cutoff < 1:
         raise ValidationError("rank and cutoff must be >= 1")
+    dim, words_of_length = 0, 1
+    for _ in range(cutoff):
+        dim += words_of_length
+        if dim > MAX_FREE_TRUNC_DIM:
+            raise ResourceCapError(f"free_trunc_{rank}_{cutoff} has dimension above "
+                                   f"the cap of {MAX_FREE_TRUNC_DIM}")
+        words_of_length *= rank
     F = FreeGroup(rank)
     words = [()]
     frontier = [()]
@@ -88,7 +101,6 @@ def free_group_truncation(rank: int, cutoff: int) -> GradedAlgebra:
         frontier = [w + (a,) for w in frontier for a in range(1, rank + 1)]
         words.extend(frontier)
     index = {w: i for i, w in enumerate(words)}
-    dim = len(words)
     structure = {(iu, iv, index[u + v]): ONE for u, iu in index.items()
                  for v, iv in index.items() if len(u) + len(v) < cutoff}
     degrees = [F.elem(w) for w in words]
@@ -185,7 +197,7 @@ def two_dim_nonabelian_lie() -> GradedAlgebra:
                              {(0, 1): [(0, 1)]}, name="aff1")
 
 
-_FREE_TRUNC_RE = re.compile(r"^free_trunc_(\d+)_(\d+)$")
+_FREE_TRUNC_RE = re.compile(r"^free_trunc_([0-9]{1,20})_([0-9]{1,20})$")
 
 _FIXED_BUILTINS = {
     "m2_z2": matrix_algebra_z2,

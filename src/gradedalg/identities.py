@@ -15,14 +15,12 @@ add 0 to c_n. A report grows the live multisets of n + 1 from those of n.
 The resource guard still counts all |support|^n labellings, and a report
 checks it for every n it will compute before computing any.
 
-`codim_block` walks the word orders as a tree of partial products over the
-integer table `GradedAlgebra.integer_structure`: every row of a block is
-D^(n-1) times its rational value for the common denominator D, which keeps
-ranks, zero entries and repeated rows. Partial products are interned: a
-`_Products` table gives each distinct integer vector a small int id and
-memoises vector x basis products by id. `_codim_blocks` builds one table per
-n and shares it between the blocks of that n, so each such product is
-computed once per n; the table is dropped when the call returns. A node's
+`codim_block` walks the word orders as a tree of partial products, each
+computed by the product kernel `GradedAlgebra.mul_sparse`. Partial products
+are interned: a `_Products` table gives each distinct vector a small int id
+and memoises vector x basis products by id. `_codim_blocks` builds one
+table per n and shares it between the blocks of that n, so each such
+product is computed once per n; the table is dropped when the call returns. A node's
 subtree depends only on the variables left to place and its partial
 products, so every node, leaves included, is keyed by (bitmask of the
 remaining variables, set of (column offset, vector id)) and each distinct
@@ -83,41 +81,25 @@ class MultilinearGradedPoly:
 
 
 class _Products:
-    """Products of basis vectors in the integer table `A.integer_structure`,
-    interned for one computation, and the steps of the one word walk of
-    `codim_block` and `is_graded_identity`. Each distinct integer vector
-    {k: c} gets a small int id, kept as its sorted items in `vectors`; e_b
-    has id b. memo[v, b] is the id of v times e_b, or None when it vanishes;
-    `multiply` computes it on the first lookup only, and a lookup reads -1
-    before. A walk node maps the column offset (`offsets`) of each basis
-    choice of the variables placed so far to the id of its nonzero product;
-    `_child` adds a variable, and `row` spreads a leaf over its columns."""
+    """Products of basis vectors of A, interned for one computation, and the
+    steps of the one word walk of `codim_block` and `is_graded_identity`.
+    Each distinct vector {k: c} gets a small int id, kept as its sorted
+    items in `vectors`; e_b has id b. memo[v, b] is the id of v times e_b,
+    or None when it vanishes; `multiply` computes it by `A.mul_sparse` on
+    the first lookup only, and a lookup reads -1 before. A walk node maps
+    the column offset (`offsets`) of each basis choice of the variables
+    placed so far to the id of its nonzero product; `_child` adds a
+    variable, and `row` spreads a leaf over its columns."""
 
     def __init__(self, A: GradedAlgebra):
         self.dim = A.dim
-        self.table = A.integer_structure[1]
+        self.mul_sparse = A.mul_sparse
         self.vectors = [((b, 1),) for b in range(A.dim)]
         self.ids = {vec: b for b, vec in enumerate(self.vectors)}
         self.memo = {}
 
     def multiply(self, v: int, b: int):
-        table = self.table
-        if v < len(table):
-            # e_v e_b is a row of the table, whose entries are in index order
-            vec = table[v][b]
-        else:
-            prod = {}
-            for k, c in self.vectors[v]:
-                for j, d in table[k][b]:
-                    if j in prod:
-                        x = prod[j] + c * d
-                        if x:
-                            prod[j] = x
-                        else:
-                            del prod[j]
-                    else:
-                        prod[j] = c * d
-            vec = tuple(sorted(prod.items()))
+        vec = tuple(sorted(self.mul_sparse(dict(self.vectors[v]), {b: 1}).items()))
         w = None
         if vec:
             w = self.ids.get(vec)
@@ -164,8 +146,7 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     part is multilinear, so it vanishes iff the sum of coeff * row(word) is
     empty, row(word) being the row that `codim_block` builds for the word;
     a label outside the support has no basis choice, so its rows are
-    empty. Every row is D^(n-1) times its rational value, so that sum
-    vanishes iff the true one does."""
+    empty."""
     parts = {}
     for (perm, degs), coeff in f.terms.items():
         parts.setdefault(degs, []).append((perm, coeff))
@@ -208,12 +189,9 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
     Word orders are walked depth first through the nodes of `products`, the
     `_Products` table that `_codim_blocks` shares between the blocks of one
     n (a table of its own when none is given). A node whose products all
-    vanish is dropped with its subtree. Every row of the block, a product
-    of n factors, is D^(n-1) times its rational value for the common
-    denominator D. One common nonzero factor changes neither the rank, nor
-    which entries vanish, nor which rows coincide. The rows enter the
-    Reducer as ints, and a row becomes fractional only where a pivot
-    division leaves a remainder.
+    vanish is dropped with its subtree. A row of integral constants enters
+    the Reducer as ints, and becomes fractional only where a pivot division
+    leaves a remainder.
 
     A node's subtree depends only on the variables still to place and on its
     products, so every node, leaves included, is keyed by (bitmask of those
@@ -278,7 +256,7 @@ def _live_levels(A: GradedAlgebra):
         for i in A.component_indices(g):
             index[i] = s
     step = [set() for _ in A.support]
-    for i, plane in enumerate(A.integer_structure[1]):
+    for i, plane in enumerate(A.structure):
         for j, row in enumerate(plane):
             if row:
                 step[index[i]].add((index[j], index[row[0][0]]))

@@ -11,10 +11,10 @@ the span of the nonempty ad-words, is {x : tr(ad x . y) = 0 for all y in E},
 since J(E) is the radical of the trace form of E (see `nilradical`). With
 verify=True each radical runs the same post-checks (`_post_check`).
 
-Every radical is the `null_space` of sparse rows read off the integer table
-`integer_structure`, one Reducer and no dense matrix. The trace form's rows
-are integer rows (`_trace_form_radical`). The Lie radicals pair with ad
-operators held as sparse dicts over the n^2 matrix cells (`_ad_operators`):
+Every radical is the `null_space` of sparse rows read off the table
+`structure`, one Reducer and no dense matrix (`_trace_form_radical` for the
+trace form's rows). The Lie radicals pair with ad operators held as sparse
+dicts over the n^2 matrix cells (`_ad_operators`):
 one helper, `_trace_row`, gives tr(ad e_i . y) for every i, and serves the
 Killing form, the solvable radical (y = ad d, d over [L, L]) and the
 nilradical (y over the ad-word span). That one `null_space` call per radical
@@ -26,12 +26,11 @@ the solvability post-check ends within dim + 2 terms on any candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, _quotient, graded_check,
                       nilpotency_index, product_chain)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import Subspace, axpy, null_space, span_closure
+from .exactlin import Subspace, axpy, dense, null_space, span_closure
 
 
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
@@ -62,14 +61,13 @@ def _trace_form_radical(A: GradedAlgebra) -> Subspace:
     extra pairing, (x, 1) -> tr(L(x)), vanishes on the kernel anyway: there
     tr(L(x)^k) = tr(L(x . x^(k-1))) = 0 for k >= 2, so L(x) is nilpotent.
 
-    The Gram rows are built in integers from the nonempty rows of
-    `integer_structure`: G_ij = sum_k C_ijk T_k with C = D c and the integer
-    traces T_k = D tr L(e_k), so G is D^2 times the rational Gram matrix and
-    has the same kernel. T_k = 0 for e_k of degree other than e, so G_ij can
-    be nonzero only when deg e_i deg e_j = e: each row is sparse."""
-    traces = A.integer_traces
+    The Gram rows are read off the nonempty rows of `structure`:
+    G_ij = sum_k c_ij^k T_k with the traces T_k = tr L(e_k). T_k = 0 for e_k
+    of degree other than e, so G_ij can be nonzero only when
+    deg e_i deg e_j = e: each row is sparse."""
+    traces = A.left_mult_traces
     rows = []
-    for plane in A.integer_structure[1]:
+    for plane in A.structure:
         row = {}
         for j, terms in enumerate(plane):
             if terms:
@@ -97,25 +95,23 @@ def jacobson_radical(A: GradedAlgebra, verify: bool = True) -> Subspace:
 
 
 def _ad_operators(L: GradedAlgebra) -> tuple:
-    """(D, ad, pairing) from the integer table (D, C) of `integer_structure`.
-    ad[i] is D ad e_i as a sparse dict over the n^2 cells: cell k n + j holds
-    C_ij^k, the coefficient of e_k in D [e_i, e_j]. pairing[j n + k] lists the
-    (i, C_ij^k), the ad e_i that meet cell (j, k) of a matrix y in
-    tr(ad e_i . y) (`_trace_row`)."""
+    """(ad, pairing) from the table `structure`. ad[i] is ad e_i as a sparse
+    dict over the n^2 cells: cell k n + j holds c_ij^k, the coefficient of
+    e_k in [e_i, e_j]. pairing[j n + k] lists the (i, c_ij^k), the ad e_i
+    that meet cell (j, k) of a matrix y in tr(ad e_i . y) (`_trace_row`)."""
     n = L.dim
-    D, table = L.integer_structure
     ad = [{} for _ in range(n)]
     pairing: dict = {}
-    for i, plane in enumerate(table):
+    for i, plane in enumerate(L.structure):
         for j, terms in enumerate(plane):
             for k, c in terms:
                 ad[i][k * n + j] = c
                 pairing.setdefault(j * n + k, []).append((i, c))
-    return D, ad, pairing
+    return ad, pairing
 
 
 def _trace_row(pairing: dict, y: dict) -> dict:
-    """{i: D tr(ad e_i . y)} over its nonzero entries, for an n x n matrix y
+    """{i: tr(ad e_i . y)} over its nonzero entries, for an n x n matrix y
     held as a sparse dict over the cells j n + k:
     tr(ad e_i . y) = sum over j, k of c_ij^k y[j][k], read off the cells of
     y, so a row costs the constants that meet y's support."""
@@ -128,12 +124,11 @@ def _trace_row(pairing: dict, y: dict) -> dict:
 
 def killing_form(L: GradedAlgebra) -> tuple:
     """kappa(x, y) = tr(ad x . ad y) over the basis, as row tuples: row j is
-    `_trace_row` of D ad e_j, which is D^2 times the rational row."""
+    `_trace_row` of ad e_j, as dense Fractions."""
     if L.kind != LIE:
         raise ValidationError("Killing form is for Lie algebras")
-    D, ad, pairing = _ad_operators(L)
-    rows = [_trace_row(pairing, a) for a in ad]
-    return tuple(tuple(Fraction(row.get(i, 0), D * D) for i in range(L.dim)) for row in rows)
+    ad, pairing = _ad_operators(L)
+    return tuple(tuple(dense(_trace_row(pairing, a), L.dim)) for a in ad)
 
 
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
@@ -146,11 +141,11 @@ def derived_series(L: GradedAlgebra, s: Subspace) -> list:
 def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     """R = Killing-orthogonal complement of [L, L]; over Q this is the solvable
     radical (Cartan criterion). x is in R iff tr(ad x . ad d) = 0 for d over
-    the sparse basis rows of [L, L]: one `_trace_row` of D ad d per d, with
+    the sparse basis rows of [L, L]: one `_trace_row` of ad d per d, with
     no Killing matrix built."""
     if L.kind != LIE:
         raise ValidationError("solvable radical is for Lie algebras")
-    _, ad, pairing = _ad_operators(L)
+    ad, pairing = _ad_operators(L)
     derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
     rows = []
     for d in derived.pivot_rows.values():
@@ -171,8 +166,7 @@ def _ad_word_span(n: int, ad: list) -> list:
     generate), as sparse dicts over the n^2 cells: the span of the ad x_i
     closed (`span_closure`) by multiplying each new basis row y on the
     left by each ad x_i, with (ad x_i . y)[k][m] = sum over j of
-    ad x_i[k][j] y[j][m]. `ad` holds the D ad x_i of `_ad_operators`, whose
-    words span the same E."""
+    ad x_i[k][j] y[j][m]. `ad` holds the ad x_i of `_ad_operators`."""
     def images(y):
         by_row: dict = {}           # row j of y as [(m, y[j][m]), ...]
         for cell, v in y.items():
@@ -201,7 +195,7 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     if L.kind != LIE:
         raise ValidationError("nilradical is for Lie algebras")
     n = L.dim
-    _, ad, pairing = _ad_operators(L)
+    ad, pairing = _ad_operators(L)
     N = null_space(n, [_trace_row(pairing, y) for y in _ad_word_span(n, ad)])
     if verify:
         _post_check(L, N, "nilradical", "nilpotent")

@@ -3,10 +3,10 @@ simple ideals, graded semisimple complements to the Jacobson radical, and
 graded Levi decompositions.
 
 The semisimple decomposition runs through the degree-e centre C = Z(A) ^ A_e,
-one null space of sparse integer rows. Every graded ideal of a graded
-semisimple unital A is A.f for a central idempotent f of degree e, so the
-graded-simple components are the A.f for the primitive idempotents f of the
-commutative semisimple C. A piece A.f is final when C.f = C ^ A.f is Q f,
+one null space of sparse rows. Every graded ideal of a graded semisimple
+unital A is A.f for a central idempotent f of degree e, so the graded-simple
+components are the A.f for the primitive idempotents f of the commutative
+semisimple C. A piece A.f is final when C.f = C ^ A.f is Q f,
 or Q[c] for a c whose minimal polynomial has degree <= 3 and no rational
 root, so is irreducible and C.f a field.
 Otherwise a rational root l of the minimal polynomial m = (x - l) q of some c
@@ -54,10 +54,9 @@ def _degree_e_centre(A: GradedAlgebra) -> Subspace:
     """C = Z(A) ^ A_e: the degree-e vectors z with z e_b = e_b z for every b,
     the null space of sparse rows: one row e_i per basis vector of degree
     other than e, and for each (b, k) the coefficient of e_k in
-    e_i e_b - e_b e_i over the degree-e e_i, read off the integer table
-    (D times the rational rows, the same null space)."""
+    e_i e_b - e_b e_i over the degree-e e_i, read off `structure`."""
     e = A.group.identity()
-    table = A.integer_structure[1]
+    table = A.structure
     rows = {i: {i: 1} for i in range(A.dim) if A.degrees[i] != e}
     for i in A.component_indices(e):
         for b in range(A.dim):

@@ -156,6 +156,11 @@ def change_basis(A: GradedAlgebra, rows):
     return B, lambda S: Subspace.from_vectors(A.dim, [coords(v) for v in S.basis_vectors()])
 
 
+def has_non_integral_constant(A: GradedAlgebra) -> bool:
+    """Whether some structure constant of A is a non-integral Fraction."""
+    return any(isinstance(c, Fraction) and c.denominator != 1 for c in A.constants().values())
+
+
 def rescaled(A: GradedAlgebra, scales, shear=0) -> GradedAlgebra:
     """A unital associative A or a Lie A on the basis b_i = scales[i] e_i + shear e_j, where e_j is
     the next basis vector of e_i's degree (none for the last one): the same

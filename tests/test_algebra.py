@@ -2,7 +2,6 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +20,8 @@ from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.structure import wedderburn_artin_graded
-from tests.corpus import associative_corpus, lie_corpus, rescaled, semisimple_part
+from tests.corpus import (associative_corpus, has_non_integral_constant, lie_corpus,
+                          rescaled, semisimple_part)
 from tests.dense import (dense_multiply, ideal_generated_dense, identity, is_ideal_dense,
                          matmul, structure_failure, trace)
 
@@ -524,19 +524,20 @@ def test_zero_dimensional_algebra():
          "nilpotent: dim 0, graded=True, nilpotency index 1"]
 
 
-def test_integer_structure_scales_the_table_by_the_common_denominator():
-    A = rescaled(builtin("m2_z2"), (Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4), 3))
-    assert "integer_structure" in vars(A)          # built by the constructor's checks
-    D, table = A.integer_structure
-    assert D == lcm(*(c.denominator for c in A.constants().values())) > 1
-    assert {(i, j, k): Fraction(c, D) for i, plane in enumerate(table)
-            for j, row in enumerate(plane) for k, c in row} == A.constants()
-    assert all(type(c) is int for plane in table for row in plane for _, c in row)
-    assert A.integer_structure is A.integer_structure
-    # integral constants: D = 1 and the table is `structure`, with no copy
+def test_structure_and_traces_hold_ints_exactly_where_integral():
+    # one table for integral and non-integral constants alike: an integral
+    # constant or trace is an int, any other a Fraction; tr L(e_11) = 2 s for
+    # e_11 scaled by s is a sum of two constants s, so here 1/2 + 1/2 = 1
+    A = rescaled(builtin("m2_z2"), (Fraction(1, 2), Fraction(-5, 2), Fraction(7, 4), 3))
+    assert A.left_mult_traces[0] == 1 and A.structure[0][0] == ((0, Fraction(1, 2)),)
     U = builtin("ut2")
-    assert U.integer_structure[0] == 1 and U.integer_structure[1] is U.structure
-    assert all(type(c) is int for plane in U.structure for row in plane for _, c in row)
+    assert has_non_integral_constant(A) and not has_non_integral_constant(U)
+    for B in (A, U):
+        scalars = [c for plane in B.structure for row in plane for _, c in row]
+        scalars += B.left_mult_traces
+        assert all(type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1)
+                   for c in scalars)
+    assert type(A.trace_of_left_mult(A.basis_vector(0))) is Fraction
 
 
 _FRACTIONS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2, 3, 5)))
@@ -596,11 +597,11 @@ def graded_tables(draw):
 def test_constructor_checks_match_the_triple_loop_reference(case):
     # same verdict and the same message, naming the first failing triple
     group, degrees, constants, kind = case
-    assume(lcm(*(Fraction(c).denominator for c in constants.values())) > 1)
+    assume(any(Fraction(c).denominator > 1 for c in constants.values()))
     expected = structure_failure(len(degrees), constants, kind)
     if expected is None:
         A = GradedAlgebra(group, degrees, constants, kind=kind)
-        assert A.integer_structure[0] > 1
+        assert has_non_integral_constant(A)
     else:
         with pytest.raises(ValidationError) as err:
             GradedAlgebra(group, degrees, constants, kind=kind)

@@ -1,5 +1,5 @@
-"""The radical, quotient and structure layers work on sparse rows and the
-integer table; the dense routines in `tests.dense` are what they replaced.
+"""The radical, quotient and structure layers work on sparse rows read off
+the structure table; the dense routines in `tests.dense` are what they replaced.
 Both must give identical radicals, quotients, complements and components:
 each is read off a canonical RREF, so agreement is exact equality. The
 sparse layers must also not fall back on dense products."""
@@ -20,10 +20,11 @@ from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical, killing_form, nilradical, solvable_radical
 from gradedalg.structure import (levi_graded, malcev_complement_graded,
                                  wedderburn_artin_graded)
-from tests.corpus import _random_homogeneous, associative_corpus, lie_corpus, rescaled
-from tests.dense import (graded_complement_dense, jacobson_radical_dense, killing_form_dense,
-                         nilradical_dense, quotient_dense, solvable_radical_dense,
-                         wedderburn_dense)
+from tests.corpus import (_random_homogeneous, associative_corpus, has_non_integral_constant,
+                          lie_corpus, rescaled)
+from tests.dense import (dense_multiply, graded_complement_dense, identity,
+                         jacobson_radical_dense, killing_form_dense, nilradical_dense,
+                         quotient_dense, solvable_radical_dense, trace, wedderburn_dense)
 
 F = Fraction
 SCALES = [F(1, 2), F(-2, 3), F(3), F(5, 7), F(-1)]
@@ -45,6 +46,11 @@ def _assert_same_quotient(A, ideal):
     assert Q.degrees == R.degrees and Q.unit == R.unit and Q.name == R.name
 
 
+def _left_trace_dense(A, a):
+    """tr L(a), L(a) as the dense matrix of the products a e_j."""
+    return trace([dense_multiply(A, a, e) for e in identity(A.dim)])
+
+
 def _test_ideals(A, J, rng):
     """J, J^2 and two ideals generated by random homogeneous vectors."""
     ideals = [J, A.product_span(J, J)]
@@ -54,9 +60,13 @@ def _test_ideals(A, J, rng):
 
 
 def _matches_the_dense_routines(A, rng) -> bool:
-    """J, four quotients, and for unital A the Mal'cev complement and the
-    graded-simple components of the semisimple part, against the dense
-    routines; whether A is unital."""
+    """The traces tr L(e_i) and tr L(v) of one random v, J, four quotients,
+    and for unital A the Mal'cev complement and the graded-simple components
+    of the semisimple part, against the dense routines; whether A is unital.
+    v has a generator of its own, so rng draws what it drew before."""
+    v = tuple(F(x) for x in random.Random(A.dim).choices(range(-3, 4), k=A.dim))
+    assert (A.left_mult_traces, A.trace_of_left_mult(v)) == (
+        tuple(_left_trace_dense(A, e) for e in identity(A.dim)), _left_trace_dense(A, v)), A.name
     J = jacobson_radical(A)
     assert J == jacobson_radical_dense(A), A.name
     for ideal in _test_ideals(A, J, rng):
@@ -84,7 +94,7 @@ def test_rebased_corpus_matches_the_dense_routines():
     rebased = [rescaled(A, [rng.choice(SCALES) for _ in range(A.dim)], rng.choice([0, F(1, 2)]))
                for A in associative_corpus()[::3] if A.unit is not None]
     assert len(rebased) == 69
-    assert sum(B.integer_structure[0] > 1 for B in rebased) == 58
+    assert sum(map(has_non_integral_constant, rebased)) == 58
     for B in rebased:
         assert _matches_the_dense_routines(B, rng)
 
@@ -103,13 +113,13 @@ def test_lie_corpus_matches_the_dense_routines():
 
 
 def test_rebased_lie_corpus_matches_the_dense_routines():
-    # every Lie corpus member has integer constants (D = 1); on a rescaled
-    # and sheared basis D > 1, so the Killing rows must be divided by D^2
+    # every Lie corpus member has integer constants; on a rescaled and
+    # sheared basis some are not, so the Killing rows hold Fractions
     rng = random.Random(2123)
     rebased = [rescaled(L, [rng.choice(SCALES) for _ in range(L.dim)], shear)
                for L in lie_corpus() for shear in (0, F(1, 2))]
-    assert all(L.integer_structure[0] == 1 for L in lie_corpus())
-    assert len(rebased) == 16 and all(B.integer_structure[0] > 1 for B in rebased)
+    assert not any(map(has_non_integral_constant, lie_corpus()))
+    assert len(rebased) == 16 and all(map(has_non_integral_constant, rebased))
     for B in rebased:
         _lie_matches_the_dense_routines(B)
 

@@ -21,7 +21,9 @@ alone: elsewhere `.key` is rejected, and so is a `GroupElem(...)` call, which
 trusts its key to be valid for its group (elsewhere `Group.elem`,
 `decode_elem` and the arithmetic build one). README's "Library layout" table names
 only what exists: a bare identifier in backticks in a `gradedalg.X` row must be
-an attribute of that module or of a class defined there."""
+an attribute of that module or of a class defined there. Its "Removed public
+names" list names only what is gone: a dotted name that opens an item must
+resolve to nothing in the package."""
 
 import ast
 import importlib
@@ -307,6 +309,59 @@ def test_readme_layout_names_exist():
     assert "`gradedalg.identities`" in table
     found = [f"{module}: `{name}`" for module, name in stale_api_names(table)]
     assert not found, "README names what the package lacks:\n" + "\n".join(found)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether `a.b.c` names something in the package: `a` is a module of it
+    or an attribute of one, and `.b.c` are attributes from there on."""
+    head, *rest = dotted.split(".")
+    modules = [importlib.import_module(f"gradedalg.{path.stem}") for path in MODULES]
+    starts = [m for m in modules if m.__name__ == f"gradedalg.{head}"]
+    starts += [getattr(m, head) for m in modules if hasattr(m, head)]
+    for obj in starts:
+        for name in rest:
+            obj = getattr(obj, name, None)
+            if obj is None:
+                break
+        else:
+            return True
+    return False
+
+
+def live_removed_names(section: str) -> list:
+    """The dotted names that open an item of a "Removed public names" list
+    (`- `name`` or `- `name(args)``) and still resolve in the package. An
+    item that opens with prose, such as "the `x` parameter of ...", names a
+    parameter, not an attribute, and is skipped."""
+    found = []
+    for m in re.finditer(r"^- `([A-Za-z_][\w.]*)(?:\([^`]*\))?`", section, re.M):
+        name = m.group(1)
+        if "." in name and _resolves(name):
+            found.append(name)
+    return found
+
+
+def test_readme_removed_names_are_gone():
+    text = (ROOT / "README.md").read_text()
+    rest = text.split("\nRemoved public names", 1)[1]
+    section = rest[rest.index("\n- ") + 1:].split("\n\n", 1)[0]
+    assert section.startswith("- `") and "- `exactlin.Mat`:" in section
+    found = live_removed_names(section)
+    assert not found, "README lists as removed what the package has:\n" + "\n".join(found)
+
+
+def test_checker_flags_live_removed_names():
+    section = ("- `exactlin.Mat.zeros`: gone;\n"
+               "- `exactlin.Reducer`: still here;\n"
+               "- `GradedAlgebra.multiply`: still here,\n  on a continuation line;\n"
+               "- `radical.is_solvable(L, s)`: gone;\n"
+               "- `radical.killing_form(L)`: still here;\n"
+               "- `GradedAlgebra.no_such_method`: gone;\n"
+               "- the `digits` parameter of `identities.decimal_root`: skipped;\n"
+               "- `Subspace`: not dotted, skipped;\n"
+               "`exactlin.sparse` outside an item is not read\n")
+    assert live_removed_names(section) == ["exactlin.Reducer", "GradedAlgebra.multiply",
+                                           "radical.killing_form"]
 
 
 def test_checker_flags_stale_readme_names():

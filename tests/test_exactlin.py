@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradedalg.algebra import GradedAlgebra
+from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, quotient_algebra
 from gradedalg.builders import matrix_algebra_z2
 from gradedalg.errors import DimensionMismatchError, ValidationError
 from gradedalg.exactlin import (Reducer, Subspace, as_rat, dense, div, null_space,
@@ -259,6 +259,24 @@ def test_sparse_input_stays_exact():
         with pytest.raises(DimensionMismatchError):
             red.insert(bad)
     assert red.pivots == [2]
+    # the dense entry points of the algebra layer refuse floats and give
+    # dense Fractions for int input
+    A = matrix_algebra_z2()
+    g0 = A.degrees[0]
+    entry_points = [
+        A.trace_of_left_mult,
+        lambda v: A.homogeneous_projection(v, g0),
+        lambda v: A.homogeneous_components(v)[0][1],
+        quotient_algebra(A, Subspace.zero(A.dim)).project,
+        algebra_on_subspace(A, Subspace.full(A.dim)).include,
+    ]
+    for entry_point in entry_points:
+        with pytest.raises(ValidationError, match=r"0\.5"):
+            entry_point((0.5, 0.25, 0, 1))
+        out = entry_point((3, 0, 0, 1))
+        assert all(type(x) is Fraction for x in (out if isinstance(out, tuple) else (out,)))
+    assert A.trace_of_left_mult((3, 0, 0, 1)) == 8             # tr L(e_11) = tr L(e_22) = 2
+    assert A.homogeneous_projection((3, 0, 0, 1), g0) == (3, 0, 0, 1)
 
 
 def test_sparse_insert_touches_only_nonzero_columns():

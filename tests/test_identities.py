@@ -26,7 +26,8 @@ from gradedalg.identities import (ExponentVerdict, MultilinearGradedPoly,
                                   is_graded_identity)
 from gradedalg.radical import jacobson_radical
 from gradedalg.schema import algebra_to_description
-from tests.corpus import random_graded_quotient, random_matrix_subalgebra, rescaled
+from tests.corpus import (has_non_integral_constant, random_graded_quotient,
+                          random_matrix_subalgebra, rescaled)
 from tests.functional import (evaluate_functional_poly, from_functionals,
                               is_functional_identity)
 from tests.oracles import brute_block_rank, global_graded_codim_rank
@@ -498,13 +499,13 @@ def test_codimensions_beyond_the_old_reach():
 @pytest.mark.parametrize("shear", [0, F(1, 2)])
 @pytest.mark.parametrize("name", ["m2_z2", "ut2"])
 def test_codimensions_survive_non_integral_constants(name, shear):
-    # the walk scales every row of a block by D^(n-1) for the common
-    # denominator D; a basis rescaled by distinct rationals keeps the grading
-    # and the codimensions but has non-integral constants, and the shear
-    # within each component makes the ranks depend on their values
+    # a basis rescaled by distinct rationals keeps the grading and the
+    # codimensions but has non-integral constants, so the walk's rows hold
+    # Fractions; the shear within each component makes the ranks depend on
+    # their values
     A = builtin(name)
     B = rescaled(A, SCALES[:A.dim], shear)
-    assert B.degrees == A.degrees and B.integer_structure[0] > 1
+    assert B.degrees == A.degrees and has_non_integral_constant(B)
     assert [graded_codimension(B, n) for n in range(1, 6)] == \
         [graded_codimension(A, n) for n in range(1, 6)]
     for n in (1, 2, 3):
@@ -522,7 +523,7 @@ def _random_algebra(kind, rng):
         return random_matrix_subalgebra(rng)
     A = builtin(rng.choice(["m2_z2", "ut2", "fz2"]))
     B = rescaled(A, [rng.choice(NON_INTEGRAL) for _ in range(A.dim)], rng.choice([0, F(1, 2)]))
-    assert B.integer_structure[0] > 1
+    assert has_non_integral_constant(B)
     return B
 
 

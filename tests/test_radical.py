@@ -199,7 +199,7 @@ def test_span_closures_stop_once_the_span_is_full(monkeypatch):
     late = _inserts_into_a_full_span(monkeypatch)
     assert M.subalgebra_generated([M.basis_vector(1), M.basis_vector(2)]) == Subspace.full(4)
     assert M.ideal_generated([M.basis_vector(1)]) == Subspace.full(4)
-    assert len(_ad_word_span(3, _ad_operators(L)[1])) == 9       # ad sl2 spans End(sl2)
+    assert len(_ad_word_span(3, _ad_operators(L)[0])) == 9       # ad sl2 spans End(sl2)
     assert late == []
 
 

@@ -4,18 +4,20 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import gradedalg.builders
 import gradedalg.cli
 import gradedalg.identities
 from gradedalg.algebra import algebra_on_subspace
 from gradedalg.builders import (builtin, free_group_truncation, heisenberg3, sl2,
                                 two_dim_nonabelian_lie, upper_triangular)
 from gradedalg.cli import main
-from gradedalg.errors import InternalCheckError, SchemaError
+from gradedalg.errors import InternalCheckError, ResourceCapError, SchemaError
 from gradedalg.exactlin import unit_vector
 from gradedalg.radical import jacobson_radical
 from gradedalg.schema import (algebra_to_description, canonical_json,
@@ -630,6 +632,32 @@ def test_cli_predicted_exponent_needs_three_values(capsys):
 
 def test_cli_max_blocks_flag():
     assert main(["codim", "--builtin", "fz2", "--n-max", "3", "--max-blocks", "4"]) == 4
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["radical", "--builtin", "free_trunc_" + "9" * 5000 + "_2"], 3, "unknown builtin"),
+    (["codim", "--builtin", "free_trunc_99999_99999", "--n-max", "1"], 4,
+     "resource cap: free_trunc_99999_99999 has dimension above the cap of 1024"),
+])
+def test_cli_huge_free_truncation_names_exit_at_once(argv, code, message, capsys):
+    # a name's digits are bounded, and its dimension is checked before
+    # anything is built
+    start = time.perf_counter()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 0.5
+    assert out == "" and message in err and err.count("\n") == 1
+
+
+def test_free_group_truncation_caps_the_dimension(monkeypatch):
+    for rank, cutoff in ((2, 11), (1, 10 ** 20), (10 ** 19, 2)):
+        with pytest.raises(ResourceCapError, match="above the cap of 1024"):
+            free_group_truncation(rank, cutoff)
+    # the cap is inclusive: dim 15 = 1 + 2 + 4 + 8 builds under a cap of 15
+    monkeypatch.setattr(gradedalg.builders, "MAX_FREE_TRUNC_DIM", 15)
+    assert free_group_truncation(2, 4).dim == 15
+    with pytest.raises(ResourceCapError):
+        free_group_truncation(2, 5)
 
 
 def test_digest_stability():
