@@ -2,16 +2,23 @@
 
 A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
 basis vectors i and j has coefficient c on basis vector k, and absent triples
-are zero. It keeps only the sparse table `structure[i][j] = ((k, c), ...)`
-over the nonzero c in increasing k, each c an int when it is an integer
-(`exactlin.as_rat`), plus one group element per basis vector. It is the
-one table: the associativity or Lie check, the traces `left_mult_traces`,
-the radicals, the degree-e centre and the codimension walk all read it.
+are zero. It keeps only the sparse table `structure[i] = {j: ((k, c), ...)}`
+over the nonempty rows, keys in increasing j, each row over the nonzero c in
+increasing k, each c an int when it is an integer (`exactlin.as_rat`), plus
+one group element per basis vector. A vanishing product has no entry, so
+the table costs the nonzero constants, not dim^2, and a product's row is
+read as `structure[i].get(j, ())`. It is the one table: the checks, the
+traces `left_mult_traces`, the radicals, the degree-e centre, the quotient
+and the codimension walk all read it plane by plane; `transpose` holds the
+same row tuples by their second index.
 `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
-`exactlin.dense`), is the product kernel that `multiply`, `product_span`,
-`algebra_on_subspace`, the closures below and the codimension walk go
-through; `multiply` is its dense view, which the radical, quotient and
-structure layers do not use.
+`exactlin.dense`), is the kernel for single products: `multiply` (its
+dense view), `algebra_on_subspace`, `subalgebra_generated`, the structure
+layer and the codimension walk go through it. `product_span` and the ideal
+tests multiply through one-sided operators instead (`_operator`): the left
+operator {j: v e_j} and the right operator {j: e_j v} of a vector are built
+from the nonempty rows of its planes, so a vanishing product is never
+computed and never reaches a Reducer.
 Ideals and subalgebras are generated by `span_closure`; `product_chain`,
 bounded at dim + 2 terms, gives nilpotency indices and derived series.
 `quotient_algebra` inverts no matrix: its projection is the RREF of the
@@ -20,8 +27,8 @@ functionals that vanish on the ideal (`exactlin.null_space`), and it reads
 Constructors validate everything: indices, grading compatibility,
 associativity or antisymmetry + Jacobi, and the unit law. The associativity
 check reads only nonzero products, so its cost follows the nonzero
-constants, not dim^3; the Jacobi check reads only nonempty rows. Instances
-are immutable in use; all operations are pure.
+constants, not dim^3; the antisymmetry and Jacobi checks read only nonempty
+rows. Instances are immutable in use; all operations are pure.
 """
 
 from __future__ import annotations
@@ -68,10 +75,10 @@ class GradedAlgebra:
             c = as_rat(c)
             if c != 0:
                 nonzero[key] = c
-        rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        planes: list = [{} for _ in range(self.dim)]
         for i, j, k in sorted(nonzero):
-            rows[i][j].append((k, nonzero[i, j, k]))
-        self.structure = tuple(tuple(map(tuple, plane)) for plane in rows)
+            planes[i].setdefault(j, []).append((k, nonzero[i, j, k]))
+        self.structure = tuple({j: tuple(row) for j, row in plane.items()} for plane in planes)
         if unit is not None:
             if kind == LIE:
                 raise ValidationError("Lie algebras carry no unit")
@@ -95,9 +102,7 @@ class GradedAlgebra:
 
     def _validate(self):
         for i, gi in enumerate(self.degrees):
-            for j, row in enumerate(self.structure[i]):
-                if not row:
-                    continue
+            for j, row in self.structure[i].items():
                 gij = gi * self.degrees[j]
                 for k, c in row:
                     if self.degrees[k] != gij:
@@ -125,25 +130,24 @@ class GradedAlgebra:
         (i, j) with a nonzero difference names the first failing triple in
         index order."""
         table = self.structure
-        nonempty = [[(k, row) for k, row in enumerate(plane) if row] for plane in table]
         producers = [set() for _ in table]      # producers[l]: each j with l in some e_j e_k
-        for j, rows in enumerate(nonempty):
-            for _, row in rows:
+        for j, plane in enumerate(table):
+            for row in plane.values():
                 for l, _ in row:
                     producers[l].add(j)
         for i, plane_i in enumerate(table):
-            js = {l for l, _ in nonempty[i]}
-            for l, _ in nonempty[i]:
+            js = set(plane_i)
+            for l in plane_i:
                 js |= producers[l]
             for j in sorted(js):
                 acc: dict = {}
-                for l, a in plane_i[j]:
-                    for k, row in nonempty[l]:
+                for l, a in plane_i.get(j, ()):
+                    for k, row in table[l].items():
                         for m, b in row:
                             acc[k, m] = acc.get((k, m), 0) + a * b
-                for k, row in nonempty[j]:
+                for k, row in table[j].items():
                     for l, a in row:
-                        for m, b in plane_i[l]:
+                        for m, b in plane_i.get(l, ()):
                             acc[k, m] = acc.get((k, m), 0) - a * b
                 bad = [k for (k, _), v in acc.items() if v]
                 if bad:
@@ -151,35 +155,40 @@ class GradedAlgebra:
 
     def _check_lie(self):
         """[e_i, e_i] = 0, antisymmetry, and the Jacobi identity on every
-        triple i < j < k. As for associativity, each (i, j) collects the
-        cyclic sum over all k > j in one dict keyed by (k, m), reading only
-        nonempty rows; [[e_k, e_i], e_j] is read as -[[e_i, e_k], e_j],
-        through the rows of plane i."""
+        triple i < j < k. Antisymmetry can fail at (i, j) only where e_i e_j
+        or e_j e_i is nonzero, so only the j > i of plane i and of
+        `transpose[i]` are compared, in increasing order.
+        As for associativity, each (i, j) collects the cyclic sum over all
+        k > j in one dict keyed by (k, m), reading only nonempty rows;
+        [[e_k, e_i], e_j] is read as -[[e_i, e_k], e_j], through the rows of
+        plane i. Once antisymmetry holds, an empty plane i makes every term
+        0 ([[e_j, e_k], e_i] = -[e_i, [e_j, e_k]]), so it is skipped."""
         table = self.structure
         for i, plane in enumerate(table):
-            if plane[i]:
+            if i in plane:
                 raise ValidationError(f"[x,x] != 0 on basis vector {i}")
-            for j in range(i + 1, self.dim):
-                if plane[j] != tuple((k, -c) for k, c in table[j][i]):
+            for j in sorted(j for j in {*plane, *self.transpose[i]} if j > i):
+                if plane.get(j, ()) != tuple((k, -c) for k, c in table[j].get(i, ())):
                     raise ValidationError(f"antisymmetry fails at ({i},{j})")
-        nonempty = [[(k, row) for k, row in enumerate(plane) if row] for plane in table]
         for i, plane_i in enumerate(table):
+            if not plane_i:
+                continue
             for j in range(i + 1, self.dim):
                 acc: dict = {}
-                for l, a in plane_i[j]:
-                    for k, row in nonempty[l]:
+                for l, a in plane_i.get(j, ()):
+                    for k, row in table[l].items():
                         if k > j:
                             for m, b in row:
                                 acc[k, m] = acc.get((k, m), 0) + a * b
-                for k, row in nonempty[j]:
+                for k, row in table[j].items():
                     if k > j:
                         for l, a in row:
-                            for m, b in table[l][i]:
+                            for m, b in table[l].get(i, ()):
                                 acc[k, m] = acc.get((k, m), 0) + a * b
-                for k, row in nonempty[i]:
+                for k, row in plane_i.items():
                     if k > j:
                         for l, a in row:
-                            for m, b in table[l][j]:
+                            for m, b in table[l].get(j, ()):
                                 acc[k, m] = acc.get((k, m), 0) - a * b
                 bad = [k for (k, _), v in acc.items() if v]
                 if bad:
@@ -197,20 +206,28 @@ class GradedAlgebra:
         return tuple(dense(self.mul_sparse(sparse(a), sparse(b)), self.dim))
 
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
-        """The product of sparse vectors {index: coefficient}, without zero
-        entries: the product kernel, the one loop over `structure`. A pair
-        with e_i e_j = 0 costs no multiplication."""
+        """The product of sparse vectors {index: coefficient} without zero
+        entries, itself without zero entries: the kernel for single
+        products. A pair with e_i e_j = 0 costs no multiplication, and an
+        entry that cancels is dropped as it cancels, as in `axpy`."""
         acc: dict = {}
         for i, ai in sa.items():
-            sci = self.structure[i]
+            plane = self.structure[i]
             for j, bj in sb.items():
-                row = sci[j]
+                row = plane.get(j)
                 if row:
                     f = ai * bj
                     for k, c in row:
-                        t = f * c
-                        acc[k] = acc[k] + t if k in acc else t
-        return {k: c for k, c in acc.items() if c}
+                        t = acc.get(k)
+                        if t is None:
+                            acc[k] = f * c
+                        else:
+                            t += f * c
+                            if t:
+                                acc[k] = t
+                            else:
+                                del acc[k]
+        return acc
 
     def trace_of_left_mult(self, a) -> Fraction:
         """tr L(a) = sum_i a_i tr L(e_i), over `left_mult_traces`."""
@@ -223,14 +240,25 @@ class GradedAlgebra:
         read once from `structure`, each an int where it is an integer. For
         a homogeneous e_i of degree other than the identity every c_ij^j is
         0, so tr L(e_i) = 0."""
-        return tuple(as_rat(sum(c for j, row in enumerate(plane) for k, c in row if k == j))
+        return tuple(as_rat(sum(c for j, row in plane.items() for k, c in row if k == j))
                      for plane in self.structure)
+
+    @cached_property
+    def transpose(self) -> tuple:
+        """`structure` read by its second index: transpose[j] is {i: row}
+        over the nonempty rows e_i e_j, keys in increasing i. The rows are
+        the tuples of `structure` itself, so no constant is stored twice."""
+        out: list = [{} for _ in range(self.dim)]
+        for i, plane in enumerate(self.structure):
+            for j, row in plane.items():
+                out[j][i] = row
+        return tuple(out)
 
     def constants(self) -> dict:
         """The structure constants as the mapping {(i, j, k): c} the
         constructor takes, nonzero c only, in index order."""
         return {(i, j, k): c for i, plane in enumerate(self.structure)
-                for j, row in enumerate(plane) for k, c in row}
+                for j, row in plane.items() for k, c in row}
 
     # -- grading ------------------------------------------------------------
 
@@ -269,14 +297,31 @@ class GradedAlgebra:
 
     # -- ideals and subalgebras ---------------------------------------------
 
+    def _operator(self, sv: dict, table: tuple) -> dict:
+        """{j: product of sv with e_j} over the nonzero products, from the
+        nonempty rows of sv's planes: with `structure` the left operator
+        {j: v e_j}, with `transpose` the right operator {j: e_j v}."""
+        op: dict = {}
+        for i, a in sv.items():
+            for j, row in table[i].items():
+                w = op.setdefault(j, {})
+                for k, c in row:
+                    t = w.get(k)
+                    if t is None:
+                        w[k] = a * c
+                    else:
+                        t += a * c
+                        if t:
+                            w[k] = t
+                        else:
+                            del w[k]
+        return {j: w for j, w in op.items() if w}
+
     def _basis_products(self, sv: dict):
-        """The nonzero products e_b v and v e_b for b = 0, 1, ..., of the
-        sparse v, each a sparse dict from `mul_sparse`."""
-        for b in range(self.dim):
-            sb = {b: ONE}
-            for prod in (self.mul_sparse(sb, sv), self.mul_sparse(sv, sb)):
-                if prod:
-                    yield prod
+        """The nonzero products v e_b and e_b v of the sparse v, over every
+        b: the values of its left and right operators (`_operator`)."""
+        yield from self._operator(sv, self.structure).values()
+        yield from self._operator(sv, self.transpose).values()
 
     def ideal_generated(self, gens: Iterable) -> Subspace:
         """Smallest two-sided ideal containing the generators: their span closed
@@ -299,24 +344,33 @@ class GradedAlgebra:
         return span_closure(self.dim, gens, images)
 
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:
-        """Span of pairwise products of the two bases: each pair of sparse
-        basis rows is multiplied by `mul_sparse`, and the product enters the
-        Reducer as it comes. When both are the whole space, A A is the span
-        of the nonempty rows of `structure`, which enter as they are: the
-        RREF is canonical, so the span is the same."""
+        """Span of pairwise products of the two bases. For each basis row u
+        of s1 the left operator {j: u e_j} is built once (`_operator`), and
+        u w = sum_j w_j u e_j over the support of each basis row w of s2; a
+        u with no nonzero product is skipped, and a product that vanishes
+        never reaches the Reducer. When both are the whole space, A A is the
+        span of the nonempty rows of `structure`, which enter as they are:
+        the RREF is canonical, so the span is the same."""
         if s1.ambient != self.dim or s2.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
         red = Reducer(self.dim)
         if s1.dim == s2.dim == self.dim:
             for plane in self.structure:
-                for row in plane:
-                    if row:
-                        red.insert(dict(row))
+                for row in plane.values():
+                    red.insert(dict(row))
             return red.subspace()
         rows2 = s2.pivot_rows.values()
         for su in s1.pivot_rows.values():
+            left = self._operator(su, self.structure)
+            if not left:
+                continue
             for sw in rows2:
-                red.insert(self.mul_sparse(su, sw))
+                prod: dict = {}
+                for j, x in sw.items():
+                    if j in left:
+                        axpy(prod, x, left[j])
+                if prod:
+                    red.insert(prod)
         return red.subspace()
 
     def is_ideal(self, s: Subspace) -> bool:
@@ -414,8 +468,8 @@ def quotient_algebra(A: GradedAlgebra, ideal: Subspace, name: str = "") -> Quoti
     RREF rows are the projection onto it. The ideal's own non-pivot columns
     are not the complement in general: for the ideal spanned by e_0 + e_1
     the greedy rule picks e_0. The product of sections a, b is the sparse
-    row structure[i_a][i_b], projected through the sparse columns of the
-    projection.
+    row of e_(i_a) e_(i_b) in `structure`, projected through the sparse
+    columns of the projection; only the nonempty rows are visited.
     """
     if ideal.ambient != A.dim:
         raise DimensionMismatchError("ideal lives in a different ambient space")
@@ -440,13 +494,16 @@ def _quotient(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResu
         for k, x in projection.pivot_rows[i].items():
             proj_cols.setdefault(k, {})[a] = x
     structure = {}
+    position = {i: a for a, i in enumerate(chosen)}
     for a, i in enumerate(chosen):
-        for b, j in enumerate(chosen):
-            acc: dict = {}
-            for k, c in A.structure[i][j]:
-                if k in proj_cols:      # else e_k lies in the ideal
-                    axpy(acc, c, proj_cols[k])
-            structure.update({(a, b, r): x for r, x in acc.items()})
+        for j, row in A.structure[i].items():
+            b = position.get(j)
+            if b is not None:
+                acc: dict = {}
+                for k, c in row:
+                    if k in proj_cols:      # else e_k lies in the ideal
+                        axpy(acc, c, proj_cols[k])
+                structure.update({(a, b, r): x for r, x in acc.items()})
     degrees = [A.degrees[i] for i in chosen]
     unit = None
     if A.unit is not None:

@@ -73,19 +73,30 @@ def _emit(report: dict, json_out: str | None):
         _write_report(json_out, canonical_json(report))
 
 
+def _rendered_basis(s) -> list:
+    """The RREF basis rows of s as dense lists of strings, "0" off each
+    row's sparse support."""
+    out = []
+    for p in s.pivots:
+        row = ["0"] * s.ambient
+        for j, c in s.pivot_rows[p].items():
+            row[j] = render_rational(c)
+        out.append(row)
+    return out
+
+
 def cmd_radical(args) -> int:
     A, desc = _load_algebra(args)
     reports = graded_radical_report(A)
-    out = {"command": "radical", "input_digest": digest(desc), "name": A.name,
-           "results": []}
     for r in reports:
         print(r.summary())
-        entry = {"kind": r.kind, "dim": r.radical.dim, "graded": r.graded,
-                 "nilpotency_index": r.nilpotency,
-                 "basis": [[render_rational(c) for c in row]
-                           for row in r.radical.basis_vectors()]}
-        out["results"].append(entry)
-    _emit(out, args.json_out)
+    if args.json_out:
+        # the dense basis costs dim^2 strings, so it is rendered for the report alone
+        _emit({"command": "radical", "input_digest": digest(desc), "name": A.name,
+               "results": [{"kind": r.kind, "dim": r.radical.dim, "graded": r.graded,
+                            "nilpotency_index": r.nilpotency,
+                            "basis": _rendered_basis(r.radical)} for r in reports]},
+              args.json_out)
     return EXIT_OK
 
 

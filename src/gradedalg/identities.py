@@ -8,12 +8,13 @@ rows and columns, so its rank depends only on the multiset of labels: each
 multiset's block is computed once and weighted by the multinomial count of
 its labellings (`_codim_blocks`, associative algebras only). Since
 A_g A_h lies in A_{gh}, the grading rules out most multisets before any
-vector is built: `_live_levels` walks the degrees that the prefix
-products of some order of the labels can reach, and a multiset that reaches
-none has every word product 0. Only the live multisets are built; the rest
-add 0 to c_n. A report grows the live multisets of n + 1 from those of n.
-The resource guard still counts all |support|^n labellings, and a report
-checks it for every n it will compute before computing any.
+vector is built: `_live_levels`, from the nonempty rows of `structure`
+alone, walks the degrees that the prefix products of some order of the
+labels can reach, and a multiset that reaches none has every word product 0.
+Only the live multisets are built; the rest add 0 to c_n. A report grows
+the live multisets of n + 1 from those of n. The resource guard still
+counts all |support|^n labellings, and a report checks it for every n it
+will compute before computing any.
 
 `codim_block` walks the word orders as a tree of partial products, each
 computed by the product kernel `GradedAlgebra.mul_sparse`. Partial products
@@ -257,9 +258,8 @@ def _live_levels(A: GradedAlgebra):
             index[i] = s
     step = [set() for _ in A.support]
     for i, plane in enumerate(A.structure):
-        for j, row in enumerate(plane):
-            if row:
-                step[index[i]].add((index[j], index[row[0][0]]))
+        for j, row in plane.items():
+            step[index[i]].add((index[j], index[row[0][0]]))
     level = {(s,): {s} for s in range(len(A.support))}
     while True:
         yield level

@@ -11,9 +11,10 @@ the span of the nonempty ad-words, is {x : tr(ad x . y) = 0 for all y in E},
 since J(E) is the radical of the trace form of E (see `nilradical`). With
 verify=True each radical runs the same post-checks (`_post_check`).
 
-Every radical is the `null_space` of sparse rows read off the table
-`structure`, one Reducer and no dense matrix (`_trace_form_radical` for the
-trace form's rows). The Lie radicals pair with ad operators held as sparse
+Every radical is the `null_space` of sparse rows read off the nonempty
+rows of the table `structure`, one Reducer and no dense matrix
+(`_trace_form_radical` for the trace form's rows), so the cost follows the
+nonzero constants. The Lie radicals pair with ad operators held as sparse
 dicts over the n^2 matrix cells (`_ad_operators`):
 one helper, `_trace_row`, gives tr(ad e_i . y) for every i, and serves the
 Killing form, the solvable radical (y = ad d, d over [L, L]) and the
@@ -69,11 +70,10 @@ def _trace_form_radical(A: GradedAlgebra) -> Subspace:
     rows = []
     for plane in A.structure:
         row = {}
-        for j, terms in enumerate(plane):
-            if terms:
-                g = sum(c * traces[k] for k, c in terms)
-                if g:
-                    row[j] = g
+        for j, terms in plane.items():
+            g = sum(c * traces[k] for k, c in terms)
+            if g:
+                row[j] = g
         if row:
             rows.append(row)
     return null_space(A.dim, rows)
@@ -103,7 +103,7 @@ def _ad_operators(L: GradedAlgebra) -> tuple:
     ad = [{} for _ in range(n)]
     pairing: dict = {}
     for i, plane in enumerate(L.structure):
-        for j, terms in enumerate(plane):
+        for j, terms in plane.items():
             for k, c in terms:
                 ad[i][k * n + j] = c
                 pairing.setdefault(j * n + k, []).append((i, c))

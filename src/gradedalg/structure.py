@@ -3,7 +3,8 @@ simple ideals, graded semisimple complements to the Jacobson radical, and
 graded Levi decompositions.
 
 The semisimple decomposition runs through the degree-e centre C = Z(A) ^ A_e,
-one null space of sparse rows. Every graded ideal of a graded semisimple
+one null space of sparse rows read off the nonempty rows e_i e_b and e_b e_i
+of `structure` and its `transpose`. Every graded ideal of a graded semisimple
 unital A is A.f for a central idempotent f of degree e, so the graded-simple
 components are the A.f for the primitive idempotents f of the commutative
 semisimple C. A piece A.f is final when C.f = C ^ A.f is Q f,
@@ -54,13 +55,13 @@ def _degree_e_centre(A: GradedAlgebra) -> Subspace:
     """C = Z(A) ^ A_e: the degree-e vectors z with z e_b = e_b z for every b,
     the null space of sparse rows: one row e_i per basis vector of degree
     other than e, and for each (b, k) the coefficient of e_k in
-    e_i e_b - e_b e_i over the degree-e e_i, read off `structure`."""
+    e_i e_b - e_b e_i over the degree-e e_i, read off the nonempty rows of
+    plane i of `structure` (e_i e_b) and of `transpose` (e_b e_i)."""
     e = A.group.identity()
-    table = A.structure
     rows = {i: {i: 1} for i in range(A.dim) if A.degrees[i] != e}
     for i in A.component_indices(e):
-        for b in range(A.dim):
-            for terms, sign in ((table[i][b], 1), (table[b][i], -1)):
+        for plane, sign in ((A.structure[i], 1), (A.transpose[i], -1)):
+            for b, terms in plane.items():
                 for k, c in terms:
                     row = rows.setdefault((b, k), {})
                     row[i] = row.get(i, 0) + sign * c
@@ -177,7 +178,7 @@ def _image(Q: GradedAlgebra, section: list, a: int, b: int) -> dict:
     """sum_k mu^k_ab s_k: the product of quotient basis vectors a, b carried
     back along the sparse section."""
     out: dict = {}
-    for k, mu in Q.structure[a][b]:
+    for k, mu in Q.structure[a].get(b, ()):
         axpy(out, mu, section[k])
     return out
 
@@ -217,7 +218,7 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
                 axpy(cols.setdefault(offsets[b] + u, {}), ONE, A.mul_sparse(sa, t))
             for u, t in enumerate(blocks[a]):
                 axpy(cols.setdefault(offsets[a] + u, {}), ONE, A.mul_sparse(t, sb))
-            for k, mu in Q.structure[a][b]:
+            for k, mu in Q.structure[a].get(b, ()):
                 for u, t in enumerate(blocks[k]):
                     axpy(cols.setdefault(offsets[k] + u, {}), -mu, t)
             # -defect_ab = sum_k mu^k_ab s_k - s_a s_b

@@ -8,8 +8,9 @@ null space, the ad-word span as dense n x n matrices, a quotient through
 dense vectors): the references the tests check the library's products,
 ideal closures, sparse elimination, constructor checks, Killing form,
 radicals, quotients, complements and graded-simple components against.
-Every elimination here is `DenseGaussJordan`, and the Gram, Killing and
-ad-word references read only `A.constants()`."""
+Every elimination here is `DenseGaussJordan`, and every reference reads
+the structure constants only through `A.constants()` (`constant_rows`), so
+none depends on the layout of the table under test."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -55,6 +56,15 @@ def invert(m) -> tuple:
     if gj.pivots != list(range(n)):
         raise DimensionMismatchError("matrix is singular")
     return tuple(tuple(row[n:]) for row in gj.rows)
+
+
+def constant_rows(A) -> dict:
+    """{(i, j): [(k, c), ...]}: the nonzero c_ij^k of `A.constants()` by
+    pair, in increasing k; an absent pair has e_i e_j = 0."""
+    rows = {}
+    for (i, j, k), c in A.constants().items():
+        rows.setdefault((i, j), []).append((k, c))
+    return rows
 
 
 def dense_multiply(A, a, b) -> tuple:
@@ -281,11 +291,11 @@ def quotient_dense(A, ideal) -> QuotientResult:
     binv = invert(tuple(zip(*rows))) if rows else ()
     proj = binv[ideal.dim:]
     proj_cols = list(zip(*proj)) if proj else [()] * A.dim
-    structure = {}
+    structure, table = {}, constant_rows(A)
     for a, i in enumerate(chosen):
         for b, j in enumerate(chosen):
             acc = [Fraction(0)] * len(chosen)
-            for k, c in A.structure[i][j]:
+            for k, c in table.get((i, j), ()):
                 _axpy(acc, c, proj_cols[k])
             structure.update({(a, b, r): x for r, x in enumerate(acc) if x != 0})
     unit = matvec(proj, A.unit) if A.unit is not None else None
@@ -297,7 +307,7 @@ def quotient_dense(A, ideal) -> QuotientResult:
 
 def _image_dense(Q, section, a, b) -> list:
     out = [Fraction(0)] * len(section[0])
-    for k, mu in Q.structure[a][b]:
+    for k, mu in constant_rows(Q).get((a, b), ()):
         _axpy(out, mu, section[k])
     return out
 
@@ -312,7 +322,7 @@ def lift_section_dense(A, Q, section, ideal, below):
         blocks.append(comp.basis_vectors())
         offsets.append(nunk)
         nunk += comp.dim
-    rows, rhs = [], []
+    rows, rhs, table = [], [], constant_rows(Q)
     for a, sa in enumerate(section):
         for b, sb in enumerate(section):
             cols = [[Fraction(0)] * A.dim for _ in range(nunk)]
@@ -320,7 +330,7 @@ def lift_section_dense(A, Q, section, ideal, below):
                 _axpy(cols[offsets[b] + u], 1, A.multiply(sa, t))
             for u, t in enumerate(blocks[a]):
                 _axpy(cols[offsets[a] + u], 1, A.multiply(t, sb))
-            for k, mu in Q.structure[a][b]:
+            for k, mu in table.get((a, b), ()):
                 for u, t in enumerate(blocks[k]):
                     _axpy(cols[offsets[k] + u], -mu, t)
             neg_defect = [e - p for p, e in zip(A.multiply(sa, sb), _image_dense(Q, section, a, b))]
@@ -358,9 +368,10 @@ def wedderburn_dense(A) -> list:
     order, from the dense degree-e centre and dense idempotent splits."""
     e = A.group.identity()
     rows = {i: unit_vector(A.dim, i) for i in range(A.dim) if A.degrees[i] != e}
+    table = constant_rows(A)
     for i in A.component_indices(e):
         for b in range(A.dim):
-            for terms, sign in ((A.structure[i][b], 1), (A.structure[b][i], -1)):
+            for terms, sign in ((table.get((i, b), ()), 1), (table.get((b, i), ()), -1)):
                 for k, c in terms:
                     rows.setdefault((b, k), [Fraction(0)] * A.dim)[i] += sign * c
     centre = null_space_dense(A.dim, list(rows.values()))

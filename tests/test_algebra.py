@@ -19,6 +19,7 @@ from gradedalg.errors import (DimensionMismatchError, NotAnIdealError, NotGraded
 from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
+from gradedalg.schema import description_to_algebra, load_json
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import (associative_corpus, has_non_integral_constant, lie_corpus,
                           rescaled, semisimple_part)
@@ -33,6 +34,27 @@ E11, E12, E21, E22 = range(4)
 
 def rand_vec(rng, dim, lo=-3, hi=3):
     return tuple(F(rng.randint(lo, hi)) for _ in range(dim))
+
+
+def rescaled_corpus() -> list:
+    """Builtins on a rescaled basis, plain and sheared: every constant
+    table here has a non-integral constant."""
+    scales = (F(2, 3), F(-5, 2), F(7, 4), F(-3, 5))
+    out = [rescaled(A, scales[:A.dim], shear)
+           for A in map(builtin, ("m2_z2", "ut2", "fz2", "gl2_z2", "sl2", "heis3"))
+           for shear in (0, F(1, 2))]
+    assert all(map(has_non_integral_constant, out))
+    return out
+
+
+def zero_product_file(tmp_path, dim: int):
+    """A description file of the zero-product algebra of dimension dim."""
+    t = TrivialGroup()
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"kind": "associative", "dim": dim, "group": t.describe(),
+                                "degrees": [t.encode_elem(t.identity())] * dim,
+                                "structure": []}))
+    return path
 
 
 def test_unit_multiplies_trivially():
@@ -167,7 +189,7 @@ def test_quotient_ut2_by_corner():
     # commutative, split: the two diagonal idempotents survive
     for i in range(2):
         for j in range(2):
-            assert Q.structure[i][j] == (((i, F(1)),) if i == j else ())
+            assert Q.structure[i].get(j, ()) == (((i, F(1)),) if i == j else ())
 
 
 def test_quotient_projection_is_multiplicative():
@@ -192,11 +214,12 @@ def test_quotient_projection_is_multiplicative():
 
 def test_products_match_the_dense_reference():
     """multiply, trace_of_left_mult, product_span and is_subalgebra against
-    `dense_multiply`, which reads only the structure constants."""
+    `dense_multiply`, which reads only the structure constants; the rescaled
+    builtins come last, so the draws for the others are unchanged."""
     rng = random.Random(13)
     t = TrivialGroup()
     algebras = associative_corpus() + lie_corpus() + [
-        GradedAlgebra(t, [], {}), GradedAlgebra(t, [], {}, kind="lie")]
+        GradedAlgebra(t, [], {}), GradedAlgebra(t, [], {}, kind="lie")] + rescaled_corpus()
     assert sum(A.unit is None and A.kind == "associative" and A.dim > 0 for A in algebras) >= 5
 
     def random_span(A):
@@ -239,15 +262,12 @@ def test_whole_space_product_span_matches_the_pairwise_span():
 
 
 def test_whole_space_product_span_multiplies_no_pair(tmp_path, monkeypatch):
-    """On a zero-product algebra of dim 300, `radical` and `codim --n-max 2`
-    take A A (under `nilpotency_index`) with no `mul_sparse` call from
-    `product_span`: a pairwise span would make 90,000."""
-    t = TrivialGroup()
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps({"kind": "associative", "dim": 300, "group": t.describe(),
-                                "degrees": [t.encode_elem(t.identity())] * 300,
-                                "structure": []}))
-    product_span, mul_sparse = GradedAlgebra.product_span, GradedAlgebra.mul_sparse
+    """On a zero-product algebra of dim 2,000, `radical` and `codim --n-max 2`
+    take A A (under `nilpotency_index`) with no product from `product_span`:
+    no `mul_sparse` call and no operator built, where a pairwise span would
+    make 4,000,000 products."""
+    path = zero_product_file(tmp_path, 2000)
+    product_span = GradedAlgebra.product_span
     inside, spans, calls = [False], [], []
 
     def spy_span(self, s1, s2):
@@ -258,16 +278,71 @@ def test_whole_space_product_span_multiplies_no_pair(tmp_path, monkeypatch):
         finally:
             inside[0] = False
 
-    def spy_mul(self, sa, sb):
-        if inside[0]:
-            calls.append((sa, sb))
-        return mul_sparse(self, sa, sb)
+    def spying(name):
+        method = getattr(GradedAlgebra, name)
+
+        def spy(self, *args):
+            if inside[0]:
+                calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(GradedAlgebra, name, spy)
     monkeypatch.setattr(GradedAlgebra, "product_span", spy_span)
-    monkeypatch.setattr(GradedAlgebra, "mul_sparse", spy_mul)
+    spying("mul_sparse")
+    spying("_operator")
     for argv in (["radical"], ["codim", "--n-max", "2"]):
         spans.clear()
         assert main(argv + ["--input", str(path)]) == 0
-        assert spans == [(300, 300)] and calls == []
+        assert spans == [(2000, 2000)] and calls == []
+
+
+def test_zero_product_algebra_costs_no_dim_squared(tmp_path, capsys):
+    # the table holds no entry for a vanishing product, so no dim x dim
+    # plane of empty rows is built; with one, each command took 2.4-3.5 s
+    # here on a shared 2-CPU host
+    path = zero_product_file(tmp_path, 2000)
+    A = description_to_algebra(load_json(str(path)))
+    assert A.dim == 2000 and sum(map(len, A.structure)) == 0
+    assert sum(map(len, A.transpose)) == 0
+    for argv in (["radical"], ["verify"], ["codim", "--n-max", "2"]):
+        start = time.perf_counter()
+        assert main(argv + ["--input", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0, argv
+    out = capsys.readouterr().out
+    assert "jacobson: dim 2000, graded=True, nilpotency index 2" in out
+
+
+def test_span_products_hand_the_reducer_no_empty_row(monkeypatch):
+    """`product_span` and `_basis_products` pass on only nonzero products,
+    also where a product cancels term by term: in the semigroup algebra of
+    the right-zero band {a, b} (x y = y), e_a w = e_b w = w, so u = e_a - e_b
+    has u w = 0 for every w, and its left operator is empty; in M2,
+    (E11 - E12)(E11 + E21) = E11 - E11 = 0 with both operators nonzero."""
+    t = TrivialGroup()
+    band = GradedAlgebra(t, [t.identity()] * 2, {(x, y, y): 1 for x in range(2) for y in range(2)})
+    M = matrix_algebra_z2()
+    inserted, products = [], []
+    insert, basis_products = Reducer.insert, GradedAlgebra._basis_products
+
+    def spy_insert(self, v):
+        inserted.append(dict(v) if isinstance(v, dict) else sparse(v))
+        return insert(self, v)
+
+    def spy_products(self, sv):
+        for w in basis_products(self, sv):
+            products.append(w)
+            yield w
+    monkeypatch.setattr(GradedAlgebra, "_basis_products", spy_products)
+    span = Subspace.from_vectors
+    u, full, w = span(2, [(1, -1)]), Subspace.full(2), span(2, [(1, 1)])
+    m_u, m_w = span(4, [(1, -1, 0, 0)]), span(4, [(1, 0, 1, 0)])
+    m_s1, m_s2 = span(4, [(1, -1, 0, 0), (0, 0, 1, 1)]), span(4, [(1, 0, 1, 0), (0, 1, 0, 0)])
+    monkeypatch.setattr(Reducer, "insert", spy_insert)
+    spans = [band.product_span(u, full), band.product_span(u, w), M.product_span(m_u, m_w)]
+    assert inserted == [] and all(s.is_zero() for s in spans)
+    assert band.product_span(full, u) == u and not M.product_span(m_s1, m_s2).is_zero()
+    assert band.is_ideal(u) and band.ideal_generated([(1, -1)]) == u
+    assert M.ideal_generated([(1, -1, 0, 0)]) == Subspace.full(4) and not M.is_ideal(m_w)
+    assert products and inserted and all(products) and all(inserted)
 
 
 def test_products_reject_other_ambient_spaces():
@@ -297,7 +372,7 @@ def test_quotient_rejects_non_ideal_and_non_graded():
 def test_is_ideal_matches_the_dense_reference():
     rng = random.Random(11)
     cases = []
-    for A in associative_corpus() + lie_corpus():
+    for A in associative_corpus() + lie_corpus() + rescaled_corpus():
         if A.kind == "lie":
             cases += [(A, solvable_radical(A)), (A, nilradical(A))]
         else:
@@ -368,7 +443,7 @@ def test_grading_check_multiplies_degrees_only_for_nonzero_products(monkeypatch)
 
     monkeypatch.setattr(GroupElem, "__mul__", counted)
     A = free_group_truncation(2, 5)
-    assert len(calls) == sum(1 for plane in A.structure for row in plane if row) == 129
+    assert len(calls) == sum(map(len, A.structure)) == 129
     z2 = CyclicGroup(2)
     degs = [z2.elem(0), z2.elem(1), z2.elem(1)]
     with pytest.raises(ValidationError, match=r"c\[0\]\[1\]\[0\] != 0"):
@@ -401,9 +476,11 @@ def test_constructor_rejects_bad_jacobi():
 def test_constructor_rejects_antisymmetry_failure():
     from gradedalg.algebra import GradedAlgebra
     t = TrivialGroup()
-    # [e0, e1] = e0 but [e1, e0] = 0
-    with pytest.raises(ValidationError, match="antisymmetry"):
-        GradedAlgebra(t, [t.identity()] * 2, {(0, 1, 0): F(1)}, kind="lie")
+    # [e0, e1] = e0 but [e1, e0] = 0, and the mirror image, where plane 0
+    # is empty and only plane 1 holds the row
+    for constants in ({(0, 1, 0): F(1)}, {(1, 0, 0): F(1)}):
+        with pytest.raises(ValidationError, match=r"antisymmetry fails at \(0,1\)"):
+            GradedAlgebra(t, [t.identity()] * 2, constants, kind="lie")
 
 
 @pytest.mark.parametrize("structure", [
@@ -427,8 +504,10 @@ def test_constructor_drops_zero_coefficients():
     # Q[x]/(x^2) on (1, x), with the vanishing x*x given explicitly
     A = GradedAlgebra(t, [t.identity()] * 2,
                       {(1, 1, 0): F(0), (1, 0, 1): F(1), (0, 1, 1): F(1), (0, 0, 0): F(1)})
-    assert A.structure == ((((0, F(1)),), ((1, F(1)),)),
-                           (((1, F(1)),), ()))
+    # only the nonempty rows are held, keyed by the second index in increasing order
+    assert A.structure == ({0: ((0, F(1)),), 1: ((1, F(1)),)},
+                           {0: ((1, F(1)),)})
+    assert [list(plane) for plane in A.structure] == [[0, 1], [0]]
     assert A.constants() == {(0, 0, 0): F(1), (0, 1, 1): F(1), (1, 0, 1): F(1)}
 
 
@@ -529,11 +608,11 @@ def test_structure_and_traces_hold_ints_exactly_where_integral():
     # constant or trace is an int, any other a Fraction; tr L(e_11) = 2 s for
     # e_11 scaled by s is a sum of two constants s, so here 1/2 + 1/2 = 1
     A = rescaled(builtin("m2_z2"), (Fraction(1, 2), Fraction(-5, 2), Fraction(7, 4), 3))
-    assert A.left_mult_traces[0] == 1 and A.structure[0][0] == ((0, Fraction(1, 2)),)
+    assert A.left_mult_traces[0] == 1 and A.structure[0].get(0) == ((0, Fraction(1, 2)),)
     U = builtin("ut2")
     assert has_non_integral_constant(A) and not has_non_integral_constant(U)
     for B in (A, U):
-        scalars = [c for plane in B.structure for row in plane for _, c in row]
+        scalars = [c for plane in B.structure for row in plane.values() for _, c in row]
         scalars += B.left_mult_traces
         assert all(type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1)
                    for c in scalars)

@@ -16,9 +16,11 @@ its own definition. `assert` statements are rejected too: they vanish under
 `python -O`, so a check that must hold raises `InternalCheckError`. Dense
 vectors become sparse {index: coefficient} dicts through `exactlin.sparse`
 alone: outside exactlin, a dict comprehension keyed by a bare name over a
-filtered `enumerate(...)` is rejected. Group-element keys are read in groups.py
-alone: elsewhere `.key` is rejected, and so is a `GroupElem(...)` call, which
-trusts its key to be valid for its group (elsewhere `Group.elem`,
+filtered `enumerate(...)` is rejected. The structure table holds only
+nonempty rows, so it is read plane by plane: `structure[i][j]` (or
+`transpose[j][i]`) is rejected. Group-element keys are read in groups.py
+alone: elsewhere `.key` is rejected, and so is a `GroupElem(...)` call,
+which trusts its key to be valid for its group (elsewhere `Group.elem`,
 `decode_elem` and the arithmetic build one). README's "Library layout" table names
 only what exists: a bare identifier in backticks in a `gradedalg.X` row must be
 an attribute of that module or of a class defined there. Its "Removed public
@@ -125,6 +127,20 @@ def inline_sparse_nodes(tree, module=""):
                 and getattr(gen.iter.func, "id", None) == "enumerate"
                 for gen in node.generators):
             yield node, "inline dense-to-sparse conversion"
+
+
+TABLE_NAMES = {"structure", "transpose"}
+
+
+def double_table_subscript_nodes(tree):
+    """`structure[i][j]`: the table holds only the nonempty rows of each
+    plane, so a second subscript raises KeyError for a vanishing product;
+    a plane is read by `.items()` or `.get(j, ())`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
+            base = node.value.value
+            if getattr(base, "attr", None) in TABLE_NAMES or getattr(base, "id", None) in TABLE_NAMES:
+                yield node, "double subscript of the structure table"
 
 
 def group_key_nodes(tree, module=""):
@@ -235,6 +251,27 @@ def test_checker_flags_inline_sparse_conversions():
     lines = [node.lineno for node, _ in inline_sparse_nodes(ast.parse(code))]
     assert sorted(lines) == [1, 2]
     assert not list(inline_sparse_nodes(ast.parse(code), "exactlin.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_table_planes_by_get(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what} (use .get(j, ()))"
+             for node, what in double_table_subscript_nodes(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_double_table_subscripts():
+    code = ("A.structure[i][j]\n"
+            "self.structure[i][j][0]\n"
+            "structure[l][i]\n"
+            "A.transpose[j][i]\n"
+            "A.structure[i].get(j, ())\n"
+            "structure[i, j, k]\n"
+            "rows[i][j]\n"
+            "A.structure[i]\n")
+    lines = sorted({node.lineno for node, _ in double_table_subscript_nodes(ast.parse(code))})
+    assert lines == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -19,11 +19,12 @@ from gradedalg.builders import (builtin, free_group_truncation, heisenberg3, sl2
 from gradedalg.cli import main
 from gradedalg.errors import InternalCheckError, ResourceCapError, SchemaError
 from gradedalg.exactlin import unit_vector
-from gradedalg.radical import jacobson_radical
+from gradedalg.radical import graded_radical_report, jacobson_radical
 from gradedalg.schema import (algebra_to_description, canonical_json,
                               description_to_algebra, digest, load_json,
                               parse_rational, poly_from_description,
                               render_rational)
+from tests.corpus import rescaled
 from tests.test_radical import _first_kernel_returns
 
 F = Fraction
@@ -254,6 +255,29 @@ def test_cli_codim_golden(capsys, tmp_path):
     assert "2" in printed and "7" in printed
     rep = json.loads(out.read_text())
     assert rep["results"]["gr"]["values"] == [2, 7]
+
+
+def test_cli_radical_report_basis_is_the_dense_rref(tmp_path, capsys):
+    # the JSON basis is rendered from the sparse rows: it must read as the
+    # dense RREF basis, entry by entry, "0" included; the rescaled gl2_z2
+    # has a radical row with a non-integral entry
+    scales = (F(2, 3), F(-5, 2), F(7, 4), F(-3, 5))
+    algebras = [builtin(name) for name in ("ut2", "free_trunc_2_3", "heis3", "m2_z2")]
+    algebras += [rescaled(builtin("gl2_z2"), scales, shear) for shear in (0, F(1, 2))]
+    rendered = []
+    for A in algebras:
+        path, out = tmp_path / "alg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(algebra_to_description(A)))
+        assert main(["radical", "--input", str(path), "--json-out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["radical", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == printed
+        reports = graded_radical_report(A)
+        got = [r["basis"] for r in json.loads(out.read_text())["results"]]
+        assert got == [[[render_rational(c) for c in row] for row in r.radical.basis_vectors()]
+                       for r in reports]
+        rendered += [x for basis in got for row in basis for x in row]
+    assert {"0", "1", "-10/9", "-5/18"} <= set(rendered)
 
 
 def test_cli_codim_both_modes(tmp_path):
