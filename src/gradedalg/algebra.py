@@ -25,10 +25,21 @@ bounded at dim + 2 terms, gives nilpotency indices and derived series.
 functionals that vanish on the ideal (`exactlin.null_space`), and it reads
 `structure` directly.
 Constructors validate everything: indices, grading compatibility,
-associativity or antisymmetry + Jacobi, and the unit law. The associativity
-check reads only nonzero products, so its cost follows the nonzero
-constants, not dim^3; the antisymmetry and Jacobi checks read only nonempty
-rows. Instances are immutable in use; all operations are pure.
+associativity or antisymmetry + Jacobi, and the unit law, in that order.
+The grading check multiplies two degrees once per pair of distinct degrees.
+Associativity is Light's test (`_check_associativity`): the set T of the a
+with (x a) y = x (a y) for all x, y is a subspace closed under products, so
+A is associative iff T holds a generating set. T holds for free each basis
+vector whose products all vanish, and the unit once the unit law holds; a
+single-term product e_r e_s = c e_k puts e_k in T with e_r and e_s, so
+closing under these costs O(dim + nonzero constants), and the generators
+(`_associativity_generators`) are the basis vectors that the closure does
+not reach. Only paths through a generator are read, each a nonzero
+product, so the check costs those paths plus O(nonzero constants), not
+dim^3. Only on a failure does `_first_failing_triple` scan the triples in
+index order to name the first. The antisymmetry and Jacobi checks read
+only nonempty rows. Instances are immutable in use; all operations are
+pure.
 """
 
 from __future__ import annotations
@@ -50,6 +61,17 @@ ASSOCIATIVE = "associative"
 LIE = "lie"
 
 
+def _is_index_triple(key, dim: int) -> bool:
+    """Whether key is a triple of ints, not bools, in 0..dim-1; a triple of
+    plain ints takes the fast path."""
+    if type(key) is tuple and len(key) == 3:
+        i, j, k = key
+        if type(i) is int and type(j) is int and type(k) is int:
+            return 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
+    return isinstance(key, tuple) and len(key) == 3 and all(
+        isinstance(v, int) and not isinstance(v, bool) and 0 <= v < dim for v in key)
+
+
 class GradedAlgebra:
     def __init__(self, group: Group, degrees: Sequence[GroupElem], structure,
                  kind: str = ASSOCIATIVE, unit=None, name: str = ""):
@@ -61,24 +83,31 @@ class GradedAlgebra:
         self.kind = kind
         self.name = name
         for i, g in enumerate(self.degrees):
-            if not isinstance(g, GroupElem) or g.group != group:
+            if not isinstance(g, GroupElem) or (g.group is not group and g.group != group):
                 raise ValidationError(f"degree of basis vector {i} is not an element of the grading group")
         if not isinstance(structure, Mapping):
             raise ValidationError("structure must be a mapping {(i, j, k): coefficient}")
         nonzero = {}
         for key, c in structure.items():
-            if not (isinstance(key, tuple) and len(key) == 3 and all(
-                    isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.dim
-                    for v in key)):
+            if not _is_index_triple(key, self.dim):
                 raise ValidationError(
                     f"structure index {key!r} is not a triple of integers in 0..{self.dim - 1}")
-            c = as_rat(c)
-            if c != 0:
+            if type(c) is not int:
+                c = as_rat(c)
+            if c:
                 nonzero[key] = c
         planes: list = [{} for _ in range(self.dim)]
         for i, j, k in sorted(nonzero):
             planes[i].setdefault(j, []).append((k, nonzero[i, j, k]))
         self.structure = tuple({j: tuple(row) for j, row in plane.items()} for plane in planes)
+        # `structure` read by its second index: transpose[j] is {i: row} over
+        # the nonempty rows e_i e_j, keys in increasing i; the rows are the
+        # tuples of `structure` itself, so no constant is stored twice
+        columns: list = [{} for _ in range(self.dim)]
+        for i, plane in enumerate(self.structure):
+            for j, row in plane.items():
+                columns[j][i] = row
+        self.transpose = tuple(columns)
         if unit is not None:
             if kind == LIE:
                 raise ValidationError("Lie algebras carry no unit")
@@ -87,48 +116,157 @@ class GradedAlgebra:
                 raise DimensionMismatchError("unit vector has wrong length")
         self.unit = unit
         # support: distinct degrees in order of first occurrence
-        seen = []
         comp: dict[GroupElem, list[int]] = {}
         for i, g in enumerate(self.degrees):
-            if g not in comp:
-                comp[g] = []
-                seen.append(g)
-            comp[g].append(i)
-        self.support = tuple(seen)
+            comp.setdefault(g, []).append(i)
+        self.support = tuple(comp)
         self._components = {g: tuple(ix) for g, ix in comp.items()}
         self._validate()
 
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        for i, gi in enumerate(self.degrees):
-            for j, row in self.structure[i].items():
-                gij = gi * self.degrees[j]
-                for k, c in row:
-                    if self.degrees[k] != gij:
+        """Grading, then associativity (Light's test) or antisymmetry and
+        Jacobi, then the unit law: the first that fails raises. The unit-law
+        verdict is reached before associativity, since a unit that passes
+        seeds Light's test, but its error is raised last."""
+        self._check_grading()
+        if self.kind == LIE:
+            self._check_lie()
+            return
+        unit_failure = seed = None
+        if self.unit is not None:
+            su = sparse(self.unit)
+            unit_failure = self._unit_failure(su)
+            if unit_failure is None and len(su) == 1:
+                seed, = su
+        self._check_associativity(seed)
+        if unit_failure is not None:
+            raise ValidationError(f"unit law fails on basis vector {unit_failure}")
+
+    def _check_grading(self):
+        """deg e_k = deg e_i deg e_j wherever c_ij^k != 0, in index order.
+        Degrees are compared by their position in `support`, and the product
+        of two degrees is computed once per pair of positions."""
+        position, place = {}, []
+        for g in self.degrees:
+            place.append(position.setdefault(g, len(position)))
+        width, products = len(position), {}
+        for i, plane in enumerate(self.structure):
+            for j, row in plane.items():
+                pair = place[i] * width + place[j]
+                want = products.get(pair)
+                if want is None:
+                    want = products[pair] = position.get(self.degrees[i] * self.degrees[j], -1)
+                for k, _ in row:
+                    if place[k] != want:
                         raise ValidationError(
                             f"grading violated: c[{i}][{j}][{k}] != 0 but "
                             f"deg[{k}] differs from deg[{i}]*deg[{j}]")
-        if self.kind == ASSOCIATIVE:
-            self._check_associativity()
-        else:
-            self._check_lie()
-        if self.unit is not None:
-            su = sparse(self.unit)
-            for b in range(self.dim):
-                eb = {b: ONE}
-                if self.mul_sparse(su, eb) != eb or self.mul_sparse(eb, su) != eb:
-                    raise ValidationError(f"unit law fails on basis vector {b}")
 
-    def _check_associativity(self):
-        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple. For each
-        (i, j) the differences over all k go into one dict keyed by (k, m):
-        (e_i e_j) e_k through the nonempty rows of each plane l in e_i e_j,
-        e_i (e_j e_k) through the nonempty rows of plane j. A side can be
-        nonzero only when e_i e_j != 0 or some e_j e_k holds an l with
-        e_i e_l != 0, so only those j are visited. The least k of the first
-        (i, j) with a nonzero difference names the first failing triple in
-        index order."""
+    def _unit_failure(self, su: dict):
+        """The least b with u e_b != e_b or e_b u != e_b for the sparse unit
+        u, or None when the unit law holds: read off the unit's left and
+        right operators (`_operator`)."""
+        left, right = self._operator(su, self.structure), self._operator(su, self.transpose)
+        for b in range(self.dim):
+            eb = {b: ONE}
+            if left.get(b) != eb or right.get(b) != eb:
+                return b
+        return None
+
+    def _associativity_generators(self, seed) -> list:
+        """Basis indices that generate A together with the vectors that
+        Light's test gets for free (`_check_associativity`): each basis
+        vector with an empty plane and an empty `transpose` row, and e_seed
+        unless `seed` is None (the unit, when it is a multiple of e_seed and
+        passed the unit law). A single-term product e_r e_s = c e_k is the clause
+        r and s give k; each clause keeps a count of its body indices not
+        yet reached, so closing under the clauses costs O(dim + nonzero
+        constants). Each basis vector still unreached is picked in turn,
+        first those that are no single-term product of two other basis
+        vectors, then the rest, in index order, and the closure grows from
+        it. This gives 2n - 1 generators for UT_n and M_n, r for
+        `free_group_truncation(r, c)` and 1 for a cyclic group algebra; a
+        basis with few single-term products, such as a quotient in RREF
+        coordinates, gives nearly every vector."""
+        heads, missing = [], []
+        waiting: list = [[] for _ in range(self.dim)]   # waiting[r]: the clauses whose body holds r
+        produced = [False] * self.dim
+        for r, plane in enumerate(self.structure):
+            for s, row in plane.items():
+                if len(row) == 1:
+                    k = row[0][0]
+                    waiting[r].append(len(heads))
+                    if s != r:
+                        waiting[s].append(len(heads))
+                    missing.append(1 if s == r else 2)
+                    heads.append(k)
+                    if k != r and k != s:
+                        produced[k] = True
+        reached = [not plane and not column for plane, column in zip(self.structure, self.transpose)]
+        generators = []
+        stack = [] if seed is None else [seed]      # reached, their clauses not yet counted
+        for a in [*(a for a in range(self.dim) if not produced[a]), *range(self.dim)]:
+            while stack:
+                b = stack.pop()
+                if not reached[b]:
+                    reached[b] = True
+                    for n in waiting[b]:
+                        missing[n] -= 1
+                        if not missing[n]:
+                            stack.append(heads[n])
+            if not reached[a]:
+                generators.append(a)
+                stack.append(a)
+        return generators
+
+    def _check_associativity(self, seed):
+        """Light's associativity test: (e_x g) e_y = e_x (g e_y) for every
+        g in a generating set (`_associativity_generators`) and all basis
+        e_x, e_y. The set T of the a with (x a) y = x (a y) for all x, y is a
+        subspace, closed under products: for a, b in T,
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y). So A is
+        associative iff T holds a generating set. It holds for free each
+        basis vector whose products all vanish, and the unit when the unit
+        law holds: e_seed, unless `seed` is None. Only nonzero paths are visited: the left side through
+        `transpose[g]` then `structure`, the right side through
+        `structure[g]` then `transpose`, one dict keyed by (x, y, m) per g.
+        The cost is the paths through the generators plus O(nonzero
+        constants), never more paths than a scan over every middle factor.
+        On a failure, and only then, `_first_failing_triple` names the
+        first failing triple in index order."""
+        table, columns = self.structure, self.transpose
+        for g in self._associativity_generators(seed):
+            acc: dict = {}
+            for x, row in columns[g].items():
+                for l, a in row:
+                    for y, row_l in table[l].items():
+                        for m, b in row_l:
+                            key = x, y, m
+                            acc[key] = acc.get(key, 0) + a * b
+            for y, row in table[g].items():
+                for l, a in row:
+                    for x, row_l in columns[l].items():
+                        for m, b in row_l:
+                            key = x, y, m
+                            acc[key] = acc.get(key, 0) - a * b
+            if any(acc.values()):
+                triple = self._first_failing_triple()
+                if triple is None:
+                    raise InternalCheckError(
+                        f"associativity fails through basis vector {g}, but on no basis triple")
+                raise ValidationError("associativity fails on basis triple (%d,%d,%d)" % triple)
+
+    def _first_failing_triple(self):
+        """The first basis triple (i, j, k) in index order with
+        (e_i e_j) e_k != e_i (e_j e_k), or None: the diagnostic of
+        `_check_associativity`, run only once it has found a failure. For
+        each (i, j) the differences over all k go into one dict keyed by
+        (k, m): (e_i e_j) e_k through the nonempty rows of each plane l in
+        e_i e_j, e_i (e_j e_k) through the nonempty rows of plane j. A side
+        can be nonzero only when e_i e_j != 0 or some e_j e_k holds an l
+        with e_i e_l != 0, so only those j are visited."""
         table = self.structure
         producers = [set() for _ in table]      # producers[l]: each j with l in some e_j e_k
         for j, plane in enumerate(table):
@@ -151,7 +289,8 @@ class GradedAlgebra:
                             acc[k, m] = acc.get((k, m), 0) - a * b
                 bad = [k for (k, _), v in acc.items() if v]
                 if bad:
-                    raise ValidationError(f"associativity fails on basis triple ({i},{j},{min(bad)})")
+                    return i, j, min(bad)
+        return None
 
     def _check_lie(self):
         """[e_i, e_i] = 0, antisymmetry, and the Jacobi identity on every
@@ -242,17 +381,6 @@ class GradedAlgebra:
         0, so tr L(e_i) = 0."""
         return tuple(as_rat(sum(c for j, row in plane.items() for k, c in row if k == j))
                      for plane in self.structure)
-
-    @cached_property
-    def transpose(self) -> tuple:
-        """`structure` read by its second index: transpose[j] is {i: row}
-        over the nonempty rows e_i e_j, keys in increasing i. The rows are
-        the tuples of `structure` itself, so no constant is stored twice."""
-        out: list = [{} for _ in range(self.dim)]
-        for i, plane in enumerate(self.structure):
-            for j, row in plane.items():
-                out[j][i] = row
-        return tuple(out)
 
     def constants(self) -> dict:
         """The structure constants as the mapping {(i, j, k): c} the
@@ -557,6 +685,13 @@ def algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> Subalg
     """
     if not graded_check(s, A)[0]:
         raise NotGradedError("subspace is not graded: basis vector mixes degrees")
+    return _algebra_on_subspace(A, s, name)
+
+
+def _algebra_on_subspace(A: GradedAlgebra, s: Subspace, name: str = "") -> SubalgebraEmbedding:
+    """`algebra_on_subspace` without its gradedness test, for a subspace
+    that is already known to be graded, as `_quotient` is for
+    `quotient_algebra`; closure under the product is still tested."""
     degrees = [A.degrees[p] for p in s.pivots]
     rows = [s.pivot_rows[p] for p in s.pivots]
     dim = len(rows)

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: radical, decompose, codim, check-identity, verify, builtin.
-Exit codes: 0 ok, 1 usage, 2 parse error, 3 invariant violation, 4 resource
-cap. Reports go to stdout; --json-out also writes a deterministic JSON report.
+Exit codes: 0 ok, 1 usage or output error, 2 parse error, 3 invariant
+violation, 4 resource cap. Reports go to stdout; --json-out also writes a
+deterministic JSON report. An output that cannot be written, a --json-out
+file or a stdout that its reader closed early, exits 1 with one line on
+stderr and no traceback.
 
 decompose certifies its unverified radical by the decomposition, each fact
 once: `graded_complement` tests graded ideal and nilpotent (solvable), and the
@@ -14,10 +17,12 @@ Nothing is printed before every check has passed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 
-from .algebra import ASSOCIATIVE, GradedAlgebra, algebra_on_subspace
+from .algebra import ASSOCIATIVE, GradedAlgebra, _algebra_on_subspace
 from .builders import builtin, builtin_names
 from .errors import (DimensionMismatchError, GroupMismatchError,
                      InternalCheckError, NotAnIdealError, NotGradedError,
@@ -115,7 +120,7 @@ def cmd_decompose(args) -> int:
             B = graded_complement(A, J)
             lines.append(f"radical dim {J.dim}; graded complement dim {B.dim}")
             out["results"]["complement_dim"] = B.dim
-            semi = algebra_on_subspace(A, B, name="complement").algebra
+            semi = _algebra_on_subspace(A, B, name="complement").algebra
         dec = wedderburn_artin_graded(semi)
         # each component passed the graded check of wedderburn_artin_graded,
         # so each RREF row has the degree of its pivot
@@ -128,7 +133,7 @@ def cmd_decompose(args) -> int:
         R = solvable_radical(A, verify=False)
         B = graded_complement(A, R)
         if not R.is_zero() and not solvable_radical(
-                algebra_on_subspace(A, B, name="levi").algebra, verify=False).is_zero():
+                _algebra_on_subspace(A, B, name="levi").algebra, verify=False).is_zero():
             raise InternalCheckError("quotient by the solvable radical is not semisimple")
         lines.append(f"solvable radical dim {R.dim}; graded Levi subalgebra dim {B.dim}")
         out["results"]["radical_dim"] = R.dim
@@ -283,6 +288,30 @@ def build_parser(only: str | None = None) -> _Parser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head -1` does
+        _discard_stdout()
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _discard_stdout():
+    """Point the file descriptor under stdout at os.devnull, so that the
+    flush at interpreter exit writes nowhere instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):   # no descriptor, as in a StringIO
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _run(argv: list) -> int:
     # a named subcommand needs only its own subparser; anything else (no
     # arguments, -h, an unknown command) gets the whole tree
     parser = build_parser(argv[0] if argv else None)

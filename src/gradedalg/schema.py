@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -21,7 +20,9 @@ from .groups import group_from_description, is_int
 from .identities import MultilinearGradedPoly
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+def _is_decimal(text: str) -> bool:
+    """Whether text is one or more ASCII digits 0-9."""
+    return text.isascii() and text.isdigit()
 
 
 def _too_long(what: str) -> str:
@@ -30,17 +31,21 @@ def _too_long(what: str) -> str:
 
 def parse_rational(obj, where: str):
     """An integer, or a string "p" or "p/q" in lowest terms with q >= 1, as
-    an int when it is one, else a Fraction."""
-    if is_int(obj):
+    an int when it is one, else a Fraction. The string's syntax is
+    -?[0-9]+(/[0-9]+)? with ASCII digits, read by splitting at the first
+    "/"; an integer string needs no gcd."""
+    if type(obj) is int or is_int(obj):
         return obj
     if isinstance(obj, str):
-        m = _RATIONAL.fullmatch(obj)
-        if m is None:
+        num, slash, den = obj.partition("/")
+        if not (_is_decimal(num[1:] if num[:1] == "-" else num) and (not slash or _is_decimal(den))):
             raise SchemaError(f"{where}: bad rational {obj!r} (expected 'p' or 'p/q')")
         # q first: a zero q is refused whatever the length of p
         try:
-            q = int(m.group(2) or 1)
-            p = int(m.group(1)) if q else 0
+            if not slash:
+                return int(num)
+            q = int(den)
+            p = int(num) if q else 0
         except ValueError:
             raise SchemaError(f"{where}: {_too_long('rational has a numerator or denominator')}") from None
         if gcd(p, q) != 1:
@@ -102,9 +107,11 @@ def description_to_algebra(obj) -> GradedAlgebra:
         if (not isinstance(entry, list) or len(entry) != 4):
             raise SchemaError(f"structure[{pos}]: expected [i, j, k, coeff]")
         i, j, k = entry[:3]
-        for label, v in (("i", i), ("j", j), ("k", k)):
-            if not is_int(v) or not 0 <= v < dim:
-                raise SchemaError(f"structure[{pos}]: index {label}={v!r} out of range 0..{dim - 1}")
+        if not (type(i) is int and type(j) is int and type(k) is int
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            for label, v in (("i", i), ("j", j), ("k", k)):
+                if not is_int(v) or not 0 <= v < dim:
+                    raise SchemaError(f"structure[{pos}]: index {label}={v!r} out of range 0..{dim - 1}")
         if (i, j, k) in structure:
             raise SchemaError(f"structure[{pos}]: duplicate entry for ({i},{j},{k})")
         structure[i, j, k] = parse_rational(entry[3], f"structure[{pos}]")

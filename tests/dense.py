@@ -177,23 +177,34 @@ def solve_dense(nunk: int, rows, rhs):
     return x
 
 
-def structure_failure(dim: int, constants: dict, kind: str = "associative"):
+def structure_failure(dim: int, constants: dict, kind: str = "associative",
+                      degrees=None, unit=None):
     """The message of the first failing constructor check on the mapping
     {(i, j, k): c}, or None when all hold, from triple loops over dense
-    Fraction vectors. Associative: (e_i e_j) e_k = e_i (e_j e_k) for every
-    (i, j, k) in index order. Lie: for each i in turn [e_i, e_i] = 0 and then
-    antisymmetry with every j > i, and after those the Jacobi identity on
-    every i < j < k."""
+    Fraction vectors. With `degrees`, the grading comes first:
+    deg k = deg i * deg j for every nonzero c_ij^k in index order.
+    Associative: (e_i e_j) e_k = e_i (e_j e_k) for every (i, j, k) in index
+    order. Lie: for each i in turn [e_i, e_i] = 0 and then antisymmetry with
+    every j > i, and after those the Jacobi identity on every i < j < k.
+    With a `unit` u, the unit law comes last: u e_b = e_b = e_b u for every
+    b in index order."""
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), x in constants.items():
         c[i][j][k] = Fraction(x)
+    if degrees is not None:
+        for i, j, k in sorted(constants):
+            if c[i][j][k] and degrees[k] != degrees[i] * degrees[j]:
+                return (f"grading violated: c[{i}][{j}][{k}] != 0 but "
+                        f"deg[{k}] differs from deg[{i}]*deg[{j}]")
 
     def mul(u, v):
         out = [Fraction(0)] * dim
-        for a, b in product(range(dim), repeat=2):
-            if u[a] and v[b]:
-                for m in range(dim):
-                    out[m] += u[a] * v[b] * c[a][b][m]
+        for a, x in enumerate(u):
+            if x:
+                for b, y in enumerate(v):
+                    if y:
+                        for m in range(dim):
+                            out[m] += x * y * c[a][b][m]
         return out
 
     basis = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
@@ -201,6 +212,11 @@ def structure_failure(dim: int, constants: dict, kind: str = "associative"):
         for i, j, k in product(range(dim), repeat=3):
             if mul(c[i][j], basis[k]) != mul(basis[i], c[j][k]):
                 return f"associativity fails on basis triple ({i},{j},{k})"
+        if unit is not None:
+            u = [Fraction(x) for x in unit]
+            for b in range(dim):
+                if mul(u, basis[b]) != basis[b] or mul(basis[b], u) != basis[b]:
+                    return f"unit law fails on basis vector {b}"
         return None
     for i in range(dim):
         if any(c[i][i]):

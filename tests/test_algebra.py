@@ -14,8 +14,8 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
                                 matrix_algebra_z2, sl2, two_dim_nonabelian_lie,
                                 upper_triangular, ut2)
 from gradedalg.cli import main
-from gradedalg.errors import (DimensionMismatchError, NotAnIdealError, NotGradedError,
-                              ValidationError)
+from gradedalg.errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
+                              NotGradedError, ValidationError)
 from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
@@ -685,6 +685,150 @@ def test_constructor_checks_match_the_triple_loop_reference(case):
         with pytest.raises(ValidationError) as err:
             GradedAlgebra(group, degrees, constants, kind=kind)
         assert str(err.value) == expected
+
+
+_MONOMIAL_SOURCES = {
+    "free_trunc_2_4": lambda: builtin("free_trunc_2_4"),
+    "m3_z3": lambda: matrix_algebra(3, CyclicGroup(3), (0, 1, 2)),
+    "ut4_z2": lambda: upper_triangular(4, CyclicGroup(2), (0, 1, 0, 1)),
+    "F[Z5]": lambda: group_algebra(CyclicGroup(5)),
+    "J(free_trunc_2_3)": _radical_of_free_trunc_2_3,
+}
+
+
+@st.composite
+def perturbed_monomial_tables(draw):
+    """(group, degrees, constants, unit): the constants and unit of an
+    algebra whose basis products are multiples of single basis vectors,
+    with no change of basis, so that Light's test needs few generators.
+    Up to three constants are shifted, most within the grading and some
+    across it, and the unit is kept, dropped, shifted on one coordinate or
+    replaced by a basis vector, so inputs break the grading, associativity
+    and the unit law alone and together."""
+    A = _MONOMIAL_SOURCES[draw(st.sampled_from(sorted(_MONOMIAL_SOURCES)))]()
+    constants = A.constants()
+    triples = [(i, j, k) for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)]
+    compatible = [(i, j, k) for i, j, k in triples
+                  if A.degrees[k] == A.degrees[i] * A.degrees[j]]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        i, j, k = draw(st.sampled_from(draw(st.sampled_from((compatible,) * 3 + (triples,)))))
+        constants[i, j, k] = constants.get((i, j, k), 0) + draw(_FRACTIONS)
+    unit = A.unit
+    if unit is not None:
+        change = draw(st.sampled_from(("keep", "drop", "shift", "basis")))
+        b = draw(st.integers(0, A.dim - 1))
+        if change == "drop":
+            unit = None
+        elif change == "shift":
+            unit = [x + (b == i) * draw(_FRACTIONS) for i, x in enumerate(unit)]
+        elif change == "basis":
+            unit = A.basis_vector(b)
+    return A.group, A.degrees, constants, unit
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(perturbed_monomial_tables())
+def test_light_test_matches_the_triple_loop_reference(case):
+    # the same verdict and message as the reference: grading, then the first
+    # failing triple, then the unit law, whichever fails first
+    group, degrees, constants, unit = case
+    expected = structure_failure(len(degrees), constants, degrees=degrees, unit=unit)
+    if expected is None:
+        GradedAlgebra(group, degrees, constants, unit=unit)
+    else:
+        with pytest.raises(ValidationError) as err:
+            GradedAlgebra(group, degrees, constants, unit=unit)
+        assert str(err.value) == expected
+
+
+def test_triple_scan_runs_only_on_a_failure(monkeypatch):
+    # the index-order scan is the diagnostic of Light's test: it never runs on
+    # valid input, runs once on a failure, and an InternalCheckError stands
+    # for a failure it cannot name
+    def no_scan(self):
+        raise AssertionError("the triple scan ran on valid input")
+
+    monkeypatch.setattr(GradedAlgebra, "_first_failing_triple", no_scan)
+    sources = [builtin(n) for n in ("fz2", "m2_z2", "ut2", "free_trunc_2_3", "free_trunc_3_3")]
+    sources += associative_corpus()
+    for A in sources:
+        B = GradedAlgebra(A.group, A.degrees, A.constants(), unit=A.unit)
+        assert B.constants() == A.constants()
+    monkeypatch.undo()
+    scans = []
+    original = GradedAlgebra._first_failing_triple
+    monkeypatch.setattr(GradedAlgebra, "_first_failing_triple",
+                        lambda self: scans.append(self) or original(self))
+    t = TrivialGroup()
+    constants = {(0, 0, 1): 1, (1, 0, 0): 1}     # (e0 e0) e0 = e0, e0 (e0 e0) = 0
+    assert structure_failure(2, constants) == "associativity fails on basis triple (0,0,0)"
+    with pytest.raises(ValidationError, match=r"^associativity fails on basis triple \(0,0,0\)$"):
+        GradedAlgebra(t, [t.identity()] * 2, constants)
+    assert len(scans) == 1
+    monkeypatch.setattr(GradedAlgebra, "_first_failing_triple", lambda self: None)
+    with pytest.raises(InternalCheckError):
+        GradedAlgebra(t, [t.identity()] * 2, constants)
+
+
+@pytest.mark.parametrize("constants, unit", [
+    # fz2 with e1 e0 = 2 e1, and e1 for a unit: the law fails, so e1 is no
+    # seed, and (e1 e1) e0 = e0 != 2 e0 = e1 (e1 e0) is found through it
+    ({(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 2, (1, 1, 0): 1}, (0, 1)),
+    # e0 e1 = e0 alone: e1 e_x = 0 for every x, but e_x e1 is not, so e1 is
+    # no seed, and (e0 e1) e1 = e0 != 0 = e0 (e1 e1) is found through it
+    ({(0, 1, 0): 1}, None)])
+def test_light_test_seeds_only_what_holds_for_free(constants, unit):
+    t = TrivialGroup()
+    expected = structure_failure(2, constants, degrees=[t.identity()] * 2, unit=unit)
+    assert expected.startswith("associativity fails")
+    with pytest.raises(ValidationError) as err:
+        GradedAlgebra(t, [t.identity()] * 2, constants, unit=unit)
+    assert str(err.value) == expected
+
+
+def _generators_used(monkeypatch) -> list:
+    """The generator sets Light's test draws, one list per construction."""
+    used = []
+    original = GradedAlgebra._associativity_generators
+    monkeypatch.setattr(GradedAlgebra, "_associativity_generators",
+                        lambda self, seed: used.append(original(self, seed)) or used[-1])
+    return used
+
+
+def _paths_through(A, generators) -> int:
+    """The terms Light's test reads for the given generators: (e_x g) e_y
+    from `transpose[g]` then `structure`, e_x (g e_y) from `structure[g]`
+    then `transpose`."""
+    left = sum(len(row_l) for g in generators for row in A.transpose[g].values()
+               for l, _ in row for row_l in A.structure[l].values())
+    right = sum(len(row_l) for g in generators for row in A.structure[g].values()
+                for l, _ in row for row_l in A.transpose[l].values())
+    return left + right
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: upper_triangular(5), 9), (lambda: matrix_algebra(3), 5),
+    (lambda: matrix_algebra(5), 9), (lambda: free_group_truncation(3, 3), 3),
+    (lambda: group_algebra(CyclicGroup(7)), 1)],
+    ids=["UT_5", "M_3", "M_5", "free_trunc_3_3", "F[Z7]"])
+def test_light_test_needs_few_generators_on_a_monomial_basis(make, count, monkeypatch):
+    # 2n - 1 for UT_n and M_n, r for free_trunc_r_c, 1 for a cyclic group algebra
+    used = _generators_used(monkeypatch)
+    make()
+    assert [len(g) for g in used] == [count]
+
+
+def test_associativity_check_walks_at_most_c_squared_paths_on_free_trunc_1(monkeypatch):
+    # free_trunc_1_c is Q[x]/(x^c), generated by x, and the paths x^a . x . x^b
+    # number c(c - 1); the scan over every middle factor walks about c^3/3
+    c = 200
+    used = _generators_used(monkeypatch)
+    scans = []
+    monkeypatch.setattr(GradedAlgebra, "_first_failing_triple", lambda self: scans.append(self))
+    A = free_group_truncation(1, c)
+    assert used == [[1]] and not scans
+    assert _paths_through(A, used[0]) == c * (c - 1)
+    assert _paths_through(A, range(A.dim)) > c ** 3 // 4
 
 
 def test_constructor_check_follows_the_nonzero_constants():

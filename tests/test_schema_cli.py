@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradedalg.builders
 import gradedalg.cli
@@ -187,6 +189,12 @@ _LONG = "rational has a numerator or denominator longer than Python's 4300-digit
     ("1/-3", "bad rational '1/-3' (expected 'p' or 'p/q')"),
     (" 1", "bad rational ' 1' (expected 'p' or 'p/q')"),
     ("1.5", "bad rational '1.5' (expected 'p' or 'p/q')"),
+    ("\u0661", "bad rational '\u0661' (expected 'p' or 'p/q')"),
+    ("1/\u00b2", "bad rational '1/\u00b2' (expected 'p' or 'p/q')"),
+    ("1_0", "bad rational '1_0' (expected 'p' or 'p/q')"),
+    ("1\n", "bad rational '1\\n' (expected 'p' or 'p/q')"),
+    *((text, f"bad rational {text!r} (expected 'p' or 'p/q')")
+      for text in ("", "-", "/", "1/", "/2", "--1", "-/2", "1/2/3")),
     (True, "rational must be an integer or 'p/q' string, got True"),
     (1.5, "rational must be an integer or 'p/q' string, got 1.5"),
     (None, "rational must be an integer or 'p/q' string, got None"),
@@ -200,6 +208,20 @@ def test_parse_rational_table(obj, expected):
         with pytest.raises(SchemaError) as exc:
             parse_rational(obj, "w")
         assert str(exc.value) == f"w: {expected}"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.text(alphabet="0123456789-/+ _.\u0661\u00b2", max_size=6))
+def test_parse_rational_reads_the_syntax_of_its_pattern(text):
+    # the syntax is -?[0-9]+(/[0-9]+)? with ASCII digits, as a regular
+    # expression reads it; a string that fits gets past the syntax check
+    try:
+        parse_rational(text, "w")
+        refused = None
+    except SchemaError as exc:
+        refused = str(exc)
+    fits = re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text) is not None
+    assert fits == (refused != f"w: bad rational {text!r} (expected 'p' or 'p/q')")
 
 
 def test_internal_check_failure_exits_3(monkeypatch, capsys):
@@ -462,6 +484,26 @@ def test_cli_decompose_computes_the_radical_once(name, radical, monkeypatch):
         {"is_ideal": 1, "graded_check": 1, "derived_series": 1}
 
 
+@pytest.mark.parametrize("name", ["ut2", "free_trunc_2_5", "gl2_z2"])
+def test_cli_decompose_tests_its_complement_for_gradedness_once(name, monkeypatch):
+    # `graded_complement` certifies B graded; the algebra on B is built
+    # without testing it again
+    import gradedalg.algebra
+    import gradedalg.structure
+    from gradedalg.radical import solvable_radical
+    from gradedalg.structure import graded_complement
+    A = builtin(name)
+    radical = jacobson_radical if A.kind == "associative" else solvable_radical
+    B = graded_complement(A, radical(A, verify=False))
+    tested = []
+    for module in (gradedalg.algebra, gradedalg.structure):
+        check = module.graded_check
+        monkeypatch.setattr(module, "graded_check",
+                            lambda w, A, check=check: tested.append(w) or check(w, A))
+    assert main(["decompose", "--builtin", name]) == 0
+    assert tested.count(B) == 1
+
+
 # ut3 basis: e11, e12, e13, e22, e23, e33; free_trunc_2_3: 1, a, b, aa, ab,
 # ba, bb; sl2: e, h, f; heis3: x, y, z with deg x != deg y; aff1: [x, y] = x
 _E = unit_vector
@@ -513,14 +555,53 @@ def test_cli_builtin_emits_parseable_json(capsys):
     assert description_to_algebra(desc).dim == 4
 
 
-def test_python_m_gradedalg_runs_the_cli():
+def _cli_process(argv: list, stdout) -> subprocess.Popen:
+    """`python -m gradedalg` with stdout block-buffered, as it is by default
+    on a pipe."""
     src = str(Path(gradedalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run([sys.executable, "-m", "gradedalg", "builtin", "fz2"],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert description_to_algebra(json.loads(run.stdout)).dim == 2
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "gradedalg", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_python_m_gradedalg_runs_the_cli():
+    with _cli_process(["builtin", "fz2"], subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert description_to_algebra(json.loads(out)).dim == 2
+
+
+_CLOSED_STDOUT = "error: stdout was closed before the output was written\n"
+
+
+def test_cli_stdout_closed_after_one_line_exits_1_without_a_traceback():
+    # as `| head -1` does: the reader keeps one line of a report larger than
+    # a pipe's buffer and closes the pipe, so a write inside `print` fails
+    proc = _cli_process(["builtin", "free_trunc_2_9"], subprocess.PIPE)
+    with proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err == _CLOSED_STDOUT
+
+
+@pytest.mark.parametrize("argv", [["builtin", "m2_z2"], ["radical", "--builtin", "ut2"]])
+def test_cli_stdout_closed_before_the_first_write_exits_1_without_a_traceback(argv):
+    # a short report waits in the buffer and fails at the flush; the flush
+    # at exit must then find nothing left to fail on
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    with proc:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err == _CLOSED_STDOUT
 
 
 @pytest.mark.parametrize("argv", [["codim", "--builtin", "ut2"], ["radical", "--builtin", "ut2"],
