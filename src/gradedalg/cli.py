@@ -11,12 +11,14 @@ decompose certifies its unverified radical by the decomposition, each fact
 once: `graded_complement` tests graded ideal and nilpotent (solvable), and the
 quotient's semisimplicity is tested on the complement, isomorphic to it (the
 `wedderburn_artin_graded` guard, or the Levi subalgebra's solvable radical).
-Nothing is printed before every check has passed.
+A zero solvable radical is certified by Cartan's criterion: the Killing form
+of L is nondegenerate. Nothing is printed before every check has passed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -27,9 +29,10 @@ from .builders import builtin, builtin_names
 from .errors import (DimensionMismatchError, GroupMismatchError,
                      InternalCheckError, NotAnIdealError, NotGradedError,
                      ResourceCapError, SchemaError, ValidationError)
+from .exactlin import null_space
 from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_report,
                          is_graded_identity)
-from .radical import (graded_radical_report, jacobson_radical,
+from .radical import (graded_radical_report, jacobson_radical, killing_form,
                       solvable_radical)
 from .schema import (algebra_to_description, canonical_json,
                      description_to_algebra, digest, load_json,
@@ -132,8 +135,10 @@ def cmd_decompose(args) -> int:
     else:
         R = solvable_radical(A, verify=False)
         B = graded_complement(A, R)
-        if not R.is_zero() and not solvable_radical(
-                _algebra_on_subspace(A, B, name="levi").algebra, verify=False).is_zero():
+        # L/R is semisimple: for R = 0 the Killing form has radical 0 (Cartan), else R(B) = 0
+        rad = (null_space(A.dim, killing_form(A)) if R.is_zero() else solvable_radical(
+            _algebra_on_subspace(A, B, name="levi").algebra, verify=False))
+        if not rad.is_zero():
             raise InternalCheckError("quotient by the solvable radical is not semisimple")
         lines.append(f"solvable radical dim {R.dim}; graded Levi subalgebra dim {B.dim}")
         out["results"]["radical_dim"] = R.dim
@@ -255,39 +260,31 @@ def _add_builtin_opts(p: _Parser):
     p.add_argument("--json-out")
 
 
-def build_parser(only: str | None = None) -> _Parser:
-    """The argument parser. When `only` names a subcommand, the tree holds
-    that subcommand alone, and its usage line still lists every name, so
-    that output and errors read as with the whole tree; any other `only`
-    gives the whole tree. The table is built per call, so that it holds the
-    command functions bound in this module at that time."""
-    commands = {     # name: (help, command, options), in the order of the help listing
-        "radical": ("radical dims, gradedness, nilpotency index", cmd_radical, _add_input_opts),
-        "decompose": ("graded-simple components / complements", cmd_decompose,
-                      _add_input_opts),
-        "codim": ("codimension sequence table", cmd_codim, _add_codim_opts),
-        "check-identity": ("test a multilinear graded polynomial", cmd_check_identity,
-                           _add_identity_opts),
-        "verify": ("run the radical gradedness checks", cmd_verify, _add_input_opts),
-        "builtin": ("print a builtin algebra description", cmd_builtin, _add_builtin_opts),
-    }
-    if only not in commands:
-        only = None
+# name: (help, options), in the order of the help listing
+_COMMANDS = {
+    "radical": ("radical dims, gradedness, nilpotency index", _add_input_opts),
+    "decompose": ("graded-simple components / complements", _add_input_opts),
+    "codim": ("codimension sequence table", _add_codim_opts),
+    "check-identity": ("test a multilinear graded polynomial", _add_identity_opts),
+    "verify": ("run the radical gradedness checks", _add_input_opts),
+    "builtin": ("print a builtin algebra description", _add_builtin_opts),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The whole argument tree, built on first use (not at import) and kept:
+    `parse_args` makes a fresh namespace and no default is mutable. `_run`
+    runs subcommand `name` as the `cmd_<name>` ("-" read as "_") bound then."""
     p = _Parser(prog="gradedalg",
                 description="exact computations with group-graded algebras")
-    sub = p.add_subparsers(dest="cmd", required=True,
-                           metavar=None if only is None else "{" + ",".join(commands) + "}")
-    for name, (help_text, func, add_opts) in commands.items():
-        if only in (None, name):
-            sp = sub.add_parser(name, help=help_text)
-            add_opts(sp)
-            sp.set_defaults(func=func)
+    sub = p.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_opts) in _COMMANDS.items():
+        add_opts(sub.add_parser(name, help=help_text))
     return p
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         code = _run(argv)
         sys.stdout.flush()
@@ -311,16 +308,13 @@ def _discard_stdout():
     os.close(devnull)
 
 
-def _run(argv: list) -> int:
-    # a named subcommand needs only its own subparser; anything else (no
-    # arguments, -h, an unknown command) gets the whole tree
-    parser = build_parser(argv[0] if argv else None)
+def _run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        return args.func(args)
+    try:       # looked up per call, so that a wrapper set on a cmd_* function sees it
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -504,6 +504,29 @@ def test_cli_decompose_tests_its_complement_for_gradedness_once(name, monkeypatc
     assert tested.count(B) == 1
 
 
+@pytest.mark.parametrize("name, kernel", [("aff1", 1), ("sl2", 0), ("sl2+sl2", 0)])
+def test_cli_decompose_certifies_a_zero_solvable_radical(name, kernel, monkeypatch,
+                                                        tmp_path, capsys):
+    # an R = 0 handed to decompose is certified by Cartan's criterion: the
+    # Killing form of aff1 has a kernel, those of sl2 and sl2+sl2 have none
+    from gradedalg.builders import direct_sum
+    from gradedalg.exactlin import Subspace, null_space
+    from gradedalg.radical import killing_form
+    A = direct_sum(sl2(), sl2(), name=name) if name == "sl2+sl2" else builtin(name)
+    assert null_space(A.dim, killing_form(A)).dim == kernel
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(algebra_to_description(A)))
+    monkeypatch.setattr(gradedalg.cli, "solvable_radical",
+                        lambda L, verify=True: Subspace.zero(L.dim))
+    code = main(["decompose", "--input", str(path)])
+    if kernel:
+        assert (code, *capsys.readouterr()) == (
+            3, "", "internal check failed: quotient by the solvable radical is not semisimple\n")
+    else:
+        assert (code, *capsys.readouterr()) == (
+            0, f"solvable radical dim 0; graded Levi subalgebra dim {A.dim}\n", "")
+
+
 # ut3 basis: e11, e12, e13, e22, e23, e33; free_trunc_2_3: 1, a, b, aa, ab,
 # ba, bb; sl2: e, h, f; heis3: x, y, z with deg x != deg y; aff1: [x, y] = x
 _E = unit_vector
@@ -694,33 +717,59 @@ def test_cli_exit_codes(tmp_path, capsys):
                 assert out == "" and "predicted exponent must be a positive integer" in err
 
 
-SUBCOMMANDS = ["radical", "decompose", "codim", "check-identity", "verify", "builtin"]
-
-
-@pytest.mark.parametrize("argv", [
+PARSER_ARGV = [
     [], ["--help"], ["codim", "--help"], ["builtin", "-h"], ["bogus", "--builtin", "ut2"],
     ["radical"], ["verify", "--builtin", "ut2", "--input", "x.json"],
     ["codim", "--builtin", "ut2", "--mode", "xx"], ["codim", "--builtin", "ut2", "extra"],
     ["check-identity", "--builtin", "ut2"], ["codim", "--builtin", "ut2", "--n-max", "2"],
-])
-def test_cli_parser_of_one_subcommand_reads_as_the_whole_tree(argv, monkeypatch, capsys):
-    # main builds only the named subcommand's parser; usage, help, errors
-    # and exit codes must be those of the whole tree
-    built = []
-    build = gradedalg.cli.build_parser
+]
 
-    def recording(only=None):
-        parser = build(only)
-        built.append(tuple(parser._subparsers._group_actions[0].choices))
-        return parser
 
-    monkeypatch.setattr(gradedalg.cli, "build_parser", recording)
-    code = main(argv)
-    got = (code, *capsys.readouterr())
-    monkeypatch.setattr(gradedalg.cli, "build_parser", lambda only=None: build())
+@pytest.mark.parametrize("argv", PARSER_ARGV)
+def test_cli_kept_parser_reads_as_a_fresh_tree(argv, monkeypatch, capsys):
+    # the parser kept across calls, after other commands have parsed with it,
+    # gives the usage, help, errors, output and exit code of a new tree
+    for before in (["radical", "--builtin", "ut2"], ["codim", "--builtin", "fz2", "--mode", "h"],
+                   ["verify", "--builtin", "ut2", "--n-max", "2"], ["builtin", "ut2"]):
+        main(before)
+    capsys.readouterr()
+    got = (main(argv), *capsys.readouterr())
+    fresh = gradedalg.cli.build_parser.__wrapped__()
+    assert fresh is not gradedalg.cli.build_parser()
+    monkeypatch.setattr(gradedalg.cli, "build_parser", lambda: fresh)
     assert got == (main(argv), *capsys.readouterr())
-    named = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
-    assert built == [tuple(named)]
+
+
+def test_cli_parser_is_built_once(capsys):
+    # built at the first `main` call and kept for every later one
+    build = gradedalg.cli.build_parser
+    build.cache_clear()
+    for argv in PARSER_ARGV:
+        main(argv)
+        assert (build.cache_info().misses, build.cache_info().currsize) == (1, 1)
+    assert build.cache_info().hits == len(PARSER_ARGV) - 1
+    capsys.readouterr()
+
+
+def test_cli_parser_is_not_built_at_import():
+    src = str(Path(gradedalg.__file__).resolve().parents[1])
+    code = "import gradedalg.cli as c; print(c.build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify", ["verify", "--builtin", "ut2"]),
+    ("check_identity", ["check-identity", "--builtin", "ut2", "--poly", "p.json"])])
+def test_cli_runs_the_command_bound_when_it_runs(name, argv, monkeypatch, capsys):
+    # a wrapper set on cmd_<name> after the parser is built sees the next call
+    main(["verify", "--builtin", "ut2"])
+    seen = []
+    monkeypatch.setattr(gradedalg.cli, f"cmd_{name}", lambda args: seen.append(args) or 7)
+    assert main(argv) == 7
+    assert [(a.cmd, a.builtin) for a in seen] == [(argv[0], "ut2")]
+    capsys.readouterr()
 
 
 def test_cli_predicted_exponent_needs_three_values(capsys):

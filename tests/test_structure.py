@@ -96,28 +96,75 @@ def test_wedderburn_descends_each_component_once(monkeypatch):
 def test_wedderburn_post_check_rejects_a_non_ideal_component(monkeypatch):
     # a split of the unit of M2 at the idempotents e11, e22, which are not
     # central, gives the left ideals A e11 = span(e11, e21) and A e22: dims
-    # add up and both are graded (the diagonal is even), but only the ideal
-    # check sees that e11 e12 = e12 escapes A e11
+    # add up, both are graded (the diagonal is even) and e11 + e22 = 1, but
+    # e11 is not in the degree-e centre
     import gradedalg.structure
     M = matrix_algebra_z2()
     e11, e22 = M.basis_vector(0), M.basis_vector(3)
     monkeypatch.setattr(gradedalg.structure, "_split",
                         lambda A, centre, f: (sparse(e11), sparse(e22)) if f == sparse(A.unit) else None)
-    with pytest.raises(InternalCheckError, match="not a two-sided ideal"):
+    with pytest.raises(InternalCheckError, match="not a nonzero idempotent of C"):
         wedderburn_artin_graded(M)
 
 
 def test_wedderburn_post_check_rejects_a_non_graded_component(monkeypatch):
     # Q[Z2] = span(1 + g) (+) span(1 - g) as ideals, at the central
     # idempotents (1 +- g) / 2, which are not of degree e: neither ideal is
-    # graded
+    # graded, and neither idempotent is in the degree-e centre
     import gradedalg.structure
     A = fz2()
     plus, minus = (F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))
     monkeypatch.setattr(gradedalg.structure, "_split",
                         lambda A, centre, f: (sparse(plus), sparse(minus)) if f == sparse(A.unit) else None)
-    with pytest.raises(InternalCheckError, match="not graded"):
+    with pytest.raises(InternalCheckError, match="not a nonzero idempotent of C"):
         wedderburn_artin_graded(A)
+
+
+def test_wedderburn_post_check_rejects_a_zero_idempotent(monkeypatch):
+    # the unit split into (1, 0), both then final: the pieces A.1 and A.0 = 0
+    # have dims adding up and sum to 1, so only the nonzero test sees it
+    import gradedalg.structure
+    splits = [lambda f: (f, {})]        # the first split only; every later piece is final
+    monkeypatch.setattr(gradedalg.structure, "_split",
+                        lambda A, cf, f: splits.pop()(f) if splits else None)
+    with pytest.raises(InternalCheckError, match="not a nonzero idempotent of C"):
+        wedderburn_artin_graded(matrix_algebra_z2())
+
+
+def test_wedderburn_post_check_rejects_non_idempotent_halves(monkeypatch):
+    # 2 and -1: central, of degree e and summing to 1, but not idempotent
+    import gradedalg.structure
+    monkeypatch.setattr(
+        gradedalg.structure, "_split",
+        lambda A, cf, f: ({i: 2 * c for i, c in f.items()}, {i: -c for i, c in f.items()})
+        if f == sparse(A.unit) else None)
+    for A in (matrix_algebra_z2(), fz2()):
+        with pytest.raises(InternalCheckError, match="not a nonzero idempotent of C"):
+            wedderburn_artin_graded(A)
+
+
+def test_wedderburn_post_check_rejects_idempotents_that_miss_the_unit(monkeypatch):
+    # Q + Q split into (e1, e1): nonzero central idempotents whose pieces
+    # have dims adding up, but they sum to 2 e1, not to 1
+    import gradedalg.structure
+    monkeypatch.setattr(gradedalg.structure, "_split",
+                        lambda A, cf, f: ({0: 1}, {0: 1}) if f == sparse(A.unit) else None)
+    with pytest.raises(InternalCheckError, match="do not sum to the unit"):
+        wedderburn_artin_graded(direct_sum(matrix_algebra(1), matrix_algebra(1)))
+
+
+def test_wedderburn_runs_no_ideal_or_product_checks(monkeypatch):
+    # the idempotents certify the components: no product span, ideal test or
+    # graded check runs
+    import gradedalg.algebra
+    import gradedalg.structure
+    calls = []
+    for owner, name in ((GradedAlgebra, "product_span"), (GradedAlgebra, "is_ideal"),
+                        (gradedalg.algebra, "graded_check"), (gradedalg.structure, "graded_check")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    for A in semisimple_cases():
+        wedderburn_artin_graded(A)
+    assert calls == []
 
 
 def _canonical(subspaces):
