@@ -2,23 +2,24 @@
 
 A `GradedAlgebra` is built from a mapping {(i, j, k): c}: the product of
 basis vectors i and j has coefficient c on basis vector k, and absent triples
-are zero. It keeps only the sparse table `structure[i] = {j: ((k, c), ...)}`
-over the nonempty rows, keys in increasing j, each row over the nonzero c in
+are zero. It keeps only the sparse table `structure[i] = {j: {k: c}}` over
+the nonempty rows, keys in increasing j, each row over the nonzero c in
 increasing k, each c an int when it is an integer (`exactlin.as_rat`), plus
 one group element per basis vector. A vanishing product has no entry, so
 the table costs the nonzero constants, not dim^2, and a product's row is
-read as `structure[i].get(j, ())`. It is the one table: the checks, the
+read as `structure[i].get(j, {})`. It is the one table: the checks, the
 traces `left_mult_traces`, the radicals, the degree-e centre, the quotient
 and the codimension walk all read it plane by plane; `transpose` holds the
-same row tuples by their second index.
+same row dicts, read only, by their second index. Plane i is the left
+operator {j: e_i e_j} of e_i, and `transpose[j]` the right operator of e_j.
 `mul_sparse`, on sparse {index: coefficient} dicts (`exactlin.sparse`,
 `exactlin.dense`), is the kernel for single products: `multiply` (its
 dense view), `algebra_on_subspace`, `subalgebra_generated`, the structure
 layer and the codimension walk go through it. `product_span` and the ideal
-tests multiply through one-sided operators instead (`_operator`): the left
+tests multiply through one-sided operators instead (`operator`): the left
 operator {j: v e_j} and the right operator {j: e_j v} of a vector are built
-from the nonempty rows of its planes, so a vanishing product is never
-computed and never reaches a Reducer.
+from the nonempty rows of its planes and applied by `apply_operator`, so a
+vanishing product is never computed and never reaches a Reducer.
 Ideals and subalgebras are generated by `span_closure`; `product_chain`,
 bounded at dim + 2 terms, gives nilpotency indices and derived series.
 `quotient_algebra` inverts no matrix: its projection is the RREF of the
@@ -52,9 +53,9 @@ from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
                      NotGradedError, ValidationError)
-from .exactlin import (ONE, Reducer, Subspace, ZERO, as_rat, as_vector,
-                       axpy, dense, is_zero_vector, null_space, solve_rows,
-                       span_closure, sparse, unit_vector)
+from .exactlin import (ONE, Reducer, Subspace, ZERO, apply_operator, as_rat,
+                       as_vector, axpy, dense, is_zero_vector, null_space,
+                       solve_rows, span_closure, sparse, unit_vector)
 from .groups import Group, GroupElem
 
 ASSOCIATIVE = "associative"
@@ -98,11 +99,11 @@ class GradedAlgebra:
                 nonzero[key] = c
         planes: list = [{} for _ in range(self.dim)]
         for i, j, k in sorted(nonzero):
-            planes[i].setdefault(j, []).append((k, nonzero[i, j, k]))
-        self.structure = tuple({j: tuple(row) for j, row in plane.items()} for plane in planes)
+            planes[i].setdefault(j, {})[k] = nonzero[i, j, k]
+        self.structure = tuple(planes)
         # `structure` read by its second index: transpose[j] is {i: row} over
         # the nonempty rows e_i e_j, keys in increasing i; the rows are the
-        # tuples of `structure` itself, so no constant is stored twice
+        # dicts of `structure` itself, so no constant is stored twice
         columns: list = [{} for _ in range(self.dim)]
         for i, plane in enumerate(self.structure):
             for j, row in plane.items():
@@ -158,7 +159,7 @@ class GradedAlgebra:
                 want = products.get(pair)
                 if want is None:
                     want = products[pair] = position.get(self.degrees[i] * self.degrees[j], -1)
-                for k, _ in row:
+                for k in row:
                     if place[k] != want:
                         raise ValidationError(
                             f"grading violated: c[{i}][{j}][{k}] != 0 but "
@@ -167,8 +168,8 @@ class GradedAlgebra:
     def _unit_failure(self, su: dict):
         """The least b with u e_b != e_b or e_b u != e_b for the sparse unit
         u, or None when the unit law holds: read off the unit's left and
-        right operators (`_operator`)."""
-        left, right = self._operator(su, self.structure), self._operator(su, self.transpose)
+        right operators (`operator`)."""
+        left, right = self.operator(su, self.structure), self.operator(su, self.transpose)
         for b in range(self.dim):
             eb = {b: ONE}
             if left.get(b) != eb or right.get(b) != eb:
@@ -196,7 +197,7 @@ class GradedAlgebra:
         for r, plane in enumerate(self.structure):
             for s, row in plane.items():
                 if len(row) == 1:
-                    k = row[0][0]
+                    k, = row
                     waiting[r].append(len(heads))
                     if s != r:
                         waiting[s].append(len(heads))
@@ -240,15 +241,15 @@ class GradedAlgebra:
         for g in self._associativity_generators(seed):
             acc: dict = {}
             for x, row in columns[g].items():
-                for l, a in row:
+                for l, a in row.items():
                     for y, row_l in table[l].items():
-                        for m, b in row_l:
+                        for m, b in row_l.items():
                             key = x, y, m
                             acc[key] = acc.get(key, 0) + a * b
             for y, row in table[g].items():
-                for l, a in row:
+                for l, a in row.items():
                     for x, row_l in columns[l].items():
-                        for m, b in row_l:
+                        for m, b in row_l.items():
                             key = x, y, m
                             acc[key] = acc.get(key, 0) - a * b
             if any(acc.values()):
@@ -271,7 +272,7 @@ class GradedAlgebra:
         producers = [set() for _ in table]      # producers[l]: each j with l in some e_j e_k
         for j, plane in enumerate(table):
             for row in plane.values():
-                for l, _ in row:
+                for l in row:
                     producers[l].add(j)
         for i, plane_i in enumerate(table):
             js = set(plane_i)
@@ -279,13 +280,13 @@ class GradedAlgebra:
                 js |= producers[l]
             for j in sorted(js):
                 acc: dict = {}
-                for l, a in plane_i.get(j, ()):
+                for l, a in plane_i.get(j, {}).items():
                     for k, row in table[l].items():
-                        for m, b in row:
+                        for m, b in row.items():
                             acc[k, m] = acc.get((k, m), 0) + a * b
                 for k, row in table[j].items():
-                    for l, a in row:
-                        for m, b in plane_i.get(l, ()):
+                    for l, a in row.items():
+                        for m, b in plane_i.get(l, {}).items():
                             acc[k, m] = acc.get((k, m), 0) - a * b
                 bad = [k for (k, _), v in acc.items() if v]
                 if bad:
@@ -307,27 +308,27 @@ class GradedAlgebra:
             if i in plane:
                 raise ValidationError(f"[x,x] != 0 on basis vector {i}")
             for j in sorted(j for j in {*plane, *self.transpose[i]} if j > i):
-                if plane.get(j, ()) != tuple((k, -c) for k, c in table[j].get(i, ())):
+                if plane.get(j, {}) != {k: -c for k, c in table[j].get(i, {}).items()}:
                     raise ValidationError(f"antisymmetry fails at ({i},{j})")
         for i, plane_i in enumerate(table):
             if not plane_i:
                 continue
             for j in range(i + 1, self.dim):
                 acc: dict = {}
-                for l, a in plane_i.get(j, ()):
+                for l, a in plane_i.get(j, {}).items():
                     for k, row in table[l].items():
                         if k > j:
-                            for m, b in row:
+                            for m, b in row.items():
                                 acc[k, m] = acc.get((k, m), 0) + a * b
                 for k, row in table[j].items():
                     if k > j:
-                        for l, a in row:
-                            for m, b in table[l].get(i, ()):
+                        for l, a in row.items():
+                            for m, b in table[l].get(i, {}).items():
                                 acc[k, m] = acc.get((k, m), 0) + a * b
                 for k, row in plane_i.items():
                     if k > j:
-                        for l, a in row:
-                            for m, b in table[l].get(j, ()):
+                        for l, a in row.items():
+                            for m, b in table[l].get(j, {}).items():
                                 acc[k, m] = acc.get((k, m), 0) - a * b
                 bad = [k for (k, _), v in acc.items() if v]
                 if bad:
@@ -347,25 +348,16 @@ class GradedAlgebra:
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
         """The product of sparse vectors {index: coefficient} without zero
         entries, itself without zero entries: the kernel for single
-        products. A pair with e_i e_j = 0 costs no multiplication, and an
-        entry that cancels is dropped as it cancels, as in `axpy`."""
+        products. A pair with e_i e_j = 0 costs no multiplication, and the
+        rows e_i e_j of the others are summed by `axpy`, which drops an
+        entry as it cancels."""
         acc: dict = {}
         for i, ai in sa.items():
             plane = self.structure[i]
             for j, bj in sb.items():
                 row = plane.get(j)
-                if row:
-                    f = ai * bj
-                    for k, c in row:
-                        t = acc.get(k)
-                        if t is None:
-                            acc[k] = f * c
-                        else:
-                            t += f * c
-                            if t:
-                                acc[k] = t
-                            else:
-                                del acc[k]
+                if row is not None:
+                    axpy(acc, ai * bj, row)
         return acc
 
     def trace_of_left_mult(self, a) -> Fraction:
@@ -379,14 +371,14 @@ class GradedAlgebra:
         read once from `structure`, each an int where it is an integer. For
         a homogeneous e_i of degree other than the identity every c_ij^j is
         0, so tr L(e_i) = 0."""
-        return tuple(as_rat(sum(c for j, row in plane.items() for k, c in row if k == j))
+        return tuple(as_rat(sum(row.get(j, 0) for j, row in plane.items()))
                      for plane in self.structure)
 
     def constants(self) -> dict:
         """The structure constants as the mapping {(i, j, k): c} the
         constructor takes, nonzero c only, in index order."""
         return {(i, j, k): c for i, plane in enumerate(self.structure)
-                for j, row in plane.items() for k, c in row}
+                for j, row in plane.items() for k, c in row.items()}
 
     # -- grading ------------------------------------------------------------
 
@@ -425,31 +417,22 @@ class GradedAlgebra:
 
     # -- ideals and subalgebras ---------------------------------------------
 
-    def _operator(self, sv: dict, table: tuple) -> dict:
-        """{j: product of sv with e_j} over the nonzero products, from the
-        nonempty rows of sv's planes: with `structure` the left operator
-        {j: v e_j}, with `transpose` the right operator {j: e_j v}."""
+    def operator(self, sv: dict, table: tuple) -> dict:
+        """{j: product of sv with e_j} over the nonzero products, the sum
+        (`axpy`) of the planes of sv's support: with `structure` the left
+        operator {j: v e_j}, with `transpose` the right operator {j: e_j v},
+        which `exactlin.apply_operator` applies to a sparse w: v w or w v."""
         op: dict = {}
         for i, a in sv.items():
             for j, row in table[i].items():
-                w = op.setdefault(j, {})
-                for k, c in row:
-                    t = w.get(k)
-                    if t is None:
-                        w[k] = a * c
-                    else:
-                        t += a * c
-                        if t:
-                            w[k] = t
-                        else:
-                            del w[k]
+                axpy(op.setdefault(j, {}), a, row)
         return {j: w for j, w in op.items() if w}
 
     def _basis_products(self, sv: dict):
         """The nonzero products v e_b and e_b v of the sparse v, over every
-        b: the values of its left and right operators (`_operator`)."""
-        yield from self._operator(sv, self.structure).values()
-        yield from self._operator(sv, self.transpose).values()
+        b: the values of its left and right operators (`operator`)."""
+        yield from self.operator(sv, self.structure).values()
+        yield from self.operator(sv, self.transpose).values()
 
     def ideal_generated(self, gens: Iterable) -> Subspace:
         """Smallest two-sided ideal containing the generators: their span closed
@@ -473,30 +456,29 @@ class GradedAlgebra:
 
     def product_span(self, s1: Subspace, s2: Subspace) -> Subspace:
         """Span of pairwise products of the two bases. For each basis row u
-        of s1 the left operator {j: u e_j} is built once (`_operator`), and
-        u w = sum_j w_j u e_j over the support of each basis row w of s2; a
-        u with no nonzero product is skipped, and a product that vanishes
-        never reaches the Reducer. When both are the whole space, A A is the
-        span of the nonempty rows of `structure`, which enter as they are:
-        the RREF is canonical, so the span is the same."""
+        of s1 the left operator {j: u e_j} is built once (`operator`), and
+        u w = sum_j w_j u e_j (`apply_operator`) for the basis rows w of s2
+        whose support meets its keys, found through a column index; a
+        product that vanishes never reaches the Reducer. When both are the
+        whole space, A A is the span of the nonempty rows of `structure`,
+        which enter as they are: the RREF is canonical, so the span is the
+        same."""
         if s1.ambient != self.dim or s2.ambient != self.dim:
             raise DimensionMismatchError("subspace lives in a different ambient space")
         red = Reducer(self.dim)
         if s1.dim == s2.dim == self.dim:
             for plane in self.structure:
                 for row in plane.values():
-                    red.insert(dict(row))
+                    red.insert(row)
             return red.subspace()
-        rows2 = s2.pivot_rows.values()
+        rows2, meets = list(s2.pivot_rows.values()), {}     # meets[j]: the rows w with w_j != 0
+        for t, sw in enumerate(rows2):
+            for j in sw:
+                meets.setdefault(j, []).append(t)
         for su in s1.pivot_rows.values():
-            left = self._operator(su, self.structure)
-            if not left:
-                continue
-            for sw in rows2:
-                prod: dict = {}
-                for j, x in sw.items():
-                    if j in left:
-                        axpy(prod, x, left[j])
+            left = self.operator(su, self.structure)
+            for t in {t for j in left for t in meets.get(j, ())}:
+                prod = apply_operator(left, rows2[t])
                 if prod:
                     red.insert(prod)
         return red.subspace()
@@ -627,11 +609,8 @@ def _quotient(A: GradedAlgebra, ideal: Subspace, name: str = "") -> QuotientResu
         for j, row in A.structure[i].items():
             b = position.get(j)
             if b is not None:
-                acc: dict = {}
-                for k, c in row:
-                    if k in proj_cols:      # else e_k lies in the ideal
-                        axpy(acc, c, proj_cols[k])
-                structure.update({(a, b, r): x for r, x in acc.items()})
+                # a k outside proj_cols has e_k in the ideal
+                structure.update({(a, b, r): x for r, x in apply_operator(proj_cols, row).items()})
     degrees = [A.degrees[i] for i in chosen]
     unit = None
     if A.unit is not None:

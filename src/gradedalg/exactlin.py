@@ -16,12 +16,13 @@ is the one span closure; it stops once the span is everything. Ranks
 (`Reducer(...).dim`), null spaces (`null_space`), solves (`solve_rows`),
 subspace sums and intersections and every span are read off a Reducer's
 pivots and rows; `null_space` and `solve_rows` take their equations as
-sparse rows, so no layer builds a dense matrix. `axpy` adds a multiple of
-one sparse vector to another. `Subspace` is the currency passed between the
-algebra, radical and structure layers; it carries its sparse RREF basis rows
-and their pivot columns, so two subspaces are equal iff their basis rows are
-identical, a plain dict comparison (an int equals the Fraction of the same
-value). Dense tuples appear only at the API boundary:
+sparse rows, so no layer builds a dense matrix. `axpy`, the one accumulate
+loop over sparse vectors, adds a multiple of one to another (`apply_operator`
+sums a map's images through it). `Subspace` is the currency passed between
+the algebra, radical and structure layers; it carries its sparse RREF basis
+rows and their pivot columns, so two subspaces are equal iff their basis
+rows are identical, a plain dict comparison (an int equals the Fraction of
+the same value). Dense tuples appear only at the API boundary:
 `Subspace.basis_vectors()` builds them on first use.
 """
 
@@ -91,8 +92,8 @@ def dense(sv: dict, n: int) -> list:
 
 
 def axpy(acc: dict, c, v: dict):
-    """acc += c v in place on sparse vectors {index: entry}; entries that
-    cancel are dropped."""
+    """acc += c v in place on sparse vectors {index: entry}, v read only;
+    entries that cancel are dropped, here and in `_subtract` alone."""
     for i, x in v.items():
         y = acc.get(i)
         if y is None:
@@ -103,6 +104,16 @@ def axpy(acc: dict, c, v: dict):
                 acc[i] = y
             else:
                 del acc[i]
+
+
+def apply_operator(op: dict, v: dict) -> dict:
+    """sum_j v_j op[j], the image of the sparse v under a linear map held as
+    its nonzero images {j: sparse image}; a j outside op costs nothing."""
+    out: dict = {}
+    for j, x in v.items():
+        if j in op:
+            axpy(out, x, op[j])
+    return out
 
 
 def _checked_sparse(v, ambient: int) -> dict:

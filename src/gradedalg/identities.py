@@ -259,7 +259,7 @@ def _live_levels(A: GradedAlgebra):
     step = [set() for _ in A.support]
     for i, plane in enumerate(A.structure):
         for j, row in plane.items():
-            step[index[i]].add((index[j], index[row[0][0]]))
+            step[index[i]].add((index[j], index[next(iter(row))]))
     level = {(s,): {s} for s in range(len(A.support))}
     while True:
         yield level

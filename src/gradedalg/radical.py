@@ -11,17 +11,18 @@ the span of the nonempty ad-words, is {x : tr(ad x . y) = 0 for all y in E},
 since J(E) is the radical of the trace form of E (see `nilradical`). With
 verify=True each radical runs the same post-checks (`_post_check`).
 
-Every radical is the `null_space` of sparse rows read off the nonempty
-rows of the table `structure`, one Reducer and no dense matrix
-(`_trace_form_radical` for the trace form's rows), so the cost follows the
-nonzero constants. The Lie radicals pair with ad operators held as sparse
-dicts over the n^2 matrix cells (`_ad_operators`):
-one helper, `_trace_row`, gives tr(ad e_i . y) for every i, and serves the
-Killing form, the solvable radical (y = ad d, d over [L, L]) and the
+Every radical is the `null_space` of sparse rows read off the nonempty rows of
+the table `structure`, each a sparse dict {k: c}, one Reducer and no dense
+matrix (`_trace_form_radical` for the trace form's rows), so the cost follows
+the nonzero constants. The Lie radicals pair with ad operators held as sparse
+dicts over the n^2 matrix cells (`_ad_operators`). The pairing, one sparse
+dict {i: c_ij^k} per cell, is a linear map: applied to y
+(`exactlin.apply_operator`) it gives tr(ad e_i . y) for every i, and so serves
+the Killing form, the solvable radical (y = ad d, d over [L, L]) and the
 nilradical (y over the ad-word span). That one `null_space` call per radical
 is also where a test can hand a radical a wrong candidate. The ad-word span
-is a `span_closure`, and `derived_series` an `algebra.product_chain`, so
-the solvability post-check ends within dim + 2 terms on any candidate.
+is a `span_closure`, and `derived_series` an `algebra.product_chain`, so the
+solvability post-check ends within dim + 2 terms on any candidate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from .algebra import (ASSOCIATIVE, LIE, GradedAlgebra, _quotient, graded_check,
                       nilpotency_index, product_chain)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import Subspace, axpy, dense, null_space, span_closure
+from .exactlin import Subspace, apply_operator, dense, null_space, span_closure
 
 
 def _post_check(A: GradedAlgebra, I: Subspace, name: str, trait: str, quotient_radical=None):
@@ -71,7 +72,7 @@ def _trace_form_radical(A: GradedAlgebra) -> Subspace:
     for plane in A.structure:
         row = {}
         for j, terms in plane.items():
-            g = sum(c * traces[k] for k, c in terms)
+            g = sum(c * traces[k] for k, c in terms.items())
             if g:
                 row[j] = g
         if row:
@@ -95,40 +96,31 @@ def jacobson_radical(A: GradedAlgebra, verify: bool = True) -> Subspace:
 
 
 def _ad_operators(L: GradedAlgebra) -> tuple:
-    """(ad, pairing) from the table `structure`. ad[i] is ad e_i as a sparse
-    dict over the n^2 cells: cell k n + j holds c_ij^k, the coefficient of
-    e_k in [e_i, e_j]. pairing[j n + k] lists the (i, c_ij^k), the ad e_i
-    that meet cell (j, k) of a matrix y in tr(ad e_i . y) (`_trace_row`)."""
+    """(ad, pairing) from the table `structure`. ad = {i: ad e_i}, the map
+    x -> ad x, each ad e_i a sparse dict over the n^2 cells: cell k n + j
+    holds c_ij^k, the coefficient of e_k in [e_i, e_j]. pairing[j n + k] is
+    the sparse {i: c_ij^k}, as tr(ad e_i . y) = sum over j, k of
+    c_ij^k y[j][k]: for y sparse over the cells, `apply_operator(pairing, y)`
+    is the trace row {i: tr(ad e_i . y)}, at the cost of the constants that
+    meet y's support."""
     n = L.dim
-    ad = [{} for _ in range(n)]
+    ad: dict = {i: {} for i in range(n)}
     pairing: dict = {}
     for i, plane in enumerate(L.structure):
         for j, terms in plane.items():
-            for k, c in terms:
+            for k, c in terms.items():
                 ad[i][k * n + j] = c
-                pairing.setdefault(j * n + k, []).append((i, c))
+                pairing.setdefault(j * n + k, {})[i] = c
     return ad, pairing
-
-
-def _trace_row(pairing: dict, y: dict) -> dict:
-    """{i: tr(ad e_i . y)} over its nonzero entries, for an n x n matrix y
-    held as a sparse dict over the cells j n + k:
-    tr(ad e_i . y) = sum over j, k of c_ij^k y[j][k], read off the cells of
-    y, so a row costs the constants that meet y's support."""
-    row: dict = {}
-    for cell, x in y.items():
-        for i, c in pairing.get(cell, ()):
-            row[i] = row.get(i, 0) + c * x
-    return {i: t for i, t in row.items() if t}
 
 
 def killing_form(L: GradedAlgebra) -> tuple:
     """kappa(x, y) = tr(ad x . ad y) over the basis, as row tuples: row j is
-    `_trace_row` of ad e_j, as dense Fractions."""
+    the trace row of ad e_j (`_ad_operators`), as dense Fractions."""
     if L.kind != LIE:
         raise ValidationError("Killing form is for Lie algebras")
     ad, pairing = _ad_operators(L)
-    return tuple(tuple(dense(_trace_row(pairing, a), L.dim)) for a in ad)
+    return tuple(tuple(dense(apply_operator(pairing, a), L.dim)) for a in ad.values())
 
 
 def derived_series(L: GradedAlgebra, s: Subspace) -> list:
@@ -141,45 +133,40 @@ def derived_series(L: GradedAlgebra, s: Subspace) -> list:
 def solvable_radical(L: GradedAlgebra, verify: bool = True) -> Subspace:
     """R = Killing-orthogonal complement of [L, L]; over Q this is the solvable
     radical (Cartan criterion). x is in R iff tr(ad x . ad d) = 0 for d over
-    the sparse basis rows of [L, L]: one `_trace_row` of ad d per d, with
+    the sparse basis rows of [L, L]: one trace row of ad d per d, with
     no Killing matrix built."""
     if L.kind != LIE:
         raise ValidationError("solvable radical is for Lie algebras")
     ad, pairing = _ad_operators(L)
     derived = L.product_span(Subspace.full(L.dim), Subspace.full(L.dim))
-    rows = []
-    for d in derived.pivot_rows.values():
-        ad_d: dict = {}
-        for j, x in d.items():
-            axpy(ad_d, x, ad[j])
-        rows.append(_trace_row(pairing, ad_d))
-    R = null_space(L.dim, rows)
+    R = null_space(L.dim, [apply_operator(pairing, apply_operator(ad, d))
+                           for d in derived.pivot_rows.values()])
     if verify:
         _post_check(L, R, "solvable radical", "solvable",
                     lambda Q: solvable_radical(Q, verify=False))
     return R
 
 
-def _ad_word_span(n: int, ad: list) -> list:
+def _ad_word_span(n: int, ad: dict) -> list:
     """The sparse RREF rows of E = the span of all nonempty ad-words
     ad x_i1 ... ad x_ik (the associative subalgebra of End(L) the ad x
     generate), as sparse dicts over the n^2 cells: the span of the ad x_i
     closed (`span_closure`) by multiplying each new basis row y on the
     left by each ad x_i, with (ad x_i . y)[k][m] = sum over j of
-    ad x_i[k][j] y[j][m]. `ad` holds the ad x_i of `_ad_operators`."""
+    ad x_i[k][j] y[j][m]. `ad` is the map {i: ad x_i} of `_ad_operators`."""
     def images(y):
         by_row: dict = {}           # row j of y as [(m, y[j][m]), ...]
         for cell, v in y.items():
             j, m = divmod(cell, n)
             by_row.setdefault(j, []).append((m, v))
-        for a in ad:
+        for a in ad.values():
             p: dict = {}
             for cell, c in a.items():
                 k, j = divmod(cell, n)
                 for m, v in by_row.get(j, ()):
                     p[k * n + m] = p.get(k * n + m, 0) + c * v
             yield p
-    return list(span_closure(n * n, ad, images).pivot_rows.values())
+    return list(span_closure(n * n, ad.values(), images).pivot_rows.values())
 
 
 def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
@@ -196,7 +183,7 @@ def nilradical(L: GradedAlgebra, verify: bool = True) -> Subspace:
         raise ValidationError("nilradical is for Lie algebras")
     n = L.dim
     ad, pairing = _ad_operators(L)
-    N = null_space(n, [_trace_row(pairing, y) for y in _ad_word_span(n, ad)])
+    N = null_space(n, [apply_operator(pairing, y) for y in _ad_word_span(n, ad)])
     if verify:
         _post_check(L, N, "nilradical", "nilpotent")
     return N

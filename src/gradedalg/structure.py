@@ -13,10 +13,11 @@ root, so is irreducible and C.f a field.
 Otherwise a rational root l of the minimal polynomial m = (x - l) q of some c
 in C.f gives the idempotent f' = q(c) / q(l), and A.f = A.f' (+) A.(f - f').
 Nothing beyond this rational-root test is factored: such a piece is refused.
-Idempotents and powers are sparse dicts, multiplied by `mul_sparse`. The final
-f_i certify the components: they are nonzero idempotents in C that sum to 1,
-so orthogonal in the commutative semisimple C, and a central f of degree e
-makes A.f = f.A a graded ideal, so A = (+) A.f_i with A.f_i . A.f_j = 0.
+Idempotents and powers are sparse dicts; C.f (`_times`) and A.f, the span of
+the images e_j f, are read off the right operator of f. The final f_i certify
+the components: they are nonzero idempotents in C that sum to 1, so
+orthogonal in the commutative semisimple C, and a central f of degree e makes
+A.f = f.A a graded ideal, so A = (+) A.f_i with A.f_i . A.f_j = 0.
 
 The Mal'cev complement (I = J, the Jacobson radical) and the Levi subalgebra
 (I = R, the solvable radical) are one routine, `graded_complement`. It takes
@@ -40,8 +41,8 @@ from math import isqrt, lcm
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
-from .exactlin import (ONE, Reducer, Subspace, ZERO, axpy, div, null_space,
-                       solve_rows, sparse)
+from .exactlin import (ONE, Reducer, Subspace, ZERO, apply_operator, axpy, div,
+                       null_space, solve_rows, sparse)
 from .radical import derived_series, jacobson_radical, solvable_radical
 
 
@@ -64,7 +65,7 @@ def _degree_e_centre(A: GradedAlgebra) -> Subspace:
     for i in A.component_indices(e):
         for plane, sign in ((A.structure[i], 1), (A.transpose[i], -1)):
             for b, terms in plane.items():
-                for k, c in terms:
+                for k, c in terms.items():
                     row = rows.setdefault((b, k), {})
                     row[i] = row.get(i, 0) + sign * c
     return null_space(A.dim, rows.values())
@@ -111,13 +112,18 @@ def _rational_root(m):
 
 
 def _times(A: GradedAlgebra, S: Subspace, f: dict) -> Subspace:
-    """S.f: the span of v f over the RREF basis rows v of S."""
-    return Subspace.from_vectors(A.dim, [A.mul_sparse(v, f) for v in S.pivot_rows.values()])
+    """S.f: the span of v f over the RREF basis rows v of S, each applied to
+    the right operator {j: e_j f} of f, built once: a vanishing v f never
+    reaches the Reducer."""
+    right = A.operator(f, A.transpose)
+    products = (apply_operator(right, v) for v in S.pivot_rows.values())
+    return Subspace.from_vectors(A.dim, [p for p in products if p])
 
 
 def _split(A: GradedAlgebra, cf: Subspace, f: dict):
     """Two orthogonal idempotents of cf = C.f summing to the central idempotent
-    f, all sparse, or None when A.f is graded-simple (C.f = Q f, or a field)."""
+    f, all sparse, or None when A.f is graded-simple (C.f = Q f, or a field).
+    Each half h has C.h < C.f: the other half is in C.f and kills C.h."""
     if cf.dim == 1:
         return None
     for c in (cf.pivot_rows[p] for p in cf.pivots):
@@ -144,7 +150,9 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     """Decompose a semisimple unital algebra into graded-simple ideals: the
     unique minimal graded ideals A.f, f primitive in the degree-e centre, in
     canonical order, post-checked by the module docstring's certificate and
-    the dims. Raises ValidationError when a piece needs factoring over Q."""
+    the dims. Raises ValidationError when a piece needs factoring over Q.
+    A piece is split again only when its C.f is smaller than its parent's,
+    else InternalCheckError, so the loop ends; final pieces are certified."""
     if A.kind != ASSOCIATIVE:
         raise ValidationError("decomposition applies to associative algebras")
     if A.dim == 0:
@@ -154,12 +162,14 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
     if not jacobson_radical(A, verify=False).is_zero():
         raise NotSemisimpleError("algebra has a nonzero radical")
     centre = _degree_e_centre(A)
-    idempotents, stack, total = [], [(sparse(A.unit), centre)], {}     # C.1 = C
+    idempotents, stack, total = [], [(sparse(A.unit), centre, centre.dim + 1)], {}   # C.1 = C
     while stack:
-        f, cf = stack.pop()
+        f, cf, bound = stack.pop()
         halves = _split(A, cf, f)
         if halves is not None:
-            stack += [(h, _times(A, cf, h)) for h in halves]    # C.h = (C.f).h
+            if cf.dim >= bound:
+                raise InternalCheckError("a split piece's C.f is no smaller than its parent's")
+            stack += [(h, _times(A, cf, h), cf.dim) for h in halves]    # C.h = (C.f).h
         elif not (f and centre.contains(f) and A.mul_sparse(f, f) == f):
             raise InternalCheckError("component idempotent is not a nonzero idempotent of C")
         else:
@@ -167,7 +177,8 @@ def wedderburn_artin_graded(A: GradedAlgebra) -> GradedDecomposition:
             axpy(total, ONE, f)
     if total != sparse(A.unit):
         raise InternalCheckError("component idempotents do not sum to the unit")
-    final = sorted((_times(A, Subspace.full(A.dim), f) for f in idempotents),
+    final = sorted((Subspace.from_vectors(A.dim, A.operator(f, A.transpose).values())
+                    for f in idempotents),
                    key=lambda s: (s.dim, s.basis_vectors()))
     if sum(c.dim for c in final) != A.dim:
         raise InternalCheckError("component dimensions do not add up")
@@ -178,7 +189,7 @@ def _image(Q: GradedAlgebra, section: list, a: int, b: int) -> dict:
     """sum_k mu^k_ab s_k: the product of quotient basis vectors a, b carried
     back along the sparse section."""
     out: dict = {}
-    for k, mu in Q.structure[a].get(b, ()):
+    for k, mu in Q.structure[a].get(b, {}).items():
         axpy(out, mu, section[k])
     return out
 
@@ -218,7 +229,7 @@ def _lift_section(A: GradedAlgebra, Q: GradedAlgebra, section: list,
                 axpy(cols.setdefault(offsets[b] + u, {}), ONE, A.mul_sparse(sa, t))
             for u, t in enumerate(blocks[a]):
                 axpy(cols.setdefault(offsets[a] + u, {}), ONE, A.mul_sparse(t, sb))
-            for k, mu in Q.structure[a].get(b, ()):
+            for k, mu in Q.structure[a].get(b, {}).items():
                 for u, t in enumerate(blocks[k]):
                     axpy(cols.setdefault(offsets[k] + u, {}), -mu, t)
             # -defect_ab = sum_k mu^k_ab s_k - s_a s_b

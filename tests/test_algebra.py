@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gradedalg.algebra import (GradedAlgebra, algebra_on_subspace,
                                nilpotency_index, quotient_algebra, unitalize)
-from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
+from gradedalg.builders import (builtin, builtin_names, direct_sum, free_group_truncation,
                                 fz2, group_algebra, matrix_algebra,
                                 matrix_algebra_z2, sl2, two_dim_nonabelian_lie,
                                 upper_triangular, ut2)
@@ -19,7 +19,7 @@ from gradedalg.errors import (DimensionMismatchError, InternalCheckError, NotAnI
 from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
-from gradedalg.schema import description_to_algebra, load_json
+from gradedalg.schema import algebra_to_description, description_to_algebra, load_json
 from gradedalg.structure import wedderburn_artin_graded
 from tests.corpus import (associative_corpus, has_non_integral_constant, lie_corpus,
                           rescaled, semisimple_part)
@@ -189,7 +189,7 @@ def test_quotient_ut2_by_corner():
     # commutative, split: the two diagonal idempotents survive
     for i in range(2):
         for j in range(2):
-            assert Q.structure[i].get(j, ()) == (((i, F(1)),) if i == j else ())
+            assert Q.structure[i].get(j, {}) == ({i: F(1)} if i == j else {})
 
 
 def test_quotient_projection_is_multiplicative():
@@ -288,7 +288,7 @@ def test_whole_space_product_span_multiplies_no_pair(tmp_path, monkeypatch):
         monkeypatch.setattr(GradedAlgebra, name, spy)
     monkeypatch.setattr(GradedAlgebra, "product_span", spy_span)
     spying("mul_sparse")
-    spying("_operator")
+    spying("operator")
     for argv in (["radical"], ["codim", "--n-max", "2"]):
         spans.clear()
         assert main(argv + ["--input", str(path)]) == 0
@@ -505,10 +505,44 @@ def test_constructor_drops_zero_coefficients():
     A = GradedAlgebra(t, [t.identity()] * 2,
                       {(1, 1, 0): F(0), (1, 0, 1): F(1), (0, 1, 1): F(1), (0, 0, 0): F(1)})
     # only the nonempty rows are held, keyed by the second index in increasing order
-    assert A.structure == ({0: ((0, F(1)),), 1: ((1, F(1)),)},
-                           {0: ((1, F(1)),)})
+    assert A.structure == ({0: {0: F(1)}, 1: {1: F(1)}},
+                           {0: {1: F(1)}})
     assert [list(plane) for plane in A.structure] == [[0, 1], [0]]
     assert A.constants() == {(0, 0, 0): F(1), (0, 1, 1): F(1), (1, 0, 1): F(1)}
+
+
+def test_table_rows_are_shared_sparse_dicts_that_no_command_changes(tmp_path, monkeypatch, capsys):
+    # each nonempty row of `structure` is a dict {k: c} over nonzero c in
+    # increasing k, and `transpose` holds the same dict objects; the rows
+    # are read only, so every command leaves each row and `constants()` as
+    # they were
+    import gradedalg.cli
+    algebras = [builtin(name) for name in builtin_names() if "<" not in name]
+    algebras += associative_corpus()
+    poly = tmp_path / "poly.json"
+    for A in algebras:
+        for i, plane in enumerate(A.structure):
+            assert list(plane) == sorted(plane)
+            for j, row in plane.items():
+                assert type(row) is dict and row and list(row) == sorted(row)
+                assert all(type(c) in (int, Fraction) and c for c in row.values())
+                assert A.transpose[j].get(i) is row
+        assert sum(map(len, A.transpose)) == sum(map(len, A.structure))
+        rows = [(i, j, row, dict(row)) for i, plane in enumerate(A.structure)
+                for j, row in plane.items()]
+        constants = A.constants()
+        desc = algebra_to_description(A)
+        g = desc["degrees"][0]
+        poly.write_text(json.dumps({"n": 2, "terms": [
+            {"coef": "1", "perm": [1, 2], "labels": [g, g]},
+            {"coef": "-1", "perm": [2, 1], "labels": [g, g]}]}))
+        monkeypatch.setattr(gradedalg.cli, "_load_algebra", lambda args, A=A, desc=desc: (A, desc))
+        for argv in (["radical"], ["verify"], ["decompose"], ["codim", "--n-max", "2"],
+                     ["check-identity", "--poly", str(poly)]):
+            assert main(argv + ["--builtin", "ut2"]) in (0, 3), (A, argv)
+        assert A.constants() == constants
+        assert all(A.structure[i].get(j) is row and row == copy for i, j, row, copy in rows)
+    capsys.readouterr()
 
 
 def test_unitalize():
@@ -608,11 +642,11 @@ def test_structure_and_traces_hold_ints_exactly_where_integral():
     # constant or trace is an int, any other a Fraction; tr L(e_11) = 2 s for
     # e_11 scaled by s is a sum of two constants s, so here 1/2 + 1/2 = 1
     A = rescaled(builtin("m2_z2"), (Fraction(1, 2), Fraction(-5, 2), Fraction(7, 4), 3))
-    assert A.left_mult_traces[0] == 1 and A.structure[0].get(0) == ((0, Fraction(1, 2)),)
+    assert A.left_mult_traces[0] == 1 and A.structure[0].get(0) == {0: Fraction(1, 2)}
     U = builtin("ut2")
     assert has_non_integral_constant(A) and not has_non_integral_constant(U)
     for B in (A, U):
-        scalars = [c for plane in B.structure for row in plane.values() for _, c in row]
+        scalars = [c for plane in B.structure for row in plane.values() for c in row.values()]
         scalars += B.left_mult_traces
         assert all(type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1)
                    for c in scalars)
@@ -800,9 +834,9 @@ def _paths_through(A, generators) -> int:
     from `transpose[g]` then `structure`, e_x (g e_y) from `structure[g]`
     then `transpose`."""
     left = sum(len(row_l) for g in generators for row in A.transpose[g].values()
-               for l, _ in row for row_l in A.structure[l].values())
+               for l in row for row_l in A.structure[l].values())
     right = sum(len(row_l) for g in generators for row in A.structure[g].values()
-                for l, _ in row for row_l in A.transpose[l].values())
+                for l in row for row_l in A.transpose[l].values())
     return left + right
 
 

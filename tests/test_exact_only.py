@@ -16,7 +16,10 @@ its own definition. `assert` statements are rejected too: they vanish under
 `python -O`, so a check that must hold raises `InternalCheckError`. Dense
 vectors become sparse {index: coefficient} dicts through `exactlin.sparse`
 alone: outside exactlin, a dict comprehension keyed by a bare name over a
-filtered `enumerate(...)` is rejected. The structure table holds only
+filtered `enumerate(...)` is rejected. Sparse vectors are summed by
+`exactlin.axpy`, the one accumulate loop, which with `_subtract`, the
+elimination's, alone drops the entries that cancel: outside exactlin,
+`del x[...]` is rejected. The structure table holds only
 nonempty rows, so it is read plane by plane: `structure[i][j]` (or
 `transpose[j][i]`) is rejected. Group-element keys are read in groups.py
 alone: elsewhere `.key` is rejected, and so is a `GroupElem(...)` call,
@@ -129,13 +132,27 @@ def inline_sparse_nodes(tree, module=""):
             yield node, "inline dense-to-sparse conversion"
 
 
+def deleted_entry_nodes(tree, module=""):
+    """`del x[...]` outside exactlin: dropping an entry that cancels is
+    the business of `exactlin.axpy`, the one accumulate loop, and
+    `_subtract`, the elimination's."""
+    if module == "exactlin.py":
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Delete):
+            for target in node.targets:
+                for t in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                    if isinstance(t, ast.Subscript):
+                        yield t, "del of a subscript"
+
+
 TABLE_NAMES = {"structure", "transpose"}
 
 
 def double_table_subscript_nodes(tree):
     """`structure[i][j]`: the table holds only the nonempty rows of each
     plane, so a second subscript raises KeyError for a vanishing product;
-    a plane is read by `.items()` or `.get(j, ())`."""
+    a plane is read by `.items()` or `.get(j, {})`."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
             base = node.value.value
@@ -254,9 +271,30 @@ def test_checker_flags_inline_sparse_conversions():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_accumulates_through_axpy(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what} (sum through exactlin.axpy)"
+             for node, what in deleted_entry_nodes(tree, path.name)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_deleted_entries():
+    code = ("del acc[k]\n"
+            "del w[k], x\n"
+            "del (a[0], b)\n"
+            "del x\n"
+            "del self.cache\n"
+            "acc.pop(k)\n"
+            "acc[k] = 0\n")
+    lines = sorted(node.lineno for node, _ in deleted_entry_nodes(ast.parse(code)))
+    assert lines == [1, 2, 3]
+    assert not list(deleted_entry_nodes(ast.parse(code), "exactlin.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_table_planes_by_get(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = [f"{path.name}:{node.lineno}: {what} (use .get(j, ()))"
+    found = [f"{path.name}:{node.lineno}: {what} (use .get(j, {{}}))"
              for node, what in double_table_subscript_nodes(tree)]
     assert not found, "\n".join(found)
 

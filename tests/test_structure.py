@@ -153,6 +153,42 @@ def test_wedderburn_post_check_rejects_idempotents_that_miss_the_unit(monkeypatc
         wedderburn_artin_graded(direct_sum(matrix_algebra(1), matrix_algebra(1)))
 
 
+def test_wedderburn_refuses_a_split_that_does_not_shrink_its_centre(monkeypatch):
+    # a split (f, 0) keeps C.f in its first half, and the zero half splits
+    # into zeros forever: the second split of a piece whose C.f did not
+    # shrink raises; the spy stops a loop that would not end
+    import gradedalg.structure
+    calls = []
+
+    def split(A, cf, f):
+        calls.append(f)
+        if len(calls) > 50:
+            raise RuntimeError("the split loop does not end")
+        return f, {}
+    monkeypatch.setattr(gradedalg.structure, "_split", split)
+    for A in (matrix_algebra_z2(), direct_sum(matrix_algebra(1), matrix_algebra(1))):
+        calls.clear()
+        with pytest.raises(InternalCheckError, match="no smaller than its parent's"):
+            wedderburn_artin_graded(A)
+        assert len(calls) == 3
+
+
+def test_wedderburn_multiplies_by_idempotents_through_their_right_operators(monkeypatch):
+    # trivially graded Q^200: C.f and the components A.f are read off the
+    # right operator of f, so single products are left to the minimal
+    # polynomials and the certificate; one product per basis row of C.f
+    # made 80,597 `mul_sparse` calls
+    t = TrivialGroup()
+    n = 200
+    A = GradedAlgebra(t, [t.identity()] * n, {(i, i, i): 1 for i in range(n)}, unit=[1] * n)
+    calls = []
+    mul = GradedAlgebra.mul_sparse
+    monkeypatch.setattr(GradedAlgebra, "mul_sparse",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    assert wedderburn_artin_graded(A).dims() == [1] * n
+    assert len(calls) < 1000
+
+
 def test_wedderburn_runs_no_ideal_or_product_checks(monkeypatch):
     # the idempotents certify the components: no product span, ideal test or
     # graded check runs
