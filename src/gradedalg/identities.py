@@ -16,17 +16,17 @@ the live multisets of n + 1 from those of n. The resource guard still
 counts all |support|^n labellings, and a report checks it for every n it
 will compute before computing any.
 
-`codim_block` walks the word orders as a tree of partial products, each
-computed by the product kernel `GradedAlgebra.mul_sparse`. Partial products
-are interned: a `_Products` table gives each distinct vector a small int id
-and memoises vector x basis products by id. `_codim_blocks` builds one
-table per n and shares it between the blocks of that n, so each such
-product is computed once per n; the table is dropped when the call returns. A node's
-subtree depends only on the variables left to place and its partial
-products, so every node, leaves included, is keyed by (bitmask of the
-remaining variables, set of (column offset, vector id)) and each distinct
-node is expanded once. `is_graded_identity` folds each labelling's words
-with the same steps into the rows that `codim_block` would build.
+A block is ranked from its word functions. For a multiset M, a sorted tuple
+of support indices whose variables are numbered in that order, N(M) is the
+set of distinct maps, one per word order, from basis tuples (a basis vector
+of its label's component per variable) to products, vanishing tuples
+dropped; N((s,)) = {t -> e_t}. A word's last letter is a variable at some
+slot s of a label l, and its prefix, renumbered, is a word over M minus l,
+so N(M) is the set of maps t -> f(t without t_s) e_{t_s} over every slot s
+and every f in N(M minus M[s]) (`_step`, the single step). A report keeps
+one `_Products` table for all n: it holds the N of the level below and
+interns products as small ints, each computed once by `A.mul_sparse`.
+`is_graded_identity` folds each labelling's words with the same step.
 
 For a group grading, the identities whose labels are read as delta
 functionals of (QG)* are exactly the graded ones, so H-identities of a
@@ -83,14 +83,14 @@ class MultilinearGradedPoly:
 
 class _Products:
     """Products of basis vectors of A, interned for one computation, and the
-    steps of the one word walk of `codim_block` and `is_graded_identity`.
-    Each distinct vector {k: c} gets a small int id, kept as its sorted
-    items in `vectors`; e_b has id b. memo[v, b] is the id of v times e_b,
-    or None when it vanishes; `multiply` computes it by `A.mul_sparse` on
-    the first lookup only, and a lookup reads -1 before. A walk node maps
-    the column offset (`offsets`) of each basis choice of the variables
-    placed so far to the id of its nonzero product; `_child` adds a
-    variable, and `row` spreads a leaf over its columns."""
+    word functions of two levels of label multisets. Each distinct vector
+    {k: c} gets a small int id, kept as its sorted items in `vectors`; e_b
+    has id b. memo[v, b] is the id of v times e_b, or None when it vanishes;
+    `multiply` computes it by `A.mul_sparse` on the first lookup only, and a
+    lookup reads -1 before. A word function is a frozenset of (key, id)
+    pairs, the key numbering a basis tuple in mixed radix, first variable
+    most significant. `below` maps multisets of the level below to their N
+    (dicts as ordered sets); `words` builds one N(M) into `level`."""
 
     def __init__(self, A: GradedAlgebra):
         self.dim = A.dim
@@ -98,6 +98,9 @@ class _Products:
         self.vectors = [((b, 1),) for b in range(A.dim)]
         self.ids = {vec: b for b, vec in enumerate(self.vectors)}
         self.memo = {}
+        self.index = {g: s for s, g in enumerate(A.support)}
+        self.comps = [A.component_indices(g) for g in A.support]
+        self.below, self.level = {}, {}
 
     def multiply(self, v: int, b: int):
         vec = tuple(sorted(self.mul_sparse(dict(self.vectors[v]), {b: 1}).items()))
@@ -110,34 +113,46 @@ class _Products:
         self.memo[v, b] = w
         return w
 
-    def offsets(self, comps):
-        """Mixed-radix column offsets: basis tuple t starts at sum(offset[i][t[i]])."""
-        offset, width = [], self.dim
-        for comp in reversed(comps):
-            offset.append([(b, j * width) for j, b in enumerate(comp)])
-            width *= len(comp)
-        return offset[::-1], width
+    def words(self, M: tuple) -> dict:
+        """N(M) from the N of the level below: slot s, of label l, extends
+        each f in N(M minus l), whose variables are M's but s. A multiset
+        missing below has every word product 0, and so has its N."""
+        comps, low = self.comps, 1
+        out = {frozenset(enumerate(comps[M[0]])): None} if len(M) == 1 else {}
+        for s in reversed(range(len(M))):
+            for f in self.below.get(M[:s] + M[s + 1:], ()):
+                out[frozenset(_step(self, f, comps[M[s]], low).items())] = None
+            low *= len(comps[M[s]])
+        out.pop(frozenset(), None)
+        self.level[M] = out
+        return out
 
-    def row(self, leaf):
-        vectors = self.vectors
-        return {off + k: c for off, v in leaf.items() for k, c in vectors[v]}
+    def advance(self):
+        self.below, self.level = self.level, {}
+
+    def row(self, word):
+        dim, vectors = self.dim, self.vectors
+        return {key * dim + k: c for key, v in word for k, c in vectors[v]}
 
 
-def _child(memo, multiply, node, offset_i):
-    """The walk's step: each product of `node` (None at the root) times each
-    basis choice of one more variable, vanishing ones dropped. memo and
-    multiply are a `_Products` table's, bound once per caller, not per node."""
-    if node is None:
-        return {boff: b for b, boff in offset_i}
-    child = {}
-    for off, v in node.items():
-        for b, boff in offset_i:
+def _step(products: _Products, f, comp, low: int) -> dict:
+    """The single step of every word: t -> f(t without t_s) e_{t_s}, the
+    word function f (its (key, id) pairs) extended by a last letter at slot
+    s. comp is the basis of the letter's component and low the number of
+    basis tuples of the variables after slot s. Vanishing tuples drop."""
+    memo, multiply = products.memo, products.multiply
+    grow = low * (len(comp) - 1)
+    out = {}
+    for key, v in f:
+        key += key // low * grow
+        for b in comp:
             w = memo.get((v, b), -1)
             if w == -1:
                 w = multiply(v, b)
             if w is not None:
-                child[off + boff] = w
-    return child
+                out[key] = w
+            key += low
+    return out
 
 
 def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
@@ -145,22 +160,28 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     variable into its component. Variables with different labels are
     different variables, so f vanishes iff each labelling's part does. A
     part is multilinear, so it vanishes iff the sum of coeff * row(word) is
-    empty, row(word) being the row that `codim_block` builds for the word;
-    a label outside the support has no basis choice, so its rows are
-    empty."""
+    empty. `_step` folds a word letter by letter, each at its slot among the
+    variables placed so far; a label outside the support has no basis
+    choice, so its rows are empty."""
     parts = {}
     for (perm, degs), coeff in f.terms.items():
         parts.setdefault(degs, []).append((perm, coeff))
     products = _Products(A)
-    memo, multiply = products.memo, products.multiply
     for degs, words in parts.items():
-        offset, _ = products.offsets([A.component_indices(g) for g in degs])
+        comps = [A.component_indices(g) for g in degs]
         acc = {}
         for perm, coeff in words:
-            node = None
-            for i in perm:
-                node = _child(memo, multiply, node, offset[i])
-            axpy(acc, coeff, products.row(node))
+            placed, word = [perm[0]], dict(enumerate(comps[perm[0]]))
+            for i in perm[1:]:
+                if not word:
+                    break
+                low = 1
+                for j in placed:
+                    if j > i:
+                        low *= len(comps[j])
+                word = _step(products, word.items(), comps[i], low)
+                placed.append(i)
+            axpy(acc, coeff, products.row(word.items()))
         if acc:
             return False
     return True
@@ -179,60 +200,37 @@ def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
             f"{m}^{n} = {m ** n} degree assignments exceed the cap of {max_blocks}")
 
 
-def codim_block(A: GradedAlgebra, degs, products: _Products | None = None,
-                comps: list | None = None) -> int:
+def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> int:
     """Rank of one assignment block: variable i ranges over the basis of the
     component of degs[i]; rows are the n! word orders, columns are (matching
-    basis tuple) x (output coordinate). `comps`, when given, holds the basis
-    indices of each label's component, as `_codim_blocks` hands them over by
-    support index; otherwise each label's component is looked up.
-
-    Word orders are walked depth first through the nodes of `products`, the
-    `_Products` table that `_codim_blocks` shares between the blocks of one
-    n (a table of its own when none is given). A node whose products all
-    vanish is dropped with its subtree. A row of integral constants enters
-    the Reducer as ints, and becomes fractional only where a pivot division
-    leaves a remainder.
-
-    A node's subtree depends only on the variables still to place and on its
-    products, so every node, leaves included, is keyed by (bitmask of those
-    variables, set of (offset, vector id) pairs) and a repeated key returns
-    at once. The offsets are mixed-radix, so a leaf's key fixes its row: each
-    distinct nonzero row enters the Reducer once.
-    """
-    if comps is None:
-        comps = [A.component_indices(g) for g in degs]
-    if any(not c for c in comps):
-        return 0
-    if products is None:
+    basis tuple) x (output coordinate). Renaming variables permutes rows
+    and columns, so this is the rank of the rows of N(M), M the sorted
+    support indices of degs: the block's distinct rows up to a permutation
+    of columns, each entering the Reducer once. `products` holds the N of
+    the level below, as `_codim_blocks` hands it over, and keeps N(M) for
+    the level above; without it, a table of its own is built up from the
+    sub-multisets of M. Integral constants give int rows, which turn
+    fractional only where a pivot division leaves a remainder."""
+    fresh = products is None
+    if fresh:
         products = _Products(A)
-    memo, multiply, row = products.memo, products.multiply, products.row
-    n = len(comps)
-    offset, width = products.offsets(comps)
-    # Depth first from the root, the empty product None. Children are pushed
-    # last first, so they pop in variable order. A key is checked as its node
-    # is made: the nodes made after it and popped before it have fewer
-    # variables left, so none shares its key. A leaf is the only child of its
-    # parent and enters the Reducer as it is made, so rows arrive in the
-    # order of a recursive walk.
-    bits = [(i, 1 << i) for i in reversed(range(n))]
+    if any(g not in products.index for g in degs):
+        return 0
+    M = tuple(sorted(products.index[g] for g in degs))
+    if fresh:
+        subs = [{M}]
+        for _ in range(len(M) - 1):
+            subs.append({S[:i] + S[i + 1:] for S in subs[-1] for i in range(len(S))})
+        for level in reversed(subs[1:]):
+            for S in sorted(level):
+                products.words(S)
+            products.advance()
+    width = A.dim
+    for s in M:
+        width *= len(products.comps[s])
     red = Reducer(width)
-    visited = set()
-    stack = [((1 << n) - 1, None)]
-    while stack:
-        rest, partial = stack.pop()
-        for i, bit in bits:
-            if rest & bit:
-                child = _child(memo, multiply, partial, offset[i])
-                if child:
-                    left = rest ^ bit
-                    key = (left, frozenset(child.items()))
-                    if key not in visited:
-                        visited.add(key)
-                        if left:
-                            stack.append((left, child))
-                        else:
-                            red.insert(row(child))
+    for word in products.words(M):
+        red.insert(products.row(word))
     return red.dim
 
 
@@ -271,14 +269,11 @@ def _live_levels(A: GradedAlgebra):
         level = grown
 
 
-def _codim_blocks(A: GradedAlgebra, n: int, level: dict) -> list:
+def _codim_blocks(A: GradedAlgebra, n: int, level: dict, products: _Products) -> list:
     """(labelling count, block rank) per live multiset of n support labels,
     the keys of `level` (from `_live_levels`), in sorted order; every other
-    multiset has rank 0 and is never built. Each block gets its components
-    by support index. The blocks share one product table, which is dropped
-    on return."""
-    products = _Products(A)
-    comps = [A.component_indices(g) for g in A.support]
+    multiset has rank 0 and is never built. `products` holds the N of the
+    live multisets of n - 1 and, on return, those of n."""
     blocks = []
     for labels in sorted(level):
         mult = factorial(n)
@@ -286,8 +281,8 @@ def _codim_blocks(A: GradedAlgebra, n: int, level: dict) -> list:
             mult //= factorial(len(list(run)))
         # called through the module global, so that a wrapper put there
         # sees every block that is built
-        blocks.append((mult, codim_block(A, tuple(A.support[s] for s in labels), products,
-                                         [comps[s] for s in labels])))
+        blocks.append((mult, codim_block(A, tuple(A.support[s] for s in labels), products)))
+    products.advance()
     return blocks
 
 
@@ -297,8 +292,12 @@ def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     once per live label multiset and weighted by the multinomial. The
     trivial group reproduces ordinary codimensions."""
     _guard(A, n, max_n, max_blocks)
-    level = next(islice(_live_levels(A), n - 1, None))
-    return sum(mult * rank for mult, rank in _codim_blocks(A, n, level))
+    products, levels = _Products(A), _live_levels(A)
+    for level in islice(levels, n - 1):
+        for labels in sorted(level):
+            products.words(labels)
+        products.advance()
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n, next(levels), products))
 
 
 def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
@@ -446,14 +445,14 @@ def codimension_report(A: GradedAlgebra, n_max: int,
             _guard(A, n, max_n, max_blocks)
     # the settled n are every n from the nilpotency index on, so the levels
     # of the n computed follow one another
-    levels = _live_levels(A)
+    levels, products = _live_levels(A), _Products(A)
     for n in range(1, n_max + 1):
         if n in settled:
             values.append(0)
             per_n.append({"n": n, "assignments": m ** n, "computed": 0,
                           "nonzero_blocks": 0})
             continue
-        blocks = _codim_blocks(A, n, next(levels))
+        blocks = _codim_blocks(A, n, next(levels), products)
         values.append(sum(mult * rank for mult, rank in blocks))
         per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
                       "nonzero_blocks": sum(mult for mult, rank in blocks if rank),

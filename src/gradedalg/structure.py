@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from .algebra import ASSOCIATIVE, LIE, GradedAlgebra, graded_check, quotient_algebra
 from .errors import InternalCheckError, NotSemisimpleError, ValidationError
@@ -97,18 +97,55 @@ def _divide(m, r):
     return b[-2::-1], b[-1]
 
 
-def _divisors(n: int) -> list:
-    """The positive divisors of n >= 1, found in pairs (d, n / d) with d <= isqrt(n)."""
-    return sorted({x for d in range(1, isqrt(n) + 1) if n % d == 0 for x in (d, n // d)})
+def _value(p, x: int) -> int:
+    """p(x) for an integer polynomial p, constant term first."""
+    acc = 0
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
+
+
+def _root_cover(p) -> set:
+    """Integers k with every real root of the integer polynomial p (constant
+    term first, nonzero leading term) in some [k, k + 1]. Between the marks
+    k and k + 1 of the derivative's cover, p is strictly monotone, so one
+    exact integer bisection per sign change finds the rest; the derivative's
+    marks are kept, as p may have roots next to them. The Cauchy bound puts
+    every root strictly inside +-bound."""
+    if len(p) < 2:
+        return set()
+    cover = _root_cover([i * a for i, a in enumerate(p)][1:])
+    bound = 2 + max(abs(a) for a in p[:-1]) // abs(p[-1])
+    marks = sorted(cover | {k + 1 for k in cover} | {-bound, bound})
+    found = set(cover)
+    for lo, hi in zip(marks, marks[1:]):
+        v = _value(p, lo)
+        if v == 0:
+            found.add(lo)
+        elif v * _value(p, hi) < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _value(p, mid) * v > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            found.add(lo)
+    return found
 
 
 def _rational_root(m):
-    """A rational root of the monic m (constant term first), or None: 0, or
-    +-p/q with p | m_0 and q | m_d once denominators are cleared."""
+    """A rational root of the monic m (constant term first), or None. With L
+    the lcm of m's denominators and d = deg m, y = L x turns m into the
+    monic integer sum_i m_i L^(d - i) y^i, whose rational roots are integers
+    next to its root cover. Of several roots, the first in the order 0,
+    least |numerator|, least denominator, positive first, is returned."""
     scale = lcm(*(a.denominator for a in m))
-    tops, bottoms = _divisors(abs(m[0] * scale).numerator), _divisors(scale)
-    candidates = [ZERO] + [s * Fraction(p, q) for p in tops for q in bottoms for s in (1, -1)]
-    return next((r for r in candidates if _divide(m, r)[1] == 0), None)
+    d = len(m) - 1
+    p = [int(a * scale ** (d - i)) for i, a in enumerate(m)]
+    cover = _root_cover(p)
+    roots = [Fraction(y, scale) for y in cover | {k + 1 for k in cover} if _value(p, y) == 0]
+    return min(roots, key=lambda r: (r != 0, abs(r.numerator), r.denominator, r < 0),
+               default=None)
 
 
 def _times(A: GradedAlgebra, S: Subspace, f: dict) -> Subspace:

@@ -5,7 +5,7 @@ import time
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -496,6 +496,75 @@ def test_codimensions_beyond_the_old_reach():
         assert graded_codimension(builtin(name), n, max_n=n, max_blocks=2 ** n) == value
 
 
+def test_codimension_goldens_with_raised_caps():
+    # one report each, in process, with raised caps; m2_z2 c_10 took 2.0 s on
+    # the depth-first walk that this engine replaced, and c_11 matches an
+    # independent cocharacter count
+    M = builtin("m2_z2")
+    assert codimension_report(M, 11, max_n=11, max_blocks=2 ** 11).values[5:] == \
+        [1653, 6308, 24055, 91867, 351693, 1350031]
+    for name, n_max, closed in [("ut2", 10, lambda n: n * 2 ** (n - 1) + 1),
+                                ("fz2", 10, lambda n: 2 ** n),
+                                ("free_trunc_2_3", 8, lambda n: 3 * n * n + 3 * n + 1)]:
+        A = builtin(name)
+        rep = codimension_report(A, n_max, max_n=n_max, max_blocks=len(A.support) ** n_max)
+        assert rep.values == [closed(n) for n in range(1, n_max + 1)], name
+
+
+def test_m2_z2_c10_in_time():
+    A = builtin("m2_z2")
+    start = time.perf_counter()
+    assert graded_codimension(A, 10, max_n=10, max_blocks=2 ** 10) == 351693
+    assert time.perf_counter() - start < 1.0
+
+
+def test_word_functions_are_built_once_from_the_level_below(monkeypatch):
+    # a count of work, not of time: the single step runs 5,013 times for
+    # m2_z2 n <= 8 (the depth-first walk took 76,425 steps), and each
+    # distinct word function enters the Reducer once
+    A = builtin("m2_z2")
+    steps, built, inserted = [], [], {}
+    step, words, insert = identities._step, identities._Products.words, identities.Reducer.insert
+
+    def counting_steps(*args):
+        steps.append(1)
+        return step(*args)
+
+    def recording(table, M):
+        out = words(table, M)
+        built.append(len(out))
+        return out
+
+    def spying(red, v):
+        # keyed by the Reducer itself, which the dict keeps alive, so that a
+        # freed block's id cannot be reused by the next one
+        inserted.setdefault(red, []).append(frozenset(v.items()))
+        return insert(red, v)
+
+    monkeypatch.setattr(identities, "_step", counting_steps)
+    monkeypatch.setattr(identities._Products, "words", recording)
+    monkeypatch.setattr(identities.Reducer, "insert", spying)
+    assert codimension_report(A, 8, max_n=8, max_blocks=256).values[-1] == 24055
+    assert len(steps) == 5013 < 76425 // 10
+    rows = [r for block in inserted.values() for r in block]
+    assert len(rows) == sum(built)
+    assert all(len(block) == len(set(block)) for block in inserted.values())
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["quotient", "subalgebra", "rescaled"]),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+def test_report_codimension_and_blocks_agree(kind, seed, n):
+    # the report hands each level's word functions to the next; the direct
+    # c_n builds its levels without ranking them; each block on its own
+    # table builds its own sub-multisets: a map carried from one multiset
+    # into another would split them
+    A = _random_algebra(kind, random.Random(seed))
+    blocks = sum(_multinomial(labels) * codim_block(A, labels)
+                 for labels in combinations_with_replacement(A.support, n))
+    assert codimension_report(A, n).values[-1] == graded_codimension(A, n) == blocks
+
+
 @pytest.mark.parametrize("shear", [0, F(1, 2)])
 @pytest.mark.parametrize("name", ["m2_z2", "ut2"])
 def test_codimensions_survive_non_integral_constants(name, shear):
@@ -531,19 +600,26 @@ def _random_algebra(kind, rng):
 @given(kind=st.sampled_from(["quotient", "subalgebra", "rescaled"]),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_codim_block_matches_brute_rank_on_random_algebras(kind, seed, data):
-    # blocks of one n share a product table, as in _codim_blocks
+    # blocks of one n share a product table that holds the word functions
+    # of the level below, here every multiset of n - 1 labels, as in
+    # _codim_blocks
     A = _random_algebra(kind, random.Random(seed))
     n = data.draw(st.integers(1, 3))
     products = identities._Products(A)
+    for k in range(1, n):
+        for labels in combinations_with_replacement(range(len(A.support)), k):
+            products.words(labels)
+        products.advance()
     for _ in range(3):
         labels = tuple(data.draw(st.lists(st.sampled_from(A.support), min_size=n, max_size=n)))
         assert codim_block(A, labels, products) == brute_block_rank(A, labels), labels
         assert codim_block(A, labels) == brute_block_rank(A, labels), labels
 
 
-def test_each_product_is_computed_once_per_n(monkeypatch):
+def test_each_product_is_computed_once_per_report(monkeypatch):
     # a count of work, not of time: every (vector id, basis index) product is
-    # computed once per table, and all blocks of one n share one table
+    # computed once per table, and all blocks of all n of one computation
+    # share one table
     calls = []
     multiply = identities._Products.multiply
 
@@ -557,7 +633,7 @@ def test_each_product_is_computed_once_per_n(monkeypatch):
     assert len(calls) == len(set(calls)) > 0
     calls.clear()
     assert codimension_report(builtin("free_trunc_2_3"), 4).values == [7, 19, 37, 61]
-    assert len({table for table, _, _ in calls}) == 3          # n = 2, 3, 4
+    assert len({table for table, _, _ in calls}) == 1          # n = 1..4
     assert len(calls) == len(set(calls)) > 0
 
 
@@ -575,7 +651,8 @@ def test_product_tables_do_not_outlive_their_computation(monkeypatch):
     g0, g1 = A.support
     assert not is_graded_identity(commutator((g0, g1)), A)
     gc.collect()
-    assert len(tables) == 5 and all(ref() is None for ref in tables)
+    # one table for the report's n = 1..4, one for the identity check
+    assert len(tables) == 2 and all(ref() is None for ref in tables)
 
 
 def test_report_block_statistics_golden(tmp_path):
@@ -634,9 +711,11 @@ def test_only_live_blocks_are_built(monkeypatch, name, n, value, blocks):
 ])
 def test_report_grows_each_level_once(monkeypatch, name, n_max, values):
     # one walk of the live multisets per report, one level per computed n,
-    # and every block gets its labels' components by support index
+    # one table for every block of the report, and each block is built from
+    # the word functions of the level below, the live multisets of n - 1
     A = builtin(name)
     walks, levels = [], identities._live_levels
+    live = list(islice(levels(A), n_max))
 
     def counting(B):
         walks.append(0)
@@ -645,15 +724,19 @@ def test_report_grows_each_level_once(monkeypatch, name, n_max, values):
             yield level
 
     block = identities.codim_block
+    tables = set()
 
-    def checking(B, labels, products, comps):
-        assert comps == [B.component_indices(g) for g in labels]
-        return block(B, labels, products, comps)
+    def checking(B, labels, products):
+        tables.add(products)
+        n = len(labels)
+        assert set(products.below) == (set(live[n - 2]) if n > 1 else set())
+        return block(B, labels, products)
 
     monkeypatch.setattr(identities, "_live_levels", counting)
     monkeypatch.setattr(identities, "codim_block", checking)
     assert codimension_report(A, n_max).values == values
     assert walks == [n_max]
+    assert len(tables) == 1
 
 
 def _multinomial(labels):

@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from gradedalg.exactlin import Reducer, Subspace, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, TrivialGroup
 from gradedalg.radical import jacobson_radical, killing_form, solvable_radical
 from gradedalg.schema import digest, render_rational
-from gradedalg.structure import (graded_complement, levi_graded,
+from gradedalg.structure import (_rational_root, graded_complement, levi_graded,
                                  malcev_complement_graded, wedderburn_artin_graded)
 from tests.corpus import (associative_corpus, change_basis, corpus_semisimple_parts,
                           lie_corpus, trivially_graded)
@@ -218,6 +220,51 @@ def test_wedderburn_splits_q3_on_a_twisted_basis(rows):
     B, image = change_basis(Q3, rows)
     lines = [image(Subspace.from_vectors(3, [Q3.basis_vector(i)])) for i in range(3)]
     assert wedderburn_artin_graded(B).components == _canonical(lines)
+
+
+def test_wedderburn_splits_q3_with_huge_coordinates_in_time():
+    # trial division up to the square root of the cleared constant term took
+    # 17 to 23 s on this basis; the root search bisects in ints
+    Q = matrix_algebra(1)
+    Q3 = direct_sum(direct_sum(Q, Q), Q)
+    rows = ((2, 3, 5), (7, 10 ** 15, 11), (13, 17, 10 ** 16))
+    B, image = change_basis(Q3, rows)
+    lines = [image(Subspace.from_vectors(3, [Q3.basis_vector(i)])) for i in range(3)]
+    start = time.perf_counter()
+    assert wedderburn_artin_graded(B).components == _canonical(lines)
+    assert time.perf_counter() - start < 2.0
+
+
+def _brute_rational_root(m):
+    # every candidate +-p/q with p | m_0 and q | m_d once denominators are
+    # cleared, 0 first, in the order of the divisor lists
+    scale = lcm(*(a.denominator for a in m))
+
+    def divisors(n):
+        return sorted({x for d in range(1, isqrt(n) + 1) if n % d == 0 for x in (d, n // d)})
+
+    candidates = [F(0)] + [s * F(p, q) for p in divisors(abs(m[0] * scale).numerator)
+                           for q in divisors(scale) for s in (1, -1)]
+    for r in candidates:
+        if sum(a * r ** i for i, a in enumerate(m)) == 0:
+            return r
+    return None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(roots=st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=6), max_size=4),
+       p=st.sampled_from([None, 2, 3, 5, 6, 7, -1, -3]))
+def test_rational_root_matches_brute_enumeration(roots, p):
+    # prod (x - r_i) (x^2 - p) with a non-square p: the rational roots are
+    # the r_i, and both searches return the same one
+    m = [F(1)] if p is None else [F(-p), F(0), F(1)]
+    for r in roots:
+        m = [-r * m[0]] + [m[i - 1] - r * m[i] for i in range(1, len(m))] + [m[-1]]
+    assume(len(m) > 2)
+    root = _rational_root(m)
+    assert root == _brute_rational_root(m)
+    assert (root is None) == (not roots)
+    assert root is None or root in roots
 
 
 def test_wedderburn_certifies_small_number_fields():
