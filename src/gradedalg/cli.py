@@ -30,8 +30,8 @@ from .errors import (DimensionMismatchError, GroupMismatchError,
                      InternalCheckError, NotAnIdealError, NotGradedError,
                      ResourceCapError, SchemaError, ValidationError)
 from .exactlin import null_space
-from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, codimension_report,
-                         is_graded_identity)
+from .identities import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_N, _check_range,
+                         codimension_report, is_graded_identity)
 from .radical import (graded_radical_report, jacobson_radical, killing_form,
                       solvable_radical)
 from .schema import (algebra_to_description, canonical_json,
@@ -275,12 +275,14 @@ _COMMANDS = {
 def build_parser() -> _Parser:
     """The whole argument tree, built on first use (not at import) and kept:
     `parse_args` makes a fresh namespace and no default is mutable. `_run`
-    runs subcommand `name` as the `cmd_<name>` ("-" read as "_") bound then."""
+    runs subcommand `name` as the `cmd_<name>` ("-" read as "_") bound then;
+    `commands` maps each name to its subparser."""
     p = _Parser(prog="gradedalg",
                 description="exact computations with group-graded algebras")
     sub = p.add_subparsers(dest="cmd", required=True)
     for name, (help_text, add_opts) in _COMMANDS.items():
         add_opts(sub.add_parser(name, help=help_text))
+    p.commands = sub.choices
     return p
 
 
@@ -309,8 +311,14 @@ def _discard_stdout():
 
 
 def _run(argv) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.cmd == "codim":    # a range the report would refuse is a usage error
+            try:
+                _check_range(args.n_max, args.predicted_d)
+            except ValidationError as exc:
+                parser.commands["codim"].error(str(exc))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:       # looked up per call, so that a wrapper set on a cmd_* function sees it

@@ -8,13 +8,12 @@ rows and columns, so its rank depends only on the multiset of labels: each
 multiset's block is computed once and weighted by the multinomial count of
 its labellings (`_codim_blocks`, associative algebras only). Since
 A_g A_h lies in A_{gh}, the grading rules out most multisets before any
-vector is built: `_live_levels`, from the nonempty rows of `structure`
-alone, walks the degrees that the prefix products of some order of the
-labels can reach, and a multiset that reaches none has every word product 0.
-Only the live multisets are built; the rest add 0 to c_n. A report grows
-the live multisets of n + 1 from those of n. The resource guard still
-counts all |support|^n labellings, and a report checks it for every n it
-will compute before computing any.
+vector is built: `_walk`, from the nonempty rows of `structure` alone,
+follows the degrees that the prefix products of some order of the labels
+can reach, and a multiset that reaches none has every word product 0. Only
+the live multisets are built; the rest add 0 to c_n. The resource guard
+still counts all |support|^n labellings, and a report checks it for every n
+it will compute before computing any.
 
 A block is ranked from its word functions. For a multiset M, a sorted tuple
 of support indices whose variables are numbered in that order, N(M) is the
@@ -23,10 +22,12 @@ of its label's component per variable) to products, vanishing tuples
 dropped; N((s,)) = {t -> e_t}. A word's last letter is a variable at some
 slot s of a label l, and its prefix, renumbered, is a word over M minus l,
 so N(M) is the set of maps t -> f(t without t_s) e_{t_s} over every slot s
-and every f in N(M minus M[s]) (`_step`, the single step). A report keeps
-one `_Products` table for all n: it holds the N of the level below and
-interns products as small ints, each computed once by `A.mul_sparse`.
-`is_graded_identity` folds each labelling's words with the same step.
+and every f in N(M minus M[s]) (`_step`, the single step). `_walk` is the
+one producer: each step builds N of every live multiset of the next n from
+the level below into its `_Products` table, which interns products as small
+ints, each computed once by `A.mul_sparse`. Its consumers rank the level
+(`_codim_blocks`). `is_graded_identity` folds each labelling's words with
+the same step.
 
 For a group grading, the identities whose labels are read as delta
 functionals of (QG)* are exactly the graded ones, so H-identities of a
@@ -83,14 +84,14 @@ class MultilinearGradedPoly:
 
 class _Products:
     """Products of basis vectors of A, interned for one computation, and the
-    word functions of two levels of label multisets. Each distinct vector
+    word functions of one level of label multisets. Each distinct vector
     {k: c} gets a small int id, kept as its sorted items in `vectors`; e_b
     has id b. memo[v, b] is the id of v times e_b, or None when it vanishes;
     `multiply` computes it by `A.mul_sparse` on the first lookup only, and a
     lookup reads -1 before. A word function is a frozenset of (key, id)
     pairs, the key numbering a basis tuple in mixed radix, first variable
-    most significant. `below` maps multisets of the level below to their N
-    (dicts as ordered sets); `words` builds one N(M) into `level`."""
+    most significant. `level` maps the live multisets of the level `_walk`
+    last built to their N (dicts as ordered sets)."""
 
     def __init__(self, A: GradedAlgebra):
         self.dim = A.dim
@@ -100,7 +101,7 @@ class _Products:
         self.memo = {}
         self.index = {g: s for s, g in enumerate(A.support)}
         self.comps = [A.component_indices(g) for g in A.support]
-        self.below, self.level = {}, {}
+        self.level = {}
 
     def multiply(self, v: int, b: int):
         vec = tuple(sorted(self.mul_sparse(dict(self.vectors[v]), {b: 1}).items()))
@@ -113,35 +114,34 @@ class _Products:
         self.memo[v, b] = w
         return w
 
-    def words(self, M: tuple) -> dict:
-        """N(M) from the N of the level below: slot s, of label l, extends
-        each f in N(M minus l), whose variables are M's but s. A multiset
-        missing below has every word product 0, and so has its N."""
+    def words(self, M: tuple, below: dict) -> dict:
+        """N(M) from `below`, the N of the level below: slot s, of label l,
+        extends each f in N(M minus l), whose variables are M's but s. A
+        multiset missing below has every word product 0, and so has its N."""
         comps, low = self.comps, 1
         out = {frozenset(enumerate(comps[M[0]])): None} if len(M) == 1 else {}
         for s in reversed(range(len(M))):
-            for f in self.below.get(M[:s] + M[s + 1:], ()):
-                out[frozenset(_step(self, f, comps[M[s]], low).items())] = None
-            low *= len(comps[M[s]])
+            comp = comps[M[s]]
+            for f in below.get(M[:s] + M[s + 1:], ()):
+                out[frozenset(_step(self, f, comp, low, low * (len(comp) - 1)).items())] = None
+            low *= len(comp)
         out.pop(frozenset(), None)
-        self.level[M] = out
         return out
-
-    def advance(self):
-        self.below, self.level = self.level, {}
 
     def row(self, word):
         dim, vectors = self.dim, self.vectors
         return {key * dim + k: c for key, v in word for k, c in vectors[v]}
 
 
-def _step(products: _Products, f, comp, low: int) -> dict:
+def _step(products: _Products, f, comp, low: int, grow: int) -> dict:
     """The single step of every word: t -> f(t without t_s) e_{t_s}, the
-    word function f (its (key, id) pairs) extended by a last letter at slot
-    s. comp is the basis of the letter's component and low the number of
-    basis tuples of the variables after slot s. Vanishing tuples drop."""
+    word function f (its (key, id) pairs) extended by a letter at slot s.
+    comp is the basis of the letter's component and low the key stride of
+    slot s. Each key of f first moves up by grow times key // low, its part
+    above slot s: low * (|comp| - 1) opens the slot in keys numbered without
+    it, and 0 keeps keys that number every variable already. Vanishing
+    tuples drop."""
     memo, multiply = products.memo, products.multiply
-    grow = low * (len(comp) - 1)
     out = {}
     for key, v in f:
         key += key // low * grow
@@ -160,27 +160,26 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     variable into its component. Variables with different labels are
     different variables, so f vanishes iff each labelling's part does. A
     part is multilinear, so it vanishes iff the sum of coeff * row(word) is
-    empty. `_step` folds a word letter by letter, each at its slot among the
-    variables placed so far; a label outside the support has no basis
-    choice, so its rows are empty."""
+    empty. A label outside the support has no basis choice, so its part's
+    rows are empty. The basis tuples of any other part are numbered once
+    over all n variables, a fixed stride per variable, and `_step` folds
+    each word letter by letter at its variable's stride."""
     parts = {}
     for (perm, degs), coeff in f.terms.items():
         parts.setdefault(degs, []).append((perm, coeff))
     products = _Products(A)
     for degs, words in parts.items():
         comps = [A.component_indices(g) for g in degs]
+        if not all(comps):
+            continue
+        stride = [1] * len(comps)
+        for i in reversed(range(len(comps) - 1)):
+            stride[i] = stride[i + 1] * len(comps[i + 1])
         acc = {}
         for perm, coeff in words:
-            placed, word = [perm[0]], dict(enumerate(comps[perm[0]]))
+            word = {t * stride[perm[0]]: b for t, b in enumerate(comps[perm[0]])}
             for i in perm[1:]:
-                if not word:
-                    break
-                low = 1
-                for j in placed:
-                    if j > i:
-                        low *= len(comps[j])
-                word = _step(products, word.items(), comps[i], low)
-                placed.append(i)
+                word = _step(products, word.items(), comps[i], stride[i], 0)
             axpy(acc, coeff, products.row(word.items()))
         if acc:
             return False
@@ -190,8 +189,7 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
 def _guard(A: GradedAlgebra, n: int, max_n: int, max_blocks: int):
     if A.kind != ASSOCIATIVE:
         raise ValidationError("codimensions are computed for associative algebras")
-    if n < 1:
-        raise ValidationError("codimensions start at n = 1")
+    _check_range(n, None)
     if n > max_n:
         raise ResourceCapError(f"n = {n} exceeds the cap of {max_n}")
     m = len(A.support)
@@ -206,83 +204,72 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> in
     basis tuple) x (output coordinate). Renaming variables permutes rows
     and columns, so this is the rank of the rows of N(M), M the sorted
     support indices of degs: the block's distinct rows up to a permutation
-    of columns, each entering the Reducer once. `products` holds the N of
-    the level below, as `_codim_blocks` hands it over, and keeps N(M) for
-    the level above; without it, a table of its own is built up from the
-    sub-multisets of M. Integral constants give int rows, which turn
-    fractional only where a pivot division leaves a remainder."""
-    fresh = products is None
-    if fresh:
-        products = _Products(A)
-    if any(g not in products.index for g in degs):
+    of columns, each entering the Reducer once. `products` holds the level
+    of M that `_walk` built, as `_codim_blocks` hands it over; without it, a
+    table of its own is walked over the labels of degs alone. A multiset
+    missing from the level has rank 0. Integral constants give int rows,
+    which turn fractional only where a pivot division leaves a remainder."""
+    table = _Products(A) if products is None else products
+    if any(g not in table.index for g in degs):
         return 0
-    M = tuple(sorted(products.index[g] for g in degs))
-    if fresh:
-        subs = [{M}]
-        for _ in range(len(M) - 1):
-            subs.append({S[:i] + S[i + 1:] for S in subs[-1] for i in range(len(S))})
-        for level in reversed(subs[1:]):
-            for S in sorted(level):
-                products.words(S)
-            products.advance()
+    M = tuple(sorted(table.index[g] for g in degs))
+    if products is None:
+        for _ in islice(_walk(A, table, set(M)), len(M)):
+            pass
     width = A.dim
     for s in M:
-        width *= len(products.comps[s])
+        width *= len(table.comps[s])
     red = Reducer(width)
-    for word in products.words(M):
-        red.insert(products.row(word))
+    for word in table.level.get(M, ()):
+        red.insert(table.row(word))
     return red.dim
 
 
-def _live_levels(A: GradedAlgebra):
-    """Yield, for n = 1, 2, ..., the multisets of n support indices that can
-    give a nonzero block, each a sorted tuple mapped to the set of support
-    indices of the degrees its prefix products can reach. Level n + 1 is
-    grown from level n, so a report that runs n up hands each level on to
-    the next n.
+def _walk(A: GradedAlgebra, products: _Products, labels=None):
+    """For n = 1, 2, ...: build N(M) into `products.level` for every live
+    multiset M of n support indices (over `labels` alone, if given), each
+    from the level before, then yield.
 
-    The step table holds, for each pair (r, s) of support indices such that
-    some e_i e_j with e_i in A_r and e_j in A_s is nonzero, the support index
-    t of the degree of A_r A_s: step[r] is the set of pairs (s, t). It is read
-    off the output basis index, with no group product. The prefixes of a
-    nonzero word product are nonzero and their degrees follow the table, so
-    level k maps each live multiset of k support indices to the degrees that
-    the prefix products of its orders can reach. A multiset that is never
-    reached has every word product 0 and a block of rank 0.
-    """
-    index = [0] * A.dim
-    for s, g in enumerate(A.support):
-        for i in A.component_indices(g):
-            index[i] = s
+    A live multiset is a sorted tuple that can give a nonzero block, mapped
+    to the support indices of the degrees its prefix products can reach.
+    step[r] holds the pairs (s, t) of support indices such that some e_i e_j
+    with e_i in A_r and e_j in A_s is nonzero, t the index of the degree of
+    A_r A_s, read off the output basis index with no group product. The
+    prefixes of a nonzero word product are nonzero and their degrees follow
+    the table, so level n + 1 grows from level n; a multiset never reached
+    has every word product 0 and a block of rank 0."""
+    labels = range(len(A.support)) if labels is None else labels
+    index = [products.index[g] for g in A.degrees]
     step = [set() for _ in A.support]
     for i, plane in enumerate(A.structure):
         for j, row in plane.items():
-            step[index[i]].add((index[j], index[next(iter(row))]))
-    level = {(s,): {s} for s in range(len(A.support))}
+            if index[j] in labels:
+                step[index[i]].add((index[j], index[next(iter(row))]))
+    live = {(s,): {s} for s in labels}
     while True:
-        yield level
+        below = products.level
+        products.level = {M: products.words(M, below) for M in sorted(live)}
+        yield
         grown = {}
-        for labels, reach in level.items():
+        for M, reach in live.items():
             for r in reach:
                 for s, t in step[r]:
-                    grown.setdefault(tuple(sorted(labels + (s,))), set()).add(t)
-        level = grown
+                    grown.setdefault(tuple(sorted(M + (s,))), set()).add(t)
+        live = grown
 
 
-def _codim_blocks(A: GradedAlgebra, n: int, level: dict, products: _Products) -> list:
+def _codim_blocks(A: GradedAlgebra, n: int, products: _Products) -> list:
     """(labelling count, block rank) per live multiset of n support labels,
-    the keys of `level` (from `_live_levels`), in sorted order; every other
-    multiset has rank 0 and is never built. `products` holds the N of the
-    live multisets of n - 1 and, on return, those of n."""
+    the keys of `products.level` (built by `_walk`), in sorted order; every
+    other multiset has rank 0 and is never built."""
     blocks = []
-    for labels in sorted(level):
+    for labels in sorted(products.level):
         mult = factorial(n)
         for _, run in groupby(labels):
             mult //= factorial(len(list(run)))
         # called through the module global, so that a wrapper put there
         # sees every block that is built
         blocks.append((mult, codim_block(A, tuple(A.support[s] for s in labels), products)))
-    products.advance()
     return blocks
 
 
@@ -292,12 +279,10 @@ def graded_codimension(A: GradedAlgebra, n: int, max_n: int = DEFAULT_MAX_N,
     once per live label multiset and weighted by the multinomial. The
     trivial group reproduces ordinary codimensions."""
     _guard(A, n, max_n, max_blocks)
-    products, levels = _Products(A), _live_levels(A)
-    for level in islice(levels, n - 1):
-        for labels in sorted(level):
-            products.words(labels)
-        products.advance()
-    return sum(mult * rank for mult, rank in _codim_blocks(A, n, next(levels), products))
+    products = _Products(A)
+    for _ in islice(_walk(A, products), n):
+        pass
+    return sum(mult * rank for mult, rank in _codim_blocks(A, n, products))
 
 
 def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
@@ -311,7 +296,9 @@ def _settled_by_nilpotency(A: GradedAlgebra, ns) -> list:
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) by integer Newton iteration."""
+    """floor(x ** (1/n)) by integer Newton iteration. It starts at a power
+    of two at least x ** (1/n), decreases strictly while above the floor,
+    and stops there."""
     if x < 0:
         raise ValidationError("negative radicand")
     if x == 0:
@@ -322,10 +309,6 @@ def _int_nth_root(x: int, n: int) -> int:
         if nr >= r:
             break
         r = nr
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
     return r
 
 
@@ -418,6 +401,17 @@ def exponent_estimate(values, predicted_d: int | None = None) -> ExponentVerdict
     return ExponentVerdict(predicted_d, False, ok, r1, r2, c1, c2, msg)
 
 
+def _check_range(n_max: int, predicted_d: int | None):
+    """The report's n_max and predicted exponent, also the CLI's usage check."""
+    if n_max < 1:
+        raise ValidationError("codimensions start at n = 1")
+    if predicted_d is not None and predicted_d < 1:
+        raise ValidationError("predicted exponent must be a positive integer")
+    if predicted_d is not None and n_max < 3:
+        raise ValidationError("a predicted exponent needs n_max >= 3: the growth "
+                              "verdict compares at least three codimensions")
+
+
 def codimension_report(A: GradedAlgebra, n_max: int,
                        predicted_d: int | None = None,
                        max_n: int = DEFAULT_MAX_N,
@@ -426,13 +420,7 @@ def codimension_report(A: GradedAlgebra, n_max: int,
     ratios and (when requested) the growth verdict. Each block is computed
     once; a per_n row settled by nilpotency reports no nonzero block and no
     block rank."""
-    if n_max < 1:
-        raise ValidationError("codimensions start at n = 1")
-    if predicted_d is not None and predicted_d < 1:
-        raise ValidationError("predicted exponent must be a positive integer")
-    if predicted_d is not None and n_max < 3:
-        raise ValidationError("a predicted exponent needs n_max >= 3: the growth "
-                              "verdict compares at least three codimensions")
+    _check_range(n_max, predicted_d)
     values = []
     per_n = []
     m = len(A.support)
@@ -445,14 +433,16 @@ def codimension_report(A: GradedAlgebra, n_max: int,
             _guard(A, n, max_n, max_blocks)
     # the settled n are every n from the nilpotency index on, so the levels
     # of the n computed follow one another
-    levels, products = _live_levels(A), _Products(A)
+    products = _Products(A)
+    walk = _walk(A, products)
     for n in range(1, n_max + 1):
         if n in settled:
             values.append(0)
             per_n.append({"n": n, "assignments": m ** n, "computed": 0,
                           "nonzero_blocks": 0})
             continue
-        blocks = _codim_blocks(A, n, next(levels), products)
+        next(walk)
+        blocks = _codim_blocks(A, n, products)
         values.append(sum(mult * rank for mult, rank in blocks))
         per_n.append({"n": n, "assignments": m ** n, "computed": m ** n,
                       "nonzero_blocks": sum(mult for mult, rank in blocks if rank),

@@ -252,6 +252,13 @@ def test_resource_caps():
             codimension_report(A, n_max)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=st.integers(0, 2 ** 4096 - 1), n=st.integers(1, 16))
+def test_int_nth_root_is_the_floor(x, n):
+    r = identities._int_nth_root(x, n)
+    assert r ** n <= x < (r + 1) ** n
+
+
 def test_decimal_root():
     assert decimal_root(8, 3) == "2.0000"
     assert decimal_root(2, 1) == "2.0000"
@@ -450,6 +457,21 @@ def test_out_of_support_block_is_zero():
     assert codim_block(A, (outside, A.support[0])) == 0
 
 
+def test_identity_with_a_label_outside_the_support():
+    # a variable labelled outside the support has no basis choice, so its
+    # labelling's part vanishes in every word order, the outside variable
+    # first, last or between
+    A = free_group_truncation(2, 3)
+    g, outside = A.support[1], A.group.word([1, 1, 1])
+    for perm in permutations(range(3)):
+        f = MultilinearGradedPoly(3, {(perm, (g, outside, g)): 1})
+        assert is_graded_identity(f, A), perm
+    # beside a part on the support that does not vanish, it changes nothing
+    e = A.support[0]
+    f = MultilinearGradedPoly(3, {((2, 0, 1), (g, outside, g)): 1, ((0, 1, 2), (e, g, g)): 1})
+    assert not is_graded_identity(f, A)
+
+
 def test_m2_exponent_consistent_with_four():
     # roots rise toward the predicted exponent and the bracket closes
     M = matrix_algebra_z2()
@@ -530,8 +552,8 @@ def test_word_functions_are_built_once_from_the_level_below(monkeypatch):
         steps.append(1)
         return step(*args)
 
-    def recording(table, M):
-        out = words(table, M)
+    def recording(table, M, below):
+        out = words(table, M, below)
         built.append(len(out))
         return out
 
@@ -600,16 +622,13 @@ def _random_algebra(kind, rng):
 @given(kind=st.sampled_from(["quotient", "subalgebra", "rescaled"]),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_codim_block_matches_brute_rank_on_random_algebras(kind, seed, data):
-    # blocks of one n share a product table that holds the word functions
-    # of the level below, here every multiset of n - 1 labels, as in
-    # _codim_blocks
+    # blocks of one n share a product table whose level the walk built, as
+    # in _codim_blocks; a multiset missing from it is not live
     A = _random_algebra(kind, random.Random(seed))
     n = data.draw(st.integers(1, 3))
     products = identities._Products(A)
-    for k in range(1, n):
-        for labels in combinations_with_replacement(range(len(A.support)), k):
-            products.words(labels)
-        products.advance()
+    for _ in islice(identities._walk(A, products), n):
+        pass
     for _ in range(3):
         labels = tuple(data.draw(st.lists(st.sampled_from(A.support), min_size=n, max_size=n)))
         assert codim_block(A, labels, products) == brute_block_rank(A, labels), labels
@@ -711,32 +730,71 @@ def test_only_live_blocks_are_built(monkeypatch, name, n, value, blocks):
 ])
 def test_report_grows_each_level_once(monkeypatch, name, n_max, values):
     # one walk of the live multisets per report, one level per computed n,
-    # one table for every block of the report, and each block is built from
-    # the word functions of the level below, the live multisets of n - 1
+    # one table for every block of the report, and each block ranks a level
+    # that holds exactly the live multisets of its n
     A = builtin(name)
-    walks, levels = [], identities._live_levels
-    live = list(islice(levels(A), n_max))
+    walk, live = identities._walk, []
+    products = identities._Products(A)
+    for _ in islice(walk(A, products), n_max):
+        live.append(set(products.level))
+    walks = []
 
-    def counting(B):
+    def counting(B, table, *rest):
         walks.append(0)
-        for level in levels(B):
+        for _ in walk(B, table, *rest):
             walks[-1] += 1
-            yield level
+            yield
 
     block = identities.codim_block
     tables = set()
 
-    def checking(B, labels, products):
-        tables.add(products)
-        n = len(labels)
-        assert set(products.below) == (set(live[n - 2]) if n > 1 else set())
-        return block(B, labels, products)
+    def checking(B, labels, table):
+        tables.add(table)
+        assert set(table.level) == live[len(labels) - 1]
+        return block(B, labels, table)
 
-    monkeypatch.setattr(identities, "_live_levels", counting)
+    monkeypatch.setattr(identities, "_walk", counting)
     monkeypatch.setattr(identities, "codim_block", checking)
     assert codimension_report(A, n_max).values == values
     assert walks == [n_max]
     assert len(tables) == 1
+
+
+def test_fresh_block_walks_only_its_own_labels(monkeypatch):
+    # a block without a table walks the multisets over the labels of degs
+    # alone: one label of free_trunc_2_3's seven here, two of them next
+    A = builtin("free_trunc_2_3")
+    walk, levels = identities._walk, []
+
+    def recording(B, table, *rest):
+        for _ in walk(B, table, *rest):
+            levels.append(set(table.level))
+            yield
+
+    monkeypatch.setattr(identities, "_walk", recording)
+    g, h = A.support[1], A.support[2]
+    for degs in [(g, g, g), (g, h, g)]:
+        levels.clear()
+        own = {A.support.index(x) for x in degs}
+        assert codim_block(A, degs) == brute_block_rank(A, degs), degs
+        assert len(levels) == len(degs)
+        assert all(set(M) <= own for level in levels for M in level)
+        assert (A.support.index(g),) in levels[0]
+
+
+def test_long_words_fold_in_time():
+    # each letter takes its variable's fixed stride, so a word of n letters
+    # is n steps; recomputing the slot width per letter over the placed
+    # variables made it O(n^2), about 0.4 s for both labellings
+    A = builtin("m2_z2")
+    n = 2000
+    forward, backward = tuple(range(n)), tuple(reversed(range(n)))
+    start = time.perf_counter()
+    verdicts = [is_graded_identity(MultilinearGradedPoly(
+        n, {(forward, (g,) * n): 1, (backward, (g,) * n): -1}), A) for g in A.support]
+    assert time.perf_counter() - start < 0.15
+    # the even part is commutative; odd matrix units chain one way only
+    assert verdicts == [True, False]
 
 
 def _multinomial(labels):

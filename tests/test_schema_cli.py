@@ -268,6 +268,76 @@ def test_malformed_polynomials_exit_2_with_position(poly, message, tmp_path, cap
     assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+# one basis vector, the unit of the trivially graded field
+_POINT = {"kind": "associative", "dim": 1, "group": {"type": "trivial"}, "degrees": [0],
+          "structure": [[0, 0, 0, "1"]], "unit": ["1"]}
+
+
+def _point(**fields):
+    return dict(_POINT, **fields)
+
+
+def _grouped(group):
+    return _point(group=group)
+
+
+_VERIFY = ["verify", "--input", "{path}"]
+_CHECK = ["check-identity", "--builtin", "m2_z2", "--poly", "{path}"]
+
+
+@pytest.mark.parametrize("argv, content, code, line", [
+    (_VERIFY, [1, 2], 2, "parse error: algebra description must be a JSON object"),
+    (_VERIFY, _point(kind="jordan"), 2,
+     "parse error: kind: expected 'associative' or 'lie', got 'jordan'"),
+    (_VERIFY, _point(degrees=[0, 0]), 2, "parse error: degrees: expected a list of 1 entries"),
+    (_VERIFY, _point(structure={"0": 1}), 2,
+     "parse error: structure: expected a list of [i, j, k, coeff] entries"),
+    (_VERIFY, _point(structure=[[0, 0, 0]]), 2,
+     "parse error: structure[0]: expected [i, j, k, coeff]"),
+    (_VERIFY, _point(unit=["1", "0"]), 2, "parse error: unit: expected a list of 1 coordinates"),
+    (_VERIFY, _grouped({"n": 2}), 2,
+     "parse error: group: group description must be an object with a 'type', got {'n': 2}"),
+    (_VERIFY, _grouped({"type": "dihedral"}), 2,
+     "parse error: group: unknown group type 'dihedral'"),
+    (_VERIFY, _grouped({"type": "cyclic", "n": 0}), 2,
+     "parse error: group: cyclic group order must be >= 1"),
+    (_VERIFY, _grouped({"type": "table", "table": []}), 2,
+     "parse error: group: empty multiplication table"),
+    (_VERIFY, _grouped({"type": "table", "table": [[0, 1], [1]]}), 2,
+     "parse error: group: table row 1 has length 1, expected 2"),
+    (_VERIFY, _grouped({"type": "table", "table": [[0, 1, 2], [1, 0, 0], [2, 1, 0]]}), 2,
+     "parse error: group: table is not associative at (1,1,2)"),
+    (_VERIFY, _grouped({"type": "free", "rank": 0}), 2,
+     "parse error: group: free group rank must be >= 1"),
+    (_VERIFY, _grouped({"type": "product", "factors": []}), 2,
+     "parse error: group: product group needs at least one factor"),
+    (_VERIFY, None, 2, "parse error: {path}: [Errno 21] Is a directory: '{path}'"),
+    (_VERIFY, _point(kind="lie", structure=[]), 3,
+     "invariant violation: ValidationError: Lie algebras carry no unit"),
+    (_CHECK, [1], 2, "parse error: polynomial description needs 'n' and 'terms'"),
+    (_CHECK, {"n": 0, "terms": []}, 2, "parse error: n: expected a positive integer, got 0"),
+    (_CHECK, {"n": 1, "terms": [5]}, 2, "parse error: terms[0]: expected an object"),
+    (_CHECK, {"n": 1, "terms": [{"coef": "1", "labels": [0]}]}, 2,
+     "parse error: terms[0]: missing 'perm'"),
+    (_CHECK, {"n": 2, "terms": [{"coef": "1", "perm": [1, 2], "labels": [0]}]}, 2,
+     "parse error: terms[0].labels: expected 2 degree labels"),
+], ids=["non-object", "kind", "degrees", "structure", "structure-entry", "unit",
+        "group-no-type", "group-unknown", "group-cyclic-0", "group-empty-table",
+        "group-ragged-table", "group-non-associative-table", "group-free-rank-0",
+        "group-no-factors", "directory", "lie-unit", "poly-non-object", "poly-n",
+        "poly-term", "poly-perm", "poly-labels"])
+def test_malformed_input_exit_codes_and_messages(argv, content, code, line, tmp_path, capsys):
+    # the whole stderr is one line, and nothing reaches stdout; content None
+    # points the file argument at a directory
+    path = tmp_path / "dir" if content is None else tmp_path / "file.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    assert main([a.replace("{path}", str(path)) for a in argv]) == code
+    assert capsys.readouterr() == ("", line.replace("{path}", str(path)) + "\n")
+
+
 def test_cli_codim_golden(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["codim", "--builtin", "m2_z2", "--n-max", "2",
@@ -690,19 +760,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     # resource cap on n
     assert main(["codim", "--builtin", "fz2", "--n-max", "3", "--max-n", "2"]) == 4
     capsys.readouterr()
-    # codimensions start at n = 1
+    # codimensions start at n = 1: a usage error
     for n_max in ("0", "-1"):
         for mode in ("gr", "h", "both"):
-            assert main(["codim", "--builtin", "fz2", "--n-max", n_max, "--mode", mode]) == 3
+            assert main(["codim", "--builtin", "fz2", "--n-max", n_max, "--mode", mode]) == 1
             out, err = capsys.readouterr()
-            assert out == "" and "codimensions start at n = 1" in err
+            assert out == "" and err.startswith("usage: gradedalg codim ")
+            assert err.endswith("\nerror: codimensions start at n = 1\n")
     # codimensions of a Lie algebra are refused in every mode
     for mode in ("gr", "h", "both"):
         assert main(["codim", "--builtin", "sl2", "--mode", mode]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert "codimensions are computed for associative algebras" in err
-    # a predicted exponent below 1 is refused at every n_max, nilpotent or not
+    # a predicted exponent below 1 is a usage error at every n_max, nilpotent or not
     from gradedalg.algebra import algebra_on_subspace
     from gradedalg.radical import jacobson_radical
     A = builtin("free_trunc_2_3")
@@ -712,9 +783,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     for src in (["--builtin", "ut2"], ["--input", str(nil)]):
         for n_max in ("1", "2", "3", "4"):
             for d in ("0", "-3"):
-                assert main(["codim", *src, "--n-max", n_max, "--predicted-d", d]) == 3
+                assert main(["codim", *src, "--n-max", n_max, "--predicted-d", d]) == 1
                 out, err = capsys.readouterr()
-                assert out == "" and "predicted exponent must be a positive integer" in err
+                assert out == "" and err.startswith("usage: gradedalg codim ")
+                assert err.endswith("\nerror: predicted exponent must be a positive integer\n")
+    # a usage error is found before the input is read
+    assert main(["codim", "--input", str(bad), "--n-max", "0"]) == 1
+    capsys.readouterr()
 
 
 PARSER_ARGV = [
@@ -774,11 +849,12 @@ def test_cli_runs_the_command_bound_when_it_runs(name, argv, monkeypatch, capsys
 
 def test_cli_predicted_exponent_needs_three_values(capsys):
     # the verdict compares at least three codimensions, so a prediction that
-    # could not be checked is refused instead of silently dropped
+    # could not be checked is refused as a usage error instead of silently
+    # dropped
     for n_max in ("1", "2"):
-        assert main(["codim", "--builtin", "ut2", "--n-max", n_max, "--predicted-d", "2"]) == 3
+        assert main(["codim", "--builtin", "ut2", "--n-max", n_max, "--predicted-d", "2"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and "a predicted exponent needs n_max >= 3" in err
+        assert out == "" and "\nerror: a predicted exponent needs n_max >= 3" in err
         assert "Traceback" not in err
     assert main(["codim", "--builtin", "ut2", "--n-max", "3", "--predicted-d", "2"]) == 0
     assert "verdict: consistent with exponent 2" in capsys.readouterr().out
