@@ -54,9 +54,9 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatchError, InternalCheckError, NotAnIdealError,
                      NotGradedError, ValidationError)
 from .exactlin import (ONE, Reducer, Subspace, ZERO, apply_operator, as_rat,
-                       as_vector, axpy, dense, is_zero_vector, null_space,
+                       as_vector, axpy, dense, null_space,
                        solve_rows, span_closure, sparse, unit_vector)
-from .groups import Group, GroupElem
+from .groups import Group, GroupElem, is_element_of
 
 ASSOCIATIVE = "associative"
 LIE = "lie"
@@ -84,7 +84,7 @@ class GradedAlgebra:
         self.kind = kind
         self.name = name
         for i, g in enumerate(self.degrees):
-            if not isinstance(g, GroupElem) or (g.group is not group and g.group != group):
+            if not is_element_of(g, group):
                 raise ValidationError(f"degree of basis vector {i} is not an element of the grading group")
         if not isinstance(structure, Mapping):
             raise ValidationError("structure must be a mapping {(i, j, k): coefficient}")
@@ -362,7 +362,9 @@ class GradedAlgebra:
 
     def trace_of_left_mult(self, a) -> Fraction:
         """tr L(a) = sum_i a_i tr L(e_i), over `left_mult_traces`."""
-        a = self._checked(a)
+        a = as_vector(a)
+        if len(a) != self.dim:
+            raise DimensionMismatchError("vector has wrong ambient dimension")
         return sum((ai * t for ai, t in zip(a, self.left_mult_traces) if ai and t), ZERO)
 
     @cached_property
@@ -384,36 +386,6 @@ class GradedAlgebra:
 
     def component_indices(self, g: GroupElem) -> tuple:
         return self._components.get(g, ())
-
-    def homogeneous_projection(self, v, g: GroupElem) -> tuple:
-        return self._projection(self._checked(v), g)
-
-    def _checked(self, v) -> tuple:
-        """v as a dense tuple of Fractions (`as_vector`) of length dim."""
-        v = as_vector(v)
-        if len(v) != self.dim:
-            raise DimensionMismatchError("vector has wrong ambient dimension")
-        return v
-
-    def _projection(self, v: tuple, g: GroupElem) -> tuple:
-        return tuple(x if self.degrees[i] == g else ZERO for i, x in enumerate(v))
-
-    def homogeneous_components(self, v) -> list:
-        """Nonzero pieces [(g, pi_g(v)), ...] in support order."""
-        v = self._checked(v)
-        out = []
-        for g in self.support:
-            p = self._projection(v, g)
-            if not is_zero_vector(p):
-                out.append((g, p))
-        return out
-
-    def degree_of(self, v):
-        """The degree of a homogeneous vector, None for 0 or mixed vectors."""
-        comps = self.homogeneous_components(v)
-        if len(comps) == 1:
-            return comps[0][0]
-        return None
 
     # -- ideals and subalgebras ---------------------------------------------
 
@@ -500,28 +472,38 @@ class GradedAlgebra:
         return f"GradedAlgebra({label}, dim={self.dim}, group={self.group!r})"
 
 
+def _part(r: dict, g: GroupElem, A: GradedAlgebra) -> dict:
+    """pi_g(r) of the sparse row r: its entries on basis vectors of degree g,
+    each through `as_rat`, as `exactlin.sparse` gives them (an RREF row can
+    hold an integral Fraction)."""
+    degrees = A.degrees
+    return {i: as_rat(c) for i, c in r.items() if degrees[i] == g}
+
+
 def graded_closure(w: Subspace, A: GradedAlgebra) -> Subspace:
     """Span of the homogeneous projections of w: the smallest graded subspace
     containing w. For a group grading this is also the delta-closure, the
-    smallest subspace containing w and closed under every delta_g action."""
-    return Subspace.from_vectors(
-        A.dim, [p for v in w.basis_vectors() for _, p in A.homogeneous_components(v)])
+    smallest subspace containing w and closed under every delta_g action:
+    the span of one `_part` per degree that a basis row's keys carry."""
+    return Subspace.from_vectors(A.dim, [
+        _part(r, g, A) for r in w.pivot_rows.values()
+        for g in {A.degrees[i]: None for i in r}])
 
 
 def graded_check(w: Subspace, A: GradedAlgebra):
     """(is_graded, witness): the witness is a homogeneous vector that escapes
-    w, present exactly when w is not graded.
+    w, a dense tuple of Fractions, present exactly when w is not graded.
 
     w is graded iff every row r of its canonical RREF basis is homogeneous.
     If w is graded, the projection pi_g(r) on the degree g of r's pivot lies
     in w; then r - pi_g(r) lies in w and is zero at every pivot, so it is 0.
     So only the degrees of r's nonzero coordinates, its sparse keys, are
-    read. When r mixes degrees, the same argument shows that pi_g(r) escapes
-    w: the witness."""
+    read. When r mixes degrees, the same argument shows that pi_g(r)
+    (`_part`) escapes w: the witness."""
     for p in w.pivots:
         r, g = w.pivot_rows[p], A.degrees[p]
         if any(A.degrees[i] != g for i in r):
-            return False, A.homogeneous_projection(dense(r, A.dim), g)
+            return False, tuple(dense(_part(r, g, A), A.dim))
     return True, None
 
 

@@ -24,7 +24,9 @@ MAX_FREE_TRUNC_DIM = 1024
 def _elementary_degrees(n: int, group: Group | None, row_labels, pairs) -> tuple:
     """(group, [deg e_pq for (p, q) in pairs]) for the elementary grading
     deg e_pq = g_p^{-1} g_q given by one row label g_p per row; the default
-    group is trivial and the default labels are its identity."""
+    group is trivial and the default labels are its identity; n >= 1."""
+    if n < 1:
+        raise ValidationError("a matrix algebra needs n >= 1 rows")
     if group is None:
         group = TrivialGroup()
     if row_labels is None:
@@ -174,12 +176,10 @@ def sl2() -> GradedAlgebra:
 def gl2_z2() -> GradedAlgebra:
     """gl_2(Q) under the commutator, Z2-graded by diagonal/antidiagonal."""
     M = matrix_algebra(2, CyclicGroup(2), (0, 1))
-    structure = {}
-    for i in range(M.dim):
-        for j in range(M.dim):
-            ab = M.multiply(M.basis_vector(i), M.basis_vector(j))
-            ba = M.multiply(M.basis_vector(j), M.basis_vector(i))
-            structure.update({(i, j, k): x - y for k, (x, y) in enumerate(zip(ab, ba)) if x != y})
+    structure = {}      # [e_i, e_j] has c_ij^k - c_ji^k on e_k; zeros are dropped
+    for (i, j, k), c in M.constants().items():
+        structure[i, j, k] = structure.get((i, j, k), 0) + c
+        structure[j, i, k] = structure.get((j, i, k), 0) - c
     return GradedAlgebra(M.group, M.degrees, structure, kind=LIE, name="gl2_z2")
 
 

@@ -33,6 +33,12 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_element_of(x, group) -> bool:
+    """Whether x is an element of `group` or of a group equal to it; the
+    group is compared by identity first."""
+    return isinstance(x, GroupElem) and (x.group is group or x.group == group)
+
+
 class GroupElem:
     """An element of `group`, held as the group's normalised key. Only this
     module builds one, so its key is always valid for its group. Its hash is

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import GradedAlgebra, graded_closure
 from .errors import DimensionMismatchError, GroupMismatchError, NotAnIdealError
 from .exactlin import Subspace, ZERO, as_rat, as_vector
-from .groups import Group, GroupElem
+from .groups import Group, GroupElem, is_element_of
 
 
 class DualFunctional:
@@ -27,7 +27,7 @@ class DualFunctional:
         self.group = group
         vals = {}
         for g, c in (values or {}).items():
-            if not isinstance(g, GroupElem) or (g.group is not group and g.group != group):
+            if not is_element_of(g, group):
                 raise GroupMismatchError("functional support must lie in the stated group")
             c = as_rat(c)
             if c != 0:
@@ -54,7 +54,7 @@ class DualFunctional:
         return cls(group, {g: 1 for g in elems})
 
     def __call__(self, g: GroupElem):
-        if g.group is not self.group and g.group != self.group:
+        if not is_element_of(g, self.group):
             raise GroupMismatchError("evaluating a functional outside its group")
         return self.values.get(g, ZERO)
 

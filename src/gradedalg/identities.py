@@ -45,6 +45,7 @@ from math import factorial
 from .algebra import ASSOCIATIVE, GradedAlgebra, nilpotency_index
 from .errors import ResourceCapError, ValidationError
 from .exactlin import Reducer, as_rat, axpy
+from .groups import is_element_of, is_int
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_BLOCKS = 100_000
@@ -139,12 +140,13 @@ def _step(products: _Products, f, comp, low: int, grow: int) -> dict:
     comp is the basis of the letter's component and low the key stride of
     slot s. Each key of f first moves up by grow times key // low, its part
     above slot s: low * (|comp| - 1) opens the slot in keys numbered without
-    it, and 0 keeps keys that number every variable already. Vanishing
-    tuples drop."""
+    it, and 0 keeps keys that number every variable already, unshifted
+    (a big-int division saved on a long word). Vanishing tuples drop."""
     memo, multiply = products.memo, products.multiply
     out = {}
     for key, v in f:
-        key += key // low * grow
+        if grow:
+            key += key // low * grow
         for b in comp:
             w = memo.get((v, b), -1)
             if w == -1:
@@ -160,13 +162,16 @@ def is_graded_identity(f: MultilinearGradedPoly, A: GradedAlgebra) -> bool:
     variable into its component. Variables with different labels are
     different variables, so f vanishes iff each labelling's part does. A
     part is multilinear, so it vanishes iff the sum of coeff * row(word) is
-    empty. A label outside the support has no basis choice, so its part's
-    rows are empty. The basis tuples of any other part are numbered once
-    over all n variables, a fixed stride per variable, and `_step` folds
-    each word letter by letter at its variable's stride."""
+    empty. A label must be an element of A's group (`is_element_of`),
+    checked before any fold; one outside the support has no basis choice,
+    so its part's rows are empty. The basis tuples of any other part are
+    numbered once over all n variables, a fixed stride per variable, and
+    `_step` folds each word letter by letter at its variable's stride."""
     parts = {}
     for (perm, degs), coeff in f.terms.items():
         parts.setdefault(degs, []).append((perm, coeff))
+    if not all(is_element_of(g, A.group) for degs in parts for g in degs):
+        raise ValidationError("a label is not an element of the grading group")
     products = _Products(A)
     for degs, words in parts.items():
         comps = [A.component_indices(g) for g in degs]
@@ -206,11 +211,15 @@ def codim_block(A: GradedAlgebra, degs, products: _Products | None = None) -> in
     support indices of degs: the block's distinct rows up to a permutation
     of columns, each entering the Reducer once. `products` holds the level
     of M that `_walk` built, as `_codim_blocks` hands it over; without it, a
-    table of its own is walked over the labels of degs alone. A multiset
-    missing from the level has rank 0. Integral constants give int rows,
-    which turn fractional only where a pivot division leaves a remainder."""
+    table of its own is walked over the labels of degs alone. A label must
+    be an element of A's group, which only a label outside the support
+    needs checked; such a label, or a multiset missing from the level,
+    gives rank 0. Integral constants give int rows, which turn fractional
+    only where a pivot division leaves a remainder."""
     table = _Products(A) if products is None else products
     if any(g not in table.index for g in degs):
+        if not all(is_element_of(g, A.group) for g in degs):
+            raise ValidationError("a label is not an element of the grading group")
         return 0
     M = tuple(sorted(table.index[g] for g in degs))
     if products is None:
@@ -358,6 +367,8 @@ def exponent_estimate(values, predicted_d: int | None = None) -> ExponentVerdict
     comparisons are exact rational inequalities; nothing here claims a limit.
     """
     values = list(values)
+    if not all(map(is_int, values)) or not (predicted_d is None or is_int(predicted_d)):
+        raise ValidationError("codimensions and the predicted exponent must be ints")
     if len(values) < 3:
         raise ValidationError("need at least three codimension values")
     if any(v < 0 for v in values):

@@ -333,8 +333,9 @@ def lift_section_dense(A, Q, section, ideal, below):
     ideal basis, one dense column per unknown, one `solve_dense`."""
     blocks, offsets, nunk = [], [], 0
     for g in Q.degrees:
-        comp = Subspace.from_vectors(
-            A.dim, [A.homogeneous_projection(v, g) for v in ideal.basis_vectors()])
+        comp = Subspace.from_vectors(A.dim, [
+            tuple(x if A.degrees[i] == g else Fraction(0) for i, x in enumerate(v))
+            for v in ideal.basis_vectors()])
         blocks.append(comp.basis_vectors())
         offsets.append(nunk)
         nunk += comp.dim

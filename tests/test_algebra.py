@@ -18,6 +18,7 @@ from gradedalg.errors import (DimensionMismatchError, InternalCheckError, NotAnI
                               NotGradedError, ValidationError)
 from gradedalg.exactlin import Reducer, Subspace, dense, is_zero_vector, sparse
 from gradedalg.groups import CyclicGroup, GroupElem, TrivialGroup
+from gradedalg.hopf import DualFunctional, dual_action
 from gradedalg.radical import jacobson_radical, nilradical, solvable_radical
 from gradedalg.schema import algebra_to_description, description_to_algebra, load_json
 from gradedalg.structure import wedderburn_artin_graded
@@ -111,18 +112,23 @@ def test_left_mult_is_multiplicative():
                 matmul(left_mult_matrix(A, a), left_mult_matrix(A, b))
 
 
+def _pi(A, v, g):
+    """The homogeneous projection pi_g(v): the action of delta_g."""
+    return dual_action(DualFunctional.delta(g), v, A)
+
+
 def test_homogeneous_projection():
     M = matrix_algebra_z2()
     g0, g1 = M.support
     v = tuple(F(x) for x in (1, 1, 0, 0))    # e11 + e12
-    assert M.homogeneous_projection(v, g0) == (F(1), F(0), F(0), F(0))
-    assert M.homogeneous_projection(v, g1) == (F(0), F(1), F(0), F(0))
+    assert _pi(M, v, g0) == (F(1), F(0), F(0), F(0))
+    assert _pi(M, v, g1) == (F(0), F(1), F(0), F(0))
     rng = random.Random(3)
     for _ in range(10):
         v = rand_vec(rng, 4)
         acc = [F(0)] * 4
         for g in M.support:
-            p = M.homogeneous_projection(v, g)
+            p = _pi(M, v, g)
             acc = [a + b for a, b in zip(acc, p)]
         assert tuple(acc) == v
 
@@ -133,10 +139,10 @@ def test_homogeneous_multiply_lands_in_product_component():
         A = builtin(name)
         for g in A.support:
             for h in A.support:
-                a = A.homogeneous_projection(rand_vec(rng, A.dim), g)
-                b = A.homogeneous_projection(rand_vec(rng, A.dim), h)
+                a = _pi(A, rand_vec(rng, A.dim), g)
+                b = _pi(A, rand_vec(rng, A.dim), h)
                 prod = A.multiply(a, b)
-                assert prod == A.homogeneous_projection(prod, g * h)
+                assert prod == _pi(A, prod, g * h)
 
 
 def test_ideal_generated_examples():

@@ -24,7 +24,10 @@ nonempty rows, so it is read plane by plane: `structure[i][j]` (or
 `transpose[j][i]`) is rejected. Group-element keys are read in groups.py
 alone: elsewhere `.key` is rejected, and so is a `GroupElem(...)` call,
 which trusts its key to be valid for its group (elsewhere `Group.elem`,
-`decode_elem` and the arithmetic build one). README's "Library layout" table names
+`decode_elem` and the arithmetic build one). The package computes on
+sparse rows: an attribute call of a dense algebra view (`.multiply(`,
+`.basis_vector(`) or of a removed grading view is rejected; the dense views
+serve the tests. README's "Library layout" table names
 only what exists: a bare identifier in backticks in a `gradedalg.X` row must be
 an attribute of that module or of a class defined there. Its "Removed public
 names" list names only what is gone: a dotted name that opens an item must
@@ -172,6 +175,20 @@ def group_key_nodes(tree, module=""):
         elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "GroupElem"
                                              or getattr(node.func, "attr", None) == "GroupElem"):
             yield node, "direct GroupElem() call"
+
+
+DENSE_VIEWS = {"multiply", "basis_vector", "homogeneous_projection",
+               "homogeneous_components", "degree_of"}
+
+
+def dense_view_nodes(tree):
+    """Attribute calls `x.multiply(...)` and the like of DENSE_VIEWS. A call
+    through a bound local, as `_Products.multiply` is called, names no
+    attribute and passes."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in DENSE_VIEWS):
+            yield node, f".{node.func.attr}() call"
 
 
 def test_modules_found():
@@ -335,6 +352,26 @@ def test_checker_flags_group_elem_construction():
     found = [(node.lineno, what) for node, what in group_key_nodes(ast.parse(code))]
     assert found == [(1, "direct GroupElem() call"), (2, "direct GroupElem() call")]
     assert not list(group_key_nodes(ast.parse(code), "groups.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_calls_no_dense_view(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}: {what} (compute on sparse rows)"
+             for node, what in dense_view_nodes(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_flags_dense_view_calls():
+    code = ("A.multiply(u, w)\nself.basis_vector(0)\nA.homogeneous_projection(v, g)\n"
+            "A.homogeneous_components(v)\nA.degree_of(v)\n"
+            "memo, multiply = products.memo, products.multiply\nmultiply(v, b)\n"
+            "A.mul_sparse(su, sv)\ndef multiply(self, a, b):\n    pass\n"
+            "unit_vector(3, 0)\n")
+    found = [(node.lineno, what) for node, what in dense_view_nodes(ast.parse(code))]
+    assert sorted(found) == [(1, ".multiply() call"), (2, ".basis_vector() call"),
+                             (3, ".homogeneous_projection() call"),
+                             (4, ".homogeneous_components() call"), (5, ".degree_of() call")]
 
 
 def test_no_dead_private_helpers():

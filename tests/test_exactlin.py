@@ -259,14 +259,14 @@ def test_sparse_input_stays_exact():
         with pytest.raises(DimensionMismatchError):
             red.insert(bad)
     assert red.pivots == [2]
-    # the dense entry points of the algebra layer refuse floats and give
-    # dense Fractions for int input
+    # the dense entry points of the algebra and dual-action layers refuse
+    # floats and give dense Fractions for int input
     A = matrix_algebra_z2()
     g0 = A.degrees[0]
     entry_points = [
         A.trace_of_left_mult,
-        lambda v: A.homogeneous_projection(v, g0),
-        lambda v: A.homogeneous_components(v)[0][1],
+        lambda v: dual_action(DualFunctional.delta(g0), v, A),
+        lambda v: dual_action(DualFunctional.all_ones(A.group, A.support), v, A),
         quotient_algebra(A, Subspace.zero(A.dim)).project,
         algebra_on_subspace(A, Subspace.full(A.dim)).include,
     ]
@@ -276,7 +276,7 @@ def test_sparse_input_stays_exact():
         out = entry_point((3, 0, 0, 1))
         assert all(type(x) is Fraction for x in (out if isinstance(out, tuple) else (out,)))
     assert A.trace_of_left_mult((3, 0, 0, 1)) == 8             # tr L(e_11) = tr L(e_22) = 2
-    assert A.homogeneous_projection((3, 0, 0, 1), g0) == (3, 0, 0, 1)
+    assert dual_action(DualFunctional.delta(g0), (3, 0, 0, 1), A) == (3, 0, 0, 1)
 
 
 def test_sparse_insert_touches_only_nonzero_columns():

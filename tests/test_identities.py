@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gradedalg import identities
 from gradedalg.algebra import GradedAlgebra, algebra_on_subspace, nilpotency_index
 from gradedalg.builders import (builtin, free_group_truncation,
-                                matrix_algebra, matrix_algebra_z2)
+                                matrix_algebra, matrix_algebra_z2, upper_triangular)
 from gradedalg.cli import main
 from gradedalg.errors import ResourceCapError, ValidationError
 from gradedalg.groups import CyclicGroup, FreeGroup
@@ -455,6 +455,25 @@ def test_out_of_support_block_is_zero():
     A = free_group_truncation(2, 2)
     outside = A.group.word([1, 1])
     assert codim_block(A, (outside, A.support[0])) == 0
+
+
+REFUSED_API_INPUT = {
+    # int labels are no group elements, though 0 and 1 key Z2's elements
+    "int-labels": lambda M: is_graded_identity(
+        MultilinearGradedPoly(2, {((0, 1), (0, 0)): 1}), M),
+    "label-of-another-group": lambda M: codim_block(M, (CyclicGroup(3).elem(1),)),
+    "float-codimensions": lambda M: exponent_estimate([1.0, 2.0, 4.0], 2),
+    "bool-codimension": lambda M: exponent_estimate([True, 2, 4], 2),
+    "bool-exponent": lambda M: exponent_estimate([1, 2, 4], True),
+    "negative-matrix-size": lambda M: matrix_algebra(-1),
+    "negative-triangular-size": lambda M: upper_triangular(-2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_API_INPUT))
+def test_library_refuses_what_the_cli_refuses(case):
+    with pytest.raises(ValidationError):
+        REFUSED_API_INPUT[case](matrix_algebra_z2())
 
 
 def test_identity_with_a_label_outside_the_support():

@@ -12,6 +12,7 @@ from gradedalg.builders import (builtin, direct_sum, free_group_truncation,
 from gradedalg.errors import InternalCheckError, ValidationError
 from gradedalg.exactlin import Subspace, null_space, unit_vector
 from gradedalg.groups import CyclicGroup, TrivialGroup
+from gradedalg.hopf import DualFunctional, dual_action
 from gradedalg.radical import (derived_series, graded_check, graded_radical_report,
                                jacobson_radical, killing_form, nilradical,
                                solvable_radical)
@@ -59,6 +60,17 @@ def test_graded_closure_examples():
     assert c.dim == 2
     ok, witness = graded_check(w, M)
     assert not ok and witness is not None and not w.contains(witness)
+
+
+def test_graded_closure_keeps_integral_entries_ints():
+    # eliminating (2, 1, 0) against (1, 0, 1) leaves the integral Fraction
+    # 1/1 in the RREF row of pivot 0; the closure holds it as the int 1
+    U = upper_triangular(2)
+    w = Subspace.from_vectors(3, [{0: 2, 1: 1}, {0: 1, 2: 1}])
+    assert type(w.pivot_rows[0][2]) is Fraction
+    c = graded_closure(w, U)
+    assert c == w
+    assert all(type(x) is int for row in c.pivot_rows.values() for x in row.values())
 
 
 def test_radical_graded_on_builtins():
@@ -320,7 +332,9 @@ def test_graded_check_agrees_with_the_graded_closure():
             assert ok == (graded_closure(w, A) == w), A.name
             assert (witness is None) == ok
             if not ok:
-                assert A.degree_of(witness) is not None and not w.contains(witness)
+                homogeneous = any(dual_action(DualFunctional.delta(g), witness, A) == witness
+                                  for g in A.support)
+                assert any(witness) and homogeneous and not w.contains(witness)
 
 
 def test_non_unital_jacobson_radical_matches_the_unitalization():
